@@ -8,11 +8,12 @@ transition kernels,
     w(xi)  proportional to  G(y, xi, 0, s) * G(xi, 0, s, T),
 
 so every conditional quantity is a quadrature ratio over w.  Both kernels
-come from delta-data marches of the same Crank-Nicolson stencil family as
-the threshold solver: the first leg is the forward (conservation-form)
-equation started from a point mass at y, the second the backward equation
-run from a point mass at the pin.  The start point and the pin are placed
-exactly on grid nodes so neither kernel carries placement bias.
+are delta-data runs of the threshold solver's own Crank-Nicolson march
+(pde._cn_march) with zero walls: the first leg is the forward
+(conservation-form) equation started from a point mass at y, the second
+the backward equation run from a point mass at the pin.  The start point
+and the pin are placed exactly on grid nodes so neither kernel carries
+placement bias.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 from scipy.special import ndtr
 
 from .drifts import DriftSpec, LinearDriftStats, linear_stats
-from .pde import Grid1D, required_half_width
+from .pde import Grid1D, _cn_march, required_half_width
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -109,15 +109,12 @@ class GreenResources:
 
     n_y: int = 2401
     n_t: int = 1201
-    n_startup: int = 8
     den_floor: float = 1e-250
     audit: bool = False
 
     def __post_init__(self) -> None:
         if self.n_y < 101 or self.n_t < 51:
             raise ValueError("resolution too coarse: need n_y >= 101, n_t >= 51")
-        if self.n_startup < 0:
-            raise ValueError("n_startup must be nonnegative")
 
 
 # ------------------------------------------------------------- linear route
@@ -193,114 +190,6 @@ def two_leg_classical_cost(
     return 0.5 * gap1 * gap1 / leg1.sigma2 + 0.5 * gap2 * gap2 / leg2.sigma2
 
 
-# -------------------------------------------------------- delta-data marches
-
-def _tridiag_solve(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=False, overwrite_b=True)
-
-
-def _march_pin_backward(spec: DriftSpec, grid: Grid1D, epsilon: float,
-                        pin: float, n_startup: int) -> np.ndarray:
-    """Backward march from a point mass at the pin; returns the t_start row.
-
-    The result approximates the transition density xi -> G(xi, pin) over
-    the grid's time interval.  Zero Dirichlet walls; the grid must be wide
-    enough that the kernel has decayed there.
-    """
-    y = grid.y_nodes()
-    t = grid.t_nodes()
-    h, dt = grid.h_y, grid.h_t
-    y_int = y[1:-1]
-    alpha = 0.5 * epsilon / (h * h)
-
-    u = np.zeros(grid.n_y)
-    u[grid.nearest_node(pin)] = 1.0 / h
-
-    m = grid.n_y - 2
-    ab = np.zeros((3, m))
-
-    def beta_at(tv: float) -> np.ndarray:
-        return np.asarray(spec.b(y_int, tv), dtype=float) / (2.0 * h)
-
-    def explicit(u_full: np.ndarray, beta: np.ndarray, r: float) -> np.ndarray:
-        lower = alpha - beta
-        upper = alpha + beta
-        return u_full[1:-1] + r * (
-            lower * u_full[:-2] - 2.0 * alpha * u_full[1:-1] + upper * u_full[2:]
-        )
-
-    def implicit(rhs: np.ndarray, beta: np.ndarray, r: float) -> np.ndarray:
-        lower = alpha - beta
-        upper = alpha + beta
-        ab[0, 1:] = -r * upper[:-1]
-        ab[1, :] = 1.0 + 2.0 * r * alpha
-        ab[2, :-1] = -r * lower[1:]
-        return _tridiag_solve(ab, rhs)
-
-    r = 0.5 * dt
-    for step in range(1, grid.n_t):
-        k_old = grid.n_t - step
-        k_new = k_old - 1
-        if step <= n_startup:
-            v = implicit(u[1:-1].copy(), beta_at(t[k_old] - 0.5 * dt), r)
-            v = implicit(v, beta_at(t[k_new]), r)
-        else:
-            v = implicit(explicit(u, beta_at(t[k_old]), r), beta_at(t[k_new]), r)
-        u = np.zeros(grid.n_y)
-        u[1:-1] = v
-    return u
-
-
-def _march_density_forward(spec: DriftSpec, grid: Grid1D, epsilon: float,
-                           start: float, n_startup: int) -> np.ndarray:
-    """Forward conservation-form march from a point mass at the start.
-
-    Returns the density row at grid.T.  The advection term differences the
-    flux b*g, so the drift coefficients sit on the neighbor nodes.
-    """
-    y = grid.y_nodes()
-    t = grid.t_nodes()
-    h, dt = grid.h_y, grid.h_t
-    alpha = 0.5 * epsilon / (h * h)
-
-    g = np.zeros(grid.n_y)
-    g[grid.nearest_node(start)] = 1.0 / h
-
-    m = grid.n_y - 2
-    ab = np.zeros((3, m))
-
-    def beta_at(tv: float) -> np.ndarray:
-        # full-grid values: interior row j needs b at j-1 and j+1
-        return np.asarray(spec.b(y, tv), dtype=float) / (2.0 * h)
-
-    def explicit(g_full: np.ndarray, beta: np.ndarray, r: float) -> np.ndarray:
-        lower = alpha + beta[:-2]
-        upper = alpha - beta[2:]
-        return g_full[1:-1] + r * (
-            lower * g_full[:-2] - 2.0 * alpha * g_full[1:-1] + upper * g_full[2:]
-        )
-
-    def implicit(rhs: np.ndarray, beta: np.ndarray, r: float) -> np.ndarray:
-        lower = alpha + beta[:-2]
-        upper = alpha - beta[2:]
-        ab[0, 1:] = -r * upper[:-1]
-        ab[1, :] = 1.0 + 2.0 * r * alpha
-        ab[2, :-1] = -r * lower[1:]
-        return _tridiag_solve(ab, rhs)
-
-    r = 0.5 * dt
-    for step in range(1, grid.n_t):
-        k_new = step
-        if step <= n_startup:
-            v = implicit(g[1:-1].copy(), beta_at(t[k_new - 1] + 0.5 * dt), r)
-            v = implicit(v, beta_at(t[k_new]), r)
-        else:
-            v = implicit(explicit(g, beta_at(t[k_new - 1]), r), beta_at(t[k_new]), r)
-        g = np.zeros(grid.n_y)
-        g[1:-1] = v
-    return g
-
-
 # --------------------------------------------------------- quadrature route
 
 @dataclass(frozen=True)
@@ -340,10 +229,11 @@ def bridge_kernel(spec: DriftSpec, query: BridgeQuery,
                   thetas: tuple[float, ...] = ()) -> BridgeKernel:
     """Unnormalized conditional density on the look-back slice.
 
-    One forward march over [0, s] from the start point and one backward
-    march over [s, T] from the pin; their product on the shared nodes is
-    the bridge weight.  Transient ringing can leave tiny negative kernel
-    values; they are clipped to zero before the product is formed.
+    One forward march over [0, s] from a point mass at the start point and
+    one backward march over [s, T] from a point mass at the pin, both with
+    zero walls; their product on the shared nodes is the bridge weight.
+    Transient ringing can leave tiny negative kernel values; they are
+    clipped to zero before the product is formed.
     """
     res = resources or GreenResources()
     if not math.isclose(query.T, spec.horizon_T):
@@ -353,10 +243,12 @@ def bridge_kernel(spec: DriftSpec, query: BridgeQuery,
     grid_fwd = Grid1D(y_min, y_max, n_y, 0.0, s, res.n_t)
     grid_bwd = Grid1D(y_min, y_max, n_y, s, query.T, res.n_t)
 
-    fan = _march_density_forward(spec, grid_fwd, query.epsilon,
-                                 query.y_start, res.n_startup)
-    bundle = _march_pin_backward(spec, grid_bwd, query.epsilon,
-                                 0.0, res.n_startup)
+    legs = []
+    for grid, node, backward in ((grid_fwd, query.y_start, False), (grid_bwd, 0.0, True)):
+        point = np.zeros(n_y)
+        point[grid.nearest_node(node)] = 1.0 / grid.h_y
+        legs.append(_cn_march(spec, point, grid, query.epsilon, 0.0, backward))
+    fan, bundle = legs
     np.clip(fan, 0.0, None, out=fan)
     np.clip(bundle, 0.0, None, out=bundle)
     xi = grid_fwd.y_nodes()

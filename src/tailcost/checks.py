@@ -29,6 +29,7 @@ from .drifts import (
     linear_drift,
     logcosh_drift,
     sin_drift,
+    spot_check,
     zero_drift,
 )
 
@@ -106,13 +107,6 @@ def driftless_cost(x: float, y: float, epsilon: float, tau: float) -> float:
     """Closed-form cost for b identically zero over a window of length tau."""
     z = (y - x) / math.sqrt(epsilon * tau)
     return float(-epsilon * norm.logcdf(z))
-
-
-def driftless_slope_y(x: float, y: float, epsilon: float, tau: float) -> float:
-    """Closed-form dq/dy for b identically zero (negative below the threshold)."""
-    z = (y - x) / math.sqrt(epsilon * tau)
-    hazard = math.exp(norm.logpdf(z) - norm.logcdf(z))
-    return float(-math.sqrt(epsilon / tau) * hazard)
 
 
 # ------------------------------------------------------------ cdf inequality
@@ -901,7 +895,9 @@ class RunConfig:
 
     def drift(self) -> DriftSpec:
         try:
-            return drift_by_name(self.drift_kind, **self.drift_params)
+            spec = drift_by_name(self.drift_kind, **self.drift_params)
+            spot_check(spec)
+            return spec
         except Exception as exc:
             raise ConfigError(str(exc)) from exc
 

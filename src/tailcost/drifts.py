@@ -41,6 +41,8 @@ class DriftSpec:
     only the second-derivative machinery of the classical solver needs it.
     A_of_s is set for linear drifts b(y, s) = A(s) * y and enables the
     closed-form Gaussian statistics; it is None otherwise.
+    time_homogeneous declares that b does not depend on t, which lets the
+    lattice solvers evaluate it once instead of at every time level.
     """
 
     name: str
@@ -52,6 +54,7 @@ class DriftSpec:
     vanishes_at_origin: bool
     horizon_T: float = 1.0
     A_of_s: Callable[[float], float] | None = None
+    time_homogeneous: bool = False
 
 
 @dataclass(frozen=True)
@@ -91,6 +94,7 @@ def zero_drift(T: float = 1.0) -> DriftSpec:
         vanishes_at_origin=True,
         horizon_T=T,
         A_of_s=lambda s: 0.0,
+        time_homogeneous=True,
     )
 
 
@@ -105,6 +109,7 @@ def linear_drift(A: float, T: float = 1.0) -> DriftSpec:
         vanishes_at_origin=True,
         horizon_T=T,
         A_of_s=lambda s: A,
+        time_homogeneous=True,
     )
 
 
@@ -151,6 +156,7 @@ def logcosh_drift(c: float = 0.5, T: float = 1.0) -> DriftSpec:
         is_concave=True,
         vanishes_at_origin=True,
         horizon_T=T,
+        time_homogeneous=True,
     )
 
 
@@ -165,6 +171,7 @@ def sin_drift(amplitude: float = 0.3, T: float = 1.0) -> DriftSpec:
         is_concave=False,
         vanishes_at_origin=True,
         horizon_T=T,
+        time_homogeneous=True,
     )
 
 
@@ -243,6 +250,7 @@ def spot_check(spec: DriftSpec, y_grid: np.ndarray | None = None, n_times: int =
     if y_grid is None:
         y_grid = np.linspace(-4.0, 4.0, 41)
     times = np.linspace(0.0, spec.horizon_T, n_times)
+    b_first = np.asarray(spec.b(y_grid, times[0]), dtype=float)
     for t in times:
         slope = np.asarray(spec.db_dy(y_grid, t), dtype=float)
         if not np.all(np.isfinite(slope)):
@@ -258,3 +266,5 @@ def spot_check(spec: DriftSpec, y_grid: np.ndarray | None = None, n_times: int =
                 raise DriftError(f"{spec.name}: declared concave but d2b_dy2 > 0 at t={t}")
         if spec.vanishes_at_origin and abs(float(spec.b(0.0, t))) > 1e-12:
             raise DriftError(f"{spec.name}: declared b(0,.)=0 but b(0,{t}) != 0")
+        if spec.time_homogeneous and not np.array_equal(spec.b(y_grid, t), b_first):
+            raise DriftError(f"{spec.name}: declared time-homogeneous but b changes by t={t}")

@@ -11,11 +11,15 @@ gives the transition density (Green function).
 
 Numerical scheme: full-operator Crank-Nicolson (central differences for
 both diffusion and drift) with a backward-Euler startup phase that damps
-the ringing the step terminal data would otherwise excite.  At the mesh
-Peclet numbers of every shipped configuration (|b| h_y / eps <= 1) each
-step is a monotone map, so the discrete solution inherits the maximum
-principle and monotonicity in y to roundoff.  The mesh Peclet and
-diffusion numbers are recorded as diagnostics, not enforced.
+the ringing the step terminal data would otherwise excite.  One march,
+_cn_march, serves the threshold solve, the Green fan (one column per
+threshold) and both bridge kernels; the upper wall value is its argument,
+and the drift is re-evaluated at every time level unless it declares itself
+time-homogeneous.  At the mesh Peclet numbers of every shipped
+configuration (|b| h_y / eps <= 1) each step is a monotone map, so the
+discrete solution inherits the maximum principle and monotonicity in y to
+roundoff.  The mesh Peclet and diffusion numbers are recorded as
+diagnostics, not enforced.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 MAXPRINCIPLE_TOL = 1e-12
 MONOTONE_TOL = 1e-12
+N_STARTUP = 8  # backward-Euler step pairs that open every march
 
 
 class GridExtentError(ValueError):
@@ -179,105 +184,76 @@ def fan_margin(spec: DriftSpec, dx: float, n_x: int, t_start: float = 0.0) -> fl
     return extent * (1.0 + math.expm1(spec.lipschitz_A * span))
 
 
-def _advection_coeffs(spec: DriftSpec, y_int: np.ndarray, grid: Grid1D):
-    """Per-time advection/diffusion stencil pieces; caches if b is time-constant."""
-    t0, T = grid.t_start, grid.T
-    b0 = np.asarray(spec.b(y_int, t0), dtype=float)
-    b_mid = np.asarray(spec.b(y_int, 0.5 * (t0 + T)), dtype=float)
-    b_T = np.asarray(spec.b(y_int, T), dtype=float)
-    constant = np.array_equal(b0, b_mid) and np.array_equal(b0, b_T)
-    h = grid.h_y
-    if constant:
-        beta = b0 / (2.0 * h)
-        return lambda t: beta, float(np.max(np.abs(b0)))
+def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall: float,
+              backward: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """Crank-Nicolson march of data u (..., n_y) across the grid's time levels.
 
-    def beta_at(t: float) -> np.ndarray:
-        return np.asarray(spec.b(y_int, t), dtype=float) / (2.0 * h)
-
-    b_max = max(float(np.max(np.abs(v))) for v in (b0, b_mid, b_T))
-    return beta_at, b_max
-
-
-def _march(
-    spec: DriftSpec,
-    x_snapped: float,
-    grid: Grid1D,
-    epsilon: float,
-    n_startup: int,
-    collect_all: bool,
-):
-    """Reverse-time march; returns (levels, diagnostics).
-
-    levels is the full (n_t, n_y) array when collect_all, else just the
-    t_start profile.
+    backward runs the backward equation from grid.T down to grid.t_start;
+    otherwise the forward equation in conservation form (the flux b*g is
+    differenced, so b sits on the neighbor nodes) runs upward.  The first
+    N_STARTUP steps are pairs of backward-Euler half-steps (Rannacher
+    startup) that damp the ringing singular data would excite.  Dirichlet
+    walls: 0 below, wall above.  Returns the last level; when out is given,
+    level k of the march (k = 0 the data) is written into out[k].
     """
-    y = grid.y_nodes()
-    t = grid.t_nodes()
-    h = grid.h_y
-    dt = grid.h_t
-    m = grid.n_y - 2
-    y_int = y[1:-1]
-
+    y, h, dt = grid.y_nodes(), grid.h_y, grid.h_t
     alpha = 0.5 * epsilon / (h * h)
-    beta_at, b_max = _advection_coeffs(spec, y_int, grid)
+    r = 0.5 * dt
 
-    j_thr = grid.nearest_node(x_snapped)
-    u = np.zeros(grid.n_y)
-    u[j_thr + 1 :] = 1.0
-    u[j_thr] = 0.5
+    def build(tv: float):
+        b = np.asarray(spec.b(y[1:-1] if backward else y, tv), dtype=float)
+        if not np.all(np.isfinite(b)):
+            raise PdeError(f"drift {spec.name} is not finite on the grid at t={tv:g}")
+        beta = b / (2.0 * h)
+        return (alpha - beta, alpha + beta) if backward else (alpha + beta[:-2], alpha - beta[2:])
 
-    if collect_all:
-        levels = np.empty((grid.n_t, grid.n_y))
-        levels[grid.n_t - 1] = u
+    # stencil: t -> (lower, upper) off-diagonals of the interior rows
+    if spec.time_homogeneous:
+        fixed = build(grid.t_start)
+        stencil = lambda tv: fixed
+    else:
+        stencil = build
 
-    def explicit(u_full: np.ndarray, beta: np.ndarray, r: float) -> np.ndarray:
-        lower = alpha - beta
-        upper = alpha + beta
-        return u_full[1:-1] + r * (
-            lower * u_full[:-2] - 2.0 * alpha * u_full[1:-1] + upper * u_full[2:]
+    ab = np.zeros((3, grid.n_y - 2))
+    ab[1, :] = 1.0 + 2.0 * r * alpha
+
+    def explicit(u_full: np.ndarray, tv: float) -> np.ndarray:
+        lower, upper = stencil(tv)
+        return u_full[..., 1:-1] + r * (
+            lower * u_full[..., :-2] - 2.0 * alpha * u_full[..., 1:-1] + upper * u_full[..., 2:]
         )
 
-    ab = np.zeros((3, m))
-
-    def implicit(rhs: np.ndarray, beta: np.ndarray, r: float) -> np.ndarray:
-        lower = alpha - beta
-        upper = alpha + beta
+    def implicit(rhs: np.ndarray, tv: float) -> np.ndarray:
+        lower, upper = stencil(tv)
         ab[0, 1:] = -r * upper[:-1]
-        ab[1, :] = 1.0 + 2.0 * r * alpha
         ab[2, :-1] = -r * lower[1:]
-        rhs = rhs.copy()
-        rhs[-1] += r * upper[-1] * 1.0  # pinned u = 1 at y_max
-        # pinned u = 0 at y_min contributes nothing
-        return solve_banded((1, 1), ab, rhs, overwrite_ab=False, overwrite_b=True)
+        if wall:
+            rhs[..., -1] += r * upper[-1] * wall
+        # rhs.T is the (m, k) column-major view LAPACK takes without a copy
+        return solve_banded((1, 1), ab, rhs.T, overwrite_b=True).T
 
-    r = 0.5 * dt
+    t = grid.t_nodes()[::-1] if backward else grid.t_nodes()
+    half = -0.5 * dt if backward else 0.5 * dt
+    if out is not None:
+        out[0] = u
     for step in range(1, grid.n_t):
-        k_old = grid.n_t - step
-        k_new = k_old - 1
-        if step <= n_startup:
-            # two backward-Euler half-steps: strongly damping, monotone
-            t_half = t[k_old] - 0.5 * dt
-            v = implicit(u[1:-1], beta_at(t_half), r)
-            u_half = u.copy()
-            u_half[1:-1] = v
-            v = implicit(u_half[1:-1], beta_at(t[k_new]), r)
+        if step <= N_STARTUP:
+            v = implicit(implicit(u[..., 1:-1].copy(), t[step - 1] + half), t[step])
         else:
-            rhs = explicit(u, beta_at(t[k_old]), r)
-            v = implicit(rhs, beta_at(t[k_new]), r)
-        u = u.copy()
-        u[1:-1] = v
-        u[0] = 0.0
-        u[-1] = 1.0
-        if collect_all:
-            levels[k_new] = u
+            v = implicit(explicit(u, t[step - 1]), t[step])
+        u = out[step] if out is not None else np.empty_like(u)
+        u[..., 1:-1] = v
+        u[..., 0] = 0.0
+        u[..., -1] = wall
+    return u
 
-    diagnostics = {
-        "peclet": b_max * h / epsilon if epsilon > 0 else math.inf,
-        "diffusion_number": epsilon * dt / (2.0 * h * h),
-        "startup_steps": n_startup,
-        "threshold_node": j_thr,
-    }
-    return (levels if collect_all else u), diagnostics
+
+def _step_data(n_y: int, nodes: np.ndarray) -> np.ndarray:
+    """Indicator data 1{y > x} per threshold node, one half on the node itself."""
+    nodes = np.asarray(nodes)
+    data = (np.arange(n_y) > nodes[..., None]).astype(float)
+    np.put_along_axis(data, nodes[..., None], 0.5, axis=-1)
+    return data
 
 
 def solve_u(
@@ -285,14 +261,13 @@ def solve_u(
     x_threshold: float,
     grid: Grid1D,
     epsilon: float,
-    n_startup: int = 8,
 ) -> HeatField:
     """Solve the backward equation on the grid with step data at x_threshold.
 
     The threshold is snapped to the nearest grid node (the node itself takes
     the value 0.5).  Raises GridExtentError when the grid violates the domain
-    rule, PdeError when the returned field would violate the maximum
-    principle or monotonicity contracts.
+    rule, PdeError when the drift is not finite on the grid or the returned
+    field would violate the maximum principle or monotonicity contracts.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -305,8 +280,21 @@ def solve_u(
     j = grid.nearest_node(x_threshold)
     x_snapped = grid.y_min + j * grid.h_y
 
-    levels, diagnostics = _march(spec, x_snapped, grid, epsilon, n_startup, collect_all=True)
-    diagnostics["x_requested"] = x_threshold
+    levels = np.empty((grid.n_t, grid.n_y))
+    _cn_march(spec, _step_data(grid.n_y, j), grid, epsilon, 1.0, backward=True, out=levels[::-1])
+
+    y_int = grid.y_nodes()[1:-1]
+    b_max = max(
+        float(np.max(np.abs(np.asarray(spec.b(y_int, tv), dtype=float))))
+        for tv in (grid.t_start, 0.5 * (grid.t_start + grid.T), grid.T)
+    )
+    diagnostics = {
+        "peclet": b_max * grid.h_y / epsilon,
+        "diffusion_number": epsilon * grid.h_t / (2.0 * grid.h_y * grid.h_y),
+        "startup_steps": N_STARTUP,
+        "threshold_node": j,
+        "x_requested": x_threshold,
+    }
 
     worst = _field_violations(levels)
     if worst["max_principle"] > MAXPRINCIPLE_TOL or worst["monotonicity"] > MONOTONE_TOL:
@@ -316,6 +304,8 @@ def solve_u(
 
 
 def _field_violations(levels: np.ndarray) -> dict:
+    if not np.all(np.isfinite(levels)):
+        return {"max_principle": math.inf, "monotonicity": math.inf}
     under = max(0.0, float(-levels.min()))
     over = max(0.0, float(levels.max() - 1.0))
     diffs = np.diff(levels, axis=-1)
@@ -368,7 +358,6 @@ def solve_bundle(
     dx: float,
     grid: Grid1D,
     epsilon: float,
-    n_startup: int = 8,
 ) -> CostBundle:
     """Cost fields at n_x thresholds x_center + j*dx (n_x odd, >= 3).
 
@@ -386,7 +375,7 @@ def solve_bundle(
 
     members = []
     for x_j in thresholds:
-        heat = solve_u(spec, float(x_j), grid, epsilon, n_startup=n_startup)
+        heat = solve_u(spec, float(x_j), grid, epsilon)
         members.append(hopf_cole(heat))
     thresholds = np.array([m.x_threshold for m in members])
 
@@ -423,34 +412,29 @@ def green_function(
     T: float,
     thresholds: np.ndarray | None = None,
     max_solves: int = 201,
-    n_startup: int = 8,
 ) -> GreenFunction:
     """Transition density g(y, x') = -du/dx' from solves at a fan of thresholds.
 
     Thresholds default to a node sub-lattice spanning the grid (at most
-    max_solves solves); a caller interested in a window passes explicit
+    max_solves columns); a caller interested in a window passes explicit
     threshold values, which are snapped to nodes.  Rows integrate to ~1
     (trapezoid over the threshold columns) for y away from the boundary.
     """
     if not (math.isclose(t, grid.t_start) and math.isclose(T, grid.T)):
         raise ValueError("green_function samples the (grid.t_start, grid.T) pair")
-    y = grid.y_nodes()
     if thresholds is None:
         stride = max(1, (grid.n_y - 1) // (max_solves - 1))
-        idx = np.arange(0, grid.n_y, stride)
-        thresholds = y[idx]
+        nodes = np.arange(0, grid.n_y, stride)
     else:
-        thresholds = np.array([y[grid.nearest_node(float(x))] for x in thresholds])
-        if np.any(np.diff(thresholds) <= 0):
+        nodes = np.array([grid.nearest_node(float(x)) for x in thresholds])
+        if np.any(np.diff(nodes) <= 0):
             raise ValueError("thresholds must snap to strictly increasing nodes")
+    thresholds = grid.y_nodes()[nodes]
 
-    profiles = np.empty((thresholds.size, grid.n_y))
-    for j, x_j in enumerate(thresholds):
-        # no domain-rule enforcement per column: the fan deliberately spans
-        # the whole grid, and edge columns only feed boundary rows that the
-        # row-sum contract already excludes
-        profile, _ = _march(spec, float(x_j), grid, epsilon, n_startup, collect_all=False)
-        profiles[j] = profile
+    # one march carries every threshold column; no domain-rule enforcement
+    # per column: the fan deliberately spans the whole grid, and edge columns
+    # only feed boundary rows that the row-sum contract already excludes
+    profiles = _cn_march(spec, _step_data(grid.n_y, nodes), grid, epsilon, 1.0, backward=True)
 
     g = np.full((grid.n_y, thresholds.size), np.nan)
     g[:, 1:-1] = -(profiles[2:] - profiles[:-2]).T / (thresholds[2:] - thresholds[:-2])

@@ -9,6 +9,7 @@ from scipy.optimize import minimize_scalar
 import oracles as orc
 from tailcost import bridge, drifts
 from tailcost.drifts import DriftSpec
+from tailcost.pde import PdeError
 from tailcost.simulate import SimConfig
 
 EPS = 0.1
@@ -126,6 +127,32 @@ def test_green_matches_exact_linear() -> None:
         assert quad.mean == pytest.approx(exact.mean, rel=1e-3)
         assert quad.variance == pytest.approx(exact.variance, rel=1e-3)
         assert abs(quad.prob_below - exact.prob_below) < 1e-3
+
+
+def test_green_tracks_fast_time_varying_drift() -> None:
+    # A(s) takes the same value at s = 0, 1/2 and 1, so both legs must
+    # re-evaluate the drift at every time level to follow it
+    spec = drifts.time_varying_linear(0.25, 0.25, 4.0 * math.pi)
+    exact = bridge.linear_bridge_moments(bridge.linear_pieces(spec, QUERY), QUERY)
+    quad = bridge.conditional_prob_green(spec, QUERY, 4.0, "below")
+    assert quad.mean == pytest.approx(exact.mean, rel=2e-3)
+    assert quad.variance == pytest.approx(exact.variance, rel=2e-3)
+
+
+@pytest.mark.parametrize("time_homogeneous", [False, True])
+def test_non_finite_drift_raises_pde_error(time_homogeneous: bool) -> None:
+    spec = DriftSpec(
+        name="nan-above-3",
+        b=lambda y, t: np.where(np.asarray(y) > 3.0, np.nan, 0.0),
+        db_dy=lambda y, t: 0.0 * y,
+        d2b_dy2=None,
+        lipschitz_A=0.0,
+        is_concave=True,
+        vanishes_at_origin=True,
+        time_homogeneous=time_homogeneous,
+    )
+    with pytest.raises(PdeError, match="nan-above-3"):
+        bridge.bridge_kernel(spec, QUERY, bridge.GreenResources(n_y=401, n_t=101))
 
 
 def test_green_normalization() -> None:

@@ -196,6 +196,14 @@ def test_config_error_exit_codes(tmp_path: Path, capsys: pytest.CaptureFixture) 
     _expect_config_error(capsys, ["simulate", "--config", _cfg(tmp_path, dt=0.2)] + out)
 
 
+def test_drift_breaking_its_declared_flags_is_a_config_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    # c < 0 makes the log-cosh drift convex with a negative Lipschitz bound
+    cfg = _cfg(tmp_path, drift_kind="logcosh", drift_params={"c": -0.5})
+    _expect_config_error(capsys, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
 def test_missing_subcommand_is_a_usage_error() -> None:
     with pytest.raises(SystemExit) as exc:
         cli.main([])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,18 @@ BUILTINS = [
 def test_spot_check_accepts_builtins() -> None:
     for spec in BUILTINS:
         drifts.spot_check(spec)
+
+
+def test_builtins_declare_time_dependence() -> None:
+    assert [spec.time_homogeneous for spec in BUILTINS] == [True, True, False, True, True]
+
+
+def test_spot_check_rejects_false_time_homogeneous_flag() -> None:
+    forged = dataclasses.replace(
+        drifts.time_varying_linear(0.3, 0.2, 2.0 * math.pi), time_homogeneous=True
+    )
+    with pytest.raises(drifts.DriftError, match="time-homogeneous"):
+        drifts.spot_check(forged)
 
 
 def test_spot_check_rejects_false_concavity_flag() -> None:

@@ -78,6 +78,49 @@ def test_linear_drift_matches_gaussian_oracle() -> None:
     assert np.max(np.abs(heat.u[0, probe] - exact)) <= 5e-5
 
 
+def test_fast_time_varying_drift_matches_gaussian_oracle() -> None:
+    # A(s) = 0.25 + 0.25 cos(4 pi s) takes the same value at s = 0, 1/2 and 1,
+    # so a solver that sampled those instants to guess time dependence would
+    # freeze the drift at A = 0.5 and miss the oracle by 0.026
+    spec = drifts.time_varying_linear(0.25, 0.25, 4.0 * math.pi)
+    grid = _grid(spec)
+    heat = pde.solve_u(spec, 0.0, grid, EPS)
+    stats = drifts.linear_stats(spec.A_of_s, 0.0, 1.0)
+    y = grid.y_nodes()
+    probe = np.abs(y) <= 4.0 * math.sqrt(EPS * stats.sigma2)
+    exact = pde.exact_gaussian_u(stats, 0.0, y[probe], EPS)
+    assert np.max(np.abs(heat.u[0, probe] - exact)) <= 5e-5
+
+
+@pytest.mark.parametrize("time_homogeneous", [False, True])
+def test_non_finite_drift_raises_pde_error(time_homogeneous: bool) -> None:
+    spec = drifts.DriftSpec(
+        name="nan-above-3",
+        b=lambda y, t: np.where(np.asarray(y) > 3.0, np.nan, 0.0),
+        db_dy=lambda y, t: 0.0 * y,
+        d2b_dy2=None,
+        lipschitz_A=0.0,
+        is_concave=True,
+        vanishes_at_origin=True,
+        time_homogeneous=time_homogeneous,
+    )
+    grid = _grid(spec, n=201)
+    assert grid.y_max > 3.0
+    with pytest.raises(pde.PdeError, match="nan-above-3"):
+        pde.solve_u(spec, 0.0, grid, EPS)
+
+
+def test_field_violations_flag_non_finite_levels() -> None:
+    levels = np.tile(np.linspace(0.0, 1.0, 5), (3, 1))
+    assert pde._field_violations(levels) == {"max_principle": 0.0, "monotonicity": 0.0}
+    for bad in (np.nan, np.inf):
+        broken = levels.copy()
+        broken[1, 2] = bad
+        worst = pde._field_violations(broken)
+        assert worst["max_principle"] > pde.MAXPRINCIPLE_TOL
+        assert worst["monotonicity"] > pde.MONOTONE_TOL
+
+
 def test_self_convergence_on_common_nodes() -> None:
     # 601 -> 1201 is exact mesh halving, so coarse node k is fine node 2k
     spec = drifts.linear_drift(0.5)
@@ -206,6 +249,26 @@ def test_green_linear_drift_matches_density() -> None:
     exact = np.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
     # the two end columns are one-sided differences, first order only
     assert np.max(np.abs(green.g[rows][:, 1:-1] - exact[:, 1:-1])) <= 1e-3
+
+
+@pytest.mark.parametrize("spec", [
+    drifts.logcosh_drift(),
+    drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi),
+], ids=["logcosh", "linear_tv"])
+def test_green_columns_match_single_threshold_solves(spec) -> None:
+    # the fan is one multi-column march; each column must reproduce the
+    # single-column march of solve_u at its threshold bit for bit
+    extra = pde.fan_margin(spec, 0.04, 7) + 0.05
+    grid = pde.default_grid(spec, 0.0, EPS, n_y=401, n_t=201, extra=extra)
+    thr = np.arange(-3, 4) * 0.04
+    green = pde.green_function(spec, grid, EPS, 0.0, 1.0, thresholds=thr)
+    x = green.x_nodes
+    rows = np.array([pde.solve_u(spec, float(xj), grid, EPS).u[0] for xj in x])
+    for j in range(1, x.size - 1):
+        expected = -(rows[j + 1] - rows[j - 1]) / (x[j + 1] - x[j - 1])
+        assert np.array_equal(green.g[:, j], expected)
+    assert np.array_equal(green.g[:, 0], -(rows[1] - rows[0]) / (x[1] - x[0]))
+    assert np.array_equal(green.g[:, -1], -(rows[-1] - rows[-2]) / (x[-1] - x[-2]))
 
 
 def test_green_guards() -> None:
