@@ -393,16 +393,14 @@ class ConcentrationReport:
     extra: dict = field(default_factory=dict)
 
 
-def _fit_exponent(points: list[tuple[float, float]]) -> tuple[float, float]:
-    """Least-squares slope and R^2 of log p against the abscissa."""
-    xs = np.array([p[0] for p in points])
-    ys = np.array([math.log(p[1]) for p in points])
+def fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares slope, intercept, and R^2 of ys against xs."""
     slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    fitted = slope * xs + intercept
+    ss_res = float(np.sum((ys - fitted) ** 2))
+    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2
+    return float(slope), float(intercept), r2
 
 
 def concentration_check(
@@ -459,14 +457,16 @@ def concentration_check(
         for event, p in (("below", p_below), ("above", p_above)):
             rows.append(ConcentrationRow(y, d, event, p, math.nan, xbar))
             if p > 0.0:
-                fit_pts[event].append((xbar, p))
+                fit_pts[event].append((xbar, math.log(p)))
             else:
                 dropped += 1
 
     if len(fit_pts["below"]) < 2 or len(fit_pts["above"]) < 2:
         raise EmptySweepError("too few resolvable probabilities to fit")
-    slope_b, r2_b = _fit_exponent(fit_pts["below"])
-    slope_a, r2_a = _fit_exponent(fit_pts["above"])
+    (slope_b, _, r2_b), (slope_a, _, r2_a) = (
+        fit_line(np.array([a for a, _ in fit_pts[e]]), np.array([lp for _, lp in fit_pts[e]]))
+        for e in ("below", "above")
+    )
     gamma = {"below": -slope_b, "above": -slope_a}
     rows = [
         replace(row, bound_rhs=math.exp(-gamma[row.event] * row.abscissa))

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from . import action, bridge, pde, simulate
+from . import action, bridge, pde, simulate, tables
 from .drifts import (
     DriftSpec,
     characteristic_F,
@@ -65,36 +65,12 @@ class VerificationReport:
         return {
             "check_name": self.check_name,
             "status": self.status,
-            "observed": _jsonable(self.observed),
+            "observed": tables.scrub(self.observed),
             "expected": self.expected,
             "tolerance": self.tolerance,
             "paper_anchor": self.anchor,
             "artifacts": list(self.artifacts),
         }
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, str)) or value is None:
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    raise TypeError(f"value {value!r} does not belong in a report")
-
-
-def _fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares slope, intercept, and R^2."""
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * xs + intercept
-    ss_res = float(np.sum((ys - fitted) ** 2))
-    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
 
 
 def _is_driftless(spec: DriftSpec) -> bool:
@@ -369,7 +345,7 @@ def check_rate_zero_noise(
         q_cl = action.solve_shooting(spec, x, y_eff, t).q_value
         gaps.append(abs(q_eps - q_cl))
 
-    slope, _, r2 = _fit_line(np.log(np.array(eps_arr)), np.log(np.array(gaps)))
+    slope, _, r2 = bridge.fit_line(np.log(np.array(eps_arr)), np.log(np.array(gaps)))
     monotone = all(
         gaps[i + 1] <= gaps[i] * (1.0 + mono_slack) for i in range(len(gaps) - 1)
     )
@@ -446,7 +422,7 @@ def check_derivative_convergence(
     def _monotone(seq: list[float]) -> bool:
         return all(seq[i + 1] <= seq[i] * (1.0 + mono_slack) for i in range(len(seq) - 1))
 
-    envelope_slope, _, _ = _fit_line(np.log(np.array(eps_arr)), np.log(np.array(magnitudes)))
+    envelope_slope, _, _ = bridge.fit_line(np.log(np.array(eps_arr)), np.log(np.array(magnitudes)))
     ok = (
         _monotone(gaps_y)
         and _monotone(gaps_x)
@@ -783,7 +759,9 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
     config = simulate.SimConfig(n_paths=n_paths, dt=dt, seed=seed)
     iy = grid_is.nearest_node(y0)
     y_eff = float(grid_is.y_nodes()[iy])
-    est = simulate.importance_sampling(spec, ctl_is, y_eff, x, 0.0, eps_is, config)
+    est = simulate.importance_sampling(
+        simulate.simulate_controlled(spec, ctl_is, y_eff, 0.0, eps_is, config), x
+    )
     u_pde = math.exp(-float(bundle_is.center.q[0, iy]) / eps_is)
     is_z = abs(est.estimate - u_pde) / est.std_error if est.std_error > 0 else 0.0
 

@@ -187,9 +187,7 @@ def _cmd_simulate(config: checks.RunConfig, out_dir: Path, args: argparse.Namesp
     records = [simulate.representation_q(ensemble).as_dict()]
     for est in simulate.representation_dq(ensemble).values():
         records.append(est.as_dict())
-    records.append(
-        simulate.importance_sampling(spec, controller, y0, x, t, epsilon, sim_config).as_dict()
-    )
+    records.append(simulate.importance_sampling(ensemble, x).as_dict())
     records.append(
         simulate.estimate_u_naive(spec, y0, x, t, epsilon, sim_config).as_dict()
     )

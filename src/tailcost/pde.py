@@ -304,12 +304,14 @@ def solve_u(
 
 
 def _field_violations(levels: np.ndarray) -> dict:
-    if not np.all(np.isfinite(levels)):
+    # min and max carry any NaN or inf, and the monotonicity scan goes row
+    # by row: a whole-lattice mask or difference would double peak memory
+    lo, hi = float(levels.min()), float(levels.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         return {"max_principle": math.inf, "monotonicity": math.inf}
-    under = max(0.0, float(-levels.min()))
-    over = max(0.0, float(levels.max() - 1.0))
-    diffs = np.diff(levels, axis=-1)
-    mono = max(0.0, float(-diffs.min()))
+    under = max(0.0, -lo)
+    over = max(0.0, hi - 1.0)
+    mono = max(0.0, -min(float(np.diff(row).min()) for row in levels))
     return {"max_principle": max(under, over), "monotonicity": mono}
 
 

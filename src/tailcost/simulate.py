@@ -7,8 +7,8 @@ steering a short cutoff before the horizon, and accumulates the exact
 change-of-measure log weight so controlled samples can stand in for the
 original law (importance sampling) or be studied in their own right.
 
-Per-path integral accumulators use compensated summation; the cost and
-slope representations are plain averages of those integrals.
+The cost and slope representations and the importance-sampling estimate
+of the exceedance probability are plain averages over one such ensemble.
 """
 
 from __future__ import annotations
@@ -101,11 +101,33 @@ def _check_dt(dt: float, span: float) -> int:
     return max(1, int(math.ceil(span / dt - 1e-12)))
 
 
-def _kahan(total: np.ndarray, comp: np.ndarray, inc: np.ndarray) -> None:
-    t = inc - comp
-    s = total + t
-    comp[:] = (s - total) - t
-    total[:] = s
+def _time_grid(dt: float, start: float, end: float) -> np.ndarray:
+    return np.linspace(start, end, _check_dt(dt, end - start) + 1)
+
+
+def _euler_maruyama(
+    rng: np.random.Generator,
+    y: np.ndarray,
+    times: np.ndarray,
+    drift,
+    epsilon: float,
+    out: np.ndarray | None = None,
+    moving: np.ndarray | None = None,
+) -> np.ndarray:
+    """March dY = drift(Y, s) ds + sqrt(eps) dW from y along times.
+
+    One standard normal draw per path and step.  Each new state goes to
+    out[:, k + 1] when out is given; rows where moving is False stay put.
+    Returns the final state.
+    """
+    for k in range(times.size - 1):
+        h = times[k + 1] - times[k]
+        xi = rng.standard_normal(y.size)
+        stepped = y + np.asarray(drift(y, times[k])) * h + math.sqrt(epsilon * h) * xi
+        y = stepped if moving is None else np.where(moving, stepped, y)
+        if out is not None:
+            out[:, k + 1] = y
+    return y
 
 
 # ------------------------------------------------------------- uncontrolled
@@ -118,18 +140,10 @@ def simulate_uncontrolled(
     config: SimConfig,
 ) -> PathEnsemble:
     """Paths of dY = b dt + sqrt(eps) dW from (t, y0) up to the horizon."""
-    span = spec.horizon_T - t
-    n_steps = _check_dt(config.dt, span)
-    times = np.linspace(t, spec.horizon_T, n_steps + 1)
-    rng = _generator(config.seed)
-    paths = np.empty((config.n_paths, n_steps + 1))
+    times = _time_grid(config.dt, t, spec.horizon_T)
+    paths = np.empty((config.n_paths, times.size))
     paths[:, 0] = y0
-    y = np.full(config.n_paths, float(y0))
-    for k in range(n_steps):
-        h = times[k + 1] - times[k]
-        xi = rng.standard_normal(config.n_paths)
-        y = y + np.asarray(spec.b(y, times[k])) * h + math.sqrt(epsilon * h) * xi
-        paths[:, k + 1] = y
+    _euler_maruyama(_generator(config.seed), paths[:, 0], times, spec.b, epsilon, out=paths)
     return PathEnsemble(
         times=times,
         paths=paths,
@@ -146,16 +160,9 @@ def terminal_sample(
     config: SimConfig,
 ) -> np.ndarray:
     """Terminal values only; memory stays flat in the step count."""
-    span = spec.horizon_T - t
-    n_steps = _check_dt(config.dt, span)
-    times = np.linspace(t, spec.horizon_T, n_steps + 1)
-    rng = _generator(config.seed)
+    times = _time_grid(config.dt, t, spec.horizon_T)
     y = np.full(config.n_paths, float(y0))
-    for k in range(n_steps):
-        h = times[k + 1] - times[k]
-        xi = rng.standard_normal(config.n_paths)
-        y = y + np.asarray(spec.b(y, times[k])) * h + math.sqrt(epsilon * h) * xi
-    return y
+    return _euler_maruyama(_generator(config.seed), y, times, spec.b, epsilon)
 
 
 def estimate_u_naive(
@@ -311,14 +318,7 @@ def simulate_controlled(
     alive = np.ones(n_paths, dtype=bool)
 
     logw = np.zeros(n_paths)
-    logw_comp = np.zeros(n_paths)
-    accum = {
-        "cost": np.zeros(n_paths),
-        "slope_y": np.zeros(n_paths),
-        "slope_x": np.zeros(n_paths),
-        "slope_sum": np.zeros(n_paths),
-    }
-    comps = {k: np.zeros(n_paths) for k in accum}
+    accum = {k: np.zeros(n_paths) for k in ("cost", "slope_y", "slope_x", "slope_sum")}
 
     sqrt_eps = math.sqrt(epsilon)
     for k in range(n_ctl):
@@ -334,19 +334,15 @@ def simulate_controlled(
         step = np.where(alive, (b_now + excess) * h + sqrt_eps * dw, 0.0)
         y = y + step
         paths[:, k + 1] = y
-        _kahan(logw, logw_comp, -(excess / sqrt_eps) * dw - (excess**2 / (2.0 * epsilon)) * h)
-        _kahan(accum["cost"], comps["cost"], excess**2 * h)
-        _kahan(accum["slope_y"], comps["slope_y"], (1.0 + (T - s) * by_now) * excess * h)
-        _kahan(accum["slope_x"], comps["slope_x"], (1.0 - (s - t) * by_now) * excess * h)
-        _kahan(accum["slope_sum"], comps["slope_sum"], by_now * excess * h)
+        logw += -(excess / sqrt_eps) * dw - (excess**2 / (2.0 * epsilon)) * h
+        accum["cost"] += excess**2 * h
+        accum["slope_y"] += (1.0 + (T - s) * by_now) * excess * h
+        accum["slope_x"] += (1.0 - (s - t) * by_now) * excess * h
+        accum["slope_sum"] += by_now * excess * h
 
-    for k in range(n_ctl, times.size - 1):
-        s = times[k]
-        h = times[k + 1] - times[k]
-        xi = rng.standard_normal(n_paths)
-        step = np.asarray(spec.b(y, s), dtype=float) * h + sqrt_eps * math.sqrt(h) * xi
-        y = y + np.where(alive, step, 0.0)
-        paths[:, k + 1] = y
+    _euler_maruyama(
+        rng, y, times[n_ctl:], spec.b, epsilon, out=paths[:, n_ctl:], moving=alive
+    )
 
     escaped = ~alive
     fraction = float(np.count_nonzero(escaped)) / n_paths
@@ -403,30 +399,28 @@ def representation_dq(ensemble: PathEnsemble) -> dict[str, EstimatorResult]:
     return out
 
 
-def importance_sampling(
-    spec: DriftSpec,
-    controller: ControllerField,
-    y0: float,
-    x: float,
-    t: float,
-    epsilon: float,
-    config: SimConfig,
-) -> EstimatorResult:
-    """Exceedance probability under the plain law via steered proposals.
+def _ess(vals: np.ndarray) -> float:
+    total = float(np.sum(vals))
+    return total * total / float(np.dot(vals, vals)) if total > 0 else 0.0
 
-    Reweights steered paths by exp(log dP/dQ); the effective sample size
-    of the weights is reported, with a warning when it collapses.
+
+def importance_sampling(ensemble: PathEnsemble, x: float) -> EstimatorResult:
+    """Exceedance probability under the plain law from a steered ensemble.
+
+    Reweights the kept paths by exp(log dP/dQ).  The effective sample size
+    is that of the estimator's terms w 1{Y_T > x}, with a warning when it
+    collapses: paths that miss the threshold carry weight but add nothing,
+    so the ESS of the raw weights (kept as ess_raw) overstates degeneracy
+    (Owen, Monte Carlo theory, methods and examples, ch. 9).
     """
-    ens = simulate_controlled(spec, controller, y0, t, epsilon, config)
-    kept = ens.kept
-    weights = np.exp(ens.log_girsanov_weight[kept])
-    hits = (ens.paths[kept, -1] > x).astype(float)
+    kept = ensemble.kept
+    weights = np.exp(ensemble.log_girsanov_weight[kept])
+    hits = (ensemble.paths[kept, -1] > x).astype(float)
     vals = weights * hits
     n = int(vals.size)
     estimate = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n))
-    wsum = float(np.sum(weights))
-    ess = wsum * wsum / float(np.dot(weights, weights)) if wsum > 0 else 0.0
+    ess = _ess(vals)
     if ess < 10.0:
         warnings.warn(f"importance weights collapsed: ESS {ess:.2f}", RuntimeWarning)
     # what a plain binomial estimator of the same mass would spend per path
@@ -438,8 +432,9 @@ def importance_sampling(
         n=n,
         extra={
             "ess": ess,
+            "ess_raw": _ess(weights),
             "mean_weight": float(np.mean(weights)),
-            "escaped_fraction": 1.0 - n / config.n_paths,
+            "escaped_fraction": 1.0 - n / ensemble.paths.shape[0],
             "variance_ratio": naive_var / se**2 if se > 0.0 else math.inf,
         },
     )
@@ -463,17 +458,11 @@ def simulate_pinned_pull(
     """
     if not t < sample_time < horizon_T:
         raise ValueError("need t < sample_time < horizon_T")
-    span = sample_time - t
-    n_steps = _check_dt(config.dt, span)
-    times = np.linspace(t, sample_time, n_steps + 1)
-    rng = _generator(config.seed)
+    times = _time_grid(config.dt, t, sample_time)
     z = np.full(config.n_paths, float(z0))
-    for k in range(n_steps):
-        h = times[k + 1] - times[k]
-        z = z - mu * z / (horizon_T - times[k]) * h + math.sqrt(
-            epsilon * h
-        ) * rng.standard_normal(config.n_paths)
-    return z
+    return _euler_maruyama(
+        _generator(config.seed), z, times, lambda z, s: -mu * z / (horizon_T - s), epsilon
+    )
 
 
 # ------------------------------------------------------------------ export

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from tailcost import checks, cli
+from tailcost import checks, cli, simulate
 
 SMALL = {
     "drift_kind": "zero",
@@ -78,6 +78,23 @@ def test_simulate_writes_estimates_and_ensemble(tmp_path: Path) -> None:
     assert meta["n_paths"] == 400
     assert meta["escaped"] == 0  # zero drift stays far from the grid walls
     assert (tmp_path / "o" / "ensemble.csv").exists()
+
+
+def test_simulate_runs_one_steered_ensemble(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # the representations and the reweighted mass all average one ensemble
+    calls = []
+    steer = simulate.simulate_controlled
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return steer(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "simulate_controlled", counted)
+    rc = cli.main(["simulate", "--config", _cfg(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_bridge_writes_conditionals_with_exact_row(tmp_path: Path) -> None:

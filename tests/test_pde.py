@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,22 @@ def test_field_violations_flag_non_finite_levels() -> None:
         worst = pde._field_violations(broken)
         assert worst["max_principle"] > pde.MAXPRINCIPLE_TOL
         assert worst["monotonicity"] > pde.MONOTONE_TOL
+
+
+def test_field_violations_scan_stays_within_a_row_of_memory() -> None:
+    # a 2001^2 lattice as solve_u hands it over, with one downward step of
+    # known size in an interior row
+    levels = np.tile(np.linspace(0.0, 1.0, 2001), (2001, 1))
+    levels[1000, 700] -= 0.25
+    drop = float(levels[1000, 699] - levels[1000, 700])
+    tracemalloc.start()
+    try:
+        worst = pde._field_violations(levels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert worst == {"max_principle": 0.0, "monotonicity": drop}
+    assert peak < levels.nbytes // 16
 
 
 def test_self_convergence_on_common_nodes() -> None:

@@ -93,6 +93,14 @@ def test_terminal_moments_linear_drift() -> None:
     assert abs(vals.var(ddof=1) - var_exact) <= 3.0 * var_exact * math.sqrt(2.0 / n)
 
 
+def test_terminal_sample_is_last_column_of_stored_paths() -> None:
+    spec = drifts.logcosh_drift()
+    cfg = sim.SimConfig(n_paths=256, dt=1e-2, seed=31)
+    stored = sim.simulate_uncontrolled(spec, PROBE_Y, 0.0, EPS, cfg)
+    terminal = sim.terminal_sample(spec, PROBE_Y, 0.0, EPS, cfg)
+    assert np.array_equal(terminal, stored.paths[:, -1])
+
+
 def test_euler_error_halves_with_step_without_noise() -> None:
     # eps ~ 1e-16 makes the noise term negligible against the O(dt) drift
     # error, exposing the integrator's order directly.
@@ -239,8 +247,9 @@ def test_constant_shift_recovers_exact_probability() -> None:
     # weight accounting from the steering quality.
     spec = drifts.zero_drift()
     ctl = _constant_field(1.2)
-    res = sim.importance_sampling(spec, ctl, PROBE_Y, PROBE_X, 0.0, EPS,
+    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
                                   sim.SimConfig(n_paths=200_000, dt=2e-3, seed=9))
+    res = sim.importance_sampling(ens, PROBE_X)
     assert abs(res.estimate - orc.U_ZERO_PROBE) <= 3.0 * res.std_error
 
 
@@ -260,8 +269,9 @@ def test_steered_estimate_agrees_with_naive() -> None:
     _, _, ctl = _steered(spec, eps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        steered = sim.importance_sampling(spec, ctl, PROBE_Y, PROBE_X, 0.0, eps,
-                                          sim.SimConfig(n_paths=40_000, dt=1e-3, seed=5))
+        ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, eps,
+                                      sim.SimConfig(n_paths=40_000, dt=1e-3, seed=5))
+        steered = sim.importance_sampling(ens, PROBE_X)
     naive = sim.estimate_u_naive(spec, PROBE_Y, PROBE_X, 0.0, eps,
                                  sim.SimConfig(n_paths=400_000, dt=5e-3, seed=6))
     gap = abs(steered.estimate - naive.estimate)
@@ -274,8 +284,9 @@ def test_steering_beats_naive_variance_in_small_noise() -> None:
     eps = 0.05
     spec = drifts.zero_drift()
     _, _, ctl = _steered(spec, eps)
-    res = sim.importance_sampling(spec, ctl, PROBE_Y, PROBE_X, 0.0, eps,
+    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, eps,
                                   sim.SimConfig(n_paths=20_000, dt=5e-4, seed=11))
+    res = sim.importance_sampling(ens, PROBE_X)
     exact = orc.gaussian_u(PROBE_Y, PROBE_X, eps)
     assert abs(res.estimate - exact) <= 3.0 * res.std_error
     var_naive = res.estimate * (1.0 - res.estimate)
@@ -287,9 +298,10 @@ def test_steering_beats_naive_variance_in_small_noise() -> None:
 def test_collapsed_weights_warn() -> None:
     spec = drifts.zero_drift()
     ctl = _constant_field(5.0)
+    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
+                                  sim.SimConfig(n_paths=50, dt=5e-3, seed=2))
     with pytest.warns(RuntimeWarning, match="ESS"):
-        res = sim.importance_sampling(spec, ctl, PROBE_Y, PROBE_X, 0.0, EPS,
-                                      sim.SimConfig(n_paths=50, dt=5e-3, seed=2))
+        res = sim.importance_sampling(ens, PROBE_X)
     assert res.extra["ess"] < 10.0
 
 
