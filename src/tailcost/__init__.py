@@ -10,7 +10,7 @@ verification command.
 
 from __future__ import annotations
 
-from .action import ClassicalSolution, minimize_direct, solve_shooting
+from .action import ClassicalSolution, minimize_direct, solve_shooting, solve_shooting_many
 from .bridge import (
     BridgeQuery,
     bridge_kernel,
@@ -75,6 +75,7 @@ __all__ = [
     "sin_drift",
     "solve_bundle",
     "solve_shooting",
+    "solve_shooting_many",
     "solve_u",
     "time_varying_linear",
     "zero_drift",

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy.linalg import solve_banded
 from scipy.optimize import minimize
 
@@ -34,7 +35,8 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 REGION_TOL = 1e-9  # scaled by (1 + |x|) when classifying y against F(x, t)
 TERMINAL_MISMATCH_TOL = 1e-9
-BISECT_WIDTH = 1e-12
+NEWTON_STEP_TOL = 1e-13  # relative to 1 + |m|
+NEWTON_MAX_SWEEPS = 64
 
 
 class ShootingError(RuntimeError):
@@ -96,136 +98,160 @@ def action(path: Path, spec: DriftSpec) -> float:
     """One half the trapezoid integral of (y' - b)^2 along the path."""
     s, y = path.times, path.y
     yp = np.gradient(y, s, edge_order=2)
-    b_vals = np.array([float(spec.b(y[i], s[i])) for i in range(s.size)])
+    b_vals = np.asarray(spec.b(y, s), dtype=float)
     return float(_trapz(0.5 * (yp - b_vals) ** 2, s))
 
 
 def shoot_terminal(
     spec: DriftSpec,
-    y0: float,
+    y0: float | np.ndarray,
     t: float,
     p0: np.ndarray,
     n_steps: int = 2000,
+    nodes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Terminal value y(T) of the momentum system for a batch of p(t) values."""
-    p = np.asarray(p0, dtype=float).copy()
-    y = np.full_like(p, float(y0))
+    """Terminal value y(T) of the momentum system for a batch of p(t) values.
+
+    y0 broadcasts against p0, so every lane may start from its own state.
+    When nodes = (ys, ps) is given, two arrays of shape
+    (n_steps + 1, *lanes), the state of every lane at every node is
+    written into them.
+    """
+    p = np.array(p0, dtype=float)
+    y = np.array(np.broadcast_to(np.asarray(y0, dtype=float), p.shape))
+    times = np.linspace(t, spec.horizon_T, n_steps + 1)
     h = (spec.horizon_T - t) / n_steps
     b, b_y = spec.b, spec.db_dy
+    if nodes is not None:
+        nodes[0][0], nodes[1][0] = y, p
 
     def rhs(yv, pv, s):
         return np.asarray(b(yv, s)) - pv, -np.asarray(b_y(yv, s)) * pv
 
-    s = t
     # large trial momenta can blow paths up; callers treat NaN as overshoot
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_steps):
+        for i in range(n_steps):
+            s = times[i]
             k1y, k1p = rhs(y, p, s)
             k2y, k2p = rhs(y + 0.5 * h * k1y, p + 0.5 * h * k1p, s + 0.5 * h)
             k3y, k3p = rhs(y + 0.5 * h * k2y, p + 0.5 * h * k2p, s + 0.5 * h)
             k4y, k4p = rhs(y + h * k3y, p + h * k3p, s + h)
             y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
             p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            s += h
+            if nodes is not None:
+                nodes[0][i + 1], nodes[1][i + 1] = y, p
     return y
 
 
-def _integrate_path(
-    spec: DriftSpec, y0: float, t: float, p0: float, n_steps: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Momentum system with stored nodes; returns (times, y, p)."""
-    T = spec.horizon_T
-    times = np.linspace(t, T, n_steps + 1)
-    h = (T - t) / n_steps
-    ys = np.empty(n_steps + 1)
-    ps = np.empty(n_steps + 1)
-    y, p = float(y0), float(p0)
-    ys[0], ps[0] = y, p
-    b, b_y = spec.b, spec.db_dy
+def _momenta(
+    spec: DriftSpec, xs: np.ndarray, ys: np.ndarray, t: float, n_steps: int
+) -> np.ndarray:
+    """Search m = -p(t) > 0 with y(T; m) = x for every lane at once.
 
-    def rhs(yv, pv, s):
-        return float(b(yv, s)) - pv, -float(b_y(yv, s)) * pv
-
-    for i in range(n_steps):
-        s = times[i]
-        k1y, k1p = rhs(y, p, s)
-        k2y, k2p = rhs(y + 0.5 * h * k1y, p + 0.5 * h * k1p, s + 0.5 * h)
-        k3y, k3p = rhs(y + 0.5 * h * k2y, p + 0.5 * h * k2p, s + 0.5 * h)
-        k4y, k4p = rhs(y + h * k3y, p + h * k3p, s + h)
-        y += (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        p += (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        ys[i + 1], ps[i + 1] = y, p
-    return times, ys, ps
-
-
-def _find_momentum(
-    spec: DriftSpec, x: float, y: float, t: float, n_steps: int
-) -> float:
-    """Search m = -p(t) > 0 with y(T; m) = x by bracketed grid bisection.
-
-    A geometric ladder of candidates brackets the root in one batched
-    integration; each refinement pass then subdivides the bracket into 32
-    cells and keeps the cell with the sign change, contracting the width
-    to BISECT_WIDTH in a handful of further batches.
+    A geometric ladder of candidates brackets each root in one batched
+    sweep.  Safeguarded Newton steps follow, with the slope dy(T)/dm
+    taken from a twin lane at m + delta in the same sweep (so no
+    curvature data is needed); a step that leaves the bracket or is not
+    finite falls back to the bracket midpoint.  A lane stops once its
+    step is below NEWTON_STEP_TOL * (1 + |m|).
     """
-    span = spec.horizon_T - t
 
-    def overshoot(m: np.ndarray) -> np.ndarray:
-        term = shoot_terminal(spec, y, t, -np.asarray(m, dtype=float), n_steps)
+    def overshoot(y0: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+        term = shoot_terminal(spec, y0[:, None], t, -m, n_steps)
         # an upward blow-up exceeds every threshold
-        return np.where(np.isnan(term), np.inf, term - x)
+        return np.where(np.isnan(term), np.inf, term - x[:, None])
 
-    base = max(1e-3, 2.0 * (x - y) / span)
-    ladder = np.concatenate(([0.0], base * 2.0 ** np.arange(22)))
-    g = overshoot(ladder)
-    if g[0] >= 0.0:
-        # the uncontrolled flow already reaches x: caller classified wrongly
-        return 0.0
-    hits = np.nonzero(g >= 0.0)[0]
-    if hits.size == 0:
-        raise ShootingError(f"cannot bracket the momentum at (x={x}, y={y}, t={t})")
-    k = int(hits[0])
-    lo, hi = float(ladder[k - 1]), float(ladder[k])
-    g_lo, g_hi = float(g[k - 1]), float(g[k])
+    base = np.maximum(1e-3, 2.0 * (xs - ys) / (spec.horizon_T - t))
+    ladder = np.concatenate(
+        (np.zeros((xs.size, 1)), base[:, None] * 2.0 ** np.arange(22)), axis=1
+    )
+    g = overshoot(ys, xs, ladder)
+    reached = g >= 0.0
+    missed = np.flatnonzero(~reached.any(axis=1))
+    if missed.size:
+        i = missed[0]
+        raise ShootingError(f"cannot bracket the momentum at (x={xs[i]}, y={ys[i]}, t={t})")
+    k = np.argmax(reached, axis=1)
+    # the uncontrolled flow already reaches x: caller classified wrongly
+    flow = k == 0
+    rows = np.arange(xs.size)
+    lo, hi = ladder[rows, k - 1], ladder[rows, k]
+    g_lo, g_hi = g[rows, k - 1], g[rows, k]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        m = lo + (hi - lo) * (-g_lo) / (g_hi - g_lo)
+    m = np.where(np.isfinite(m) & (m > lo) & (m < hi), m, 0.5 * (lo + hi))
+    m[flow] = 0.0
 
-    for _ in range(64):
-        if hi - lo <= BISECT_WIDTH:
+    active = np.flatnonzero(~flow)
+    for _ in range(NEWTON_MAX_SWEEPS):
+        if active.size == 0:
             break
-        grid = np.linspace(lo, hi, 33)
-        gv = overshoot(grid)
-        idx = int(np.argmax(gv >= 0.0))
-        if idx == 0:
-            # sign flipped at the lower edge under refinement: root is at lo
-            hi = lo
-            break
-        lo, hi = float(grid[idx - 1]), float(grid[idx])
-        g_lo, g_hi = float(gv[idx - 1]), float(gv[idx])
-    if g_hi > g_lo:
-        m_star = lo + (hi - lo) * (-g_lo) / (g_hi - g_lo)
-    else:
-        m_star = 0.5 * (lo + hi)
-    return float(m_star)
+        ma = m[active]
+        delta = 1e-7 * np.maximum(ma, 1e-3)
+        g2 = overshoot(ys[active], xs[active], np.stack((ma, ma + delta), axis=1))
+        g0 = g2[:, 0]
+        above = g0 >= 0.0
+        hi[active] = np.where(above, ma, hi[active])
+        lo[active] = np.where(above, lo[active], ma)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            slope = (g2[:, 1] - g0) / delta
+            m_new = ma - g0 / slope
+        safe = (
+            np.isfinite(slope) & (slope > 0.0)
+            & (m_new >= lo[active]) & (m_new <= hi[active])
+        )
+        m_new = np.where(safe, m_new, 0.5 * (lo[active] + hi[active]))
+        m[active] = m_new
+        moving = np.abs(m_new - ma) > NEWTON_STEP_TOL * (1.0 + np.abs(ma))
+        active = active[moving]
+    return m
 
 
-def solve_shooting(
+def solve_shooting_many(
     spec: DriftSpec,
-    x: float,
-    y: float,
+    xs: ArrayLike,
+    ys: ArrayLike,
     t: float = 0.0,
     n_steps: int = 2000,
-) -> ClassicalSolution:
-    """Classical cost and derivatives at (x, y, t) via the momentum system."""
+) -> list[ClassicalSolution]:
+    """Classical cost and derivatives at a batch of (x, y) pairs, one start time.
+
+    xs and ys broadcast against each other; the result holds one
+    solution per pair, in order.  Every sweep of the momentum system
+    integrates all pairs at once.
+    """
     T = spec.horizon_T
     if not t < T:
         raise ValueError(f"need t < T, got t={t}")
-    boundary = characteristic_F(spec, x, t)
-    b_start = float(spec.b(y, t))
+    xs, ys = (a.ravel() for a in np.broadcast_arrays(
+        np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)))
+    boundary = characteristic_F(spec, xs, t)
+    binding = ys < boundary - REGION_TOL * (1.0 + np.abs(xs))
+    p0 = np.zeros(xs.size)
+    if binding.any():
+        p0[binding] = -_momenta(spec, xs[binding], ys[binding], t, n_steps)
 
-    if y >= boundary - REGION_TOL * (1.0 + abs(x)):
+    node_y = np.empty((n_steps + 1, xs.size))
+    node_p = np.empty((n_steps + 1, xs.size))
+    shoot_terminal(spec, ys, t, p0, n_steps, nodes=(node_y, node_p))
+    times = np.linspace(t, T, n_steps + 1)
+    return [
+        _solution(spec, float(x), float(y), t, Path(times=times.copy(), y=node_y[:, i].copy()),
+                  node_p[:, i].copy(), float(f), bool(bind))
+        for i, (x, y, f, bind) in enumerate(zip(xs, ys, boundary, binding))
+    ]
+
+
+def _solution(
+    spec: DriftSpec, x: float, y: float, t: float,
+    path: Path, ps: np.ndarray, boundary: float, binding: bool,
+) -> ClassicalSolution:
+    """Cost, slopes and diagnostics of one lane's stored momentum path."""
+    b_start = float(spec.b(y, t))
+    if not binding:
         # free region: the uncontrolled flow already meets the threshold
-        times, ys, ps = _integrate_path(spec, y, t, 0.0, n_steps)
         return ClassicalSolution(
-            path=Path(times=times, y=ys),
+            path=path,
             momentum_p=ps,
             q_value=0.0,
             lambda_star=b_start,
@@ -237,24 +263,18 @@ def solve_shooting(
             diagnostics={"binding": False, "boundary_F": boundary},
         )
 
-    m_star = _find_momentum(spec, x, y, t, n_steps)
-    p0 = -m_star
-    times, ys, ps = _integrate_path(spec, y, t, p0, n_steps)
-    mismatch = abs(ys[-1] - x)
-    if mismatch > TERMINAL_MISMATCH_TOL * (1.0 + abs(x)):
+    mismatch = abs(float(path.y[-1]) - x)
+    if not mismatch <= TERMINAL_MISMATCH_TOL * (1.0 + abs(x)):
         raise ShootingError(
             f"terminal mismatch {mismatch:.3e} at (x={x}, y={y}, t={t})"
         )
-
-    path = Path(times=times, y=ys)
+    p0 = float(ps[0])
     q = action(path, spec)
     lam = b_start - p0
-    by_nodes = np.array(
-        [float(spec.db_dy(ys[i], times[i])) for i in range(times.size)]
-    )
+    by_nodes = np.asarray(spec.db_dy(path.y, path.times), dtype=float)
     # (y' - b) e^{int b_y} is conserved along the minimizer
     log_v = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (by_nodes[1:] + by_nodes[:-1]) * np.diff(times)))
+        ([0.0], np.cumsum(0.5 * (by_nodes[1:] + by_nodes[:-1]) * np.diff(path.times)))
     )
     invariant = ps * np.exp(log_v)
     conservation = float(np.max(np.abs(invariant - ps[0])) / abs(ps[0]))
@@ -278,6 +298,17 @@ def solve_shooting(
     )
 
 
+def solve_shooting(
+    spec: DriftSpec,
+    x: float,
+    y: float,
+    t: float = 0.0,
+    n_steps: int = 2000,
+) -> ClassicalSolution:
+    """Classical cost and derivatives at (x, y, t) via the momentum system."""
+    return solve_shooting_many(spec, x, y, t, n_steps)[0]
+
+
 def derivatives_first(sol: ClassicalSolution, spec: DriftSpec) -> dict:
     """First derivatives by the closed forms, plus their integral-form twins.
 
@@ -288,7 +319,7 @@ def derivatives_first(sol: ClassicalSolution, spec: DriftSpec) -> dict:
     times, ys, ps = sol.path.times, sol.path.y, sol.momentum_p
     t, T = times[0], times[-1]
     span = T - t
-    by = np.array([float(spec.db_dy(ys[i], times[i])) for i in range(times.size)])
+    by = np.asarray(spec.db_dy(ys, times), dtype=float)
     w = -ps  # lambda*(s) - b(y(s), s)
 
     dq_dy_integral = float(-_trapz((1.0 + (T - times) * by) * w, times) / span)
@@ -325,23 +356,11 @@ def variational_system(
     n = times.size - 1
     h = times[1] - times[0]
 
-    def coeffs(yv: float, pv: float, s: float) -> tuple[float, float]:
-        a = float(spec.db_dy(yv, s))
-        v = float(spec.d2b_dy2(yv, s)) * pv
-        return a, v
-
-    a_node = np.empty(n + 1)
-    v_node = np.empty(n + 1)
-    for i in range(n + 1):
-        a_node[i], v_node[i] = coeffs(ys[i], ps[i], times[i])
-    a_mid = np.empty(n)
-    v_mid = np.empty(n)
-    for i in range(n):
-        a_mid[i], v_mid[i] = coeffs(
-            0.5 * (ys[i] + ys[i + 1]),
-            0.5 * (ps[i] + ps[i + 1]),
-            times[i] + 0.5 * h,
-        )
+    a_node = np.asarray(spec.db_dy(ys, times), dtype=float)
+    v_node = np.asarray(spec.d2b_dy2(ys, times), dtype=float) * ps
+    y_mid, t_mid = 0.5 * (ys[:-1] + ys[1:]), times[:-1] + 0.5 * h
+    a_mid = np.asarray(spec.db_dy(y_mid, t_mid), dtype=float)
+    v_mid = np.asarray(spec.d2b_dy2(y_mid, t_mid), dtype=float) * (0.5 * (ps[:-1] + ps[1:]))
 
     def deriv(phi: float, psi: float, a: float, v: float) -> tuple[float, float]:
         return a * phi - psi, -a * psi - v * phi
@@ -481,6 +500,5 @@ def minimize_direct(
 def path_rows(sol: ClassicalSolution, spec: DriftSpec):
     """(s, y, p, control) row iterator for the CSV exporter."""
     times, ys, ps = sol.path.times, sol.path.y, sol.momentum_p
-    for i in range(times.size):
-        lam = float(spec.b(ys[i], times[i])) - float(ps[i])
-        yield float(times[i]), float(ys[i]), float(ps[i]), lam
+    control = np.asarray(spec.b(ys, times), dtype=float) - ps
+    yield from zip(times.tolist(), ys.tolist(), ps.tolist(), control.tolist())

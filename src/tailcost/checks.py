@@ -334,16 +334,16 @@ def check_rate_zero_noise(
     if not t < spec.horizon_T:
         raise ConfigError("probe time must be before the horizon")
 
-    gaps = []
-    y_eff = y
+    q_eps, y_nodes = [], []
     for eps in eps_arr:
         grid = pde.default_grid(spec, x, eps, t_start=t, n_y=n_y, n_t=n_t)
         iy = grid.nearest_node(y)
-        y_eff = float(grid.y_nodes()[iy])
+        y_nodes.append(float(grid.y_nodes()[iy]))
         cost = pde.hopf_cole(pde.solve_u(spec, x, grid, eps))
-        q_eps = float(cost.q[0, iy])
-        q_cl = action.solve_shooting(spec, x, y_eff, t).q_value
-        gaps.append(abs(q_eps - q_cl))
+        q_eps.append(float(cost.q[0, iy]))
+    classical = action.solve_shooting_many(spec, x, y_nodes, t)
+    gaps = [abs(q - sol.q_value) for q, sol in zip(q_eps, classical)]
+    y_eff = y_nodes[-1]
 
     slope, _, r2 = bridge.fit_line(np.log(np.array(eps_arr)), np.log(np.array(gaps)))
     monotone = all(
@@ -406,7 +406,7 @@ def check_derivative_convergence(
         raise ConfigError("probe must start below the free boundary")
     y_above = boundary + above_offset
 
-    gaps_y, gaps_x, magnitudes = [], [], []
+    slopes_y, slopes_x, y_nodes, magnitudes = [], [], [], []
     for eps in eps_arr:
         margin = pde.fan_margin(spec, dx, 3, t_start=t) + 2.0 * dx
         grid = pde.default_grid(spec, x, eps, t_start=t, n_y=n_y, n_t=n_t, extra=margin)
@@ -414,10 +414,13 @@ def check_derivative_convergence(
         fld = bundle.center
         ib = grid.nearest_node(y_below)
         ia = grid.nearest_node(y_above)
-        sol = action.solve_shooting(spec, x, float(grid.y_nodes()[ib]), t)
-        gaps_y.append(abs(float(fld.dq_dy[0, ib]) - sol.dq_dy))
-        gaps_x.append(abs(float(fld.dq_dx[0, ib]) - sol.dq_dx))
+        y_nodes.append(float(grid.y_nodes()[ib]))
+        slopes_y.append(float(fld.dq_dy[0, ib]))
+        slopes_x.append(float(fld.dq_dx[0, ib]))
         magnitudes.append(abs(float(fld.dq_dy[0, ia])) + abs(float(fld.dq_dx[0, ia])))
+    classical = action.solve_shooting_many(spec, x, y_nodes, t)
+    gaps_y = [abs(s - sol.dq_dy) for s, sol in zip(slopes_y, classical)]
+    gaps_x = [abs(s - sol.dq_dx) for s, sol in zip(slopes_x, classical)]
 
     def _monotone(seq: list[float]) -> bool:
         return all(seq[i + 1] <= seq[i] * (1.0 + mono_slack) for i in range(len(seq) - 1))
@@ -746,6 +749,7 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
     half = simulate.SimConfig(n_paths=n_paths, dt=dt, seed=seed, terminal_cutoff=0.5)
     ens = simulate.simulate_controlled(spec, ctl, 0.0, 0.0, eps, half)
     w = np.exp(ens.log_girsanov_weight[ens.kept])
+    del ens  # only the weights are read; free the stored paths before the next ensemble
     mean_w = float(np.mean(w))
     se_w = float(np.std(w, ddof=1) / math.sqrt(w.size))
     weight_z = abs(mean_w - 1.0) / se_w if se_w > 0 else 0.0

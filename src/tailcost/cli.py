@@ -132,24 +132,27 @@ _CLASSICAL_DY = (-1.0, -0.75, -0.5, -0.25, 0.0)
 def _cmd_classical(config: checks.RunConfig, out_dir: Path, args: argparse.Namespace) -> int:
     spec = config.drift()
     t = config.probe_t
+    points = [
+        (config.probe_x + dxo, config.probe_y + dyo)
+        for dxo in _CLASSICAL_DX for dyo in _CLASSICAL_DY
+    ]
+    xs, ys = zip(*points)
+    sols = action.solve_shooting_many(spec, xs, ys, t)
     rows = []
-    for dxo in _CLASSICAL_DX:
-        for dyo in _CLASSICAL_DY:
-            x = config.probe_x + dxo
-            y = config.probe_y + dyo
-            sol = action.solve_shooting(spec, x, y, t)
-            q_direct, _ = action.minimize_direct(spec, x, y, t)
-            rows.append([
-                x, y, sol.q_value, q_direct,
-                abs(sol.q_value - q_direct),
-                sol.diagnostics.get("conservation", 0.0),
-            ])
+    for (x, y), sol in zip(points, sols):
+        q_direct, _ = action.minimize_direct(spec, x, y, t)
+        rows.append([
+            x, y, sol.q_value, q_direct,
+            abs(sol.q_value - q_direct),
+            sol.diagnostics.get("conservation", 0.0),
+        ])
     grid_table = _write_table(
         out_dir / "classical_grid",
         ["x", "y", "q_shooting", "q_direct", "gap", "conservation_drift"],
         rows, config.table_format,
     )
-    central = action.solve_shooting(spec, config.probe_x, config.probe_y, t)
+    # the probe itself is the grid point with zero offsets
+    central = sols[points.index((config.probe_x, config.probe_y))]
     path_table = _write_table(
         out_dir / "classical_path", ["s", "y", "p", "control"],
         [list(r) for r in action.path_rows(central, spec)],

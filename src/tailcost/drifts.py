@@ -27,8 +27,9 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-# Drift callables accept a scalar or ndarray y and a scalar time, and
-# broadcast over y.
+# Drift callables accept a scalar or ndarray y and a time that is either a
+# scalar or an array shaped like y, and broadcast over both; the path
+# solvers evaluate a whole stored path (y_i, s_i) in one call.
 DriftFunc = Callable[..., np.ndarray | float]
 
 
@@ -193,18 +194,21 @@ def drift_by_name(kind: str, **params) -> DriftSpec:
     return factory(**params)
 
 
-def characteristic_F(spec: DriftSpec, x: float, t: float, n_steps: int = 2000) -> float:
+def characteristic_F(
+    spec: DriftSpec, x: float | np.ndarray, t: float, n_steps: int = 2000
+) -> float | np.ndarray:
     """Backward characteristic: solve y' = b(y, s) with y(T) = x down to s = t.
 
     Classical fourth-order one-step integration with fixed step; the step
     count default places the integration error far below every tolerance
-    used by the callers.
+    used by the callers.  An array of thresholds is swept at once and
+    gives an array of start values; a scalar gives a float.
     """
     T = spec.horizon_T
     if not t < T:
         raise ValueError(f"need t < T, got t={t}, T={T}")
     h = (T - t) / n_steps
-    y = float(x)
+    y = np.array(x, dtype=float)
     s = T
     f = spec.b
     for _ in range(n_steps):
@@ -214,9 +218,10 @@ def characteristic_F(spec: DriftSpec, x: float, t: float, n_steps: int = 2000) -
         k4 = f(y - h * k3, s - h)
         y -= (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s -= h
-    if not math.isfinite(y):
-        raise DriftError(f"characteristic diverged for drift {spec.name} at x={x}, t={t}")
-    return y
+    if not np.all(np.isfinite(y)):
+        bad = np.asarray(x, dtype=float)[~np.isfinite(y)]
+        raise DriftError(f"characteristic diverged for drift {spec.name} at x={bad}, t={t}")
+    return float(y) if y.ndim == 0 else y
 
 
 def _quad(f: Callable[[float], float], a: float, b: float, rel: float = 1e-10) -> float:
@@ -268,3 +273,19 @@ def spot_check(spec: DriftSpec, y_grid: np.ndarray | None = None, n_times: int =
             raise DriftError(f"{spec.name}: declared b(0,.)=0 but b(0,{t}) != 0")
         if spec.time_homogeneous and not np.array_equal(spec.b(y_grid, t), b_first):
             raise DriftError(f"{spec.name}: declared time-homogeneous but b changes by t={t}")
+    yy, tt = np.meshgrid(y_grid, times)
+    for label, func in (("b", spec.b), ("db_dy", spec.db_dy), ("d2b_dy2", spec.d2b_dy2)):
+        if func is None:
+            continue
+        rows = np.array([np.asarray(func(y_grid, t), dtype=float) for t in times])
+        try:
+            joint = np.asarray(func(yy, tt), dtype=float)
+            ok = joint.shape == yy.shape and np.allclose(
+                joint, rows, rtol=1e-12, atol=1e-12, equal_nan=True
+            )
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise DriftError(
+                f"{spec.name}: {label} does not broadcast over a time array shaped like y"
+            )

@@ -105,6 +105,87 @@ def test_shooting_rejects_bad_start_time() -> None:
         act.solve_shooting(drifts.zero_drift(), 0.0, -1.0, t=1.0)
 
 
+# ------------------------------------------------------- batched shooting
+
+_BATCH_DRIFTS = (
+    drifts.zero_drift(),
+    drifts.linear_drift(0.5),
+    drifts.time_varying_linear(0.3, 0.2, 3.0),
+    drifts.logcosh_drift(),
+    drifts.sin_drift(),
+)
+# the criterion-02 endpoint grid; a coarser step than the default keeps the
+# one-point reference solves short, and lanes do not interact at any step
+_GRID = [(dx, -1.0 + dy) for dx in (-0.5, -0.25, 0.0, 0.25, 0.5)
+         for dy in (-1.0, -0.75, -0.5, -0.25, 0.0)]
+_STEPS = 500
+
+
+def _assert_same_solutions(batch, singles) -> None:
+    assert len(batch) == len(singles)
+    for got, ref in zip(batch, singles):
+        where = (ref.x_threshold, float(ref.path.y[0]))
+        assert (got.x_threshold, float(got.path.y[0])) == where
+        assert got.binding == ref.binding, where
+        for name in ("q_value", "dq_dy", "dq_dx", "dq_dt"):
+            assert abs(getattr(got, name) - getattr(ref, name)) <= 1e-13, (where, name)
+        mismatch = got.diagnostics.get("terminal_mismatch", 0.0)
+        assert abs(mismatch - ref.diagnostics.get("terminal_mismatch", 0.0)) <= 1e-13, where
+
+
+@pytest.mark.parametrize("spec", _BATCH_DRIFTS, ids=lambda s: s.name)
+def test_shooting_many_matches_one_point_solves(spec: drifts.DriftSpec) -> None:
+    xs, ys = (list(v) for v in zip(*_GRID))
+    singles = [act.solve_shooting(spec, x, y, n_steps=_STEPS) for x, y in _GRID]
+    assert all(sol.binding for sol in singles)
+    _assert_same_solutions(act.solve_shooting_many(spec, xs, ys, n_steps=_STEPS), singles)
+
+    # free lanes above the boundary, interleaved with the binding ones
+    free = [(x, float(drifts.characteristic_F(spec, x, 0.0)) + 0.5) for x in (-0.5, 0.2)]
+    free_sols = [act.solve_shooting(spec, x, y, n_steps=_STEPS) for x, y in free]
+    assert not any(sol.binding for sol in free_sols)
+    mixed = [free[0], *_GRID[:12], free[1], *_GRID[12:]]
+    mixed_refs = [free_sols[0], *singles[:12], free_sols[1], *singles[12:]]
+    xs, ys = (list(v) for v in zip(*mixed))
+    _assert_same_solutions(act.solve_shooting_many(spec, xs, ys, n_steps=_STEPS), mixed_refs)
+
+
+def test_shooting_many_bare_drift_needs_no_curvature() -> None:
+    bare = drifts.DriftSpec(
+        name="bare",
+        b=lambda y, t: np.zeros_like(np.asarray(y, dtype=float)),
+        db_dy=lambda y, t: np.zeros_like(np.asarray(y, dtype=float)),
+        d2b_dy2=None,
+        lipschitz_A=0.0,
+        is_concave=True,
+        vanishes_at_origin=True,
+    )
+    sols = act.solve_shooting_many(bare, [0.0, 0.4, 0.0], [-1.0, -0.7, 0.5])
+    for sol, (x, y) in zip(sols[:2], ((0.0, -1.0), (0.4, -0.7))):
+        assert sol.q_value == pytest.approx(orc.classical_cost(y, x), rel=1e-8)
+        assert sol.dq_dy == pytest.approx(orc.classical_slope_y(y, x), rel=1e-8)
+    assert not sols[2].binding
+
+
+def test_shooting_many_names_the_lane_it_cannot_bracket() -> None:
+    # a steep constant downdraft: y(T; m) = y - 1e4 + m, while the ladder
+    # tops out near 2 (x - y) 2^21, so a start just below the threshold
+    # can never be lifted to it; a far start beside it still brackets
+    downdraft = drifts.DriftSpec(
+        name="downdraft",
+        b=lambda y, t: -1e4 + 0.0 * y,
+        db_dy=lambda y, t: 0.0 * y,
+        d2b_dy2=lambda y, t: 0.0 * y,
+        lipschitz_A=0.0,
+        is_concave=True,
+        vanishes_at_origin=False,
+    )
+    (far,) = act.solve_shooting_many(downdraft, 0.0, -3e4)
+    assert far.binding and far.diagnostics["terminal_mismatch"] <= 1e-9
+    with pytest.raises(act.ShootingError, match=r"x=0\.0, y=-0\.001, t=0\.0"):
+        act.solve_shooting_many(downdraft, [0.0, 0.0], [-3e4, -1e-3])
+
+
 def test_terminal_value_monotone_in_momentum() -> None:
     # stronger upward momentum always lands higher
     p0 = -np.linspace(0.1, 3.0, 12)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from tailcost import checks, cli, simulate
+from tailcost import action, checks, cli, simulate
 
 SMALL = {
     "drift_kind": "zero",
@@ -95,6 +95,25 @@ def test_simulate_runs_one_steered_ensemble(
     rc = cli.main(["simulate", "--config", _cfg(tmp_path), "--out", str(tmp_path / "o")])
     assert rc == 0
     assert len(calls) == 1
+
+
+def test_classical_shoots_the_grid_in_a_few_batched_sweeps(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # one ladder sweep, a few Newton sweeps and one node record for all 25
+    # grid points; the probe's own solution is the grid's zero-offset point
+    calls = []
+    shoot = action.shoot_terminal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(action, "shoot_terminal", counted)
+    config = _cfg(tmp_path, drift_kind="sin")
+    rc = cli.main(["classical", "--config", config, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert len(calls) <= 8
 
 
 def test_bridge_writes_conditionals_with_exact_row(tmp_path: Path) -> None:

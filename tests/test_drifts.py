@@ -81,6 +81,22 @@ def test_spot_check_rejects_false_origin_flag() -> None:
         drifts.spot_check(forged)
 
 
+def test_spot_check_rejects_drift_that_needs_scalar_time() -> None:
+    # math.cos takes no array, so a stored path (y_i, s_i) cannot be
+    # evaluated in one call
+    forged = drifts.DriftSpec(
+        name="scalar-time",
+        b=lambda y, t: (0.2 + 0.1 * math.cos(t)) * y,
+        db_dy=lambda y, t: (0.2 + 0.1 * math.cos(t)) + 0.0 * y,
+        d2b_dy2=lambda y, t: 0.0 * y,
+        lipschitz_A=0.3,
+        is_concave=True,
+        vanishes_at_origin=True,
+    )
+    with pytest.raises(drifts.DriftError, match="broadcast"):
+        drifts.spot_check(forged)
+
+
 def test_eval_b_guards() -> None:
     spec = drifts.linear_drift(0.5)
     assert drifts.eval_b(spec, -2.0, 0.25) == pytest.approx(-1.0)
