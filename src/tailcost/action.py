@@ -29,7 +29,7 @@ from numpy.typing import ArrayLike
 from scipy.linalg import solve_banded
 from scipy.optimize import minimize
 
-from .drifts import DriftSpec, characteristic_F
+from .drifts import ConfigError, DriftSpec, characteristic_F
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -222,7 +222,7 @@ def solve_shooting_many(
     """
     T = spec.horizon_T
     if not t < T:
-        raise ValueError(f"need t < T, got t={t}")
+        raise ConfigError(f"need t < T, got t={t}")
     xs, ys = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)))
     boundary = characteristic_F(spec, xs, t)

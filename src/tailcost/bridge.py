@@ -13,7 +13,10 @@ are delta-data runs of the threshold solver's own Crank-Nicolson march
 (conservation-form) equation started from a point mass at y, the second
 the backward equation run from a point mass at the pin.  The start point
 and the pin are placed exactly on grid nodes so neither kernel carries
-placement bias.
+placement bias.  A kernel is fixed by the drift, the query, the resources
+and its node lattice; callers that share a kernels dict build each
+distinct one once (`tailcost bridge` builds 3 for its 5 uses at the
+default look-back).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .drifts import DriftSpec, LinearDriftStats, linear_stats
+from .drifts import ConfigError, DriftSpec, LinearDriftStats, linear_stats
 from .pde import Grid1D, _cn_march, required_half_width
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -61,11 +64,11 @@ class BridgeQuery:
 
     def __post_init__(self) -> None:
         if not self.T > 0.0:
-            raise ValueError("T must be positive")
+            raise ConfigError("T must be positive")
         if not 0.0 < self.delta <= 0.5 * self.T + 1e-12:
-            raise ValueError("need 0 < delta <= T/2")
+            raise ConfigError("need 0 < delta <= T/2")
         if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+            raise ConfigError("epsilon must be positive")
 
     @property
     def sample_time(self) -> float:
@@ -255,7 +258,7 @@ def bridge_kernel(spec: DriftSpec, query: BridgeQuery,
     w = fan * bundle
     mass = float(_trapz(w, xi))
     noise_floor = 64.0 * np.finfo(float).eps * float(w.max(initial=0.0)) * (y_max - y_min)
-    if mass < max(res.den_floor, noise_floor):
+    if not mass >= max(res.den_floor, noise_floor):
         raise IllConditionedBridgeError(
             f"bridge mass {mass:.3e} below the resolvable floor"
         )
@@ -267,6 +270,21 @@ def bridge_kernel(spec: DriftSpec, query: BridgeQuery,
         mass=mass,
         fan_mass=float(_trapz(fan, xi)),
     )
+
+
+def _shared_kernel(spec: DriftSpec, query: BridgeQuery, res: GreenResources,
+                   thetas: tuple[float, ...], kernels: dict | None) -> BridgeKernel:
+    """bridge_kernel, built once per distinct lattice when kernels is a dict.
+
+    thetas enter the kernel only through the anchored lattice, so the key
+    holds the lattice rather than the thresholds.
+    """
+    if kernels is None:
+        return bridge_kernel(spec, query, res, thetas)
+    key = (spec, query, res, _anchored_nodes(spec, query, res, thetas))
+    if key not in kernels:
+        kernels[key] = bridge_kernel(spec, query, res, thetas)
+    return kernels[key]
 
 
 def _mass_below(xi: np.ndarray, w: np.ndarray, theta: float) -> float:
@@ -309,6 +327,7 @@ def conditional_prob_green(
     threshold_fraction: float,
     side: str,
     resources: GreenResources | None = None,
+    kernels: dict | None = None,
 ) -> BridgeEstimate:
     """Conditional tail probability by the two-kernel quadrature ratio.
 
@@ -316,17 +335,18 @@ def conditional_prob_green(
     at the look-back time; prob_below and prob_above are the complementary
     pair at that single threshold, and side records which one was asked
     for.  With audit resources the whole computation repeats at doubled
-    node density and the drift is reported in extra.
+    node density and the drift is reported in extra.  A kernels dict shared
+    between calls reuses every kernel already built on the same lattice.
     """
     if side not in ("below", "above"):
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
     res = resources or GreenResources()
     theta = threshold_value(query, threshold_fraction)
-    kern = bridge_kernel(spec, query, res, thetas=(theta,))
+    kern = _shared_kernel(spec, query, res, (theta,), kernels)
     est = _kernel_estimate(kern, theta, threshold_fraction, side)
     if res.audit:
         fine = replace(res, n_y=2 * res.n_y - 1, audit=False)
-        ref = conditional_prob_green(spec, query, threshold_fraction, side, fine)
+        ref = conditional_prob_green(spec, query, threshold_fraction, side, fine, kernels)
         est = replace(est, extra={
             **est.extra,
             "refinement_drift_prob": abs(ref.prob_below - est.prob_below),
@@ -413,6 +433,7 @@ def concentration_check(
     c_above: float = DEFAULT_C_ABOVE,
     at_gate: float = 0.5,
     resources: GreenResources | None = None,
+    kernels: dict | None = None,
 ) -> ConcentrationReport:
     """Fit the tail exponents of the pinned conditionals across a sweep.
 
@@ -423,13 +444,13 @@ def concentration_check(
     admissible cell both event probabilities are computed on the quadrature
     route; log-probabilities are then fit against delta*y^2/(eps*T^2), one
     line per event.  The report passes when both fitted slopes are negative
-    with R^2 at or above 0.9.
+    with R^2 at or above 0.9.  kernels is shared as in conditional_prob_green.
     """
     for tv in np.linspace(0.0, T, 9):
         if abs(float(spec.b(0.0, tv))) > 1e-10:
-            raise ValueError(f"drift must vanish at the pin; b(0,{tv:g}) != 0")
+            raise ConfigError(f"drift must vanish at the pin; b(0,{tv:g}) != 0")
     if spec.lipschitz_A * T > at_gate + 1e-12:
-        raise ValueError(
+        raise ConfigError(
             f"slope-horizon product {spec.lipschitz_A * T:g} exceeds the gate {at_gate:g}"
         )
 
@@ -450,7 +471,7 @@ def concentration_check(
         query = BridgeQuery(y_start=y, T=T, delta=d, epsilon=epsilon)
         theta_b = threshold_value(query, c_below)
         theta_a = threshold_value(query, c_above)
-        kern = bridge_kernel(spec, query, res, thetas=(theta_b, theta_a))
+        kern = _shared_kernel(spec, query, res, (theta_b, theta_a), kernels)
         xbar = d * y * y / (epsilon * T * T)
         p_below = _kernel_estimate(kern, theta_b, c_below, "below").prob_below
         p_above = _kernel_estimate(kern, theta_a, c_above, "above").prob_above

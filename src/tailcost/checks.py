@@ -23,6 +23,7 @@ from scipy.stats import norm
 
 from . import action, bridge, pde, simulate, tables
 from .drifts import (
+    ConfigError,
     DriftSpec,
     characteristic_F,
     drift_by_name,
@@ -38,10 +39,6 @@ FAIL = "fail"
 SKIPPED = "skipped"
 
 _STATUSES = (PASS, FAIL, SKIPPED)
-
-
-class ConfigError(ValueError):
-    """A run configuration that cannot be executed."""
 
 
 @dataclass(frozen=True)
@@ -803,8 +800,11 @@ def _check_bridge_pair() -> VerificationReport:
     spec = linear_drift(0.5)
     query = bridge.BridgeQuery(y_start=-1.0, T=1.0, delta=0.25, epsilon=0.1)
     exact = bridge.linear_bridge_moments(bridge.linear_pieces(spec, query), query)
-    below = bridge.conditional_prob_green(spec, query, bridge.DEFAULT_C_BELOW, "below")
-    above = bridge.conditional_prob_green(spec, query, bridge.DEFAULT_C_ABOVE, "above")
+    kernels: dict = {}  # both thresholds lie on one lattice: one kernel
+    below = bridge.conditional_prob_green(
+        spec, query, bridge.DEFAULT_C_BELOW, "below", kernels=kernels)
+    above = bridge.conditional_prob_green(
+        spec, query, bridge.DEFAULT_C_ABOVE, "above", kernels=kernels)
     mean_err = abs(below.mean - exact.mean) / abs(exact.mean)
     var_err = abs(below.variance - exact.variance) / exact.variance
     prob_err = max(
@@ -879,9 +879,13 @@ class RunConfig:
         try:
             spec = drift_by_name(self.drift_kind, **self.drift_params)
             spot_check(spec)
-            return spec
         except Exception as exc:
             raise ConfigError(str(exc)) from exc
+        if not self.probe_t < spec.horizon_T:
+            raise ConfigError(
+                f"probe time {self.probe_t} is not before the horizon {spec.horizon_T}"
+            )
+        return spec
 
 
 def _battery(config: RunConfig) -> dict:

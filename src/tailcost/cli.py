@@ -217,9 +217,10 @@ def _cmd_bridge(config: checks.RunConfig, out_dir: Path, args: argparse.Namespac
         y_start=config.probe_y, T=spec.horizon_T,
         delta=config.bridge_delta, epsilon=epsilon,
     )
+    kernels: dict = {}  # each distinct kernel of this command is built once
     cond_rows = []
     for fraction, side in ((bridge.DEFAULT_C_BELOW, "below"), (bridge.DEFAULT_C_ABOVE, "above")):
-        est = bridge.conditional_prob_green(spec, query, fraction, side)
+        est = bridge.conditional_prob_green(spec, query, fraction, side, kernels=kernels)
         cond_rows.append([
             est.method, side, fraction, est.mean, est.variance,
             est.prob_below, est.prob_above,
@@ -239,7 +240,7 @@ def _cmd_bridge(config: checks.RunConfig, out_dir: Path, args: argparse.Namespac
     sweep = bridge.concentration_check(
         spec, epsilon, spec.horizon_T,
         y_sweep=(config.probe_y, config.probe_y - 0.2, config.probe_y - 0.4),
-        delta_sweep=(config.bridge_delta,),
+        delta_sweep=(config.bridge_delta,), kernels=kernels,
     )
     conc_table = _write_table(
         out_dir / "concentration",
@@ -298,7 +299,6 @@ _CONFIG_FAULTS = (
     simulate.SimulationError,
     bridge.BridgeError,
     bridge.EmptySweepError,
-    ValueError,
 )
 
 

@@ -19,6 +19,10 @@ import numpy as np
 from scipy import integrate
 
 
+class ConfigError(ValueError):
+    """A run configuration that cannot be executed."""
+
+
 class DriftError(ValueError):
     """Drift evaluation produced a non-finite value or violated a declared flag."""
 
@@ -206,7 +210,7 @@ def characteristic_F(
     """
     T = spec.horizon_T
     if not t < T:
-        raise ValueError(f"need t < T, got t={t}, T={T}")
+        raise ConfigError(f"need t < T, got t={t}, T={T}")
     h = (T - t) / n_steps
     y = np.array(x, dtype=float)
     s = T
@@ -240,7 +244,7 @@ def linear_stats(A_of_s: Callable[[float], float], t: float, T: float) -> Linear
     time-T state given y at time t is Gaussian(Lambda * y, eps * sigma2).
     """
     if not t < T:
-        raise ValueError(f"need t < T, got t={t}, T={T}")
+        raise ConfigError(f"need t < T, got t={t}, T={T}")
     growth = _quad(A_of_s, t, T)
 
     def integrand(s: float) -> float:

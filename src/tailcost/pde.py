@@ -13,22 +13,26 @@ Numerical scheme: full-operator Crank-Nicolson (central differences for
 both diffusion and drift) with a backward-Euler startup phase that damps
 the ringing the step terminal data would otherwise excite.  One march,
 _cn_march, serves the threshold solve, the Green fan (one column per
-threshold) and both bridge kernels; the upper wall value is its argument,
-and the drift is re-evaluated at every time level unless it declares itself
-time-homogeneous.  At the mesh Peclet numbers of every shipped
-configuration (|b| h_y / eps <= 1) each step is a monotone map, so the
-discrete solution inherits the maximum principle and monotonicity in y to
-roundoff.  The mesh Peclet and diffusion numbers are recorded as
+threshold) and both bridge kernels; the upper wall value is its argument.
+The implicit matrix is LU-factored (LAPACK gttrf) once per march when the
+drift declares itself time-homogeneous, and at every time level otherwise;
+the startup half-steps and the CN steps share it.  Every solved level is
+checked to be finite, so a non-finite datum or an overflow raises PdeError
+at the time level where it appears.  At the mesh Peclet numbers of every
+shipped configuration (|b| h_y / eps <= 1) each step is a monotone map, so
+the discrete solution inherits the maximum principle and monotonicity in y
+to roundoff.  The mesh Peclet and diffusion numbers are recorded as
 diagnostics, not enforced.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import ndtr
 
 from .drifts import DriftSpec, LinearDriftStats
@@ -198,39 +202,47 @@ def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall
     """
     y, h, dt = grid.y_nodes(), grid.h_y, grid.h_t
     alpha = 0.5 * epsilon / (h * h)
-    r = 0.5 * dt
+    r = 0.5 * dt  # the startup half-steps and the CN steps share I - r L
+    m = grid.n_y - 2
+    diag = np.full(m, 1.0 + 2.0 * r * alpha)
 
     def build(tv: float):
         b = np.asarray(spec.b(y[1:-1] if backward else y, tv), dtype=float)
         if not np.all(np.isfinite(b)):
             raise PdeError(f"drift {spec.name} is not finite on the grid at t={tv:g}")
         beta = b / (2.0 * h)
-        return (alpha - beta, alpha + beta) if backward else (alpha + beta[:-2], alpha - beta[2:])
+        if backward:
+            lower, upper = alpha - beta, alpha + beta
+        else:
+            lower, upper = alpha + beta[:-2], alpha - beta[2:]
+        *lu, info = dgttrf(-r * lower[1:], diag, -r * upper[:-1])
+        if info != 0:
+            raise PdeError(f"implicit matrix of drift {spec.name} is singular at t={tv:g}")
+        return lower, upper, lu
 
-    # stencil: t -> (lower, upper) off-diagonals of the interior rows
-    if spec.time_homogeneous:
-        fixed = build(grid.t_start)
-        stencil = lambda tv: fixed
-    else:
-        stencil = build
+    # (lower, upper) off-diagonals of the interior rows and the LU factors of
+    # the implicit matrix, kept for the last time level asked for; a
+    # time-homogeneous drift keys every level to t_start and factors once
+    factored = functools.lru_cache(maxsize=1)(build)
 
-    ab = np.zeros((3, grid.n_y - 2))
-    ab[1, :] = 1.0 + 2.0 * r * alpha
+    def stencil(tv: float):
+        return factored(grid.t_start if spec.time_homogeneous else tv)
 
     def explicit(u_full: np.ndarray, tv: float) -> np.ndarray:
-        lower, upper = stencil(tv)
+        lower, upper, _ = stencil(tv)
         return u_full[..., 1:-1] + r * (
             lower * u_full[..., :-2] - 2.0 * alpha * u_full[..., 1:-1] + upper * u_full[..., 2:]
         )
 
     def implicit(rhs: np.ndarray, tv: float) -> np.ndarray:
-        lower, upper = stencil(tv)
-        ab[0, 1:] = -r * upper[:-1]
-        ab[2, :-1] = -r * lower[1:]
+        _, upper, lu = stencil(tv)
         if wall:
             rhs[..., -1] += r * upper[-1] * wall
-        # rhs.T is the (m, k) column-major view LAPACK takes without a copy
-        return solve_banded((1, 1), ab, rhs.T, overwrite_b=True).T
+        # the (m, k) column-major view of rhs is what LAPACK solves in place
+        v, info = dgttrs(*lu, rhs.reshape(-1, m).T, overwrite_b=1)
+        if info != 0 or not np.isfinite(v).all():
+            raise PdeError(f"march of drift {spec.name} left the finite range at t={tv:g}")
+        return v.T.reshape(rhs.shape)
 
     t = grid.t_nodes()[::-1] if backward else grid.t_nodes()
     half = -0.5 * dt if backward else 0.5 * dt

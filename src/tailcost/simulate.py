@@ -20,7 +20,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .drifts import DriftSpec
+from .drifts import ConfigError, DriftSpec
 from .pde import CostField, Grid1D
 
 
@@ -97,7 +97,7 @@ def _generator(seed: int) -> np.random.Generator:
 
 def _check_dt(dt: float, span: float) -> int:
     if dt > span / 10.0 + 1e-15:
-        raise ValueError(f"dt={dt} too coarse for span {span}; need span/10 or finer")
+        raise ConfigError(f"dt={dt} too coarse for span {span}; need span/10 or finer")
     return max(1, int(math.ceil(span / dt - 1e-12)))
 
 

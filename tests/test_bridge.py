@@ -155,6 +155,20 @@ def test_non_finite_drift_raises_pde_error(time_homogeneous: bool) -> None:
         bridge.bridge_kernel(spec, QUERY, bridge.GreenResources(n_y=401, n_t=101))
 
 
+def test_kernel_with_a_nan_leg_is_refused(monkeypatch: pytest.MonkeyPatch) -> None:
+    # a NaN mass compares false against the floor; it must still be refused
+    march = bridge._cn_march
+
+    def poisoned(*args, **kwargs):
+        leg = march(*args, **kwargs)
+        leg[leg.size // 2] = np.nan
+        return leg
+
+    monkeypatch.setattr(bridge, "_cn_march", poisoned)
+    with pytest.raises(bridge.IllConditionedBridgeError):
+        bridge.bridge_kernel(drifts.zero_drift(), QUERY, bridge.GreenResources(n_y=401, n_t=101))
+
+
 def test_green_normalization() -> None:
     spec = drifts.zero_drift()
     # threshold far to the right of all mass: c*delta*y/T = -100

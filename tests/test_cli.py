@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from tailcost import action, checks, cli, simulate
+from tailcost import action, bridge, checks, cli, simulate
 
 SMALL = {
     "drift_kind": "zero",
@@ -114,6 +117,36 @@ def test_classical_shoots_the_grid_in_a_few_batched_sweeps(
     rc = cli.main(["classical", "--config", config, "--out", str(tmp_path / "o")])
     assert rc == 0
     assert len(calls) <= 8
+
+
+@pytest.mark.parametrize("delta, marches", [(0.25, 6), (0.5, 8)])
+def test_bridge_builds_each_distinct_kernel_once(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, delta: float, marches: int
+) -> None:
+    # two conditionals and three concentration cells: at delta 0.25 every
+    # threshold lies inside the start-to-pin span, so three cells share one
+    # lattice; at 0.5 the below threshold widens it for two of them
+    calls = []
+    march = bridge._cn_march
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(bridge, "_cn_march", counted)
+    config = _cfg(tmp_path, bridge_delta=delta)
+    assert cli.main(["bridge", "--config", config, "--out", str(tmp_path / "shared")]) == 0
+    assert len(calls) == marches
+
+    for name in ("conditional_prob_green", "concentration_check"):
+        def unshared(*args, kernels=None, _fn=getattr(bridge, name), **kwargs):
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(bridge, name, unshared)
+    calls.clear()
+    assert cli.main(["bridge", "--config", config, "--out", str(tmp_path / "alone")]) == 0
+    assert len(calls) == 10
+    for name in ("conditionals.csv", "concentration.csv", "bridge_summary.json"):
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
 def test_bridge_writes_conditionals_with_exact_row(tmp_path: Path) -> None:
@@ -230,6 +263,33 @@ def test_config_error_exit_codes(tmp_path: Path, capsys: pytest.CaptureFixture) 
     _expect_config_error(capsys, ["verify", "--seed", "-1"] + out)
     # step size too coarse for the horizon: simulation refuses to run
     _expect_config_error(capsys, ["simulate", "--config", _cfg(tmp_path, dt=0.2)] + out)
+
+
+def test_probe_at_the_horizon_is_a_config_error(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
+    out = ["--out", str(tmp_path / "o")]
+    for command in ("solve", "classical", "simulate"):
+        _expect_config_error(capsys, [command, "--config", _cfg(tmp_path, probe_t=1.0)] + out)
+
+
+def test_solver_value_error_is_not_a_configuration_error(tmp_path: Path) -> None:
+    # a fault inside the solvers exits non-zero with its own message
+    script = (
+        "import sys\n"
+        "from tailcost import cli, pde\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise ValueError('solver fault')\n"
+        "pde.solve_u = broken\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "solve", "--config", _cfg(tmp_path),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "ValueError: solver fault" in proc.stderr
+    assert "configuration error" not in proc.stderr
 
 
 def test_drift_breaking_its_declared_flags_is_a_config_error(

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles as orc
-from tailcost import drifts, pde
+from tailcost import bridge, drifts, pde
 
 EPS = 0.1
 
@@ -109,6 +111,53 @@ def test_non_finite_drift_raises_pde_error(time_homogeneous: bool) -> None:
     assert grid.y_max > 3.0
     with pytest.raises(pde.PdeError, match="nan-above-3"):
         pde.solve_u(spec, 0.0, grid, EPS)
+
+
+@pytest.mark.parametrize("spec", [
+    drifts.zero_drift(), drifts.linear_drift(0.5), drifts.logcosh_drift(), drifts.sin_drift(),
+], ids=lambda s: s.name)
+def test_factored_and_per_step_marches_agree_bitwise(spec) -> None:
+    # a time-homogeneous drift factors its CN matrix once per march; the
+    # same drift declared time-varying refactors at every level
+    per_step = dataclasses.replace(spec, time_homogeneous=False)
+    grid = _grid(spec, n=201)
+    a, b = (pde.solve_u(s, 0.0, grid, EPS).u for s in (spec, per_step))
+    assert np.array_equal(a, b)
+    a, b = (pde.green_function(s, grid, EPS, 0.0, 1.0, max_solves=21).g for s in (spec, per_step))
+    assert np.array_equal(a, b, equal_nan=True)
+    query = bridge.BridgeQuery(y_start=-1.0, T=1.0, delta=0.25, epsilon=EPS)
+    res = bridge.GreenResources(n_y=401, n_t=101)
+    a, b = (bridge.bridge_kernel(s, query, res) for s in (spec, per_step))
+    assert np.array_equal(a.fan, b.fan) and np.array_equal(a.bundle, b.bundle)
+
+
+@pytest.mark.parametrize("time_homogeneous", [False, True])
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_march_rejects_non_finite_data(time_homogeneous: bool, backward: bool, bad: float) -> None:
+    spec = dataclasses.replace(drifts.logcosh_drift(), time_homogeneous=time_homogeneous)
+    grid = pde.Grid1D(-4.0, 4.0, 101, 0.0, 1.0, 21)
+    data = np.linspace(0.0, 1.0, grid.n_y)
+    data[50] = bad
+    with pytest.raises(pde.PdeError, match=re.escape(spec.name) + ".* at t="):
+        pde._cn_march(spec, data, grid, EPS, 1.0, backward)
+
+
+def test_march_overflow_is_a_pde_error() -> None:
+    # a finite drift so steep that the solved level overflows
+    spec = drifts.DriftSpec(
+        name="steep",
+        b=lambda y, t: 1e200 * y,
+        db_dy=lambda y, t: 1e200 + 0.0 * y,
+        d2b_dy2=None,
+        lipschitz_A=1e200,
+        is_concave=True,
+        vanishes_at_origin=True,
+        time_homogeneous=True,
+    )
+    grid = pde.Grid1D(-4.0, 4.0, 101, 0.0, 1.0, 21)
+    with pytest.raises(pde.PdeError, match="steep"):
+        pde._cn_march(spec, np.linspace(0.0, 1.0, grid.n_y), grid, EPS, 1.0, backward=True)
 
 
 def test_field_violations_flag_non_finite_levels() -> None:
