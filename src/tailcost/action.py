@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.linalg import solve_banded
-from scipy.optimize import minimize
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .drifts import ConfigError, DriftSpec, characteristic_F
 
@@ -417,16 +415,19 @@ def minimize_direct(
     t: float = 0.0,
     n_nodes: int = 256,
     grad_tol: float = 1e-8,
-    max_iter: int = 100_000,
 ) -> tuple[float, Path]:
     """Direct discrete action minimum over interior nodes, endpoints pinned.
 
     Midpoint-rule objective with analytic gradient; independent of the
-    shooting discretization.  L-BFGS-B does the bulk descent but its line
-    search stalls on f rounding around gradient 1e-7, so exact Newton
-    steps on the tridiagonal Hessian finish the last digits.  Raises
-    ConvergenceError when the gradient max-norm cannot be brought under
-    grad_tol.
+    shooting discretization.  Newton steps on the tridiagonal Hessian start
+    from the straight line.  Where its LDL^T factorization (dpttrf) fails,
+    the Hessian is indefinite, and a doubling diagonal shift makes the step
+    a descent direction, stretched while f falls.  A step is halved until
+    f passes an Armijo test, or until the gradient max-norm falls when the
+    Hessian is positive definite: f stalls at rounding level near the
+    minimum.  Returns at gradient max-norm <= grad_tol with a positive
+    definite Hessian, so never at a saddle; else ConvergenceError after
+    60 steps.
     """
     if n_nodes < 16:
         raise ValueError("need at least 16 interior nodes")
@@ -434,7 +435,6 @@ def minimize_direct(
     s = np.linspace(t, T, n_nodes + 2)
     h = s[1] - s[0]
     s_mid = 0.5 * (s[:-1] + s[1:])
-    curvature = spec.d2b_dy2
 
     def pieces(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         full = np.concatenate(([y], z, [x]))
@@ -449,12 +449,10 @@ def minimize_direct(
         grad = w[:-1] - w[1:] - 0.5 * h * (w[:-1] * by[:-1] + w[1:] * by[1:])
         return f, grad
 
-    def hessian_banded(z: np.ndarray) -> np.ndarray:
+    def hessian(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ymid, w, by = pieces(z)
-        if curvature is None:
-            curv = np.zeros_like(w)
-        else:
-            curv = w * np.asarray(curvature(ymid, s_mid), dtype=float)
+        d2b = spec.d2b_dy2
+        curv = np.zeros_like(w) if d2b is None else w * np.asarray(d2b(ymid, s_mid), dtype=float)
         diag = (
             2.0 / h
             + (by[1:] - by[:-1])
@@ -462,39 +460,40 @@ def minimize_direct(
             - 0.25 * h * (curv[:-1] + curv[1:])
         )
         off = -1.0 / h + 0.25 * h * (by[1:-1] ** 2 - curv[1:-1])
-        ab = np.zeros((3, diag.size))
-        ab[0, 1:] = off
-        ab[1, :] = diag
-        ab[2, :-1] = off
-        return ab
+        return diag, off
 
-    seed = np.linspace(y, x, n_nodes + 2)[1:-1]
-    res = minimize(
-        objective,
-        seed,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "gtol": grad_tol, "ftol": 1e-16},
-    )
-    z = res.x
+    z = np.linspace(y, x, n_nodes + 2)[1:-1]
     f, grad = objective(z)
     for _ in range(60):
+        diag, off = hessian(z)
+        shift = 0.0
+        d, e, info = dpttrf(diag, off)
+        while info > 0:
+            # h is the discrete scale of the path's lowest curvature modes
+            shift = max(2.0 * shift, h)
+            d, e, info = dpttrf(diag + shift, off)
         gmax = float(np.max(np.abs(grad)))
-        if gmax <= grad_tol:
-            break
-        step = solve_banded((1, 1), hessian_banded(z), -grad)
+        if gmax <= grad_tol and shift == 0.0:
+            return f, Path(times=s, y=np.concatenate(([y], z, [x])))
+        step = dpttrs(d, e, -grad)[0]
         for _ in range(30):
             f_new, grad_new = objective(z + step)
-            if float(np.max(np.abs(grad_new))) < gmax or f_new < f:
+            if f_new <= f + 1e-4 * float(np.dot(grad, step)) or (
+                shift == 0.0 and float(np.max(np.abs(grad_new))) < gmax
+            ):
                 break
             step *= 0.5
+        # along negative curvature the shifted step falls short: stretch it
+        for _ in range(30 if shift > 0.0 else 0):
+            f_far, grad_far = objective(z + 2.0 * step)
+            if not f_far < f_new:
+                break
+            step *= 2.0
+            f_new, grad_new = f_far, grad_far
         z = z + step
         f, grad = f_new, grad_new
-    if float(np.max(np.abs(grad))) > grad_tol:
-        raise ConvergenceError(
-            f"gradient max-norm {np.max(np.abs(grad)):.3e} above {grad_tol:g}"
-        )
-    return float(objective(z)[0]), Path(times=s, y=np.concatenate(([y], z, [x])))
+    raise ConvergenceError(f"no positive-definite point with gradient max-norm under {grad_tol:g}"
+                           f" in 60 Newton steps (last {np.max(np.abs(grad)):.3e})")
 
 
 def path_rows(sol: ClassicalSolution, spec: DriftSpec):

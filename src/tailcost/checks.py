@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr
 
 from . import action, bridge, pde, simulate, tables
 from .drifts import (
@@ -79,7 +79,7 @@ def _is_driftless(spec: DriftSpec) -> bool:
 def driftless_cost(x: float, y: float, epsilon: float, tau: float) -> float:
     """Closed-form cost for b identically zero over a window of length tau."""
     z = (y - x) / math.sqrt(epsilon * tau)
-    return float(-epsilon * norm.logcdf(z))
+    return float(-epsilon * log_ndtr(z))
 
 
 # ------------------------------------------------------------ cdf inequality
@@ -98,9 +98,9 @@ def check_cdf_inequality(
         raise ConfigError("need z_min < z_max")
     n = int(round((z_max - z_min) / step)) + 1
     z = z_min + step * np.arange(n)
-    cdf = norm.cdf(z)
+    cdf = ndtr(z)
     lhs = np.exp(-0.5 * z * z)
-    rhs = 2.0 * math.sqrt(math.pi) * cdf * np.sqrt(-norm.logcdf(z))
+    rhs = 2.0 * math.sqrt(math.pi) * cdf * np.sqrt(-log_ndtr(z))
     margin = rhs - lhs
     worst = int(np.argmin(margin))
     violations = int(np.count_nonzero(margin < 0.0))

@@ -363,6 +363,22 @@ def test_minimize_direct_unreachable_tolerance() -> None:
         act.minimize_direct(drifts.zero_drift(), 0.0, -1.0, grad_tol=1e-16)
 
 
+@pytest.mark.parametrize("amplitude, x, y, q_min", [
+    # undamped Newton from the straight line settles on a critical path with
+    # q = 0.97079 whose Hessian has a negative eigenvalue (-2.2e-3); the
+    # minimum's smallest eigenvalue is +8.9e-3
+    (1.0, -2.0, -1.0, 0.7845078409058771),
+    # a wide indefinite region along a nearly flat valley: shifted steps
+    # that are not stretched crawl and run out of iterations
+    (3.0, 0.0, -3.0, 11.940681600444206),
+])
+def test_minimize_direct_leaves_indefinite_regions(
+    amplitude: float, x: float, y: float, q_min: float
+) -> None:
+    q, _ = act.minimize_direct(drifts.sin_drift(amplitude, T=4.0), x, y)
+    assert abs(q - q_min) <= 1e-10
+
+
 def test_dual_route_grid_logcosh() -> None:
     """Shooting and direct minimization agree across a probe grid."""
     spec = drifts.logcosh_drift()

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from tailcost import action, bridge, checks, cli, simulate
+from tailcost import action, bridge, checks, cli, drifts, simulate
 
 SMALL = {
     "drift_kind": "zero",
@@ -117,6 +117,41 @@ def test_classical_shoots_the_grid_in_a_few_batched_sweeps(
     rc = cli.main(["classical", "--config", config, "--out", str(tmp_path / "o")])
     assert rc == 0
     assert len(calls) <= 8
+
+
+def test_direct_minimizer_factors_a_few_times_per_point(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Newton from the straight line: a handful of tridiagonal factorizations
+    # per point on the criterion-02 grid, shifted refactors included
+    calls = []
+    factor = action.dpttrf
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(action, "dpttrf", counted)
+    specs = (
+        drifts.zero_drift(), drifts.linear_drift(0.5), drifts.time_varying_linear(0.3, 0.2, 3.0),
+        drifts.logcosh_drift(), drifts.sin_drift(),
+    )
+    for spec in specs:
+        for x in (-0.5, -0.25, 0.0, 0.25, 0.5):
+            for y in (-2.0, -1.75, -1.5, -1.25, -1.0):
+                calls.clear()
+                action.minimize_direct(spec, x, y)
+                assert 1 <= len(calls) <= 5, f"{spec.name} at ({x}, {y}): {len(calls)}"
+
+
+def test_cli_import_leaves_scipy_stats_out() -> None:
+    # scipy.stats costs about half a second of start-up; the Gaussian cdf
+    # comes from scipy.special
+    script = "import sys, tailcost.cli\nprint('scipy.stats' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("delta, marches", [(0.25, 6), (0.5, 8)])
