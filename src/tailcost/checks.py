@@ -860,6 +860,10 @@ class RunConfig:
     table_format: str = "csv"
 
     def __post_init__(self) -> None:
+        for name in ("seed", "n_y", "n_t", "n_paths"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if not self.eps_list or any(e <= 0.0 for e in self.eps_list):

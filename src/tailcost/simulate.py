@@ -195,6 +195,10 @@ class ControllerField:
     Rows where the cost field underflowed carry a restricted valid window
     around the threshold; queries outside the window (or outside the time
     range) do not extrapolate, they mark the path as escaped.
+
+    The y lattice must be uniform (as every Grid1D is) and control must be
+    (t_nodes.size, y_nodes.size): evaluate finds a path's cell by one
+    multiply instead of a binary search.
     """
 
     y_nodes: np.ndarray
@@ -203,6 +207,16 @@ class ControllerField:
     window_lo: np.ndarray  # per-row first valid y
     window_hi: np.ndarray  # per-row last valid y
     last_row: int
+
+    def __post_init__(self) -> None:
+        n_t, n_y = self.t_nodes.size, self.y_nodes.size
+        if self.control.shape != (n_t, n_y):
+            raise ControllerError(
+                f"control has shape {self.control.shape}, lattice needs {(n_t, n_y)}"
+            )
+        h = (self.y_nodes[-1] - self.y_nodes[0]) / (n_y - 1) if n_y > 1 else 0.0
+        if not (h > 0.0 and np.all(np.abs(np.diff(self.y_nodes) - h) <= 1e-9 * h)):
+            raise ControllerError("y_nodes must be increasing and uniformly spaced")
 
     @property
     def t_valid_max(self) -> float:
@@ -229,12 +243,11 @@ class ControllerField:
             finite = np.isfinite(cost.dq_dy[i])
             if not finite[center]:
                 break
-            j_lo = center
-            while j_lo > 0 and finite[j_lo - 1]:
-                j_lo -= 1
-            j_hi = center
-            while j_hi < n_y - 1 and finite[j_hi + 1]:
-                j_hi += 1
+            # the contiguous finite run around center
+            holes_below = np.flatnonzero(~finite[:center])
+            holes_above = np.flatnonzero(~finite[center:])
+            j_lo = int(holes_below[-1]) + 1 if holes_below.size else 0
+            j_hi = center + int(holes_above[0]) - 1 if holes_above.size else n_y - 1
             drift_row = np.asarray(spec.b(y_nodes[j_lo : j_hi + 1], t_nodes[i]))
             lam = drift_row - cost.dq_dy[i, j_lo : j_hi + 1]
             # steering never pushes below the plain drift
@@ -264,10 +277,16 @@ class ControllerField:
         lo = max(self.window_lo[i], self.window_lo[i + 1])
         hi = min(self.window_hi[i], self.window_hi[i + 1])
         valid = (y >= lo) & (y <= hi)
-        yq = np.clip(y, lo, hi)
-        low_row = np.interp(yq, self.y_nodes, self.control[i])
-        high_row = np.interp(yq, self.y_nodes, self.control[i + 1])
-        return (1.0 - w) * low_row + w * high_row, valid
+        row = (1.0 - w) * self.control[i] + w * self.control[i + 1]
+        y_first, y_last = self.y_nodes[0], self.y_nodes[-1]
+        pos = (np.clip(y, lo, hi) - y_first) * ((self.y_nodes.size - 1) / (y_last - y_first))
+        # pos at a node can truncate one cell low, onto the NaN outside the
+        # window: keep every cell between the nodes at lo and hi
+        j_lo = int(np.searchsorted(self.y_nodes, lo, side="right")) - 1
+        j_hi = int(np.searchsorted(self.y_nodes, hi, side="left"))
+        j = np.clip(pos.astype(np.intp), j_lo, j_hi - 1)
+        left = row[j]
+        return left + (pos - j) * (row[j + 1] - left), valid
 
 
 # ----------------------------------------------------------------- steered

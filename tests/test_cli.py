@@ -300,6 +300,21 @@ def test_config_error_exit_codes(tmp_path: Path, capsys: pytest.CaptureFixture) 
     _expect_config_error(capsys, ["simulate", "--config", _cfg(tmp_path, dt=0.2)] + out)
 
 
+def test_integer_config_fields_reject_other_types(
+    tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    out = ["--out", str(tmp_path / "o")]
+    for fields, name in (
+        ({"n_paths": 150.5}, "n_paths"),
+        ({"n_y": 301.5, "n_t": 101}, "n_y"),
+        ({"n_t": 301.0}, "n_t"),
+        ({"seed": True}, "seed"),
+    ):
+        assert cli.main(["simulate", "--config", _cfg(tmp_path, **fields)] + out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {name} must be an integer")
+
+
 def test_probe_at_the_horizon_is_a_config_error(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
     out = ["--out", str(tmp_path / "o")]
     for command in ("solve", "classical", "simulate"):

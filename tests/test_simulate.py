@@ -162,6 +162,138 @@ def test_coarse_time_grid_refused_near_horizon() -> None:
                                 sim.SimConfig(n_paths=8, dt=2e-3, seed=1))
 
 
+def _windowed_field():
+    """Smooth control, NaN outside each row's window; adjacent windows differ."""
+    y_nodes = np.linspace(-1.3, 2.1, 35)
+    t_nodes = np.linspace(0.0, 1.0, 6)
+    windows = [(3, 30), (6, 27), (2, 33), (8, 22), (5, 29), (0, 34)]
+    control = np.full((6, 35), np.nan)
+    for i, (a, b) in enumerate(windows):
+        ys = y_nodes[a : b + 1]
+        control[i, a : b + 1] = 1.5 + 0.4 * np.sin(2.0 * ys + i) + 0.1 * i
+    return sim.ControllerField(
+        y_nodes=y_nodes,
+        t_nodes=t_nodes,
+        control=control,
+        window_lo=np.array([y_nodes[a] for a, _ in windows]),
+        window_hi=np.array([y_nodes[b] for _, b in windows]),
+        last_row=5,
+    )
+
+
+def test_controller_lookup_at_window_edges() -> None:
+    ctl = _windowed_field()
+    y_nodes, control = ctl.y_nodes, ctl.control
+    rng = np.random.default_rng(11)
+    t_nodes = ctl.t_nodes
+    # (time row, time) pairs: on each row, inside each cell, and the last node
+    cells = [(i, t_nodes[i] + frac * (t_nodes[i + 1] - t_nodes[i]))
+             for i in range(ctl.last_row) for frac in (0.0, 0.3, 0.5)]
+    for i, s in cells + [(ctl.last_row - 1, ctl.t_valid_max)]:
+        w = (s - t_nodes[i]) / (t_nodes[i + 1] - t_nodes[i])
+        lo = max(ctl.window_lo[i], ctl.window_lo[i + 1])
+        hi = min(ctl.window_hi[i], ctl.window_hi[i + 1])
+        k_lo, k_hi = np.searchsorted(y_nodes, [lo, hi])
+        blended = (1.0 - w) * control[i] + w * control[i + 1]
+
+        # every in-window node, lo and hi among them, and one ulp above lo
+        y = np.append(y_nodes[k_lo : k_hi + 1], np.nextafter(lo, np.inf))
+        want = np.append(blended[k_lo : k_hi + 1], blended[k_lo])
+        lam, ok = ctl.evaluate(y, s)
+        assert ok.all()
+        assert np.all(np.isfinite(lam))
+        np.testing.assert_allclose(lam, want, rtol=1e-15, atol=0.0)
+
+        # between nodes: the two-row np.interp reference
+        y = rng.uniform(lo, hi, 200)
+        ref = ((1.0 - w) * np.interp(y, y_nodes, control[i])
+               + w * np.interp(y, y_nodes, control[i + 1]))
+        lam, ok = ctl.evaluate(y, s)
+        assert ok.all()
+        np.testing.assert_allclose(lam, ref, rtol=1e-13, atol=0.0)
+
+        # one ulp outside either edge is an escape
+        _, ok = ctl.evaluate(np.array([np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]), s)
+        assert not ok.any()
+
+
+def test_controller_requires_uniform_lattice_and_matching_control() -> None:
+    kw = dict(
+        t_nodes=np.linspace(0.0, 1.0, 5),
+        window_lo=np.full(5, -1.0),
+        window_hi=np.full(5, 1.0),
+        last_row=4,
+    )
+    y_nodes = np.linspace(-1.0, 1.0, 9)
+    sim.ControllerField(y_nodes=y_nodes, control=np.zeros((5, 9)), **kw)
+    bent = y_nodes.copy()
+    bent[4] += 1e-6
+    with pytest.raises(sim.ControllerError, match="uniform"):
+        sim.ControllerField(y_nodes=bent, control=np.zeros((5, 9)), **kw)
+    with pytest.raises(sim.ControllerError, match="shape"):
+        sim.ControllerField(y_nodes=y_nodes, control=np.zeros((5, 8)), **kw)
+    with pytest.raises(sim.ControllerError, match="shape"):
+        sim.ControllerField(y_nodes=y_nodes, control=np.zeros((4, 9)), **kw)
+
+
+def _loop_windows(grid, cost, spec):
+    """The node-by-node window scan from_fields used before it went to arrays."""
+    n_t, n_y = cost.q.shape
+    t_nodes, y_nodes = grid.t_nodes(), grid.y_nodes()
+    center = int(np.argmax(np.isfinite(cost.dq_dy).sum(axis=0)))
+    control = np.full((n_t, n_y), np.nan)
+    window_lo = np.full(n_t, np.inf)
+    window_hi = np.full(n_t, -np.inf)
+    last_row = 0
+    for i in range(n_t - 1):
+        finite = np.isfinite(cost.dq_dy[i])
+        if not finite[center]:
+            break
+        j_lo = center
+        while j_lo > 0 and finite[j_lo - 1]:
+            j_lo -= 1
+        j_hi = center
+        while j_hi < n_y - 1 and finite[j_hi + 1]:
+            j_hi += 1
+        drift_row = np.asarray(spec.b(y_nodes[j_lo : j_hi + 1], t_nodes[i]))
+        lam = drift_row - cost.dq_dy[i, j_lo : j_hi + 1]
+        control[i, j_lo : j_hi + 1] = np.maximum(lam, drift_row)
+        window_lo[i] = y_nodes[j_lo]
+        window_hi[i] = y_nodes[j_hi]
+        last_row = i
+    return control, window_lo, window_hi, last_row
+
+
+def test_from_fields_window_scan_matches_loop() -> None:
+    spec = drifts.logcosh_drift()
+    grid = pde.Grid1D(-3.0, 3.0, 61, 0.0, 1.0, 12)
+    ys, ts = np.meshgrid(grid.y_nodes(), grid.t_nodes())
+    dq_dy = np.cos(ys) * (1.0 + ts)
+    # column 30 is the best covered; rows 0-4 have holes on both sides of
+    # it (row 2 leaves it alone, rows 3-4 reach the lattice edge) and row 5
+    # is NaN there, which ends the scan
+    dq_dy[8:, np.arange(61) != 30] = np.nan
+    dq_dy[0, [25, 41]] = np.nan
+    dq_dy[1, :10] = np.nan
+    dq_dy[1, 50:] = np.nan
+    dq_dy[2, [0, 29, 31, 60]] = np.nan
+    dq_dy[3, 44:46] = np.nan
+    dq_dy[5, 30] = np.nan
+    dq_dy[7, [3, 57]] = np.nan
+    cost = pde.CostField(
+        grid=grid, epsilon=0.1, x_threshold=0.0, q=np.zeros_like(dq_dy),
+        dq_dy=dq_dy, dq_dx=np.full_like(dq_dy, np.nan),
+        overflow_mask=np.zeros(dq_dy.shape, dtype=bool),
+    )
+    ctl = sim.ControllerField.from_fields(grid, cost, spec)
+    control, window_lo, window_hi, last_row = _loop_windows(grid, cost, spec)
+    assert last_row == ctl.last_row == 4
+    assert ctl.window_lo[2] == ctl.window_hi[2] == grid.y_nodes()[30]
+    assert np.array_equal(ctl.control, control, equal_nan=True)
+    assert np.array_equal(ctl.window_lo, window_lo)
+    assert np.array_equal(ctl.window_hi, window_hi)
+
+
 def test_escaped_paths_flagged_and_capped() -> None:
     spec = drifts.zero_drift()
     narrow = sim.ControllerField(
