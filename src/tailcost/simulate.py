@@ -14,6 +14,7 @@ of the exceedance probability are plain averages over one such ensemble.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -95,14 +96,39 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _check_dt(dt: float, span: float) -> int:
+def _physical_memory() -> float:
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _check_memory(dt: float, span: float, n_paths: int) -> None:
+    """Refuse steps of dt over span whose time grid and stored paths cannot fit.
+
+    Runs before any allocation sized by the step count; n_paths is the
+    number of stored path rows (0 when only the time grid is kept).
+    """
+    nodes = span / dt + 2.0  # a float, so a tiny dt cannot overflow
+    grid_bytes, path_bytes = 8.0 * nodes, 8.0 * nodes * n_paths
+    memory = _physical_memory()
+    if grid_bytes + path_bytes > memory:
+        raise ConfigError(
+            f"dt={dt} over span {span} needs {grid_bytes / 1e9:.3g} GB for the time grid "
+            f"and {path_bytes / 1e9:.3g} GB for the path array, beyond the "
+            f"{memory / 1e9:.3g} GB of physical memory; use a coarser dt or fewer paths"
+        )
+
+
+def _check_dt(dt: float, span: float, n_paths: int = 0) -> int:
     if dt > span / 10.0 + 1e-15:
         raise ConfigError(f"dt={dt} too coarse for span {span}; need span/10 or finer")
+    _check_memory(dt, span, n_paths)
     return max(1, int(math.ceil(span / dt - 1e-12)))
 
 
-def _time_grid(dt: float, start: float, end: float) -> np.ndarray:
-    return np.linspace(start, end, _check_dt(dt, end - start) + 1)
+def _time_grid(dt: float, start: float, end: float, n_paths: int = 0) -> np.ndarray:
+    return np.linspace(start, end, _check_dt(dt, end - start, n_paths) + 1)
 
 
 def _euler_maruyama(
@@ -140,7 +166,7 @@ def simulate_uncontrolled(
     config: SimConfig,
 ) -> PathEnsemble:
     """Paths of dY = b dt + sqrt(eps) dW from (t, y0) up to the horizon."""
-    times = _time_grid(config.dt, t, spec.horizon_T)
+    times = _time_grid(config.dt, t, spec.horizon_T, config.n_paths)
     paths = np.empty((config.n_paths, times.size))
     paths[:, 0] = y0
     _euler_maruyama(_generator(config.seed), paths[:, 0], times, spec.b, epsilon, out=paths)
@@ -314,6 +340,7 @@ def simulate_controlled(
     cutoff = config.cutoff(span)
     if cutoff >= span:
         raise ValueError("terminal cutoff swallows the whole horizon")
+    _check_memory(config.dt, span, config.n_paths)
     n_ctl = _check_dt(config.dt, span - cutoff)
     n_free = max(1, int(math.ceil(cutoff / config.dt - 1e-12)))
     times = np.concatenate(

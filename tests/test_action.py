@@ -186,6 +186,32 @@ def test_shooting_many_names_the_lane_it_cannot_bracket() -> None:
         act.solve_shooting_many(downdraft, [0.0, 0.0], [-3e4, -1e-3])
 
 
+@pytest.mark.parametrize("n_steps", [0, 1, 501])
+def test_shooting_many_needs_an_even_step_count(n_steps: int) -> None:
+    with pytest.raises(ValueError, match="Simpson's rule"):
+        act.solve_shooting_many(drifts.zero_drift(), 0.0, -1.0, n_steps=n_steps)
+
+
+@pytest.mark.parametrize("spec", _BATCH_DRIFTS[:3], ids=lambda s: s.name)
+def test_shooting_cost_matches_linear_closed_form(spec: drifts.DriftSpec) -> None:
+    # q = (x - Lambda y)^2 / (2 sigma2) where the threshold binds
+    stats = drifts.linear_stats(spec.A_of_s, 0.0, spec.horizon_T)
+    xs, ys = np.array(_GRID).T
+    for sol, x, y in zip(act.solve_shooting_many(spec, xs, ys), xs, ys):
+        exact = max(x - stats.Lambda * y, 0.0) ** 2 / (2.0 * stats.sigma2)
+        assert abs(sol.q_value - exact) <= 1e-11, (spec.name, x, y)
+
+
+@pytest.mark.parametrize("spec", _BATCH_DRIFTS[3:], ids=lambda s: s.name)
+def test_default_step_count_matches_fine_run(spec: drifts.DriftSpec) -> None:
+    (coarse,) = act.solve_shooting_many(spec, 0.0, -1.0)
+    (fine,) = act.solve_shooting_many(spec, 0.0, -1.0, n_steps=8000)
+    coarse, fine = act.derivatives_second(coarse, spec), act.derivatives_second(fine, spec)
+    assert abs(coarse.q_value - fine.q_value) <= 1e-11
+    for name in ("d2q_dy2", "d2q_dxdy", "d2q_dx2"):
+        assert abs(getattr(coarse, name) - getattr(fine, name)) <= 1e-7, name
+
+
 def test_terminal_value_monotone_in_momentum() -> None:
     # stronger upward momentum always lands higher
     p0 = -np.linspace(0.1, 3.0, 12)

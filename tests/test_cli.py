@@ -315,6 +315,19 @@ def test_integer_config_fields_reject_other_types(
         assert err.startswith(f"configuration error: {name} must be an integer")
 
 
+def test_step_count_beyond_memory_is_a_config_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    # 1e6 paths of 1e6 steps: an 8 MB time grid but an 8 TB path array
+    too_fine = _cfg(tmp_path, n_paths=1_000_000, dt=1e-6)
+    assert cli.main(["simulate", "--config", too_fine, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "0.008 GB for the time grid" in err and "8e+03 GB for the path array" in err
+    config = simulate.SimConfig(n_paths=1_000_000, dt=1e-6, seed=0)
+    with pytest.raises(checks.ConfigError, match="physical memory"):
+        simulate.simulate_uncontrolled(drifts.zero_drift(), -1.0, 0.0, 0.2, config)
+
+
 def test_probe_at_the_horizon_is_a_config_error(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
     out = ["--out", str(tmp_path / "o")]
     for command in ("solve", "classical", "simulate"):
