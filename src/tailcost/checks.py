@@ -18,13 +18,13 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr
 
 from . import action, bridge, pde, simulate, tables
 from .drifts import (
     ConfigError,
     DriftSpec,
+    _gauss_legendre,
     characteristic_F,
     drift_by_name,
     linear_drift,
@@ -188,26 +188,21 @@ def check_green_bound(
             })
 
     if not rows:
-        return VerificationReport(
-            check_name=f"kernel-bound:{spec.name}",
-            status=SKIPPED,
-            observed={"n_checked": 0, "n_skipped": n_skipped},
-            expected="kernel below the survival-odds bound at every resolvable probe",
-            tolerance=slack,
-            anchor="kernel-cost-inequality",
-        )
-    worst = max(rows, key=lambda r: r["ratio"])
-    status = PASS if worst["ratio"] <= 1.0 + slack else FAIL
-    return VerificationReport(
-        check_name=f"kernel-bound:{spec.name}",
-        status=status,
-        observed={
+        status, observed = SKIPPED, {"n_checked": 0, "n_skipped": n_skipped}
+    else:
+        worst = max(rows, key=lambda r: r["ratio"])
+        status = PASS if worst["ratio"] <= 1.0 + slack else FAIL
+        observed = {
             "n_checked": len(rows),
             "n_skipped": n_skipped,
             "worst_ratio": worst["ratio"],
             "worst_probe": [worst["y"], worst["t"]],
             "rows": rows,
-        },
+        }
+    return VerificationReport(
+        check_name=f"kernel-bound:{spec.name}",
+        status=status,
+        observed=observed,
         expected="kernel below the survival-odds bound at every resolvable probe",
         tolerance=slack,
         anchor="kernel-cost-inequality",
@@ -274,27 +269,22 @@ def check_gradient_bounds(
         })
 
     if not rows:
-        return VerificationReport(
-            check_name="slope-bound",
-            status=SKIPPED,
-            observed={"n_checked": 0, "n_skipped": n_skipped},
-            expected="both slopes below the square-root cost bound at every probe",
-            tolerance=slack,
-            anchor="slope-cost-inequality",
-        )
-    worst = max(rows, key=lambda r: r["ratio"])
-    status = PASS if all(r["ok"] for r in rows) else FAIL
-    return VerificationReport(
-        check_name="slope-bound",
-        status=status,
-        observed={
+        status, observed = SKIPPED, {"n_checked": 0, "n_skipped": n_skipped}
+    else:
+        worst = max(rows, key=lambda r: r["ratio"])
+        status = PASS if all(r["ok"] for r in rows) else FAIL
+        observed = {
             "n_checked": len(rows),
             "n_with_x_slope": n_dx,
             "n_skipped": n_skipped,
             "worst_ratio": worst["ratio"],
             "worst_probe": [worst["y"], worst["t"]],
             "rows": rows,
-        },
+        }
+    return VerificationReport(
+        check_name="slope-bound",
+        status=status,
+        observed=observed,
         expected="both slopes below the square-root cost bound at every probe",
         tolerance=slack,
         anchor="slope-cost-inequality",
@@ -494,7 +484,7 @@ def check_short_time(
         )
         heat = pde.solve_u(spec, x, grid, epsilon)
         cost = pde.hopf_cole(heat)
-        drift_mass = 2.0 * quad(lambda s: abs(spec.b(x, s)), t, T, limit=200)[0]
+        drift_mass = 2.0 * _gauss_legendre(lambda s: abs(spec.b(x, s)), t, T)
         boundary = characteristic_F(spec, x, t)
         for y in probes:
             iy = grid.nearest_node(float(y))
@@ -523,21 +513,14 @@ def check_short_time(
             rows.append(row)
 
     if not rows:
-        return VerificationReport(
-            check_name=f"short-time:{spec.name}",
-            status=SKIPPED,
-            observed={"n_kept": 0, "n_outside_window": n_outside, "n_unresolved": n_unresolved},
-            expected="finite positive window constants and the slope floor at kept probes",
-            tolerance=slack,
-            anchor="short-time-window",
-        )
-    ratios = [r["ratio"] for r in rows]
-    c1, c2 = min(ratios), max(ratios)
-    ok = c1 > 0.0 and math.isfinite(c2) and all(r["ok"] for r in rows)
-    return VerificationReport(
-        check_name=f"short-time:{spec.name}",
-        status=PASS if ok else FAIL,
-        observed={
+        status = SKIPPED
+        observed = {"n_kept": 0, "n_outside_window": n_outside, "n_unresolved": n_unresolved}
+    else:
+        ratios = [r["ratio"] for r in rows]
+        c1, c2 = min(ratios), max(ratios)
+        ok = c1 > 0.0 and math.isfinite(c2) and all(r["ok"] for r in rows)
+        status = PASS if ok else FAIL
+        observed = {
             "window_lower": c1,
             "window_upper": c2,
             "n_kept": len(rows),
@@ -545,7 +528,11 @@ def check_short_time(
             "n_unresolved": n_unresolved,
             "decay_constant": decay_constant,
             "rows": rows,
-        },
+        }
+    return VerificationReport(
+        check_name=f"short-time:{spec.name}",
+        status=status,
+        observed=observed,
         expected="finite positive window constants and the slope floor at kept probes",
         tolerance=slack,
         anchor="short-time-window",
@@ -631,15 +618,6 @@ def check_convexity_suite(
             ),
         })
 
-    if not rows:
-        return VerificationReport(
-            check_name=f"mixed-sign:{spec.name}" if mixed_only else f"convexity:{spec.name}",
-            status=SKIPPED,
-            observed={"n_rows": 0},
-            expected="curvature signs hold at every usable node",
-            tolerance=psd_tol,
-            anchor="cost-convexity",
-        )
     if mixed_only:
         ok = all(r["mixed_ok"] for r in rows)
         name = f"mixed-sign:{spec.name}"
@@ -652,8 +630,8 @@ def check_convexity_suite(
         expected = "nonnegative curvature, nonpositive mixed difference, PSD second-difference matrix"
     return VerificationReport(
         check_name=name,
-        status=PASS if ok else FAIL,
-        observed={"rows": rows},
+        status=(PASS if ok else FAIL) if rows else SKIPPED,
+        observed={"rows": rows} if rows else {"n_rows": 0},
         expected=expected,
         tolerance=psd_tol,
         anchor=anchor,
@@ -736,12 +714,17 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
     instead, whose variance stays finite, against the solved tail mass.
     """
     spec = zero_drift()
-    eps, x = 0.1, 0.0
-    grid = pde.default_grid(
-        spec, x, eps, n_y=801, n_t=1001, extra=pde.fan_margin(spec, 0.02, 3) + 0.04
-    )
-    bundle = pde.solve_bundle(spec, x, 3, 0.02, grid, eps)
-    ctl = simulate.ControllerField.from_fields(grid, bundle.center, spec)
+    x = 0.0
+
+    def steering(eps: float):
+        grid = pde.default_grid(
+            spec, x, eps, n_y=801, n_t=1001, extra=pde.fan_margin(spec, 0.02, 3) + 0.04
+        )
+        bundle = pde.solve_bundle(spec, x, 3, 0.02, grid, eps)
+        return grid, bundle, simulate.ControllerField.from_fields(grid, bundle.center, spec)
+
+    eps = 0.1
+    grid, bundle, ctl = steering(eps)
 
     half = simulate.SimConfig(n_paths=n_paths, dt=dt, seed=seed, terminal_cutoff=0.5)
     ens = simulate.simulate_controlled(spec, ctl, 0.0, 0.0, eps, half)
@@ -752,11 +735,7 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
     weight_z = abs(mean_w - 1.0) / se_w if se_w > 0 else 0.0
 
     eps_is, y0 = 0.2, -1.0
-    grid_is = pde.default_grid(
-        spec, x, eps_is, n_y=801, n_t=1001, extra=pde.fan_margin(spec, 0.02, 3) + 0.04
-    )
-    bundle_is = pde.solve_bundle(spec, x, 3, 0.02, grid_is, eps_is)
-    ctl_is = simulate.ControllerField.from_fields(grid_is, bundle_is.center, spec)
+    grid_is, bundle_is, ctl_is = steering(eps_is)
     config = simulate.SimConfig(n_paths=n_paths, dt=dt, seed=seed)
     iy = grid_is.nearest_node(y0)
     y_eff = float(grid_is.y_nodes()[iy])
@@ -841,6 +820,12 @@ def _check_bridge_pair() -> VerificationReport:
 
 # ----------------------------------------------------------------- run_all
 
+def _is_finite_number(value: object) -> bool:
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    )
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs shared by the command-line surface and the check battery."""
@@ -866,8 +851,12 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if not self.eps_list or any(e <= 0.0 for e in self.eps_list):
-            raise ConfigError("eps_list must be nonempty with positive entries")
+        for name in ("probe_x", "probe_y", "probe_t", "dt", "bridge_delta"):
+            value = getattr(self, name)
+            if not _is_finite_number(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not self.eps_list or not all(_is_finite_number(e) and e > 0.0 for e in self.eps_list):
+            raise ConfigError("eps_list must be nonempty with positive finite entries")
         if self.n_y < 101 or self.n_t < 51:
             raise ConfigError("grid sizes too small to honor the solver contracts")
         if self.n_paths < 100:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 
 class ConfigError(ValueError):
@@ -25,10 +24,6 @@ class ConfigError(ValueError):
 
 class DriftError(ValueError):
     """Drift evaluation produced a non-finite value or violated a declared flag."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 # Drift callables accept a scalar or ndarray y and a time that is either a
@@ -228,29 +223,35 @@ def characteristic_F(
     return float(y) if y.ndim == 0 else y
 
 
-def _quad(f: Callable[[float], float], a: float, b: float, rel: float = 1e-10) -> float:
-    val, err = integrate.quad(f, a, b, epsabs=0.0, epsrel=rel, limit=200)
-    if not math.isfinite(val):
-        raise QuadratureError(f"quadrature returned {val}")
-    if err > rel * max(1.0, abs(val)) * 100.0:
-        raise QuadratureError(f"quadrature error estimate {err:g} too large for value {val:g}")
-    return val
+# 16-point Gauss-Legendre nodes and weights on [-1, 1] (Golub & Welsch 1969)
+_GL_NODES, _GL_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(16))
+
+
+def _gauss_legendre(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integral of a smooth scalar f over [a, b] by the fixed 16-point rule."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    return half * math.fsum(w * f(mid + half * z) for z, w in zip(_GL_NODES, _GL_WEIGHTS))
 
 
 def linear_stats(A_of_s: Callable[[float], float], t: float, T: float) -> LinearDriftStats:
-    """Gaussian statistics of a linear drift over [t, T], by adaptive quadrature.
+    """Gaussian statistics of a linear drift over [t, T], by Gauss-Legendre quadrature.
 
     Lambda = exp(int_t^T A), sigma2 = int_t^T exp(2 int_s^T A) ds, so the
     time-T state given y at time t is Gaussian(Lambda * y, eps * sigma2).
+    Both integrals, the inner one nested in the outer, use one fixed
+    16-point Gauss-Legendre rule.  It needs A(s) smooth on [t, T] and
+    slowly varying there: for A = 0.25 + 0.25 cos(omega s) on [0, 1] the
+    relative error of sigma2 is 2e-16 at one period, 8e-11 at two and
+    6e-7 at four.  A kink or jump in A breaks it.
     """
     if not t < T:
         raise ConfigError(f"need t < T, got t={t}, T={T}")
-    growth = _quad(A_of_s, t, T)
+    growth = _gauss_legendre(A_of_s, t, T)
 
     def integrand(s: float) -> float:
-        return math.exp(2.0 * _quad(A_of_s, s, T))
+        return math.exp(2.0 * _gauss_legendre(A_of_s, s, T))
 
-    sigma2 = _quad(integrand, t, T)
+    sigma2 = _gauss_legendre(integrand, t, T)
     return LinearDriftStats(Lambda=math.exp(growth), sigma2=sigma2)
 
 

@@ -339,7 +339,7 @@ def simulate_controlled(
     span = T - t
     cutoff = config.cutoff(span)
     if cutoff >= span:
-        raise ValueError("terminal cutoff swallows the whole horizon")
+        raise ConfigError("terminal cutoff swallows the whole horizon")
     _check_memory(config.dt, span, config.n_paths)
     n_ctl = _check_dt(config.dt, span - cutoff)
     n_free = max(1, int(math.ceil(cutoff / config.dt - 1e-12)))

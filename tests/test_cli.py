@@ -154,6 +154,21 @@ def test_cli_import_leaves_scipy_stats_out() -> None:
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_scipy_integrate_and_optimize_out() -> None:
+    # the two smooth 1-D integrals use a fixed Gauss-Legendre rule, so the
+    # adaptive quadrature stack and the optimizers it pulls in stay unloaded
+    script = (
+        "import sys, tailcost.cli\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("delta, marches", [(0.25, 6), (0.5, 8)])
 def test_bridge_builds_each_distinct_kernel_once(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch, delta: float, marches: int
@@ -313,6 +328,24 @@ def test_integer_config_fields_reject_other_types(
         assert cli.main(["simulate", "--config", _cfg(tmp_path, **fields)] + out) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {name} must be an integer")
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("classical", {"probe_x": "0"}),
+    ("classical", {"probe_t": "0"}),
+    ("classical", {"probe_x": float("nan")}),
+    ("classical", {"probe_y": float("inf")}),
+    ("verify", {"eps_list": [0.4, float("nan"), 0.1, 0.05]}),
+    # a step as long as the horizon leaves nothing before the terminal cutoff
+    ("simulate", {"dt": 1.0}),
+])
+def test_bad_float_config_is_a_config_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture, command: str, fields: dict
+) -> None:
+    argv = [command, "--config", _cfg(tmp_path, **fields), "--out", str(tmp_path / "o")]
+    if command == "verify":
+        argv += ["--only", "rate-limit:zero"]
+    _expect_config_error(capsys, argv)
 
 
 def test_step_count_beyond_memory_is_a_config_error(
