@@ -293,6 +293,11 @@ def check_gradient_bounds(
 
 # ---------------------------------------------------------------- rate fit
 
+def _monotone(seq: list[float], slack: float) -> bool:
+    """Each entry at most (1 + slack) times the one before."""
+    return all(b <= a * (1.0 + slack) for a, b in zip(seq, seq[1:]))
+
+
 def check_rate_zero_noise(
     spec: DriftSpec,
     probe: tuple[float, float, float] = (0.0, -1.0, 0.0),
@@ -333,9 +338,7 @@ def check_rate_zero_noise(
     y_eff = y_nodes[-1]
 
     slope, _, r2 = bridge.fit_line(np.log(np.array(eps_arr)), np.log(np.array(gaps)))
-    monotone = all(
-        gaps[i + 1] <= gaps[i] * (1.0 + mono_slack) for i in range(len(gaps) - 1)
-    )
+    monotone = _monotone(gaps, mono_slack)
     anchor_err = None
     if _is_driftless(spec):
         span = spec.horizon_T - t
@@ -395,9 +398,7 @@ def check_derivative_convergence(
 
     slopes_y, slopes_x, y_nodes, magnitudes = [], [], [], []
     for eps in eps_arr:
-        margin = pde.fan_margin(spec, dx, 3, t_start=t) + 2.0 * dx
-        grid = pde.default_grid(spec, x, eps, t_start=t, n_y=n_y, n_t=n_t, extra=margin)
-        bundle = pde.solve_bundle(spec, x, 3, dx, grid, eps)
+        grid, bundle = pde._fan_bundle(spec, x, eps, n_y, n_t, t_start=t, dx=dx)
         fld = bundle.center
         ib = grid.nearest_node(y_below)
         ia = grid.nearest_node(y_above)
@@ -409,13 +410,10 @@ def check_derivative_convergence(
     gaps_y = [abs(s - sol.dq_dy) for s, sol in zip(slopes_y, classical)]
     gaps_x = [abs(s - sol.dq_dx) for s, sol in zip(slopes_x, classical)]
 
-    def _monotone(seq: list[float]) -> bool:
-        return all(seq[i + 1] <= seq[i] * (1.0 + mono_slack) for i in range(len(seq) - 1))
-
     envelope_slope, _, _ = bridge.fit_line(np.log(np.array(eps_arr)), np.log(np.array(magnitudes)))
     ok = (
-        _monotone(gaps_y)
-        and _monotone(gaps_x)
+        _monotone(gaps_y, mono_slack)
+        and _monotone(gaps_x, mono_slack)
         and gaps_y[-1] <= gap_gate
         and gaps_x[-1] <= gap_gate
         and envelope_slope >= envelope_gate
@@ -467,6 +465,10 @@ def check_short_time(
     with true margin shrinking like the inverse square of that depth, so
     the floor gate only binds at probes shallower than slope_depth_max;
     deeper rows still report both sides ungated.
+
+    The drift mass int |b(x, s)| ds is taken by the guarded Gauss-Legendre
+    rule, so b(x, .) must be smooth and keep one sign on each [T - tau, T];
+    a sign change puts a kink in |b| and raises ConfigError.
     """
     if decay_constant <= 0.0:
         raise ConfigError("decay constant must be positive")
@@ -478,13 +480,13 @@ def check_short_time(
         if not 0.0 < tau < T:
             raise ConfigError(f"look-back {tau} must sit inside (0, {T})")
         t = T - tau
+        drift_mass = 2.0 * _gauss_legendre(lambda s: abs(spec.b(x, s)), t, T)
         grid = pde.default_grid(
             spec, x, epsilon, t_start=t, n_y=n_y,
             n_t=max(151, int(round(n_t_per_unit * tau))),
         )
         heat = pde.solve_u(spec, x, grid, epsilon)
         cost = pde.hopf_cole(heat)
-        drift_mass = 2.0 * _gauss_legendre(lambda s: abs(spec.b(x, s)), t, T)
         boundary = characteristic_F(spec, x, t)
         for y in probes:
             iy = grid.nearest_node(float(y))
@@ -568,11 +570,7 @@ def check_convexity_suite(
     """
     if not 0.0 < psd_tol < 1.0:
         raise ConfigError("psd_tol must sit in (0, 1)")
-    grid = pde.default_grid(
-        spec, x, epsilon, n_y=n_y, n_t=n_t,
-        extra=pde.fan_margin(spec, dx, 3) + 2.0 * dx,
-    )
-    bundle = pde.solve_bundle(spec, x, 3, dx, grid, epsilon)
+    grid, bundle = pde._fan_bundle(spec, x, epsilon, n_y, n_t, dx=dx)
     lo, ctr, hi = bundle.members
     h = grid.h_y
     ddx = bundle.dx
@@ -580,8 +578,7 @@ def check_convexity_suite(
 
     rows = []
     for frac in t_fracs:
-        k = int(round(frac * (grid.n_t - 1)))
-        k = min(k, grid.n_t - 2)
+        k = min(int(round(frac * (grid.n_t - 1))), grid.n_t - 2)
         q_lo, q_c, q_hi = lo.q[k], ctr.q[k], hi.q[k]
         usable = (
             np.isfinite(q_lo) & np.isfinite(q_c) & np.isfinite(q_hi) & (q_c <= q_cap)
@@ -717,10 +714,7 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
     x = 0.0
 
     def steering(eps: float):
-        grid = pde.default_grid(
-            spec, x, eps, n_y=801, n_t=1001, extra=pde.fan_margin(spec, 0.02, 3) + 0.04
-        )
-        bundle = pde.solve_bundle(spec, x, 3, 0.02, grid, eps)
+        grid, bundle = pde._fan_bundle(spec, x, eps, 801, 1001)
         return grid, bundle, simulate.ControllerField.from_fields(grid, bundle.center, spec)
 
     eps = 0.1
@@ -886,24 +880,22 @@ def _battery(config: RunConfig) -> dict:
     zero = zero_drift()
     lin = linear_drift(0.5)
     lcosh = logcosh_drift()
+    probe = (config.probe_x, config.probe_y, config.probe_t)
+
+    def rate_limit(spec: DriftSpec):
+        return lambda: check_rate_zero_noise(
+            spec, probe, config.eps_list, n_y=config.n_y, n_t=config.n_t
+        )
+
     thunks = {
         "cdf-bound": check_cdf_inequality,
         "kernel-bound:zero": lambda: check_green_bound(zero, 0.1),
         "kernel-bound:logcosh": lambda: check_green_bound(lcosh, 0.1),
         "slope-bound:zero": lambda: _slope_bound_for(zero, 0.1),
         "slope-bound:logcosh": lambda: _slope_bound_for(lcosh, 0.1),
-        "rate-limit:zero": lambda: check_rate_zero_noise(
-            zero, (config.probe_x, config.probe_y, config.probe_t),
-            config.eps_list, n_y=config.n_y, n_t=config.n_t,
-        ),
-        "rate-limit:linear": lambda: check_rate_zero_noise(
-            lin, (config.probe_x, config.probe_y, config.probe_t),
-            config.eps_list, n_y=config.n_y, n_t=config.n_t,
-        ),
-        "rate-limit:logcosh": lambda: check_rate_zero_noise(
-            lcosh, (config.probe_x, config.probe_y, config.probe_t),
-            config.eps_list, n_y=config.n_y, n_t=config.n_t,
-        ),
+        "rate-limit:zero": rate_limit(zero),
+        "rate-limit:linear": rate_limit(lin),
+        "rate-limit:logcosh": rate_limit(lcosh),
         "derivative-limit:zero": lambda: check_derivative_convergence(zero),
         "derivative-limit:logcosh": lambda: check_derivative_convergence(lcosh),
         "short-time:zero": lambda: check_short_time(zero),
@@ -923,11 +915,7 @@ def _battery(config: RunConfig) -> dict:
 
 
 def _slope_bound_for(spec: DriftSpec, epsilon: float) -> VerificationReport:
-    grid = pde.default_grid(
-        spec, 0.0, epsilon, n_y=1201, n_t=601,
-        extra=pde.fan_margin(spec, 0.02, 3) + 0.04,
-    )
-    bundle = pde.solve_bundle(spec, 0.0, 3, 0.02, grid, epsilon)
+    _, bundle = pde._fan_bundle(spec, 0.0, epsilon, 1201, 601)
     report = check_gradient_bounds(bundle, spec.lipschitz_A)
     return replace(report, check_name=f"slope-bound:{spec.name}")
 

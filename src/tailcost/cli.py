@@ -176,12 +176,9 @@ def _cmd_simulate(config: checks.RunConfig, out_dir: Path, args: argparse.Namesp
     spec = config.drift()
     epsilon = _mid_eps(config)
     x, t = config.probe_x, config.probe_t
-    grid = pde.default_grid(
-        spec, x, epsilon,
-        n_y=min(config.n_y, 1201), n_t=min(config.n_t, 1201), t_start=t,
-        extra=pde.fan_margin(spec, 0.02, 3, t_start=t) + 0.04,
+    grid, bundle = pde._fan_bundle(
+        spec, x, epsilon, min(config.n_y, 1201), min(config.n_t, 1201), t_start=t
     )
-    bundle = pde.solve_bundle(spec, x, 3, 0.02, grid, epsilon)
     controller = simulate.ControllerField.from_fields(grid, bundle.center, spec)
     y0 = float(grid.y_nodes()[grid.nearest_node(config.probe_y)])
     sim_config = simulate.SimConfig(n_paths=config.n_paths, dt=config.dt, seed=config.seed)

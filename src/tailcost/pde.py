@@ -418,6 +418,16 @@ def solve_bundle(
     )
 
 
+def _fan_bundle(spec: DriftSpec, x: float, epsilon: float, n_y: int, n_t: int,
+                t_start: float = 0.0, dx: float = 0.02) -> tuple[Grid1D, CostBundle]:
+    """Thresholds x - dx, x, x + dx solved on default_grid widened by their fan margin."""
+    grid = default_grid(
+        spec, x, epsilon, t_start=t_start, n_y=n_y, n_t=n_t,
+        extra=fan_margin(spec, dx, 3, t_start=t_start) + 2.0 * dx,
+    )
+    return grid, solve_bundle(spec, x, 3, dx, grid, epsilon)
+
+
 def green_function(
     spec: DriftSpec,
     grid: Grid1D,

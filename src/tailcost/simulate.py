@@ -82,14 +82,8 @@ class EstimatorResult:
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "n": self.n,
-        }
-        out.update(self.extra)
-        return out
+        return {"name": self.name, "estimate": self.estimate, "std_error": self.std_error,
+                "n": self.n, **self.extra}
 
 
 def _generator(seed: int) -> np.random.Generator:

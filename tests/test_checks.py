@@ -18,7 +18,9 @@ from scipy.stats import norm
 
 import oracles as orc
 from tailcost import checks, pde
-from tailcost.drifts import linear_drift, logcosh_drift, sin_drift, zero_drift
+from tailcost.drifts import (
+    linear_drift, logcosh_drift, sin_drift, time_varying_linear, zero_drift,
+)
 
 # Frozen from a calibration run at battery resolution.
 GREEN_WORST_ZERO = 0.9643673859954572
@@ -289,6 +291,12 @@ def test_short_time_rejects_bad_knobs() -> None:
         checks.check_short_time(zero_drift(), decay_constant=0.0)
     with pytest.raises(checks.ConfigError):
         checks.check_short_time(zero_drift(), delta_list=(1.5,))
+
+
+def test_short_time_refuses_a_drift_that_changes_sign() -> None:
+    # b(1, s) = 0.1 + 0.5 cos(2 pi s) changes sign on [0.5, 1], so |b| has a kink
+    with pytest.raises(checks.ConfigError, match="did not settle"):
+        checks.check_short_time(time_varying_linear(0.1, 0.5, 2.0 * math.pi), x=1.0, delta_list=(0.5,))
 
 
 # ---------------------------------------------------------------- convexity

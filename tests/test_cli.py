@@ -336,8 +336,6 @@ def test_integer_config_fields_reject_other_types(
     ("classical", {"probe_x": float("nan")}),
     ("classical", {"probe_y": float("inf")}),
     ("verify", {"eps_list": [0.4, float("nan"), 0.1, 0.05]}),
-    # a step as long as the horizon leaves nothing before the terminal cutoff
-    ("simulate", {"dt": 1.0}),
 ])
 def test_bad_float_config_is_a_config_error(
     tmp_path: Path, capsys: pytest.CaptureFixture, command: str, fields: dict
@@ -346,6 +344,24 @@ def test_bad_float_config_is_a_config_error(
     if command == "verify":
         argv += ["--only", "rate-limit:zero"]
     _expect_config_error(capsys, argv)
+
+
+def test_step_past_the_terminal_cutoff_is_a_config_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    # a step as long as the horizon leaves nothing before the terminal cutoff
+    argv = ["simulate", "--config", _cfg(tmp_path, dt=1.0), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "configuration error: terminal cutoff swallows the whole horizon\n"
+
+
+def test_unresolvable_linear_drift_is_a_config_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    # A(s) = 0.25 + 0.25 cos(3000 s) is too fast for 64 Gauss-Legendre panels
+    params = {"a0": 0.25, "a1": 0.25, "omega": 3000.0}
+    argv = ["bridge", "--config", _cfg(tmp_path, drift_kind="linear_tv", drift_params=params)]
+    _expect_config_error(capsys, argv + ["--out", str(tmp_path / "o")])
 
 
 def test_step_count_beyond_memory_is_a_config_error(

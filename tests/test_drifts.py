@@ -217,6 +217,36 @@ def test_linear_stats_time_varying() -> None:
     assert stats.sigma2 == pytest.approx(sigma2_dense, rel=1e-9)
 
 
+@pytest.mark.parametrize("T", [1.0, 4.0])
+def test_linear_stats_many_periods(T: float) -> None:
+    # eight periods of A on [0, 1], and two periods of A on [0, 4]: more
+    # than one 16-node panel resolves
+    a0, a1, omega = 0.25, 0.25, 16.0 * math.pi / T
+    spec = drifts.time_varying_linear(a0, a1, omega, T=T)
+    stats = drifts.linear_stats(spec.A_of_s, 0.0, T)
+    assert stats.Lambda == pytest.approx(math.exp(a0 * T + a1 * math.sin(omega * T) / omega), rel=1e-10)
+    s = np.linspace(0.0, T, 40001)
+    inner = a0 * (T - s) + a1 * (math.sin(omega * T) - np.sin(omega * s)) / omega
+    sigma2_dense = integrate.simpson(np.exp(2.0 * inner), x=s)
+    assert stats.sigma2 == pytest.approx(sigma2_dense, rel=1e-10)
+
+
+@pytest.mark.parametrize("A", [-10.0, -4.0, 4.0, 10.0])
+def test_linear_stats_strong_growth_over_a_long_horizon(A: float) -> None:
+    # exp(2 A (T - s)) spans 8 |A| e-folds on [0, 4]
+    stats = drifts.linear_stats(lambda s: A, 0.0, 4.0)
+    assert stats.Lambda == pytest.approx(math.exp(4.0 * A), rel=1e-10)
+    assert stats.sigma2 == pytest.approx(math.expm1(8.0 * A) / (2.0 * A), rel=1e-10)
+
+
+def test_linear_stats_refuses_what_the_rule_cannot_resolve() -> None:
+    fast = drifts.time_varying_linear(0.25, 0.25, 1000.0 * math.pi)
+    with pytest.raises(drifts.ConfigError, match="did not settle"):
+        drifts.linear_stats(fast.A_of_s, 0.0, 1.0)
+    with pytest.raises(drifts.ConfigError, match="did not settle"):
+        drifts.linear_stats(lambda s: 0.5 if s < 0.3 else -0.5, 0.0, 1.0)
+
+
 def test_linear_stats_rejects_bad_span() -> None:
     with pytest.raises(ValueError):
         drifts.linear_stats(lambda s: 0.5, 1.0, 1.0)
