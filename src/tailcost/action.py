@@ -14,7 +14,9 @@ control, p(t) and -p(T) are the two first derivatives, and a linear
 variational system along the path gives the second derivatives.  Along
 the minimizer y' - b = -p, so the cost itself is one half the integral
 of p^2, taken by Simpson's rule on the stored momenta: no derivative of
-the path is needed, and 500 RK4 steps give q to about 1e-12.
+the path is needed, and 500 RK4 steps give q to about 1e-12.  The same
+rule checks the conserved p e^{int b_y}.  The momentum system, the second
+variation and the characteristic (its p = 0 lane) share one RK4 kernel.
 
 Two independent routes to the same number are kept deliberately: the
 shooting solver above, and a direct discrete minimization of the action
@@ -30,7 +32,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .drifts import ConfigError, DriftSpec, characteristic_F
+from .drifts import ConfigError, DriftSpec, _rk4, characteristic_F
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -115,7 +117,7 @@ def shoot_terminal(
     y0: float | np.ndarray,
     t: float,
     p0: np.ndarray,
-    n_steps: int = 2000,
+    n_steps: int = 500,
     nodes: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Terminal value y(T) of the momentum system for a batch of p(t) values.
@@ -123,32 +125,17 @@ def shoot_terminal(
     y0 broadcasts against p0, so every lane may start from its own state.
     When nodes = (ys, ps) is given, two arrays of shape
     (n_steps + 1, *lanes), the state of every lane at every node is
-    written into them.
+    written into them.  Large trial momenta can blow a lane up; it comes
+    back NaN, which callers treat as overshoot.
     """
     p = np.array(p0, dtype=float)
     y = np.array(np.broadcast_to(np.asarray(y0, dtype=float), p.shape))
-    times = np.linspace(t, spec.horizon_T, n_steps + 1)
-    h = (spec.horizon_T - t) / n_steps
     b, b_y = spec.b, spec.db_dy
-    if nodes is not None:
-        nodes[0][0], nodes[1][0] = y, p
 
     def rhs(yv, pv, s):
         return np.asarray(b(yv, s)) - pv, -np.asarray(b_y(yv, s)) * pv
 
-    # large trial momenta can blow paths up; callers treat NaN as overshoot
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            s = times[i]
-            k1y, k1p = rhs(y, p, s)
-            k2y, k2p = rhs(y + 0.5 * h * k1y, p + 0.5 * h * k1p, s + 0.5 * h)
-            k3y, k3p = rhs(y + 0.5 * h * k2y, p + 0.5 * h * k2p, s + 0.5 * h)
-            k4y, k4p = rhs(y + h * k3y, p + h * k3p, s + h)
-            y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            if nodes is not None:
-                nodes[0][i + 1], nodes[1][i + 1] = y, p
-    return y
+    return _rk4(rhs, y, p, np.linspace(t, spec.horizon_T, n_steps + 1), nodes)[0]
 
 
 def _momenta(
@@ -232,10 +219,14 @@ def solve_shooting_many(
     T = spec.horizon_T
     if n_steps < 2 or n_steps % 2:
         raise ValueError(f"Simpson's rule needs an even n_steps of at least 2, got {n_steps}")
-    if not t < T:
-        raise ConfigError(f"need t < T, got t={t}")
+    if not -math.inf < t < T:
+        raise ConfigError(f"need a finite t < T, got t={t}")
     xs, ys = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)))
+    bad = np.flatnonzero(~(np.isfinite(xs) & np.isfinite(ys)))
+    if bad.size:
+        i = bad[0]
+        raise ConfigError(f"non-finite endpoint in lane {i}: (x={xs[i]}, y={ys[i]}, t={t})")
     boundary = characteristic_F(spec, xs, t)
     binding = ys < boundary - REGION_TOL * (1.0 + np.abs(xs))
     p0 = np.zeros(xs.size)
@@ -284,14 +275,14 @@ def _solution(
             f"terminal mismatch {mismatch:.3e} at (x={x}, y={y}, t={t})"
         )
     p0 = float(ps[0])
-    q = 0.5 * _simpson(ps * ps, float(path.times[1] - path.times[0]))
+    h = float(path.times[1] - path.times[0])
+    q = 0.5 * _simpson(ps * ps, h)
     lam = b_start - p0
-    by_nodes = np.asarray(spec.db_dy(path.y, path.times), dtype=float)
-    # (y' - b) e^{int b_y} is conserved along the minimizer
-    log_v = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (by_nodes[1:] + by_nodes[:-1]) * np.diff(path.times)))
-    )
-    invariant = ps * np.exp(log_v)
+    by = np.asarray(spec.db_dy(path.y, path.times), dtype=float)
+    # (y' - b) e^{int b_y} is conserved along the minimizer; int b_y by
+    # Simpson pair sums, so the check runs at the even nodes
+    pairs = h / 3.0 * (by[:-2:2] + 4.0 * by[1::2] + by[2::2])
+    invariant = ps[::2] * np.exp(np.concatenate(([0.0], np.cumsum(pairs))))
     conservation = float(np.max(np.abs(invariant - ps[0])) / abs(ps[0]))
 
     return ClassicalSolution(
@@ -368,42 +359,28 @@ def variational_system(
     """
     if spec.d2b_dy2 is None:
         raise ValueError(f"drift {spec.name} carries no second derivative")
+    if tag not in ("terminal", "initial"):
+        raise ValueError(f"tag must be 'terminal' or 'initial', got {tag!r}")
     times, ys, ps = sol.path.times, sol.path.y, sol.momentum_p
-    n = times.size - 1
     h = times[1] - times[0]
 
-    a_node = np.asarray(spec.db_dy(ys, times), dtype=float)
-    v_node = np.asarray(spec.d2b_dy2(ys, times), dtype=float) * ps
-    y_mid, t_mid = 0.5 * (ys[:-1] + ys[1:]), times[:-1] + 0.5 * h
-    a_mid = np.asarray(spec.db_dy(y_mid, t_mid), dtype=float)
-    v_mid = np.asarray(spec.d2b_dy2(y_mid, t_mid), dtype=float) * (0.5 * (ps[:-1] + ps[1:]))
+    # coefficients at the nodes (even k) and the midpoints (odd k)
+    y_k, s_k, p_k = (np.repeat(u, 2)[:-1] for u in (ys, times, ps))
+    y_k[1::2], p_k[1::2] = 0.5 * (ys[:-1] + ys[1:]), 0.5 * (ps[:-1] + ps[1:])
+    s_k[1::2] = times[:-1] + 0.5 * h
+    a = np.asarray(spec.db_dy(y_k, s_k), dtype=float).tolist()
+    v = (np.asarray(spec.d2b_dy2(y_k, s_k), dtype=float) * p_k).tolist()
+    t0 = times[0]
 
-    def deriv(phi: float, psi: float, a: float, v: float) -> tuple[float, float]:
-        return a * phi - psi, -a * psi - v * phi
+    def rhs(phi, psi, s):
+        k = round((s - t0) / (0.5 * h))  # s falls on a node or a midpoint
+        return a[k] * phi - psi, -a[k] * psi - v[k] * phi
 
-    phi = np.empty(n + 1)
-    psi = np.empty(n + 1)
+    phi, psi = np.empty(times.size), np.empty(times.size)
     if tag == "terminal":
-        phi[n], psi[n] = 0.0, 1.0
-        order = range(n - 1, -1, -1)
-        step = -h
-    elif tag == "initial":
-        phi[0], psi[0] = 0.0, 1.0
-        order = range(1, n + 1)
-        step = h
+        _rk4(rhs, 0.0, 1.0, times[::-1], nodes=(phi[::-1], psi[::-1]))
     else:
-        raise ValueError(f"tag must be 'terminal' or 'initial', got {tag!r}")
-
-    for j in order:
-        i_from = j + 1 if tag == "terminal" else j - 1
-        i_mid = min(j, i_from)
-        f, g = phi[i_from], psi[i_from]
-        k1 = deriv(f, g, a_node[i_from], v_node[i_from])
-        k2 = deriv(f + 0.5 * step * k1[0], g + 0.5 * step * k1[1], a_mid[i_mid], v_mid[i_mid])
-        k3 = deriv(f + 0.5 * step * k2[0], g + 0.5 * step * k2[1], a_mid[i_mid], v_mid[i_mid])
-        k4 = deriv(f + step * k3[0], g + step * k3[1], a_node[j], v_node[j])
-        phi[j] = f + (step / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        psi[j] = g + (step / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        _rk4(rhs, 0.0, 1.0, times, nodes=(phi, psi))
     return VariationalSystem(phi=phi, psi=psi, tag=tag)
 
 
@@ -413,6 +390,9 @@ def derivatives_second(sol: ClassicalSolution, spec: DriftSpec) -> ClassicalSolu
         raise ValueError("second derivatives are defined only below the boundary")
     term = variational_system(sol, spec, "terminal")
     init = variational_system(sol, spec, "initial")
+    # NaN passes both sign tests below
+    if not all(np.isfinite(u).all() for u in (term.phi, term.psi, init.phi, init.psi)):
+        raise DegenerateVariationError("variation is not finite")
     # interior zeros of phi mark conjugate points: curvature degenerates
     if term.phi[0] <= 0.0 or np.min(term.phi[:-1]) <= 0.0:
         raise DegenerateVariationError("terminal-data variation loses positivity")
@@ -450,6 +430,9 @@ def minimize_direct(
     if n_nodes < 16:
         raise ValueError("need at least 16 interior nodes")
     T = spec.horizon_T
+    # t = T would leave the shift search below at h = 0 forever
+    if not (math.isfinite(x) and math.isfinite(y) and -math.inf < t < T):
+        raise ConfigError(f"need finite endpoints and t < T, got (x={x}, y={y}, t={t})")
     s = np.linspace(t, T, n_nodes + 2)
     h = s[1] - s[0]
     s_mid = 0.5 * (s[:-1] + s[1:])

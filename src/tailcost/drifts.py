@@ -193,30 +193,46 @@ def drift_by_name(kind: str, **params) -> DriftSpec:
     return factory(**params)
 
 
-def characteristic_F(
-    spec: DriftSpec, x: float | np.ndarray, t: float, n_steps: int = 2000
-) -> float | np.ndarray:
+def _rk4(f: Callable, y, p, times: np.ndarray, nodes: tuple | None = None) -> tuple:
+    """Classical RK4 for the pair (y, p)' = f(y, p, s) on equally spaced times.
+
+    The one fixed-step integrator of the classical layer.  times may run
+    forward or backward; the step is h = (times[-1] - times[0]) / n.
+    When nodes = (ys, ps) is given, the state at times[i] is written into
+    ys[i] and ps[i].  Overflow is silenced: a lane that blows up comes
+    back non-finite, for the caller to refuse or to read as overshoot.
+    """
+    n = times.size - 1
+    h = (times[-1] - times[0]) / n
+    if nodes is not None:
+        nodes[0][0], nodes[1][0] = y, p
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            s = times[i]
+            k1y, k1p = f(y, p, s)
+            k2y, k2p = f(y + 0.5 * h * k1y, p + 0.5 * h * k1p, s + 0.5 * h)
+            k3y, k3p = f(y + 0.5 * h * k2y, p + 0.5 * h * k2p, s + 0.5 * h)
+            k4y, k4p = f(y + h * k3y, p + h * k3p, s + h)
+            y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            if nodes is not None:
+                nodes[0][i + 1], nodes[1][i + 1] = y, p
+    return y, p
+
+
+def characteristic_F(spec: DriftSpec, x: float | np.ndarray, t: float) -> float | np.ndarray:
     """Backward characteristic: solve y' = b(y, s) with y(T) = x down to s = t.
 
-    Classical fourth-order one-step integration with fixed step; the step
-    count default places the integration error far below every tolerance
-    used by the callers.  An array of thresholds is swept at once and
-    gives an array of start values; a scalar gives a float.
+    The p = 0 lane of the momentum system, run backward by the shared
+    RK4 kernel on 500 steps, the step count of the shooting solver.  An
+    array of thresholds is swept at once and gives an array of start
+    values; a scalar gives a float.
     """
     T = spec.horizon_T
     if not t < T:
         raise ConfigError(f"need t < T, got t={t}, T={T}")
-    h = (T - t) / n_steps
-    y = np.array(x, dtype=float)
-    s = T
-    f = spec.b
-    for _ in range(n_steps):
-        k1 = f(y, s)
-        k2 = f(y - 0.5 * h * k1, s - 0.5 * h)
-        k3 = f(y - 0.5 * h * k2, s - 0.5 * h)
-        k4 = f(y - h * k3, s - h)
-        y -= (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s -= h
+    y, _ = _rk4(lambda y, p, s: (spec.b(y, s), 0.0), np.array(x, dtype=float), 0.0,
+                np.linspace(T, t, 501))
     if not np.all(np.isfinite(y)):
         bad = np.asarray(x, dtype=float)[~np.isfinite(y)]
         raise DriftError(f"characteristic diverged for drift {spec.name} at x={bad}, t={t}")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,8 +115,8 @@ _BATCH_DRIFTS = (
     drifts.logcosh_drift(),
     drifts.sin_drift(),
 )
-# the criterion-02 endpoint grid; a coarser step than the default keeps the
-# one-point reference solves short, and lanes do not interact at any step
+# the criterion-02 endpoint grid at the default step count; lanes do not
+# interact at any step
 _GRID = [(dx, -1.0 + dy) for dx in (-0.5, -0.25, 0.0, 0.25, 0.5)
          for dy in (-1.0, -0.75, -0.5, -0.25, 0.0)]
 _STEPS = 500
@@ -217,6 +218,25 @@ def test_terminal_value_monotone_in_momentum() -> None:
     p0 = -np.linspace(0.1, 3.0, 12)
     term = act.shoot_terminal(drifts.logcosh_drift(), -1.0, 0.0, p0)
     assert np.all(np.diff(term) > 0.0)
+
+
+@pytest.mark.parametrize("spec", _BATCH_DRIFTS, ids=lambda s: s.name)
+def test_characteristic_and_shooting_invert_each_other(spec: drifts.DriftSpec) -> None:
+    # the backward p = 0 lane, shot forward again with no momentum
+    xs = np.array([-0.5, 0.0, 0.5])
+    for t in (0.0, 0.4):
+        lands = act.shoot_terminal(spec, drifts.characteristic_F(spec, xs, t), t, np.zeros(3))
+        assert np.max(np.abs(lands - xs)) <= 1e-12, (spec.name, t)
+
+
+def test_conservation_on_the_criterion_grid() -> None:
+    # int b_y by Simpson pairs: rounding level, far inside the 1e-6 gate
+    xs, ys = np.array(_GRID).T
+    for spec in _BATCH_DRIFTS:
+        for sol in act.solve_shooting_many(spec, xs, ys):
+            if sol.binding:
+                cons = sol.diagnostics["conservation"]
+                assert cons <= 1e-9, (spec.name, sol.x_threshold, float(sol.path.y[0]), cons)
 
 
 def test_conservation_along_minimizer() -> None:
@@ -339,6 +359,41 @@ def test_degenerate_variation_raises() -> None:
     sol, spec = _focusing_holding_solution()
     with pytest.raises(act.DegenerateVariationError):
         act.derivatives_second(sol, spec)
+
+
+def _overflowing_solution() -> tuple[act.ClassicalSolution, drifts.DriftSpec]:
+    # a steep linear drift: psi grows like e^{2000 (T - s)} backward from T
+    # and overflows, so the variation is inf or NaN at the start
+    spec = drifts.linear_drift(2000.0)
+    sol, _ = _focusing_holding_solution()
+    return replace(sol, path=replace(sol.path, y=np.linspace(-1.0, 0.0, sol.path.y.size))), spec
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: act.solve_shooting(drifts.logcosh_drift(), 0.0, math.nan),
+     drifts.ConfigError, r"lane 0: \(x=0\.0, y=nan"),
+    (lambda: act.solve_shooting(drifts.logcosh_drift(), math.nan, -1.0),
+     drifts.ConfigError, r"lane 0: \(x=nan, y=-1\.0"),
+    (lambda: act.solve_shooting_many(drifts.sin_drift(), [0.0, math.inf, 0.0], -1.0),
+     drifts.ConfigError, r"lane 1: \(x=inf"),
+    (lambda: act.minimize_direct(drifts.logcosh_drift(), 0.0, math.nan),
+     drifts.ConfigError, r"x=0\.0, y=nan"),
+    (lambda: act.minimize_direct(drifts.logcosh_drift(), -math.inf, -1.0),
+     drifts.ConfigError, r"x=-inf, y=-1\.0"),
+    (lambda: act.solve_shooting(drifts.logcosh_drift(), 0.0, -1.0, t=-math.inf),
+     drifts.ConfigError, "finite t"),
+    (lambda: act.minimize_direct(drifts.logcosh_drift(), 0.0, -1.0, t=-math.inf),
+     drifts.ConfigError, "t=-inf"),
+    (lambda: act.minimize_direct(drifts.logcosh_drift(), 0.0, -1.0, t=1.0),
+     drifts.ConfigError, "t < T"),
+    (lambda: act.derivatives_second(*_overflowing_solution()),
+     act.DegenerateVariationError, "not finite"),
+], ids=["nan-start", "nan-threshold", "inf-lane", "direct-nan-start",
+        "direct-inf-threshold", "inf-start-time", "direct-inf-start-time",
+        "direct-start-at-horizon", "overflowing-variation"])
+def test_bad_classical_input_is_refused(call, error, match) -> None:
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_variational_system_boundary_data() -> None:
