@@ -723,7 +723,6 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
     half = simulate.SimConfig(n_paths=n_paths, dt=dt, seed=seed, terminal_cutoff=0.5)
     ens = simulate.simulate_controlled(spec, ctl, 0.0, 0.0, eps, half)
     w = np.exp(ens.log_girsanov_weight[ens.kept])
-    del ens  # only the weights are read; free the stored paths before the next ensemble
     mean_w = float(np.mean(w))
     se_w = float(np.std(w, ddof=1) / math.sqrt(w.size))
     weight_z = abs(mean_w - 1.0) / se_w if se_w > 0 else 0.0

@@ -192,15 +192,15 @@ def _cmd_simulate(config: checks.RunConfig, out_dir: Path, args: argparse.Namesp
         simulate.estimate_u_naive(spec, y0, x, t, epsilon, sim_config).as_dict()
     )
 
-    ps, ts = max(1, config.n_paths // 50), _stride(ensemble.times.size)
+    ts = _stride(ensemble.times.size)
     table = _write_table(
         out_dir / "ensemble", ["path_id", "s", "y"],
-        [list(r) for r in simulate.ensemble_rows(ensemble, path_stride=ps, time_stride=ts)],
+        [list(r) for r in simulate.ensemble_rows(ensemble, time_stride=ts)],
         config.table_format,
     )
     header = simulate.ensemble_header(ensemble, epsilon)
     header.update({"drift": spec.name, "y0": y0, "threshold_x": x,
-                   "path_stride": ps, "time_stride": ts, "dt": config.dt})
+                   "path_stride": ensemble.path_ids.step, "time_stride": ts, "dt": config.dt})
     tables.write_json(out_dir / "ensemble_meta.json", header)
     tables.write_json(out_dir / "estimates.json", {"estimates": records})
     print(f"wrote {table}, {out_dir / 'ensemble_meta.json'}, {out_dir / 'estimates.json'}")

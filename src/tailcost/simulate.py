@@ -9,6 +9,10 @@ original law (importance sampling) or be studied in their own right.
 
 The cost and slope representations and the importance-sampling estimate
 of the exceedance probability are plain averages over one such ensemble.
+They read each path's weight, accumulated costs and slopes, cutoff state
+and terminal state only, so the steered simulator streams: it keeps those
+per path plus the whole rows of a fixed set of about RECORDED_ROWS paths,
+and its memory is bounded by the path count, not by paths times steps.
 """
 
 from __future__ import annotations
@@ -56,20 +60,36 @@ class SimConfig:
         return max(self.dt, 1e-3 * span)
 
 
+# The steered simulator records whole rows only for the paths of
+# recorded_ids(n_paths), the rows `tailcost simulate` exports.
+RECORDED_ROWS = 50
+
+
+def recorded_ids(n_paths: int) -> range:
+    return range(0, n_paths, max(1, n_paths // RECORDED_ROWS))
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
     times: np.ndarray
-    paths: np.ndarray  # (n_paths, times.size)
-    log_girsanov_weight: np.ndarray
+    paths: np.ndarray  # (len(path_ids), times.size): the recorded rows
+    path_ids: range  # the path id of each recorded row
+    terminal: np.ndarray  # (n_paths,) state at times[-1]
+    log_girsanov_weight: np.ndarray  # (n_paths,)
     seed: int
     escaped: np.ndarray | None = None
     cutoff_index: int | None = None
+    cutoff_state: np.ndarray | None = None  # (n_paths,) state at times[cutoff_index]
     integrals: dict = field(default_factory=dict)
+
+    @property
+    def n_paths(self) -> int:
+        return self.log_girsanov_weight.size
 
     @property
     def kept(self) -> np.ndarray:
         if self.escaped is None:
-            return np.ones(self.paths.shape[0], dtype=bool)
+            return np.ones(self.n_paths, dtype=bool)
         return ~self.escaped
 
 
@@ -97,32 +117,41 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _check_memory(dt: float, span: float, n_paths: int) -> None:
-    """Refuse steps of dt over span whose time grid and stored paths cannot fit.
+# per-path float vectors the steered loop holds at its peak (the state,
+# weight, four accumulators and the step's and evaluate's temporaries):
+# about 19 under tracemalloc at 1e5 paths
+_STATE_VECTORS = 24
 
-    Runs before any allocation sized by the step count; n_paths is the
-    number of stored path rows (0 when only the time grid is kept).
+
+def _check_memory(dt: float, span: float, n_rows: int, n_paths: int) -> None:
+    """Refuse steps of dt over span whose time grid, rows and state cannot fit.
+
+    Runs before any allocation sized by the step count; n_rows is the
+    number of recorded path rows and n_paths the number of paths whose
+    state vectors the simulator holds (0 when only the time grid is kept).
     """
     nodes = span / dt + 2.0  # a float, so a tiny dt cannot overflow
-    grid_bytes, path_bytes = 8.0 * nodes, 8.0 * nodes * n_paths
+    grid_bytes, row_bytes = 8.0 * nodes, 8.0 * nodes * n_rows
+    state_bytes = 8.0 * _STATE_VECTORS * n_paths
     memory = _physical_memory()
-    if grid_bytes + path_bytes > memory:
+    if grid_bytes + row_bytes + state_bytes > memory:
         raise ConfigError(
-            f"dt={dt} over span {span} needs {grid_bytes / 1e9:.3g} GB for the time grid "
-            f"and {path_bytes / 1e9:.3g} GB for the path array, beyond the "
+            f"dt={dt} over span {span} needs {grid_bytes / 1e9:.3g} GB for the time grid, "
+            f"{row_bytes / 1e9:.3g} GB for the recorded rows and "
+            f"{state_bytes / 1e9:.3g} GB for the per-path state, beyond the "
             f"{memory / 1e9:.3g} GB of physical memory; use a coarser dt or fewer paths"
         )
 
 
-def _check_dt(dt: float, span: float, n_paths: int = 0) -> int:
+def _check_dt(dt: float, span: float, n_rows: int = 0, n_paths: int = 0) -> int:
     if dt > span / 10.0 + 1e-15:
         raise ConfigError(f"dt={dt} too coarse for span {span}; need span/10 or finer")
-    _check_memory(dt, span, n_paths)
+    _check_memory(dt, span, n_rows, n_paths)
     return max(1, int(math.ceil(span / dt - 1e-12)))
 
 
 def _time_grid(dt: float, start: float, end: float, n_paths: int = 0) -> np.ndarray:
-    return np.linspace(start, end, _check_dt(dt, end - start, n_paths) + 1)
+    return np.linspace(start, end, _check_dt(dt, end - start, n_paths, n_paths) + 1)
 
 
 def _euler_maruyama(
@@ -132,13 +161,14 @@ def _euler_maruyama(
     drift,
     epsilon: float,
     out: np.ndarray | None = None,
+    rows: slice = slice(None),
     moving: np.ndarray | None = None,
 ) -> np.ndarray:
     """March dY = drift(Y, s) ds + sqrt(eps) dW from y along times.
 
-    One standard normal draw per path and step.  Each new state goes to
-    out[:, k + 1] when out is given; rows where moving is False stay put.
-    Returns the final state.
+    One standard normal draw per path and step.  The new states of the
+    paths y[rows] go to out[:, k + 1] when out is given; paths where moving
+    is False stay put.  Returns the final state and leaves y as it was.
     """
     for k in range(times.size - 1):
         h = times[k + 1] - times[k]
@@ -146,7 +176,7 @@ def _euler_maruyama(
         stepped = y + np.asarray(drift(y, times[k])) * h + math.sqrt(epsilon * h) * xi
         y = stepped if moving is None else np.where(moving, stepped, y)
         if out is not None:
-            out[:, k + 1] = y
+            out[:, k + 1] = y[rows]
     return y
 
 
@@ -163,10 +193,13 @@ def simulate_uncontrolled(
     times = _time_grid(config.dt, t, spec.horizon_T, config.n_paths)
     paths = np.empty((config.n_paths, times.size))
     paths[:, 0] = y0
-    _euler_maruyama(_generator(config.seed), paths[:, 0], times, spec.b, epsilon, out=paths)
+    terminal = _euler_maruyama(_generator(config.seed), paths[:, 0], times, spec.b, epsilon,
+                               out=paths)
     return PathEnsemble(
         times=times,
         paths=paths,
+        path_ids=range(config.n_paths),
+        terminal=terminal,
         log_girsanov_weight=np.zeros(config.n_paths),
         seed=config.seed,
     )
@@ -327,14 +360,16 @@ def simulate_controlled(
     log dP/dQ along each path, so averaging exp(weight) * functional
     recovers plain-law expectations.  Paths that leave the controller's
     window freeze in place and are flagged; more than max_escaped_fraction
-    of them aborts the run.
+    of them aborts the run.  Every path keeps its cutoff and terminal
+    states; whole rows are kept only for the paths of recorded_ids.
     """
     T = spec.horizon_T
     span = T - t
     cutoff = config.cutoff(span)
     if cutoff >= span:
         raise ConfigError("terminal cutoff swallows the whole horizon")
-    _check_memory(config.dt, span, config.n_paths)
+    n_paths, ids = config.n_paths, recorded_ids(config.n_paths)
+    _check_memory(config.dt, span, len(ids), n_paths)
     n_ctl = _check_dt(config.dt, span - cutoff)
     n_free = max(1, int(math.ceil(cutoff / config.dt - 1e-12)))
     times = np.concatenate(
@@ -350,10 +385,10 @@ def simulate_controlled(
             f"at {controller.t_valid_max:.6g}; refine the time grid or "
             "enlarge the cutoff"
         )
-    n_paths = config.n_paths
+    rows = slice(ids.start, ids.stop, ids.step)
     rng = _generator(config.seed)
-    paths = np.empty((n_paths, times.size))
-    paths[:, 0] = y0
+    record = np.empty((len(ids), times.size))
+    record[:, 0] = y0
     y = np.full(n_paths, float(y0))
     alive = np.ones(n_paths, dtype=bool)
 
@@ -366,22 +401,27 @@ def simulate_controlled(
         h = times[k + 1] - times[k]
         lam, valid = controller.evaluate(y, s)
         alive &= valid
+        frozen = ~alive
         b_now = np.asarray(spec.b(y, s), dtype=float)
         by_now = np.asarray(spec.db_dy(y, s), dtype=float)
-        excess = np.where(alive, lam - b_now, 0.0)
-        xi = rng.standard_normal(n_paths)
-        dw = math.sqrt(h) * xi
-        step = np.where(alive, (b_now + excess) * h + sqrt_eps * dw, 0.0)
-        y = y + step
-        paths[:, k + 1] = y
-        logw += -(excess / sqrt_eps) * dw - (excess**2 / (2.0 * epsilon)) * h
-        accum["cost"] += excess**2 * h
+        excess = np.subtract(lam, b_now, out=lam)
+        # escaped paths get excess and step exactly 0.0; a lookup off the
+        # window can be NaN, so mask rather than multiply by alive
+        np.copyto(excess, 0.0, where=frozen)
+        dw = math.sqrt(h) * rng.standard_normal(n_paths)
+        step = (b_now + excess) * h + sqrt_eps * dw
+        np.copyto(step, 0.0, where=frozen)
+        y += step
+        record[:, k + 1] = y[rows]
+        sq = excess**2
+        logw += -(excess / sqrt_eps) * dw - (sq / (2.0 * epsilon)) * h
+        accum["cost"] += sq * h
         accum["slope_y"] += (1.0 + (T - s) * by_now) * excess * h
         accum["slope_x"] += (1.0 - (s - t) * by_now) * excess * h
         accum["slope_sum"] += by_now * excess * h
 
-    _euler_maruyama(
-        rng, y, times[n_ctl:], spec.b, epsilon, out=paths[:, n_ctl:], moving=alive
+    terminal = _euler_maruyama(
+        rng, y, times[n_ctl:], spec.b, epsilon, out=record[:, n_ctl:], rows=rows, moving=alive
     )
 
     escaped = ~alive
@@ -393,11 +433,14 @@ def simulate_controlled(
         )
     return PathEnsemble(
         times=times,
-        paths=paths,
+        paths=record,
+        path_ids=ids,
+        terminal=terminal,
         log_girsanov_weight=logw,
         seed=config.seed,
         escaped=escaped,
         cutoff_index=n_ctl,
+        cutoff_state=y,
         integrals=accum,
     )
 
@@ -414,7 +457,7 @@ def representation_q(ensemble: PathEnsemble) -> EstimatorResult:
         estimate=float(np.mean(vals)),
         std_error=float(np.std(vals, ddof=1) / math.sqrt(n)),
         n=n,
-        extra={"escaped_fraction": 1.0 - n / ensemble.paths.shape[0]},
+        extra={"escaped_fraction": 1.0 - n / ensemble.n_paths},
     )
 
 
@@ -455,7 +498,7 @@ def importance_sampling(ensemble: PathEnsemble, x: float) -> EstimatorResult:
     """
     kept = ensemble.kept
     weights = np.exp(ensemble.log_girsanov_weight[kept])
-    hits = (ensemble.paths[kept, -1] > x).astype(float)
+    hits = (ensemble.terminal[kept] > x).astype(float)
     vals = weights * hits
     n = int(vals.size)
     estimate = float(np.mean(vals))
@@ -474,7 +517,7 @@ def importance_sampling(ensemble: PathEnsemble, x: float) -> EstimatorResult:
             "ess": ess,
             "ess_raw": _ess(weights),
             "mean_weight": float(np.mean(weights)),
-            "escaped_fraction": 1.0 - n / ensemble.paths.shape[0],
+            "escaped_fraction": 1.0 - n / ensemble.n_paths,
             "variance_ratio": naive_var / se**2 if se > 0.0 else math.inf,
         },
     )
@@ -510,16 +553,18 @@ def simulate_pinned_pull(
 def ensemble_rows(
     ensemble: PathEnsemble, path_stride: int = 1, time_stride: int = 1
 ) -> Iterator[tuple[int, float, float]]:
-    """(path_id, s, y) rows for the CSV exporter."""
-    for pid in range(0, ensemble.paths.shape[0], path_stride):
-        for k in range(0, ensemble.times.size, time_stride):
-            yield pid, float(ensemble.times[k]), float(ensemble.paths[pid, k])
+    """(path_id, s, y) rows for the CSV exporter, from the recorded rows
+    whose path id is a multiple of path_stride."""
+    for row, pid in enumerate(ensemble.path_ids):
+        if pid % path_stride == 0:
+            for k in range(0, ensemble.times.size, time_stride):
+                yield pid, float(ensemble.times[k]), float(ensemble.paths[row, k])
 
 
 def ensemble_header(ensemble: PathEnsemble, epsilon: float) -> dict:
     return {
         "seed": ensemble.seed,
-        "n_paths": int(ensemble.paths.shape[0]),
+        "n_paths": ensemble.n_paths,
         "n_times": int(ensemble.times.size),
         "t_start": float(ensemble.times[0]),
         "t_end": float(ensemble.times[-1]),

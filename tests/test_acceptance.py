@@ -228,7 +228,7 @@ def test_criterion_06_steered_paths_exceed_threshold() -> None:
             n_paths=20_000, dt=1e-3, seed=SEED, terminal_cutoff=1e-3,
         )
         ensemble = simulate.simulate_controlled(spec, controller, y0, 0.0, EPS, config)
-        state = ensemble.paths[ensemble.kept, ensemble.cutoff_index]
+        state = ensemble.cutoff_state[ensemble.kept]
         frac = float(np.mean(state > 0.0))
         se = math.sqrt(frac * (1.0 - frac) / state.size)
         lo = ref - 3.0 * se - 0.015 - slack

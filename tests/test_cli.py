@@ -367,11 +367,12 @@ def test_unresolvable_linear_drift_is_a_config_error(
 def test_step_count_beyond_memory_is_a_config_error(
     tmp_path: Path, capsys: pytest.CaptureFixture
 ) -> None:
-    # 1e6 paths of 1e6 steps: an 8 MB time grid but an 8 TB path array
-    too_fine = _cfg(tmp_path, n_paths=1_000_000, dt=1e-6)
+    # 1e6 paths of 1e10 steps: an 80 GB time grid and 4 TB of recorded rows
+    too_fine = _cfg(tmp_path, n_paths=1_000_000, dt=1e-10)
     assert cli.main(["simulate", "--config", too_fine, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "0.008 GB for the time grid" in err and "8e+03 GB for the path array" in err
+    assert "80 GB for the time grid" in err and "4e+03 GB for the recorded rows" in err
+    assert "physical memory" in err
     config = simulate.SimConfig(n_paths=1_000_000, dt=1e-6, seed=0)
     with pytest.raises(checks.ConfigError, match="physical memory"):
         simulate.simulate_uncontrolled(drifts.zero_drift(), -1.0, 0.0, 0.2, config)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -324,10 +325,31 @@ def test_steered_marginal_matches_conditioned_law() -> None:
                                   sim.SimConfig(n_paths=4000, dt=2.5e-4, seed=42))
     assert ens.escaped.sum() == 0
     assert ens.times[ens.cutoff_index] == pytest.approx(0.999, abs=1e-12)
-    cut = ens.paths[ens.kept, ens.cutoff_index]
+    cut = ens.cutoff_state[ens.kept]
     frac = float((cut > PROBE_X).mean())
     se = math.sqrt(frac * (1.0 - frac) / cut.size)
     assert abs(frac - orc.CONDITIONED_EXCEEDANCE) <= 3.0 * se
+
+
+def test_steered_memory_is_bounded_by_the_path_count() -> None:
+    # storing every path would take 2000 x 10001 x 8 B = 160 MB; the
+    # streaming run keeps per-path states plus the recorded rows only
+    spec = drifts.zero_drift()
+    _, _, ctl = _steered(spec, EPS)
+    cfg = sim.SimConfig(n_paths=2000, dt=1e-4, seed=17)
+    tracemalloc.start()
+    try:
+        ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+    ids = list(ens.path_ids)
+    assert ids == list(range(0, 2000, 40))
+    assert ens.paths.shape == (len(ids), ens.times.size) == (50, 10001)
+    assert ens.terminal.shape == ens.cutoff_state.shape == (2000,)
+    assert np.array_equal(ens.paths[:, ens.cutoff_index], ens.cutoff_state[ids])
+    assert np.array_equal(ens.paths[:, -1], ens.terminal[ids])
 
 
 def test_work_representation_recovers_smoothed_cost() -> None:
