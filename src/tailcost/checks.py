@@ -331,8 +331,8 @@ def check_rate_zero_noise(
         grid = pde.default_grid(spec, x, eps, t_start=t, n_y=n_y, n_t=n_t)
         iy = grid.nearest_node(y)
         y_nodes.append(float(grid.y_nodes()[iy]))
-        cost = pde.hopf_cole(pde.solve_u(spec, x, grid, eps))
-        q_eps.append(float(cost.q[0, iy]))
+        q_start, _, _ = pde._cost_rows(pde.solve_u(spec, x, grid, eps), 0)
+        q_eps.append(float(q_start[iy]))
     classical = action.solve_shooting_many(spec, x, y_nodes, t)
     gaps = [abs(q - sol.q_value) for q, sol in zip(q_eps, classical)]
     y_eff = y_nodes[-1]
@@ -486,7 +486,7 @@ def check_short_time(
             n_t=max(151, int(round(n_t_per_unit * tau))),
         )
         heat = pde.solve_u(spec, x, grid, epsilon)
-        cost = pde.hopf_cole(heat)
+        q_start, dq_dy_start, _ = pde._cost_rows(heat, 0)
         boundary = characteristic_F(spec, x, t)
         for y in probes:
             iy = grid.nearest_node(float(y))
@@ -498,10 +498,10 @@ def check_short_time(
             if u_val < u_floor or 1.0 - u_val < 1e-12:
                 n_unresolved += 1
                 continue
-            ratio = float(cost.q[0, iy]) * tau / (x - y_eff) ** 2
+            ratio = float(q_start[iy]) * tau / (x - y_eff) ** 2
             row = {"y": y_eff, "tau": tau, "ratio": ratio, "ok": True}
             if y_eff < boundary:
-                lhs = -float(cost.dq_dy[0, iy])
+                lhs = -float(dq_dy_start[iy])
                 rhs = (boundary - y_eff) / tau * math.exp(
                     -decay_constant * spec.lipschitz_A * tau
                 )

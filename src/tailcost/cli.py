@@ -16,6 +16,7 @@ import json
 import re
 import sys
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from . import action, bridge, checks, pde, simulate, tables
 
@@ -77,13 +78,13 @@ def _slug(name: str) -> str:
     return re.sub(r"-+", "-", re.sub(r"[^a-z0-9._]+", "-", name.lower())).strip("-.")
 
 
-def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> Path:
+def _write_table(path: Path, header: list[str], rows: Iterable[Sequence], fmt: str) -> Path:
     # not with_suffix: stems like "...c-0.5" would lose their tail
     out = path.parent / f"{path.name}.{fmt}"
     if fmt == "csv":
         tables.write_csv(out, header, rows)
     else:
-        tables.write_json(out, {"header": header, "rows": rows})
+        tables.write_json(out, {"header": header, "rows": list(rows)})
     return out
 
 
@@ -103,12 +104,10 @@ def _cmd_solve(config: checks.RunConfig, out_dir: Path, args: argparse.Namespace
         n_y=config.n_y, n_t=config.n_t, t_start=config.probe_t,
     )
     heat = pde.solve_u(spec, config.probe_x, grid, epsilon)
-    cost = pde.hopf_cole(heat)
     st, sy = _stride(grid.n_t), _stride(grid.n_y)
-    rows = [list(r) for r in pde.costfield_rows(heat, cost, t_stride=st, y_stride=sy)]
     table = _write_table(
         out_dir / "field", ["t", "y", "u", "q", "dq_dy", "dq_dx"],
-        rows, config.table_format,
+        pde.costfield_rows(heat, t_stride=st, y_stride=sy), config.table_format,
     )
     tables.write_json(out_dir / "field_meta.json", {
         "drift": spec.name,
@@ -155,7 +154,7 @@ def _cmd_classical(config: checks.RunConfig, out_dir: Path, args: argparse.Names
     central = sols[points.index((config.probe_x, config.probe_y))]
     path_table = _write_table(
         out_dir / "classical_path", ["s", "y", "p", "control"],
-        [list(r) for r in action.path_rows(central, spec)],
+        action.path_rows(central, spec),
         config.table_format,
     )
     stride = _stride(central.path.times.size)
@@ -195,7 +194,7 @@ def _cmd_simulate(config: checks.RunConfig, out_dir: Path, args: argparse.Namesp
     ts = _stride(ensemble.times.size)
     table = _write_table(
         out_dir / "ensemble", ["path_id", "s", "y"],
-        [list(r) for r in simulate.ensemble_rows(ensemble, time_stride=ts)],
+        simulate.ensemble_rows(ensemble, time_stride=ts),
         config.table_format,
     )
     header = simulate.ensemble_header(ensemble, epsilon)
@@ -242,7 +241,7 @@ def _cmd_bridge(config: checks.RunConfig, out_dir: Path, args: argparse.Namespac
     conc_table = _write_table(
         out_dir / "concentration",
         ["y", "delta", "event", "probability", "bound_rhs"],
-        [list(r) for r in bridge.concentration_rows(sweep)],
+        bridge.concentration_rows(sweep),
         config.table_format,
     )
     summary = bridge.concentration_summary(sweep)

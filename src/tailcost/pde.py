@@ -333,13 +333,15 @@ def exact_gaussian_u(stats: LinearDriftStats, x: float, y, epsilon: float):
     return ndtr(z)
 
 
-def hopf_cole(heat: HeatField) -> CostField:
-    """Cost transform q = -eps log u, with centered y-derivatives.
+def _cost_rows(heat: HeatField, rows: int | slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, dq_dy, underflow mask) of the time levels heat.u[rows].
 
-    Nodes where u underflows are flagged in overflow_mask and carry q = +inf;
-    they are never clamped.  dq_dx needs a threshold bundle and is NaN here.
+    The one Hopf-Cole kernel: hopf_cole passes every level, the exporter
+    and the probe-value checks only the levels they read.  One level gives
+    1-D arrays; the y-differences never cross levels, so any block gives
+    the full transform's bits at the same (k, i).
     """
-    u = heat.u
+    u = heat.u[rows]
     mask = u < U_FLOOR
     with np.errstate(divide="ignore"):
         q = np.where(mask, np.inf, -heat.epsilon * np.log(np.maximum(u, U_FLOOR)))
@@ -347,11 +349,20 @@ def hopf_cole(heat: HeatField) -> CostField:
     h = heat.grid.h_y
     dq_dy = np.empty_like(q)
     with np.errstate(invalid="ignore"):  # inf - inf across masked nodes
-        dq_dy[:, 1:-1] = (q[:, 2:] - q[:, :-2]) / (2.0 * h)
+        dq_dy[..., 1:-1] = (q[..., 2:] - q[..., :-2]) / (2.0 * h)
         # one-sided second-order differences at the two boundary nodes
-        dq_dy[:, 0] = (-3.0 * q[:, 0] + 4.0 * q[:, 1] - q[:, 2]) / (2.0 * h)
-        dq_dy[:, -1] = (3.0 * q[:, -1] - 4.0 * q[:, -2] + q[:, -3]) / (2.0 * h)
+        dq_dy[..., 0] = (-3.0 * q[..., 0] + 4.0 * q[..., 1] - q[..., 2]) / (2.0 * h)
+        dq_dy[..., -1] = (3.0 * q[..., -1] - 4.0 * q[..., -2] + q[..., -3]) / (2.0 * h)
+    return q, dq_dy, mask
 
+
+def hopf_cole(heat: HeatField) -> CostField:
+    """Cost transform q = -eps log u, with centered y-derivatives.
+
+    Nodes where u underflows are flagged in overflow_mask and carry q = +inf;
+    they are never clamped.  dq_dx needs a threshold bundle and is NaN here.
+    """
+    q, dq_dy, mask = _cost_rows(heat, slice(None))
     dq_dx = np.full_like(q, np.nan)
     return CostField(
         grid=heat.grid,
@@ -500,17 +511,21 @@ def audit_domain(
     return drift
 
 
-def costfield_rows(heat: HeatField, cost: CostField, t_stride: int = 1, y_stride: int = 1):
-    """(t, y, u, q, dq_dy, dq_dx) row iterator used by the CSV exporters."""
-    tvals = cost.grid.t_nodes()
-    yvals = cost.grid.y_nodes()
-    for k in range(0, cost.grid.n_t, t_stride):
-        for i in range(0, cost.grid.n_y, y_stride):
-            yield (
-                float(tvals[k]),
-                float(yvals[i]),
-                float(heat.u[k, i]),
-                float(cost.q[k, i]),
-                float(cost.dq_dy[k, i]),
-                float(cost.dq_dx[k, i]),
-            )
+def costfield_rows(heat: HeatField, t_stride: int = 1, y_stride: int = 1):
+    """(t, y, u, q, dq_dy, dq_dx) rows of the exported sub-lattice, as lists of floats.
+
+    Only the exported time levels are transformed, one at a time, so memory
+    stays at a few rows; dq_dx is NaN, as for any plain solve (see hopf_cole).
+    """
+    grid = heat.grid
+    t_nodes = grid.t_nodes()
+    block = np.empty((len(range(0, grid.n_y, y_stride)), 6))
+    block[:, 1] = grid.y_nodes()[::y_stride]
+    block[:, 5] = np.nan
+    for k in range(0, grid.n_t, t_stride):
+        q, dq_dy, _ = _cost_rows(heat, k)
+        block[:, 0] = t_nodes[k]
+        block[:, 2] = heat.u[k, ::y_stride]
+        block[:, 3] = q[::y_stride]
+        block[:, 4] = dq_dy[::y_stride]
+        yield from block.tolist()

@@ -337,6 +337,8 @@ class ControllerField:
         # window: keep every cell between the nodes at lo and hi
         j_lo = int(np.searchsorted(self.y_nodes, lo, side="right")) - 1
         j_hi = int(np.searchsorted(self.y_nodes, hi, side="left"))
+        if j_hi == j_lo:  # a one-node window has no cell to interpolate in
+            return np.full(np.shape(y), row[j_lo]), valid
         j = np.clip(pos.astype(np.intp), j_lo, j_hi - 1)
         left = row[j]
         return left + (pos - j) * (row[j + 1] - left), valid

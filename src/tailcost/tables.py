@@ -4,6 +4,14 @@ Output must be byte-stable across runs with the same inputs: floats are
 serialized with shortest round-trip ``repr``, JSON keys are sorted, line
 endings are fixed to ``"\\n"``, and nothing derived from wall time or
 from absolute paths is ever written.
+
+csv writes each cell as its ``str``, and the ``str`` of a ``float`` is its
+shortest round-trip ``repr``, so write_csv hands csv the cells whose type
+is exactly ``float`` as they are.  Every other cell goes through
+format_cell: csv would write True as "True" and None as an empty field,
+and a float subclass such as ``np.float64`` owns its ``str`` and ``repr``
+(the latter reads ``np.float64(...)``), so only an exact float is known
+to come out as format_cell writes it.
 """
 
 from __future__ import annotations
@@ -56,5 +64,4 @@ def write_csv(
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([format_cell(v) for v in row])
+        writer.writerows([v if type(v) is float else format_cell(v) for v in row] for row in rows)

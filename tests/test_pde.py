@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from tailcost import bridge, drifts, pde
+from tailcost import bridge, cli, drifts, pde
 
 EPS = 0.1
 
@@ -364,8 +364,7 @@ def test_costfield_rows_shape() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec, n=401)
     heat = pde.solve_u(spec, 0.0, grid, EPS)
-    cost = pde.hopf_cole(heat)
-    rows = list(pde.costfield_rows(heat, cost, t_stride=100, y_stride=100))
+    rows = list(pde.costfield_rows(heat, t_stride=100, y_stride=100))
     n_t = len(range(0, grid.n_t, 100))
     n_y = len(range(0, grid.n_y, 100))
     assert len(rows) == n_t * n_y
@@ -375,3 +374,37 @@ def test_costfield_rows_shape() -> None:
     assert u == pytest.approx(0.0, abs=1e-15)
     assert math.isinf(q)
     assert math.isnan(dq_dx)
+
+
+def test_costfield_rows_match_full_transform_bit_for_bit() -> None:
+    spec = drifts.zero_drift()
+    grid = _grid(spec, n=801)
+    heat = pde.solve_u(spec, 0.0, grid, EPS)
+    cost = pde.hopf_cole(heat)
+    t_stride, y_stride = 7, 8  # 7 does not divide n_t - 1; 8 keeps both edge columns
+    assert (grid.n_t - 1) % t_stride and (grid.n_y - 1) % y_stride == 0
+    got = np.array(list(pde.costfield_rows(heat, t_stride=t_stride, y_stride=y_stride)))
+    k, i = np.meshgrid(np.arange(0, grid.n_t, t_stride), np.arange(0, grid.n_y, y_stride),
+                       indexing="ij")
+    k, i = k.ravel(), i.ravel()
+    want = np.column_stack([
+        grid.t_nodes()[k], grid.y_nodes()[i], heat.u[k, i],
+        cost.q[k, i], cost.dq_dy[k, i], cost.dq_dx[k, i],
+    ])
+    assert np.isinf(want[:, 3]).any() and {0, grid.n_y - 1} <= set(i.tolist())
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_costfield_rows_memory_stays_at_a_few_rows() -> None:
+    grid = pde.Grid1D(-4.0, 4.0, 2001, 0.0, 1.0, 2001)
+    u = np.tile(np.exp(-np.linspace(800.0, 0.0, grid.n_y)), (grid.n_t, 1))
+    heat = pde.HeatField(grid=grid, epsilon=EPS, x_threshold=0.0, u=u)
+    rows = pde.costfield_rows(heat, t_stride=cli._stride(grid.n_t), y_stride=cli._stride(grid.n_y))
+    tracemalloc.start()
+    try:
+        n_rows = sum(1 for _ in rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n_rows == 182 * 182
+    assert peak < u.nbytes // 4

@@ -218,6 +218,28 @@ def test_controller_lookup_at_window_edges() -> None:
         assert not ok.any()
 
 
+
+def test_controller_single_node_window() -> None:
+    # row 0 is finite on the node y = 0 alone, so the two rows share one node
+    y_nodes = np.linspace(-1.0, 1.0, 21)
+    control = np.full((3, 21), np.nan)
+    control[0, 10] = 1.25
+    control[1, 5:16] = 0.5 + y_nodes[5:16]
+    ctl = sim.ControllerField(
+        y_nodes=y_nodes,
+        t_nodes=np.linspace(0.0, 1.0, 3),
+        control=control,
+        window_lo=np.array([0.0, -0.5, np.inf]),
+        window_hi=np.array([0.0, 0.5, -np.inf]),
+        last_row=1,
+    )
+    y = np.array([0.0, 0.3, -0.7])
+    for s, want in ((0.0, 1.25), (0.2, 0.6 * 1.25 + 0.4 * 0.5)):
+        values, valid = ctl.evaluate(y, s)
+        assert values[0] == pytest.approx(want, rel=1e-15)
+        assert valid.tolist() == [True, False, False]
+
+
 def test_controller_requires_uniform_lattice_and_matching_control() -> None:
     kw = dict(
         t_nodes=np.linspace(0.0, 1.0, 5),
