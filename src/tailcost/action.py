@@ -32,9 +32,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .drifts import ConfigError, DriftSpec, _rk4, characteristic_F
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
+from .drifts import ConfigError, DriftSpec, _rk4, _trapz, characteristic_F
 
 REGION_TOL = 1e-9  # scaled by (1 + |x|) when classifying y against F(x, t)
 TERMINAL_MISMATCH_TOL = 1e-9

@@ -27,13 +27,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .drifts import ConfigError, DriftSpec, LinearDriftStats, linear_stats
+from .drifts import ConfigError, DriftSpec, LinearDriftStats, _trapz, linear_stats
 from .pde import Grid1D, _cn_march, required_half_width
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 DEFAULT_C_BELOW = 4.0
 DEFAULT_C_ABOVE = 0.25
+DEN_FLOOR = 1e-250  # smallest bridge mass a kernel may normalize by
+AT_GATE = 0.5  # largest slope-horizon product A T of the concentration regime
 
 
 class BridgeError(RuntimeError):
@@ -104,7 +104,7 @@ class BridgeEstimate:
 
 @dataclass(frozen=True)
 class GreenResources:
-    """Grid resolution and guards for the quadrature route.
+    """Grid resolution and the refinement audit of the quadrature route.
 
     n_y is a target: the actual node count follows from anchoring the
     spacing so the start point and the pin both land on nodes.
@@ -112,7 +112,6 @@ class GreenResources:
 
     n_y: int = 2401
     n_t: int = 1201
-    den_floor: float = 1e-250
     audit: bool = False
 
     def __post_init__(self) -> None:
@@ -141,14 +140,12 @@ def threshold_value(query: BridgeQuery, c: float) -> float:
 def linear_bridge_moments(
     stats_pieces: tuple[LinearDriftStats, LinearDriftStats],
     query: BridgeQuery,
-    c_below: float = DEFAULT_C_BELOW,
-    c_above: float = DEFAULT_C_ABOVE,
 ) -> BridgeEstimate:
     """Exact conditional law for a linear drift, pinned at 0 at the horizon.
 
-    prob_below is the Gaussian tail below threshold_value(query, c_below),
-    prob_above the tail above threshold_value(query, c_above); they are
-    separate events, not complements.  extra reports the realized ratio
+    prob_below is the Gaussian tail below threshold_value(query, DEFAULT_C_BELOW),
+    prob_above the tail above threshold_value(query, DEFAULT_C_ABOVE); they
+    are separate events, not complements.  extra reports the realized ratio
     mean / (delta*y/T), whose bracketing between a small and a large
     constant is the sandwich property the concentration regime asserts.
     """
@@ -158,8 +155,8 @@ def linear_bridge_moments(
     mean = leg1.Lambda * y * leg2.sigma2 / denom
     var = eps * leg1.sigma2 * leg2.sigma2 / denom
     sd = math.sqrt(var)
-    theta_b = threshold_value(query, c_below)
-    theta_a = threshold_value(query, c_above)
+    theta_b = threshold_value(query, DEFAULT_C_BELOW)
+    theta_a = threshold_value(query, DEFAULT_C_ABOVE)
     prob_below = float(ndtr((theta_b - mean) / sd))
     prob_above = float(ndtr((mean - theta_a) / sd))
     scale = query.delta * y / query.T
@@ -258,7 +255,7 @@ def bridge_kernel(spec: DriftSpec, query: BridgeQuery,
     w = fan * bundle
     mass = float(_trapz(w, xi))
     noise_floor = 64.0 * np.finfo(float).eps * float(w.max(initial=0.0)) * (y_max - y_min)
-    if not mass >= max(res.den_floor, noise_floor):
+    if not mass >= max(DEN_FLOOR, noise_floor):
         raise IllConditionedBridgeError(
             f"bridge mass {mass:.3e} below the resolvable floor"
         )
@@ -355,9 +352,7 @@ def conditional_prob_green(
     return est
 
 
-def bridge_monte_carlo(query: BridgeQuery, config,
-                       c_below: float = DEFAULT_C_BELOW,
-                       c_above: float = DEFAULT_C_ABOVE) -> BridgeEstimate:
+def bridge_monte_carlo(query: BridgeQuery, config) -> BridgeEstimate:
     """Sampling route for the driftless case, as a third independent check.
 
     The unit pull toward the pin reproduces the driftless conditional law
@@ -369,8 +364,8 @@ def bridge_monte_carlo(query: BridgeQuery, config,
     vals = simulate_pinned_pull(1.0, query.y_start, 0.0, query.T,
                                 query.sample_time, query.epsilon, config)
     n = vals.size
-    theta_b = threshold_value(query, c_below)
-    theta_a = threshold_value(query, c_above)
+    theta_b = threshold_value(query, DEFAULT_C_BELOW)
+    theta_a = threshold_value(query, DEFAULT_C_ABOVE)
     below = float((vals < theta_b).mean())
     above = float((vals > theta_a).mean())
     return BridgeEstimate(
@@ -430,15 +425,13 @@ def concentration_check(
     y_sweep,
     delta_sweep,
     c_below: float = DEFAULT_C_BELOW,
-    c_above: float = DEFAULT_C_ABOVE,
-    at_gate: float = 0.5,
-    resources: GreenResources | None = None,
     kernels: dict | None = None,
 ) -> ConcentrationReport:
     """Fit the tail exponents of the pinned conditionals across a sweep.
 
+    The above event takes DEFAULT_C_ABOVE; kernels use default GreenResources.
     Scope gates: the drift must vanish along the pin, the product of its
-    slope bound and the horizon must stay below at_gate, and a sweep cell
+    slope bound and the horizon must stay below AT_GATE, and a sweep cell
     (y, delta) is admissible only when y < -T sqrt(eps/delta), the depth
     at which the bridge mean dominates the noise scale.  For every
     admissible cell both event probabilities are computed on the quadrature
@@ -449,9 +442,9 @@ def concentration_check(
     for tv in np.linspace(0.0, T, 9):
         if abs(float(spec.b(0.0, tv))) > 1e-10:
             raise ConfigError(f"drift must vanish at the pin; b(0,{tv:g}) != 0")
-    if spec.lipschitz_A * T > at_gate + 1e-12:
+    if spec.lipschitz_A * T > AT_GATE + 1e-12:
         raise ConfigError(
-            f"slope-horizon product {spec.lipschitz_A * T:g} exceeds the gate {at_gate:g}"
+            f"slope-horizon product {spec.lipschitz_A * T:g} exceeds the gate {AT_GATE:g}"
         )
 
     cells = [
@@ -463,18 +456,18 @@ def concentration_check(
     if not cells:
         raise EmptySweepError("no (y, delta) cell is deep enough for the regime")
 
-    res = resources or GreenResources()
+    res = GreenResources()
     rows: list[ConcentrationRow] = []
     fit_pts: dict[str, list[tuple[float, float]]] = {"below": [], "above": []}
     dropped = 0
     for y, d in cells:
         query = BridgeQuery(y_start=y, T=T, delta=d, epsilon=epsilon)
         theta_b = threshold_value(query, c_below)
-        theta_a = threshold_value(query, c_above)
+        theta_a = threshold_value(query, DEFAULT_C_ABOVE)
         kern = _shared_kernel(spec, query, res, (theta_b, theta_a), kernels)
         xbar = d * y * y / (epsilon * T * T)
         p_below = _kernel_estimate(kern, theta_b, c_below, "below").prob_below
-        p_above = _kernel_estimate(kern, theta_a, c_above, "above").prob_above
+        p_above = _kernel_estimate(kern, theta_a, DEFAULT_C_ABOVE, "above").prob_above
         for event, p in (("below", p_below), ("above", p_above)):
             rows.append(ConcentrationRow(y, d, event, p, math.nan, xbar))
             if p > 0.0:
@@ -505,7 +498,7 @@ def concentration_check(
             "n_cells": len(cells),
             "dropped": dropped,
             "c_below": c_below,
-            "c_above": c_above,
+            "c_above": DEFAULT_C_ABOVE,
         },
     )
 

@@ -129,26 +129,23 @@ def check_cdf_inequality(
 _GREEN_PROBES_DEFAULT = tuple(
     (y, t) for t in (0.0, 0.2, 0.4, 0.6, 0.8) for y in (-0.7, -0.45, -0.2, 0.3, 0.9)
 )
+KERNEL_U_FLOOR = 1e-12  # survival values this close to 0 or 1 are unresolved
 
 
 def check_green_bound(
     spec: DriftSpec,
     epsilon: float,
     probes: tuple[tuple[float, float], ...] = _GREEN_PROBES_DEFAULT,
-    x: float = 0.0,
     slack: float = 1e-3,
     lipschitz_A: float | None = None,
-    n_y: int = 1201,
-    n_t: int = 401,
-    u_floor: float = 1e-12,
 ) -> VerificationReport:
     """Transition kernel bounded by the survival odds at (y, t) probes.
 
-    For each probe the kernel value into the threshold at the horizon must
-    satisfy g <= (1 + tau A) u sqrt(-2 log u / (eps tau)) up to the relative
-    slack.  Probes whose survival value leaves the resolvable band are
-    skipped and counted.  lipschitz_A overrides the drift's declared slope
-    bound, which lets a harness test exercise the failure path.
+    For each probe the kernel value into the threshold x = 0 at the horizon
+    must satisfy g <= (1 + tau A) u sqrt(-2 log u / (eps tau)) up to the
+    relative slack.  Probes whose survival value leaves the resolvable band
+    are skipped and counted.  lipschitz_A overrides the drift's declared
+    slope bound, which lets a harness test exercise the failure path.
     """
     T = spec.horizon_T
     A = spec.lipschitz_A if lipschitz_A is None else lipschitz_A
@@ -163,18 +160,18 @@ def check_green_bound(
     for t in sorted(by_t):
         tau = T - t
         grid = pde.default_grid(
-            spec, x, epsilon, t_start=t, n_y=n_y,
-            n_t=max(101, int(round(n_t * tau / T))),
+            spec, 0.0, epsilon, t_start=t, n_y=1201,
+            n_t=max(101, int(round(401 * tau / T))),
         )
         dx = max(1, int(round(0.01 / grid.h_y))) * grid.h_y
-        heat = pde.solve_u(spec, x, grid, epsilon)
+        heat = pde.solve_u(spec, 0.0, grid, epsilon)
         kernel = pde.green_function(
-            spec, grid, epsilon, t, T, thresholds=np.array([x - dx, x, x + dx])
+            spec, grid, epsilon, t, T, thresholds=np.array([-dx, 0.0, dx])
         )
         for y in by_t[t]:
             iy = grid.nearest_node(y)
             u_val = float(heat.u[0, iy])
-            if u_val < u_floor or 1.0 - u_val < u_floor:
+            if u_val < KERNEL_U_FLOOR or 1.0 - u_val < KERNEL_U_FLOOR:
                 n_skipped += 1
                 continue
             g_val = float(kernel.g[iy, 1])
@@ -211,33 +208,33 @@ def check_green_bound(
 
 # -------------------------------------------------------------- slope bound
 
+SLOPE_NOISE_FLOOR = 1e-6  # slopes and bounds below this compare as zero
+
+
 def check_gradient_bounds(
     costfield: pde.CostBundle | pde.CostField,
     lipschitz_A: float,
-    probes: tuple[tuple[float, float], ...] | None = None,
     slack: float = 1e-3,
-    noise_floor: float = 1e-6,
 ) -> VerificationReport:
     """Both cost slopes bounded by the square-root of the cost itself.
 
-    |dq/dx| and |dq/dy| must stay below (1 + tau A) sqrt(2 q / tau) at the
-    probes.  Where both sides sit under the noise floor (deep above the
-    free boundary) the probe passes as a zero-zero comparison.  A plain
-    field checks the y slope only; a threshold bundle checks both.
+    |dq/dx| and |dq/dy| must stay below (1 + tau A) sqrt(2 q / tau) at 20
+    probes about the threshold.  Where both sides sit under the noise floor
+    (deep above the free boundary) the probe passes as a zero-zero
+    comparison.  A plain field checks the y slope only; a bundle both.
     """
     fld = costfield.center if isinstance(costfield, pde.CostBundle) else costfield
     grid = fld.grid
     T = grid.T
     t_nodes = grid.t_nodes()
     y_nodes = grid.y_nodes()
-    if probes is None:
-        span = T - grid.t_start
-        sigma = math.sqrt(fld.epsilon * span)
-        probes = tuple(
-            (fld.x_threshold + k * sigma, grid.t_start + f * span)
-            for f in (0.0, 0.25, 0.5, 0.75)
-            for k in (-3.0, -2.0, -1.0, 0.5, 1.5)
-        )
+    span = T - grid.t_start
+    sigma = math.sqrt(fld.epsilon * span)
+    probes = tuple(
+        (fld.x_threshold + k * sigma, grid.t_start + f * span)
+        for f in (0.0, 0.25, 0.5, 0.75)
+        for k in (-3.0, -2.0, -1.0, 0.5, 1.5)
+    )
 
     rows = []
     n_skipped = 0
@@ -264,8 +261,8 @@ def check_gradient_bounds(
             "q": q_val,
             "bound": rhs,
             **entries,
-            "ratio": worst_lhs / max(rhs, noise_floor),
-            "ok": worst_lhs <= rhs * (1.0 + slack) + noise_floor,
+            "ratio": worst_lhs / max(rhs, SLOPE_NOISE_FLOOR),
+            "ok": worst_lhs <= rhs * (1.0 + slack) + SLOPE_NOISE_FLOOR,
         })
 
     if not rows:
@@ -293,25 +290,27 @@ def check_gradient_bounds(
 
 # ---------------------------------------------------------------- rate fit
 
-def _monotone(seq: list[float], slack: float) -> bool:
-    """Each entry at most (1 + slack) times the one before."""
-    return all(b <= a * (1.0 + slack) for a, b in zip(seq, seq[1:]))
+MONO_SLACK = 0.05  # relative rise a decreasing gap sequence may take per step
+RATE_SLOPE_GATE = 0.45  # smallest fitted exponent of the cost gap in eps
+RATE_ANCHOR_TOL = 1e-3  # driftless eps = 0.1 gap against its closed form
+
+
+def _monotone(seq: list[float]) -> bool:
+    """Each entry at most (1 + MONO_SLACK) times the one before."""
+    return all(b <= a * (1.0 + MONO_SLACK) for a, b in zip(seq, seq[1:]))
 
 
 def check_rate_zero_noise(
     spec: DriftSpec,
     probe: tuple[float, float, float] = (0.0, -1.0, 0.0),
     eps_list: tuple[float, ...] = (0.4, 0.2, 0.1, 0.05, 0.025),
-    slope_gate: float = 0.45,
-    mono_slack: float = 0.05,
-    anchor_tol: float = 1e-3,
     n_y: int = 2001,
     n_t: int = 2001,
 ) -> VerificationReport:
     """Cost gap |q_eps - q| shrinking like a power of eps at one probe.
 
-    Fits log gap against log eps; the fitted slope must clear slope_gate
-    and the gap sequence must decrease monotonically up to mono_slack.
+    Fits log gap against log eps; the fitted slope must clear RATE_SLOPE_GATE
+    and the gap sequence must decrease monotonically up to MONO_SLACK.
     For a driftless spec the eps = 0.1 gap is also compared against the
     closed form, which pins the absolute scale of both solvers.
     """
@@ -338,7 +337,7 @@ def check_rate_zero_noise(
     y_eff = y_nodes[-1]
 
     slope, _, r2 = bridge.fit_line(np.log(np.array(eps_arr)), np.log(np.array(gaps)))
-    monotone = _monotone(gaps, mono_slack)
+    monotone = _monotone(gaps)
     anchor_err = None
     if _is_driftless(spec):
         span = spec.horizon_T - t
@@ -346,7 +345,8 @@ def check_rate_zero_noise(
             if math.isclose(eps, 0.1):
                 exact = driftless_cost(x, y_eff, eps, span) - (x - y_eff) ** 2 / (2.0 * span)
                 anchor_err = abs(gap - exact)
-    ok = slope >= slope_gate and monotone and (anchor_err is None or anchor_err <= anchor_tol)
+    anchored = anchor_err is None or anchor_err <= RATE_ANCHOR_TOL
+    ok = slope >= RATE_SLOPE_GATE and monotone and anchored
     return VerificationReport(
         check_name=f"rate-limit:{spec.name}",
         status=PASS if ok else FAIL,
@@ -358,32 +358,30 @@ def check_rate_zero_noise(
             "anchor_gap_error": anchor_err,
             "probe_y": y_eff,
         },
-        expected=f"fitted slope >= {slope_gate}, gaps monotone, driftless point on the closed form",
-        tolerance=slope_gate,
+        expected=f"fitted slope >= {RATE_SLOPE_GATE}, gaps monotone, "
+                 "driftless point on the closed form",
+        tolerance=RATE_SLOPE_GATE,
         anchor="zero-noise-rate",
     )
 
 
 # ------------------------------------------------------- derivative limits
 
+DERIV_GAP_GATE = 0.05  # largest final gap of either slope
+DERIV_ENVELOPE_GATE = 0.2  # smallest fitted exponent of the vanishing slopes
+
+
 def check_derivative_convergence(
     spec: DriftSpec,
     probe: tuple[float, float, float] = (0.0, -1.0, 0.0),
     eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025),
-    gap_gate: float = 0.05,
-    envelope_gate: float = 0.2,
-    above_offset: float = 0.4,
-    mono_slack: float = 0.05,
-    n_y: int = 2001,
-    n_t: int = 1201,
-    dx: float = 0.02,
 ) -> VerificationReport:
     """Lattice slopes converging to the classical slopes as eps shrinks.
 
     Below the free boundary both slope gaps must decrease along eps_list
-    and end under gap_gate.  Above the boundary the classical slopes
-    vanish, so the lattice slope magnitudes are fitted against eps and
-    the fitted exponent must clear envelope_gate.
+    and end under DERIV_GAP_GATE.  At 0.4 above the boundary the classical
+    slopes vanish, so the lattice slope magnitudes are fitted against eps
+    and the fitted exponent must clear DERIV_ENVELOPE_GATE.
     """
     if not spec.is_concave:
         raise ConfigError(f"drift {spec.name} is not concave; the slope limit needs concavity")
@@ -394,11 +392,11 @@ def check_derivative_convergence(
     boundary = characteristic_F(spec, x, t)
     if not y_below < boundary:
         raise ConfigError("probe must start below the free boundary")
-    y_above = boundary + above_offset
+    y_above = boundary + 0.4
 
     slopes_y, slopes_x, y_nodes, magnitudes = [], [], [], []
     for eps in eps_arr:
-        grid, bundle = pde._fan_bundle(spec, x, eps, n_y, n_t, t_start=t, dx=dx)
+        grid, bundle = pde._fan_bundle(spec, x, eps, 2001, 1201, t_start=t)
         fld = bundle.center
         ib = grid.nearest_node(y_below)
         ia = grid.nearest_node(y_above)
@@ -412,11 +410,11 @@ def check_derivative_convergence(
 
     envelope_slope, _, _ = bridge.fit_line(np.log(np.array(eps_arr)), np.log(np.array(magnitudes)))
     ok = (
-        _monotone(gaps_y, mono_slack)
-        and _monotone(gaps_x, mono_slack)
-        and gaps_y[-1] <= gap_gate
-        and gaps_x[-1] <= gap_gate
-        and envelope_slope >= envelope_gate
+        _monotone(gaps_y)
+        and _monotone(gaps_x)
+        and gaps_y[-1] <= DERIV_GAP_GATE
+        and gaps_x[-1] <= DERIV_GAP_GATE
+        and envelope_slope >= DERIV_ENVELOPE_GATE
     )
     return VerificationReport(
         check_name=f"derivative-limit:{spec.name}",
@@ -431,39 +429,39 @@ def check_derivative_convergence(
             "envelope_slope": envelope_slope,
             "boundary": float(boundary),
         },
-        expected=f"slope gaps decreasing to <= {gap_gate}; vanishing envelope exponent >= {envelope_gate}",
-        tolerance=gap_gate,
+        expected=f"slope gaps decreasing to <= {DERIV_GAP_GATE}; "
+                 f"vanishing envelope exponent >= {DERIV_ENVELOPE_GATE}",
+        tolerance=DERIV_GAP_GATE,
         anchor="slope-zero-noise-limit",
     )
 
 
 # ------------------------------------------------------------- short time
 
+SHORT_TIME_SLACK = 1e-3  # relative shortfall the slope floor forgives
+SHORT_TIME_U_FLOOR = 1e-13  # survival values below this are unresolved
+SLOPE_DEPTH_MAX = 5.0  # deepest (x - y) / sqrt(eps tau) the slope floor gates
+
+
 def check_short_time(
     spec: DriftSpec,
-    epsilon: float = 0.1,
     delta_list: tuple[float, ...] = (0.25, 0.1, 0.05),
     probes: tuple[float, ...] = (-0.4, -0.5, -0.7),
     x: float = 0.0,
     decay_constant: float = 10.0,
-    slack: float = 1e-3,
-    u_floor: float = 1e-13,
-    slope_depth_max: float = 5.0,
-    n_y: int = 1501,
-    n_t_per_unit: int = 601,
 ) -> VerificationReport:
     """Quadratic cost window and steep-slope floor near the horizon.
 
     Keeps probes satisfying x - y > 2 int |b(x, s)| ds + sqrt(eps tau)
-    and reports the fitted window constants min and max of
+    at eps = 0.1 and reports the fitted window constants min and max of
     q tau / (x - y)^2 over them; each kept probe below the free boundary
     must also satisfy -dq/dy >= ((F - y) / tau) exp(-c A tau) with the
     configurable calibration constant c.  Probes outside the window or
-    with survival values under u_floor are skipped and counted.
+    with survival values under SHORT_TIME_U_FLOOR are skipped and counted.
 
     The slope floor becomes an equality as (x - y) / sqrt(eps tau) grows,
     with true margin shrinking like the inverse square of that depth, so
-    the floor gate only binds at probes shallower than slope_depth_max;
+    the floor gate only binds at probes shallower than SLOPE_DEPTH_MAX;
     deeper rows still report both sides ungated.
 
     The drift mass int |b(x, s)| ds is taken by the guarded Gauss-Legendre
@@ -472,6 +470,7 @@ def check_short_time(
     """
     if decay_constant <= 0.0:
         raise ConfigError("decay constant must be positive")
+    epsilon = 0.1
     T = spec.horizon_T
     rows = []
     n_outside = 0
@@ -482,8 +481,8 @@ def check_short_time(
         t = T - tau
         drift_mass = 2.0 * _gauss_legendre(lambda s: abs(spec.b(x, s)), t, T)
         grid = pde.default_grid(
-            spec, x, epsilon, t_start=t, n_y=n_y,
-            n_t=max(151, int(round(n_t_per_unit * tau))),
+            spec, x, epsilon, t_start=t, n_y=1501,
+            n_t=max(151, int(round(601 * tau))),
         )
         heat = pde.solve_u(spec, x, grid, epsilon)
         q_start, dq_dy_start, _ = pde._cost_rows(heat, 0)
@@ -495,7 +494,7 @@ def check_short_time(
                 n_outside += 1
                 continue
             u_val = float(heat.u[0, iy])
-            if u_val < u_floor or 1.0 - u_val < 1e-12:
+            if u_val < SHORT_TIME_U_FLOOR or 1.0 - u_val < 1e-12:
                 n_unresolved += 1
                 continue
             ratio = float(q_start[iy]) * tau / (x - y_eff) ** 2
@@ -505,12 +504,12 @@ def check_short_time(
                 rhs = (boundary - y_eff) / tau * math.exp(
                     -decay_constant * spec.lipschitz_A * tau
                 )
-                gated = (x - y_eff) / math.sqrt(epsilon * tau) <= slope_depth_max
+                gated = (x - y_eff) / math.sqrt(epsilon * tau) <= SLOPE_DEPTH_MAX
                 row.update(
                     slope=lhs,
                     slope_floor=rhs,
                     slope_gated=gated,
-                    ok=(not gated) or lhs >= rhs * (1.0 - slack),
+                    ok=(not gated) or lhs >= rhs * (1.0 - SHORT_TIME_SLACK),
                 )
             rows.append(row)
 
@@ -536,7 +535,7 @@ def check_short_time(
         status=status,
         observed=observed,
         expected="finite positive window constants and the slope floor at kept probes",
-        tolerance=slack,
+        tolerance=SHORT_TIME_SLACK,
         anchor="short-time-window",
     )
 
@@ -545,8 +544,6 @@ def check_short_time(
 
 def check_convexity_suite(
     spec: DriftSpec,
-    epsilon: float = 0.1,
-    x: float = 0.0,
     n_y: int = 1201,
     n_t: int = 601,
     dx: float = 0.02,
@@ -556,21 +553,22 @@ def check_convexity_suite(
 ) -> VerificationReport:
     """Convexity of the cost in both endpoints on a threshold bundle.
 
-    Checks second differences in the start point, the sign of the mixed
-    threshold-start difference, and the smaller eigenvalue of the 2x2
-    second-difference matrix.  The eigenvalue floor is psd_tol times the
-    curvature scale plus an explicit stencil-truncation envelope
-    (dx^2 + h^2) / 8 times the largest fourth difference: the matrix is
-    rank-deficient wherever the cost depends on the endpoints through
-    their difference alone, and there the truncation mismatch between
-    the three difference operators is the entire eigenvalue signal.
-    A genuinely indefinite field lands orders of magnitude below the
-    envelope.  mixed_only restricts to the sign check, which holds
+    Checks, about x = 0 at eps = 0.1, second differences in the start point,
+    the sign of the mixed threshold-start difference, and the smaller
+    eigenvalue of the 2x2 second-difference matrix.  The eigenvalue floor
+    is psd_tol times the curvature scale plus an explicit stencil-truncation
+    envelope (dx^2 + h^2) / 8 times the largest fourth difference: the
+    matrix is rank-deficient wherever the cost depends on the endpoints
+    through their difference alone, and there the truncation mismatch
+    between the three difference operators is the entire eigenvalue
+    signal.  A genuinely indefinite field lands orders of magnitude below
+    the envelope.  mixed_only restricts to the sign check, which holds
     without concavity of the drift.
     """
     if not 0.0 < psd_tol < 1.0:
         raise ConfigError("psd_tol must sit in (0, 1)")
-    grid, bundle = pde._fan_bundle(spec, x, epsilon, n_y, n_t, dx=dx)
+    epsilon = 0.1
+    grid, bundle = pde._fan_bundle(spec, 0.0, epsilon, n_y, n_t, dx=dx)
     lo, ctr, hi = bundle.members
     h = grid.h_y
     ddx = bundle.dx
@@ -714,11 +712,12 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
     x = 0.0
 
     def steering(eps: float):
-        grid, bundle = pde._fan_bundle(spec, x, eps, 801, 1001)
-        return grid, bundle, simulate.ControllerField.from_fields(grid, bundle.center, spec)
+        grid = pde._fan_grid(spec, x, eps, 801, 1001)
+        cost = pde.hopf_cole(pde.solve_u(spec, x, grid, eps))
+        return grid, cost, simulate.ControllerField.from_fields(grid, cost, spec)
 
     eps = 0.1
-    grid, bundle, ctl = steering(eps)
+    grid, cost, ctl = steering(eps)
 
     half = simulate.SimConfig(n_paths=n_paths, dt=dt, seed=seed, terminal_cutoff=0.5)
     ens = simulate.simulate_controlled(spec, ctl, 0.0, 0.0, eps, half)
@@ -728,20 +727,20 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
     weight_z = abs(mean_w - 1.0) / se_w if se_w > 0 else 0.0
 
     eps_is, y0 = 0.2, -1.0
-    grid_is, bundle_is, ctl_is = steering(eps_is)
+    grid_is, cost_is, ctl_is = steering(eps_is)
     config = simulate.SimConfig(n_paths=n_paths, dt=dt, seed=seed)
     iy = grid_is.nearest_node(y0)
     y_eff = float(grid_is.y_nodes()[iy])
     est = simulate.importance_sampling(
         simulate.simulate_controlled(spec, ctl_is, y_eff, 0.0, eps_is, config), x
     )
-    u_pde = math.exp(-float(bundle_is.center.q[0, iy]) / eps_is)
+    u_pde = math.exp(-float(cost_is.q[0, iy]) / eps_is)
     is_z = abs(est.estimate - u_pde) / est.std_error if est.std_error > 0 else 0.0
 
     jy = grid.nearest_node(y0)
     ens_q = simulate.simulate_controlled(spec, ctl, float(grid.y_nodes()[jy]), 0.0, eps, config)
     cost_est = simulate.representation_q(ens_q)
-    q_pde = float(bundle.center.q[0, jy])
+    q_pde = float(cost.q[0, jy])
     budget = 3.0 * cost_est.std_error + 0.5 * math.sqrt(eps)
     cost_gap = abs(cost_est.estimate - q_pde)
     ok = weight_z <= 3.0 and is_z <= 3.0 and cost_gap <= budget
@@ -850,6 +849,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not self.eps_list or not all(_is_finite_number(e) and e > 0.0 for e in self.eps_list):
             raise ConfigError("eps_list must be nonempty with positive finite entries")
+        params = self.drift_params  # checked here: verify never calls drift()
+        if not isinstance(params, dict) or not all(map(_is_finite_number, params.values())):
+            raise ConfigError(f"drift_params values must be finite numbers, got {params!r}")
         if self.n_y < 101 or self.n_t < 51:
             raise ConfigError("grid sizes too small to honor the solver contracts")
         if self.n_paths < 100:

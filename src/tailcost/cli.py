@@ -64,10 +64,10 @@ def _load_config(args: argparse.Namespace) -> checks.RunConfig:
     if args.table_format is not None:
         payload["table_format"] = args.table_format
     if "eps_list" in payload:
-        try:
-            payload["eps_list"] = tuple(float(e) for e in payload["eps_list"])
-        except (TypeError, ValueError):
-            raise checks.ConfigError("eps_list must be a list of numbers")
+        eps = payload["eps_list"]
+        if not isinstance(eps, list) or not all(map(checks._is_finite_number, eps)):
+            raise checks.ConfigError(f"eps_list must be a list of finite numbers, got {eps!r}")
+        payload["eps_list"] = tuple(float(e) for e in eps)
     try:
         return checks.RunConfig(**payload)
     except TypeError as exc:
@@ -175,10 +175,9 @@ def _cmd_simulate(config: checks.RunConfig, out_dir: Path, args: argparse.Namesp
     spec = config.drift()
     epsilon = _mid_eps(config)
     x, t = config.probe_x, config.probe_t
-    grid, bundle = pde._fan_bundle(
-        spec, x, epsilon, min(config.n_y, 1201), min(config.n_t, 1201), t_start=t
-    )
-    controller = simulate.ControllerField.from_fields(grid, bundle.center, spec)
+    grid = pde._fan_grid(spec, x, epsilon, min(config.n_y, 1201), min(config.n_t, 1201), t_start=t)
+    cost = pde.hopf_cole(pde.solve_u(spec, x, grid, epsilon))
+    controller = simulate.ControllerField.from_fields(grid, cost, spec)
     y0 = float(grid.y_nodes()[grid.nearest_node(config.probe_y)])
     sim_config = simulate.SimConfig(n_paths=config.n_paths, dt=config.dt, seed=config.seed)
 

@@ -239,6 +239,9 @@ def characteristic_F(spec: DriftSpec, x: float | np.ndarray, t: float) -> float 
     return float(y) if y.ndim == 0 else y
 
 
+# numpy 2 renamed trapz to trapezoid; numpy 1.24 has only trapz
+_trapz = getattr(np, "trapezoid", None) or np.trapz
+
 # 16-point Gauss-Legendre nodes and weights on [-1, 1] (Golub & Welsch 1969)
 _GL_NODES, _GL_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(16))
 
@@ -291,11 +294,10 @@ def linear_stats(A_of_s: Callable[[float], float], t: float, T: float) -> Linear
     return LinearDriftStats(Lambda=math.exp(growth), sigma2=sigma2)
 
 
-def spot_check(spec: DriftSpec, y_grid: np.ndarray | None = None, n_times: int = 11) -> None:
-    """Grid check of the declared flags; raises DriftError on violation."""
-    if y_grid is None:
-        y_grid = np.linspace(-4.0, 4.0, 41)
-    times = np.linspace(0.0, spec.horizon_T, n_times)
+def spot_check(spec: DriftSpec) -> None:
+    """Check of the declared flags on a 41 x 11 (y, t) grid; raises DriftError on violation."""
+    y_grid = np.linspace(-4.0, 4.0, 41)
+    times = np.linspace(0.0, spec.horizon_T, 11)
     b_first = np.asarray(spec.b(y_grid, times[0]), dtype=float)
     for t in times:
         slope = np.asarray(spec.db_dy(y_grid, t), dtype=float)

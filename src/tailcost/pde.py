@@ -35,11 +35,9 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import ndtr
 
-from .drifts import DriftSpec, LinearDriftStats
+from .drifts import DriftSpec, LinearDriftStats, _trapz
 
 U_FLOOR = 1e-300  # below this, q = -eps log u is flagged, never clamped
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 MAXPRINCIPLE_TOL = 1e-12
 MONOTONE_TOL = 1e-12
@@ -429,13 +427,19 @@ def solve_bundle(
     )
 
 
-def _fan_bundle(spec: DriftSpec, x: float, epsilon: float, n_y: int, n_t: int,
-                t_start: float = 0.0, dx: float = 0.02) -> tuple[Grid1D, CostBundle]:
-    """Thresholds x - dx, x, x + dx solved on default_grid widened by their fan margin."""
-    grid = default_grid(
+def _fan_grid(spec: DriftSpec, x: float, epsilon: float, n_y: int, n_t: int,
+              t_start: float = 0.0, dx: float = 0.02) -> Grid1D:
+    """default_grid widened by the fan margin of thresholds x - dx, x, x + dx."""
+    return default_grid(
         spec, x, epsilon, t_start=t_start, n_y=n_y, n_t=n_t,
         extra=fan_margin(spec, dx, 3, t_start=t_start) + 2.0 * dx,
     )
+
+
+def _fan_bundle(spec: DriftSpec, x: float, epsilon: float, n_y: int, n_t: int,
+                t_start: float = 0.0, dx: float = 0.02) -> tuple[Grid1D, CostBundle]:
+    """Thresholds x - dx, x, x + dx solved on their _fan_grid."""
+    grid = _fan_grid(spec, x, epsilon, n_y, n_t, t_start, dx)
     return grid, solve_bundle(spec, x, 3, dx, grid, epsilon)
 
 
@@ -489,18 +493,17 @@ def audit_domain(
     epsilon: float,
     grid: Grid1D,
     probe_y: np.ndarray,
-    widen: float = 1.5,
 ) -> float:
-    """Re-solve on a widened domain; max |u1 - u2| at probe nodes, t_start level.
+    """Re-solve on a domain widened by half; max |u1 - u2| at probe nodes, t_start level.
 
     The domain rule is our own policy (the underlying theory gives no usable
     constant for the threshold-tail decay), so it is audited rather than
     trusted: values above 1e-6 mean the grid rule failed.
     """
     base = solve_u(spec, x, grid, epsilon)
-    n_wide = int(round((grid.n_y - 1) * widen)) + 1
+    n_wide = int(round((grid.n_y - 1) * 1.5)) + 1
     wide_grid = default_grid(
-        spec, x, epsilon, t_start=grid.t_start, n_y=n_wide, n_t=grid.n_t, widen=widen
+        spec, x, epsilon, t_start=grid.t_start, n_y=n_wide, n_t=grid.n_t, widen=1.5
     )
     wide = solve_u(spec, x, wide_grid, epsilon)
     drift = 0.0

@@ -389,6 +389,20 @@ def test_weight_mean_invariant() -> None:
     assert obs["is_estimate"] == pytest.approx(obs["tail_mass_field"], rel=0.05)
 
 
+def test_weight_mean_solves_one_field_per_noise_level(monkeypatch: pytest.MonkeyPatch) -> None:
+    # each controller and its reference read one cost field, no threshold fan
+    calls = []
+    solve = pde.solve_u
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "solve_u", counted)
+    checks._check_weight_mean(seed=7, n_paths=200, dt=1e-2)
+    assert len(calls) == 2
+
+
 # -------------------------------------------------------------- run plumbing
 
 def test_run_config_validation() -> None:

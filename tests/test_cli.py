@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from tailcost import action, bridge, checks, cli, drifts, simulate
+from tailcost import action, bridge, checks, cli, drifts, pde, simulate
 
 SMALL = {
     "drift_kind": "zero",
@@ -95,6 +95,23 @@ def test_simulate_runs_one_steered_ensemble(
         return steer(*args, **kwargs)
 
     monkeypatch.setattr(simulate, "simulate_controlled", counted)
+    rc = cli.main(["simulate", "--config", _cfg(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert len(calls) == 1
+
+
+def test_simulate_steers_on_one_cost_field(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # the controller reads the centre threshold's field only: no threshold fan
+    calls = []
+    solve = pde.solve_u
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "solve_u", counted)
     rc = cli.main(["simulate", "--config", _cfg(tmp_path), "--out", str(tmp_path / "o")])
     assert rc == 0
     assert len(calls) == 1
@@ -336,6 +353,11 @@ def test_integer_config_fields_reject_other_types(
     ("classical", {"probe_x": float("nan")}),
     ("classical", {"probe_y": float("inf")}),
     ("verify", {"eps_list": [0.4, float("nan"), 0.1, 0.05]}),
+    ("verify", {"eps_list": [True, 0.2, 0.1, 0.05]}),
+    ("verify", {"eps_list": ["0.4", 0.2, 0.1, 0.05]}),
+    ("verify", {"drift_kind": "linear", "drift_params": {"A": True},
+                "eps_list": [0.4, 0.2, 0.1, 0.05]}),
+    ("classical", {"drift_kind": "linear", "drift_params": {"A": 0.5, "T": True}}),
 ])
 def test_bad_float_config_is_a_config_error(
     tmp_path: Path, capsys: pytest.CaptureFixture, command: str, fields: dict
