@@ -4,7 +4,7 @@ The package solves the backward exceedance equation, post-processes it
 into a log-scaled cost with derivative fields, solves the matching
 classical action problem by shooting and by direct minimization, runs
 controlled-path simulation with likelihood weights, evaluates
-pinned-endpoint conditionals, and bundles the cross-checks behind a
+pinned-endpoint conditionals, and gathers the cross-checks behind a
 verification command.
 """
 
@@ -28,7 +28,7 @@ from .drifts import (
     time_varying_linear,
     zero_drift,
 )
-from .pde import CostBundle, Grid1D, default_grid, hopf_cole, solve_bundle, solve_u
+from .pde import Grid1D, default_grid, hopf_cole, solve_u
 from .simulate import (
     ControllerField,
     EstimatorResult,
@@ -48,7 +48,6 @@ __all__ = [
     "ClassicalSolution",
     "ConfigError",
     "ControllerField",
-    "CostBundle",
     "DriftSpec",
     "EstimatorResult",
     "Grid1D",
@@ -73,7 +72,6 @@ __all__ = [
     "simulate_controlled",
     "simulate_uncontrolled",
     "sin_drift",
-    "solve_bundle",
     "solve_shooting",
     "solve_shooting_many",
     "solve_u",

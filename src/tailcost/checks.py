@@ -15,7 +15,7 @@ values and structural gates instead of asserting magic numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -212,52 +212,53 @@ SLOPE_NOISE_FLOOR = 1e-6  # slopes and bounds below this compare as zero
 
 
 def check_gradient_bounds(
-    costfield: pde.CostBundle | pde.CostField,
-    lipschitz_A: float,
+    spec: DriftSpec,
     slack: float = 1e-3,
+    lipschitz_A: float | None = None,
 ) -> VerificationReport:
     """Both cost slopes bounded by the square-root of the cost itself.
 
-    |dq/dx| and |dq/dy| must stay below (1 + tau A) sqrt(2 q / tau) at 20
-    probes about the threshold.  Where both sides sit under the noise floor
-    (deep above the free boundary) the probe passes as a zero-zero
-    comparison.  A plain field checks the y slope only; a bundle both.
+    On the fan of thresholds 0 and about +-0.02 at eps = 0.1, |dq/dx| and
+    |dq/dy| must stay below (1 + tau A) sqrt(2 q / tau) at 20 probes about
+    the threshold, on four time levels.  Where both sides sit under the
+    noise floor (deep above the free boundary) the probe passes as a
+    zero-zero comparison.  lipschitz_A overrides the drift's declared slope bound,
+    which lets a harness test exercise the failure path.
     """
-    fld = costfield.center if isinstance(costfield, pde.CostBundle) else costfield
-    grid = fld.grid
+    epsilon = 0.1
+    A = spec.lipschitz_A if lipschitz_A is None else lipschitz_A
+    grid = pde._fan_grid(spec, 0.0, epsilon, 1201, 601)
     T = grid.T
     t_nodes = grid.t_nodes()
     y_nodes = grid.y_nodes()
     span = T - grid.t_start
-    sigma = math.sqrt(fld.epsilon * span)
-    probes = tuple(
-        (fld.x_threshold + k * sigma, grid.t_start + f * span)
-        for f in (0.0, 0.25, 0.5, 0.75)
-        for k in (-3.0, -2.0, -1.0, 0.5, 1.5)
-    )
+    sigma = math.sqrt(epsilon * span)
+    levels = [round(f * (grid.n_t - 1)) for f in (0.0, 0.25, 0.5, 0.75)]
+    _, q, dq_dy, dq_dx = pde.fan_cost_rows(spec, 0.0, grid, epsilon, 0.02, levels)
+    probes = [
+        (lev, k * sigma) for lev in range(len(levels)) for k in (-3.0, -2.0, -1.0, 0.5, 1.5)
+    ]
 
     rows = []
     n_skipped = 0
     n_dx = 0
-    for y, t in probes:
-        it = int(round((t - grid.t_start) / grid.h_t))
-        it = min(max(it, 0), grid.n_t - 2)  # terminal row carries step data
-        iy = grid.nearest_node(float(y))
-        q_val = float(fld.q[it, iy])
-        if fld.overflow_mask[it, iy] or not math.isfinite(q_val):
+    for lev, y in probes:
+        iy = grid.nearest_node(y)
+        q_val = float(q[1, lev, iy])
+        if not math.isfinite(q_val):  # the centre's underflow mask
             n_skipped += 1
             continue
-        tau = T - float(t_nodes[it])
-        rhs = (1.0 + tau * lipschitz_A) * math.sqrt(max(2.0 * q_val, 0.0) / tau)
-        entries = {"slope_y": abs(float(fld.dq_dy[it, iy]))}
-        dqdx = float(fld.dq_dx[it, iy])
+        tau = T - float(t_nodes[levels[lev]])
+        rhs = (1.0 + tau * A) * math.sqrt(max(2.0 * q_val, 0.0) / tau)
+        entries = {"slope_y": abs(float(dq_dy[lev, iy]))}
+        dqdx = float(dq_dx[lev, iy])
         if math.isfinite(dqdx):
             entries["slope_x"] = abs(dqdx)
             n_dx += 1
         worst_lhs = max(entries.values())
         rows.append({
             "y": float(y_nodes[iy]),
-            "t": float(t_nodes[it]),
+            "t": float(t_nodes[levels[lev]]),
             "q": q_val,
             "bound": rhs,
             **entries,
@@ -279,7 +280,7 @@ def check_gradient_bounds(
             "rows": rows,
         }
     return VerificationReport(
-        check_name="slope-bound",
+        check_name=f"slope-bound:{spec.name}",
         status=status,
         observed=observed,
         expected="both slopes below the square-root cost bound at every probe",
@@ -396,14 +397,14 @@ def check_derivative_convergence(
 
     slopes_y, slopes_x, y_nodes, magnitudes = [], [], [], []
     for eps in eps_arr:
-        grid, bundle = pde._fan_bundle(spec, x, eps, 2001, 1201, t_start=t)
-        fld = bundle.center
+        grid = pde._fan_grid(spec, x, eps, 2001, 1201, t_start=t)
+        _, _, dq_dy, dq_dx = pde.fan_cost_rows(spec, x, grid, eps, 0.02, 0)
         ib = grid.nearest_node(y_below)
         ia = grid.nearest_node(y_above)
         y_nodes.append(float(grid.y_nodes()[ib]))
-        slopes_y.append(float(fld.dq_dy[0, ib]))
-        slopes_x.append(float(fld.dq_dx[0, ib]))
-        magnitudes.append(abs(float(fld.dq_dy[0, ia])) + abs(float(fld.dq_dx[0, ia])))
+        slopes_y.append(float(dq_dy[ib]))
+        slopes_x.append(float(dq_dx[ib]))
+        magnitudes.append(abs(float(dq_dy[ia])) + abs(float(dq_dx[ia])))
     classical = action.solve_shooting_many(spec, x, y_nodes, t)
     gaps_y = [abs(s - sol.dq_dy) for s, sol in zip(slopes_y, classical)]
     gaps_x = [abs(s - sol.dq_dx) for s, sol in zip(slopes_x, classical)]
@@ -551,7 +552,7 @@ def check_convexity_suite(
     psd_tol: float = 1e-5,
     mixed_only: bool = False,
 ) -> VerificationReport:
-    """Convexity of the cost in both endpoints on a threshold bundle.
+    """Convexity of the cost in both endpoints on a fan of three thresholds.
 
     Checks, about x = 0 at eps = 0.1, second differences in the start point,
     the sign of the mixed threshold-start difference, and the smaller
@@ -568,16 +569,14 @@ def check_convexity_suite(
     if not 0.0 < psd_tol < 1.0:
         raise ConfigError("psd_tol must sit in (0, 1)")
     epsilon = 0.1
-    grid, bundle = pde._fan_bundle(spec, 0.0, epsilon, n_y, n_t, dx=dx)
-    lo, ctr, hi = bundle.members
+    grid = pde._fan_grid(spec, 0.0, epsilon, n_y, n_t, dx=dx)
+    levels = [min(int(round(frac * (grid.n_t - 1))), grid.n_t - 2) for frac in t_fracs]
+    ddx, q, _, _ = pde.fan_cost_rows(spec, 0.0, grid, epsilon, dx, levels)
     h = grid.h_y
-    ddx = bundle.dx
     q_cap = -epsilon * math.log(1e-12)  # beyond this the tail is lattice noise
 
     rows = []
-    for frac in t_fracs:
-        k = min(int(round(frac * (grid.n_t - 1))), grid.n_t - 2)
-        q_lo, q_c, q_hi = lo.q[k], ctr.q[k], hi.q[k]
+    for k, (q_lo, q_c, q_hi) in zip(levels, q.transpose(1, 0, 2)):
         usable = (
             np.isfinite(q_lo) & np.isfinite(q_c) & np.isfinite(q_hi) & (q_c <= q_cap)
         )
@@ -849,9 +848,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not self.eps_list or not all(_is_finite_number(e) and e > 0.0 for e in self.eps_list):
             raise ConfigError("eps_list must be nonempty with positive finite entries")
-        params = self.drift_params  # checked here: verify never calls drift()
+        params = self.drift_params
         if not isinstance(params, dict) or not all(map(_is_finite_number, params.values())):
             raise ConfigError(f"drift_params values must be finite numbers, got {params!r}")
+        self._build_drift()  # the kind and params are checked here: verify never calls drift()
         if self.n_y < 101 or self.n_t < 51:
             raise ConfigError("grid sizes too small to honor the solver contracts")
         if self.n_paths < 100:
@@ -863,12 +863,16 @@ class RunConfig:
         if not 0.0 < self.bridge_delta <= 0.5:
             raise ConfigError("bridge look-back must sit in (0, T/2]")
 
-    def drift(self) -> DriftSpec:
+    def _build_drift(self) -> DriftSpec:
         try:
             spec = drift_by_name(self.drift_kind, **self.drift_params)
             spot_check(spec)
         except Exception as exc:
             raise ConfigError(str(exc)) from exc
+        return spec
+
+    def drift(self) -> DriftSpec:
+        spec = self._build_drift()
         if not self.probe_t < spec.horizon_T:
             raise ConfigError(
                 f"probe time {self.probe_t} is not before the horizon {spec.horizon_T}"
@@ -892,8 +896,8 @@ def _battery(config: RunConfig) -> dict:
         "cdf-bound": check_cdf_inequality,
         "kernel-bound:zero": lambda: check_green_bound(zero, 0.1),
         "kernel-bound:logcosh": lambda: check_green_bound(lcosh, 0.1),
-        "slope-bound:zero": lambda: _slope_bound_for(zero, 0.1),
-        "slope-bound:logcosh": lambda: _slope_bound_for(lcosh, 0.1),
+        "slope-bound:zero": lambda: check_gradient_bounds(zero),
+        "slope-bound:logcosh": lambda: check_gradient_bounds(lcosh),
         "rate-limit:zero": rate_limit(zero),
         "rate-limit:linear": rate_limit(lin),
         "rate-limit:logcosh": rate_limit(lcosh),
@@ -913,12 +917,6 @@ def _battery(config: RunConfig) -> dict:
         "invariant:bridge-pair": _check_bridge_pair,
     }
     return thunks
-
-
-def _slope_bound_for(spec: DriftSpec, epsilon: float) -> VerificationReport:
-    _, bundle = pde._fan_bundle(spec, 0.0, epsilon, 1201, 601)
-    report = check_gradient_bounds(bundle, spec.lipschitz_A)
-    return replace(report, check_name=f"slope-bound:{spec.name}")
 
 
 def run_all(

@@ -7,7 +7,10 @@ given state y at time t), obtained by marching the backward equation
 
 in reverse time.  The exponential transform q = -eps log u is the tail
 cost; its y-derivative feeds the controller, its threshold-derivative
-gives the transition density (Green function).
+gives the transition density (Green function).  The cost transform,
+_cost_rows, runs on only the time levels a caller reads: hopf_cole takes
+them all, fan_cost_rows differences three thresholds x - dx, x, x + dx at
+the few levels the slope and convexity checks read.
 
 Numerical scheme: full-operator Crank-Nicolson (central differences for
 both diffusion and drift) with a backward-Euler startup phase that damps
@@ -105,7 +108,8 @@ class CostField:
 
     overflow_mask marks nodes where u underflowed the representable floor;
     q is +inf there and the node is excluded from statistics.  dq_dx is
-    NaN unless the field came out of a threshold bundle.
+    all NaN: the threshold derivative needs neighbouring thresholds, which
+    fan_cost_rows solves at the levels a caller reads.
     """
 
     grid: Grid1D
@@ -116,23 +120,6 @@ class CostField:
     dq_dx: np.ndarray
     overflow_mask: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CostBundle:
-    """Cost fields at a fan of thresholds x_center + j*dx, sharing one grid.
-
-    center has dq_dx filled by centered differencing across the fan.
-    """
-
-    members: tuple[CostField, ...]
-    thresholds: np.ndarray
-    dx: float
-    center_index: int
-
-    @property
-    def center(self) -> CostField:
-        return self.members[self.center_index]
 
 
 @dataclass(frozen=True)
@@ -166,7 +153,7 @@ def default_grid(
 ) -> Grid1D:
     """Grid centered on the threshold, sized by the domain rule, x on a node.
 
-    extra widens the half-width additively; a threshold bundle needs it so
+    extra widens the half-width additively; a threshold fan needs it so
     the rule still holds around its outermost member.
     """
     half = widen * required_half_width(spec, x, epsilon, t_start) + extra
@@ -176,7 +163,7 @@ def default_grid(
 
 
 def fan_margin(spec: DriftSpec, dx: float, n_x: int, t_start: float = 0.0) -> float:
-    """Extra half-width a threshold bundle needs (see default_grid's extra).
+    """Extra half-width a fan of n_x thresholds needs (see default_grid's extra).
 
     The domain rule must hold around the outermost member, whose own
     |x| term grows with the fan extent.
@@ -331,13 +318,15 @@ def exact_gaussian_u(stats: LinearDriftStats, x: float, y, epsilon: float):
     return ndtr(z)
 
 
-def _cost_rows(heat: HeatField, rows: int | slice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cost_rows(
+    heat: HeatField, rows: int | slice | list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(q, dq_dy, underflow mask) of the time levels heat.u[rows].
 
-    The one Hopf-Cole kernel: hopf_cole passes every level, the exporter
-    and the probe-value checks only the levels they read.  One level gives
-    1-D arrays; the y-differences never cross levels, so any block gives
-    the full transform's bits at the same (k, i).
+    The one Hopf-Cole kernel: hopf_cole passes every level, the exporter,
+    fan_cost_rows and the probe-value checks only the levels they read.
+    One level gives 1-D arrays; the y-differences never cross levels, so
+    any block gives the full transform's bits at the same (k, i).
     """
     u = heat.u[rows]
     mask = u < U_FLOOR
@@ -358,7 +347,7 @@ def hopf_cole(heat: HeatField) -> CostField:
     """Cost transform q = -eps log u, with centered y-derivatives.
 
     Nodes where u underflows are flagged in overflow_mask and carry q = +inf;
-    they are never clamped.  dq_dx needs a threshold bundle and is NaN here.
+    they are never clamped.  dq_dx is NaN here; fan_cost_rows gives it.
     """
     q, dq_dy, mask = _cost_rows(heat, slice(None))
     dq_dx = np.full_like(q, np.nan)
@@ -374,57 +363,31 @@ def hopf_cole(heat: HeatField) -> CostField:
     )
 
 
-def solve_bundle(
+def fan_cost_rows(
     spec: DriftSpec,
-    x_center: float,
-    n_x: int,
-    dx: float,
+    x: float,
     grid: Grid1D,
     epsilon: float,
-) -> CostBundle:
-    """Cost fields at n_x thresholds x_center + j*dx (n_x odd, >= 3).
+    dx: float,
+    rows: int | slice | list[int],
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(dx, q, dq_dy, dq_dx) at the time levels rows of thresholds x - dx, x, x + dx.
 
     dx is snapped to a positive multiple of the grid spacing so every
-    threshold sits exactly on a node; the center field's dq_dx is the
-    centered difference of q across neighboring thresholds (error O(dx^2)).
+    threshold sits exactly on a node.  Each member is solved and read at
+    rows before the next is solved, so one lattice is alive at a time.  q
+    stacks the three members (axis 0: x - dx, x, x + dx); dq_dy is the
+    centre's and dq_dx the centred difference of q across the fan (error
+    O(dx^2)), NaN where a neighbour underflowed.
     """
-    if n_x < 3 or n_x % 2 == 0:
-        raise ValueError("n_x must be odd and >= 3")
-    steps = max(1, int(round(dx / grid.h_y)))
-    dx_snapped = steps * grid.h_y
-    half = (n_x - 1) // 2
-    offsets = np.arange(-half, half + 1)
-    thresholds = x_center + offsets * dx_snapped
-
-    members = []
-    for x_j in thresholds:
-        heat = solve_u(spec, float(x_j), grid, epsilon)
-        members.append(hopf_cole(heat))
-    thresholds = np.array([m.x_threshold for m in members])
-
-    center = members[half]
-    lo, hi = members[half - 1], members[half + 1]
+    dx = max(1, int(round(dx / grid.h_y))) * grid.h_y
+    (q_lo, _, lo_mask), (q_c, dq_dy, _), (q_hi, _, hi_mask) = (
+        _cost_rows(solve_u(spec, x + j * dx, grid, epsilon), rows) for j in (-1, 0, 1)
+    )
     with np.errstate(invalid="ignore"):  # inf - inf across masked nodes
-        dq_dx = (hi.q - lo.q) / (2.0 * dx_snapped)
-    bad = lo.overflow_mask | hi.overflow_mask
-    dq_dx = np.where(bad, np.nan, dq_dx)
-    center = CostField(
-        grid=center.grid,
-        epsilon=center.epsilon,
-        x_threshold=center.x_threshold,
-        q=center.q,
-        dq_dy=center.dq_dy,
-        dq_dx=dq_dx,
-        overflow_mask=center.overflow_mask,
-        diagnostics=dict(center.diagnostics, bundle_dx=dx_snapped),
-    )
-    members[half] = center
-    return CostBundle(
-        members=tuple(members),
-        thresholds=thresholds,
-        dx=dx_snapped,
-        center_index=half,
-    )
+        dq_dx = (q_hi - q_lo) / (2.0 * dx)
+    dq_dx = np.where(lo_mask | hi_mask, np.nan, dq_dx)
+    return dx, np.stack([q_lo, q_c, q_hi]), dq_dy, dq_dx
 
 
 def _fan_grid(spec: DriftSpec, x: float, epsilon: float, n_y: int, n_t: int,
@@ -434,13 +397,6 @@ def _fan_grid(spec: DriftSpec, x: float, epsilon: float, n_y: int, n_t: int,
         spec, x, epsilon, t_start=t_start, n_y=n_y, n_t=n_t,
         extra=fan_margin(spec, dx, 3, t_start=t_start) + 2.0 * dx,
     )
-
-
-def _fan_bundle(spec: DriftSpec, x: float, epsilon: float, n_y: int, n_t: int,
-                t_start: float = 0.0, dx: float = 0.02) -> tuple[Grid1D, CostBundle]:
-    """Thresholds x - dx, x, x + dx solved on their _fan_grid."""
-    grid = _fan_grid(spec, x, epsilon, n_y, n_t, t_start, dx)
-    return grid, solve_bundle(spec, x, 3, dx, grid, epsilon)
 
 
 def green_function(
@@ -518,7 +474,8 @@ def costfield_rows(heat: HeatField, t_stride: int = 1, y_stride: int = 1):
     """(t, y, u, q, dq_dy, dq_dx) rows of the exported sub-lattice, as lists of floats.
 
     Only the exported time levels are transformed, one at a time, so memory
-    stays at a few rows; dq_dx is NaN, as for any plain solve (see hopf_cole).
+    stays at a few rows; dq_dx is NaN, as in hopf_cole: one solve has no
+    threshold derivative (see fan_cost_rows).
     """
     grid = heat.grid
     t_nodes = grid.t_nodes()

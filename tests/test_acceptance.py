@@ -40,16 +40,16 @@ SEED = 7
 
 @lru_cache(maxsize=None)
 def _controlled_setup(kind: str):
-    """Grid, threshold bundle, and feedback controller at eps = 0.1."""
+    """Fan-wide grid, centre-threshold cost field and feedback controller at eps = 0.1."""
     spec = {"zero": zero_drift, "logcosh": logcosh_drift}[kind]()
     grid = pde.default_grid(
         spec, 0.0, EPS, n_y=801, n_t=1001,
         extra=pde.fan_margin(spec, 0.02, 3) + 0.04,
     )
-    bundle = pde.solve_bundle(spec, 0.0, 3, 0.02, grid, EPS)
-    controller = simulate.ControllerField.from_fields(grid, bundle.center, spec)
+    cost = pde.hopf_cole(pde.solve_u(spec, 0.0, grid, EPS))
+    controller = simulate.ControllerField.from_fields(grid, cost, spec)
     iy = grid.nearest_node(-1.0)
-    return spec, grid, bundle, controller, iy
+    return spec, grid, cost, controller, iy
 
 
 def test_criterion_01_backward_field_matches_gaussian_oracle() -> None:
@@ -138,12 +138,13 @@ def test_criterion_05_sampling_representations_match_field() -> None:
     mid-horizon, where the weight variance is finite and the standard
     error is a real yardstick.
     """
-    spec, grid, bundle, controller, iy = _controlled_setup("zero")
+    spec, grid, cost, controller, iy = _controlled_setup("zero")
     y0 = float(grid.y_nodes()[iy])
+    _, _, _, dq_dx = pde.fan_cost_rows(spec, 0.0, grid, EPS, 0.02, 0)
     refs = {
-        "q": float(bundle.center.q[0, iy]),
-        "slope_y": float(bundle.center.dq_dy[0, iy]),
-        "slope_x": float(bundle.center.dq_dx[0, iy]),
+        "q": float(cost.q[0, iy]),
+        "slope_y": float(cost.dq_dy[0, iy]),
+        "slope_x": float(dq_dx[iy]),
     }
     refs["slope_sum"] = refs["slope_y"] + refs["slope_x"]
     config = simulate.SimConfig(n_paths=100_000, dt=1e-3, seed=SEED)
@@ -245,16 +246,6 @@ def test_criterion_06_steered_paths_exceed_threshold() -> None:
     )
 
 
-@lru_cache(maxsize=None)
-def _slope_bundle(kind: str) -> pde.CostBundle:
-    spec = {"zero": zero_drift, "logcosh": logcosh_drift}[kind]()
-    grid = pde.default_grid(
-        spec, 0.0, EPS, n_y=1201, n_t=601,
-        extra=pde.fan_margin(spec, 0.02, 3) + 0.04,
-    )
-    return pde.solve_bundle(spec, 0.0, 3, 0.02, grid, EPS)
-
-
 def test_criterion_07_inequality_suite_zero_violations() -> None:
     """Density, kernel, and slope bounds with 1e-3 relative slack.
 
@@ -272,9 +263,7 @@ def test_criterion_07_inequality_suite_zero_violations() -> None:
         assert kernel.status == "pass", f"{spec.name}: {kernel.observed}"
         assert kernel.observed["n_skipped"] == 0
         assert kernel.observed["worst_ratio"] <= 1.0 + 1e-3
-        slope = checks.check_gradient_bounds(
-            _slope_bundle(kind), spec.lipschitz_A, slack=1e-3,
-        )
+        slope = checks.check_gradient_bounds(spec, slack=1e-3)
         assert slope.status == "pass", f"{spec.name}: {slope.observed}"
         assert slope.observed["worst_ratio"] <= 1.0 + 1e-3
 

@@ -326,6 +326,10 @@ def test_config_error_exit_codes(tmp_path: Path, capsys: pytest.CaptureFixture) 
     _expect_config_error(capsys, ["verify", "--config", _cfg(tmp_path, warp_speed=9)] + out)
     _expect_config_error(capsys, ["verify", "--config", _cfg(tmp_path, eps_list=["a"])] + out)
     _expect_config_error(capsys, ["solve", "--config", _cfg(tmp_path, drift_kind="warp")] + out)
+    # verify never builds the drift, yet it must refuse a kind it could not build
+    _expect_config_error(
+        capsys, ["verify", "--only", "cdf", "--config", _cfg(tmp_path, drift_kind="warp")] + out
+    )
     _expect_config_error(capsys, ["verify", "--only", "no-such-check"] + out)
     _expect_config_error(capsys, ["verify", "--seed", "-1"] + out)
     # step size too coarse for the horizon: simulation refuses to run
@@ -433,6 +437,9 @@ def test_drift_breaking_its_declared_flags_is_a_config_error(
     # c < 0 makes the log-cosh drift convex with a negative Lipschitz bound
     cfg = _cfg(tmp_path, drift_kind="logcosh", drift_params={"c": -0.5})
     _expect_config_error(capsys, ["solve", "--config", cfg, "--out", str(tmp_path / "o")])
+    _expect_config_error(
+        capsys, ["verify", "--only", "cdf", "--config", cfg, "--out", str(tmp_path / "o")]
+    )
 
 
 def test_missing_subcommand_is_a_usage_error() -> None:

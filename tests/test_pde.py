@@ -247,36 +247,51 @@ def test_bundle_dq_dx_matches_oracle() -> None:
     j = grid.nearest_node(-1.0)
     estimates = {}
     for dx in (0.1, 0.05):
-        bundle = pde.solve_bundle(spec, 0.0, 3, dx, grid, EPS)
-        assert bundle.center_index == 1
-        spacing = np.diff(bundle.thresholds)
-        assert np.allclose(spacing, bundle.dx, rtol=1e-12)
-        estimates[dx] = bundle.center.dq_dx[0, j]
+        dx_snapped, q, _, dq_dx = pde.fan_cost_rows(spec, 0.0, grid, EPS, dx, 0)
+        assert q.shape == (3, grid.n_y)
+        assert dx_snapped == pytest.approx(dx, abs=grid.h_y)
+        # snapped onto the lattice, so every threshold sits on a node
+        assert dx_snapped == pytest.approx(round(dx / grid.h_y) * grid.h_y, rel=1e-12)
+        estimates[dx] = dq_dx[j]
         assert estimates[dx] == pytest.approx(orc.SLOPE_X_ZERO_PROBE, abs=2e-3)
     # halving dx stays within the scheme's error floor
     assert abs(estimates[0.1] - estimates[0.05]) <= 2e-3
-
-
-def test_bundle_rejects_even_or_short_fans() -> None:
-    spec = drifts.zero_drift()
-    grid = _grid(spec, n=401, extra=0.2)
-    with pytest.raises(ValueError):
-        pde.solve_bundle(spec, 0.0, 4, 0.1, grid, EPS)
-    with pytest.raises(ValueError):
-        pde.solve_bundle(spec, 0.0, 1, 0.1, grid, EPS)
 
 
 def test_bundle_positive_dq_dx_interior() -> None:
     spec = drifts.linear_drift(0.5)
     extra = pde.fan_margin(spec, 0.1, 3) + 0.05
     grid = _grid(spec, n=801, extra=extra)
-    bundle = pde.solve_bundle(spec, 0.0, 3, 0.1, grid, EPS)
-    cost = bundle.center
+    _, _, _, dq_dx = pde.fan_cost_rows(spec, 0.0, grid, EPS, 0.1, 0)
     y = grid.y_nodes()
     probe = np.abs(y) <= 1.0
-    vals = cost.dq_dx[0, probe]
+    vals = dq_dx[probe]
     assert np.all(np.isfinite(vals))
     assert np.all(vals >= -1e-10)
+
+
+@pytest.mark.parametrize("spec", [drifts.zero_drift(), drifts.logcosh_drift()],
+                         ids=["zero", "logcosh"])
+@pytest.mark.parametrize("rows", [slice(20, 60), 0], ids=["block", "row"])
+def test_fan_rows_match_the_full_transform(spec, rows) -> None:
+    # the fan reads each member at the given levels only; q and dq_dy must
+    # be the full Hopf-Cole transform's bits there, and dq_dx the centred
+    # difference across the fan, NaN exactly where a neighbour underflowed
+    # (at eps = 0.005 the two neighbours' underflow regions differ)
+    eps = 0.005
+    grid = pde._fan_grid(spec, 0.0, eps, 801, 201)
+    dx, q, dq_dy, dq_dx = pde.fan_cost_rows(spec, 0.0, grid, eps, 0.02, rows)
+    full = [pde.hopf_cole(pde.solve_u(spec, x, grid, eps)) for x in (-dx, 0.0, dx)]
+    for member, fld in zip(q, full):
+        assert np.array_equal(member, fld.q[rows])
+    assert np.array_equal(dq_dy, full[1].dq_dy[rows], equal_nan=True)
+    lo_mask, hi_mask = full[0].overflow_mask[rows], full[2].overflow_mask[rows]
+    bad = lo_mask | hi_mask
+    assert not np.array_equal(lo_mask, hi_mask) and not bad.all()
+    assert np.array_equal(np.isnan(dq_dx), bad)
+    with np.errstate(invalid="ignore"):
+        expected = (full[2].q[rows] - full[0].q[rows]) / (2.0 * dx)
+    assert np.array_equal(dq_dx[~bad], expected[~bad])
 
 
 # -------------------------------------------------------------- green function
