@@ -13,10 +13,10 @@ are delta-data runs of the threshold solver's own Crank-Nicolson march
 (conservation-form) equation started from a point mass at y, the second
 the backward equation run from a point mass at the pin.  The start point
 and the pin are placed exactly on grid nodes so neither kernel carries
-placement bias.  A kernel is fixed by the drift, the query, the resources
-and its node lattice; callers that share a kernels dict build each
-distinct one once (`tailcost bridge` builds 3 for its 5 uses at the
-default look-back).
+placement bias.  The backward leg depends only on the node lattice, so
+starts that share a lattice share it, and their point masses march
+forward together as the columns of one march: `tailcost bridge` builds
+one lattice for its two conditionals and three sweep starts.
 """
 
 from __future__ import annotations
@@ -104,15 +104,14 @@ class BridgeEstimate:
 
 @dataclass(frozen=True)
 class GreenResources:
-    """Grid resolution and the refinement audit of the quadrature route.
+    """Grid resolution of the quadrature route.
 
     n_y is a target: the actual node count follows from anchoring the
-    spacing so the start point and the pin both land on nodes.
+    spacing so the start points and the pin all land on nodes.
     """
 
     n_y: int = 2401
     n_t: int = 1201
-    audit: bool = False
 
     def __post_init__(self) -> None:
         if self.n_y < 101 or self.n_t < 51:
@@ -194,94 +193,99 @@ def two_leg_classical_cost(
 
 @dataclass(frozen=True)
 class BridgeKernel:
-    """Product weight w on the shared xi nodes, with its pieces."""
+    """Bridge weights on one xi lattice: a fan row per start, one pin leg (bundle)."""
 
+    query: BridgeQuery  # fixes T, delta and epsilon; its y_start is starts[0]
+    starts: tuple[float, ...]
     xi: np.ndarray
     fan: np.ndarray
     bundle: np.ndarray
     weight: np.ndarray
-    mass: float
-    fan_mass: float
+    mass: np.ndarray
 
 
-def _anchored_nodes(spec: DriftSpec, query: BridgeQuery,
-                    resources: GreenResources, thetas: tuple[float, ...]):
-    """Node lattice containing 0 and y_start exactly, wide enough for both legs."""
-    y0, eps = query.y_start, query.epsilon
-    half = max(
-        required_half_width(spec, y0, eps, 0.0),
-        required_half_width(spec, 0.0, eps, 0.0),
-    )
-    lo_req = min(y0, 0.0, *thetas) - half
-    hi_req = max(y0, 0.0, *thetas) + half
-    target = (hi_req - lo_req) / (resources.n_y - 1)
-    if abs(y0) > 1e-12:
-        h = abs(y0) / max(1, int(round(abs(y0) / target)))
-    else:
-        h = target
-    j_lo = int(math.ceil(-lo_req / h))
-    j_hi = int(math.ceil(hi_req / h))
-    return -j_lo * h, j_hi * h, j_lo + j_hi + 1
+def _lattices(spec: DriftSpec, query: BridgeQuery, resources: GreenResources,
+              starts: tuple[float, ...], fractions: tuple[float, ...]):
+    """[(starts, (y_min, y_max, n_y))]: lattices with 0 and their starts on nodes.
+
+    Alone, a start anchors h_s = |y|/round(|y|/target) over the extent its
+    legs and thresholds (fractions of its delta*y/T) need.  Starts whose
+    gcd g in micro-units is at least min h_s share h = g/ceil(g/min h_s),
+    never coarser than any h_s, over the union of their own lattices.
+    """
+    eps, spans = query.epsilon, []
+    for y in starts:
+        half = max(required_half_width(spec, y, eps, 0.0), required_half_width(spec, 0.0, eps, 0.0))
+        ends = (y, 0.0, *(threshold_value(replace(query, y_start=y), c) for c in fractions))
+        lo_req, hi_req = min(ends) - half, max(ends) + half
+        target = (hi_req - lo_req) / (resources.n_y - 1)
+        spans.append((lo_req, hi_req,
+                      abs(y) / max(1, round(abs(y) / target)) if abs(y) > 1e-12 else target))
+
+    def nodes(lo: float, hi: float, h: float) -> tuple[float, float, int]:
+        j_lo, j_hi = math.ceil(-lo / h), math.ceil(hi / h)
+        return -j_lo * h, j_hi * h, j_lo + j_hi + 1
+
+    lattices = [((y,), nodes(*span)) for y, span in zip(starts, spans)]
+    g, h_min = math.gcd(*(round(abs(y) * 1e6) for y in starts)) / 1e6, min(h for *_, h in spans)
+    if len(starts) < 2 or g < h_min or any(abs(y / g - round(y / g)) > 1e-9 for y in starts):
+        return lattices
+    lo, hi = min(lat[0] for _, lat in lattices), max(lat[1] for _, lat in lattices)
+    return [(tuple(starts), nodes(lo, hi, g / math.ceil(g / h_min)))]
 
 
 def bridge_kernel(spec: DriftSpec, query: BridgeQuery,
                   resources: GreenResources | None = None,
-                  thetas: tuple[float, ...] = ()) -> BridgeKernel:
-    """Unnormalized conditional density on the look-back slice.
+                  starts: tuple[float, ...] | None = None,
+                  fractions: tuple[float, ...] = ()) -> BridgeKernel:
+    """Unnormalized conditional densities on the look-back slice, a row per start.
 
-    One forward march over [0, s] from a point mass at the start point and
-    one backward march over [s, T] from a point mass at the pin, both with
-    zero walls; their product on the shared nodes is the bridge weight.
-    Transient ringing can leave tiny negative kernel values; they are
-    clipped to zero before the product is formed.
+    starts (default: query.y_start) must share one lattice covering the
+    threshold fractions (see _lattices).  A forward march over [0, s] takes
+    a point mass per start as its columns, a backward march over [s, T] one
+    at the pin, both with zero walls; each column times the pin leg is that
+    start's weight, after clipping transient ringing below zero.
     """
     res = resources or GreenResources()
     if not math.isclose(query.T, spec.horizon_T):
         raise ValueError("query horizon differs from the drift's horizon")
-    y_min, y_max, n_y = _anchored_nodes(spec, query, res, thetas)
-    s = query.sample_time
-    grid_fwd = Grid1D(y_min, y_max, n_y, 0.0, s, res.n_t)
-    grid_bwd = Grid1D(y_min, y_max, n_y, s, query.T, res.n_t)
-
-    legs = []
-    for grid, node, backward in ((grid_fwd, query.y_start, False), (grid_bwd, 0.0, True)):
-        point = np.zeros(n_y)
-        point[grid.nearest_node(node)] = 1.0 / grid.h_y
-        legs.append(_cn_march(spec, point, grid, query.epsilon, 0.0, backward))
-    fan, bundle = legs
-    np.clip(fan, 0.0, None, out=fan)
-    np.clip(bundle, 0.0, None, out=bundle)
-    xi = grid_fwd.y_nodes()
+    starts = (query.y_start,) if starts is None else tuple(starts)
+    (_, (y_min, y_max, n_y)), *rest = _lattices(spec, query, res, starts, fractions)
+    if rest:
+        raise ValueError(f"starts {starts} share no lattice; build them with bridge_kernels")
+    s, legs = query.sample_time, []
+    for t0, t1, nodes, backward in ((0.0, s, starts, False), (s, query.T, (0.0,), True)):
+        grid = Grid1D(y_min, y_max, n_y, t0, t1, res.n_t)
+        points = np.zeros((len(nodes), n_y))
+        points[range(len(nodes)), [grid.nearest_node(y) for y in nodes]] = 1.0 / grid.h_y
+        data = points[0] if len(nodes) == 1 else points  # a lone point mass marches as a vector
+        legs.append(np.clip(_cn_march(spec, data, grid, query.epsilon, 0.0, backward), 0.0, None))
+    fan, bundle = np.atleast_2d(legs[0]), legs[1]
+    xi = np.linspace(y_min, y_max, n_y)
     w = fan * bundle
-    mass = float(_trapz(w, xi))
-    noise_floor = 64.0 * np.finfo(float).eps * float(w.max(initial=0.0)) * (y_max - y_min)
-    if not mass >= max(DEN_FLOOR, noise_floor):
-        raise IllConditionedBridgeError(
-            f"bridge mass {mass:.3e} below the resolvable floor"
-        )
-    return BridgeKernel(
-        xi=xi,
-        fan=fan,
-        bundle=bundle,
-        weight=w,
-        mass=mass,
-        fan_mass=float(_trapz(fan, xi)),
-    )
+    mass = _trapz(w, xi, axis=-1)
+    floor = 64.0 * np.finfo(float).eps * w.max(axis=-1, initial=0.0) * (y_max - y_min)
+    for y, m, f in zip(starts, mass, floor):
+        if not m >= max(DEN_FLOOR, f):
+            raise IllConditionedBridgeError(
+                f"bridge mass {m:.3e} from y={y:g} below the resolvable floor")
+    return BridgeKernel(query, starts, xi, fan, bundle, w, mass)
 
 
-def _shared_kernel(spec: DriftSpec, query: BridgeQuery, res: GreenResources,
-                   thetas: tuple[float, ...], kernels: dict | None) -> BridgeKernel:
-    """bridge_kernel, built once per distinct lattice when kernels is a dict.
+def bridge_kernels(spec: DriftSpec, query: BridgeQuery, starts: tuple[float, ...],
+                   fractions=(DEFAULT_C_BELOW, DEFAULT_C_ABOVE)) -> tuple[BridgeKernel, ...]:
+    """Kernels of every start at query's look-back and noise, one per _lattices entry."""
+    res = GreenResources()
+    return tuple(bridge_kernel(spec, replace(query, y_start=group[0]), res, group, fractions)
+                 for group, _ in _lattices(spec, query, res, tuple(starts), fractions))
 
-    thetas enter the kernel only through the anchored lattice, so the key
-    holds the lattice rather than the thresholds.
-    """
-    if kernels is None:
-        return bridge_kernel(spec, query, res, thetas)
-    key = (spec, query, res, _anchored_nodes(spec, query, res, thetas))
-    if key not in kernels:
-        kernels[key] = bridge_kernel(spec, query, res, thetas)
-    return kernels[key]
+
+def _column(kernels: tuple[BridgeKernel, ...], query: BridgeQuery) -> tuple[BridgeKernel, int]:
+    """The kernel holding query's start at its look-back and noise, and the start's row."""
+    for kern in kernels:
+        if query.y_start in kern.starts and replace(kern.query, y_start=query.y_start) == query:
+            return kern, kern.starts.index(query.y_start)
+    raise ValueError(f"no kernel holds y={query.y_start:g} at delta={query.delta:g}")
 
 
 def _mass_below(xi: np.ndarray, w: np.ndarray, theta: float) -> float:
@@ -297,8 +301,9 @@ def _mass_below(xi: np.ndarray, w: np.ndarray, theta: float) -> float:
     return head + 0.5 * (w[k] + w_theta) * (theta - xi[k])
 
 
-def _kernel_estimate(kern: BridgeKernel, theta: float, c: float, side: str) -> BridgeEstimate:
-    xi, w, den = kern.xi, kern.weight, kern.mass
+def _kernel_estimate(kern: BridgeKernel, i: int, theta: float, c: float,
+                     side: str) -> BridgeEstimate:
+    xi, w, den = kern.xi, kern.weight[i], float(kern.mass[i])
     mean = float(_trapz(xi * w, xi)) / den
     var = max(float(_trapz(xi * xi * w, xi)) / den - mean * mean, 0.0)
     below = min(max(_mass_below(xi, w, theta) / den, 0.0), 1.0)
@@ -313,7 +318,7 @@ def _kernel_estimate(kern: BridgeKernel, theta: float, c: float, side: str) -> B
             "threshold_fraction": c,
             "side": side,
             "mass": den,
-            "fan_mass": kern.fan_mass,
+            "fan_mass": float(_trapz(kern.fan[i], xi)),
         },
     )
 
@@ -324,32 +329,23 @@ def conditional_prob_green(
     threshold_fraction: float,
     side: str,
     resources: GreenResources | None = None,
-    kernels: dict | None = None,
+    kernels: tuple[BridgeKernel, ...] | None = None,
 ) -> BridgeEstimate:
     """Conditional tail probability by the two-kernel quadrature ratio.
 
     The event is {state below/above threshold_value(query, threshold_fraction)}
     at the look-back time; prob_below and prob_above are the complementary
     pair at that single threshold, and side records which one was asked
-    for.  With audit resources the whole computation repeats at doubled
-    node density and the drift is reported in extra.  A kernels dict shared
-    between calls reuses every kernel already built on the same lattice.
+    for.  kernels, from bridge_kernels, must hold query's start at its
+    look-back; without them one kernel is built on the start's own lattice.
     """
     if side not in ("below", "above"):
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
-    res = resources or GreenResources()
     theta = threshold_value(query, threshold_fraction)
-    kern = _shared_kernel(spec, query, res, (theta,), kernels)
-    est = _kernel_estimate(kern, theta, threshold_fraction, side)
-    if res.audit:
-        fine = replace(res, n_y=2 * res.n_y - 1, audit=False)
-        ref = conditional_prob_green(spec, query, threshold_fraction, side, fine, kernels)
-        est = replace(est, extra={
-            **est.extra,
-            "refinement_drift_prob": abs(ref.prob_below - est.prob_below),
-            "refinement_drift_mean": abs(ref.mean - est.mean),
-        })
-    return est
+    if kernels is None:
+        kernels = (bridge_kernel(spec, query, resources, fractions=(threshold_fraction,)),)
+    kern, row = _column(kernels, query)
+    return _kernel_estimate(kern, row, theta, threshold_fraction, side)
 
 
 def bridge_monte_carlo(query: BridgeQuery, config) -> BridgeEstimate:
@@ -425,7 +421,7 @@ def concentration_check(
     y_sweep,
     delta_sweep,
     c_below: float = DEFAULT_C_BELOW,
-    kernels: dict | None = None,
+    kernels: tuple[BridgeKernel, ...] | None = None,
 ) -> ConcentrationReport:
     """Fit the tail exponents of the pinned conditionals across a sweep.
 
@@ -437,7 +433,8 @@ def concentration_check(
     admissible cell both event probabilities are computed on the quadrature
     route; log-probabilities are then fit against delta*y^2/(eps*T^2), one
     line per event.  The report passes when both fitted slopes are negative
-    with R^2 at or above 0.9.  kernels is shared as in conditional_prob_green.
+    with R^2 at or above 0.9.  Each delta's starts share a lattice where
+    they can (bridge_kernels); kernels, when given, must hold every cell.
     """
     for tv in np.linspace(0.0, T, 9):
         if abs(float(spec.b(0.0, tv))) > 1e-10:
@@ -456,24 +453,27 @@ def concentration_check(
     if not cells:
         raise EmptySweepError("no (y, delta) cell is deep enough for the regime")
 
-    res = GreenResources()
     rows: list[ConcentrationRow] = []
     fit_pts: dict[str, list[tuple[float, float]]] = {"below": [], "above": []}
     dropped = 0
-    for y, d in cells:
-        query = BridgeQuery(y_start=y, T=T, delta=d, epsilon=epsilon)
-        theta_b = threshold_value(query, c_below)
-        theta_a = threshold_value(query, DEFAULT_C_ABOVE)
-        kern = _shared_kernel(spec, query, res, (theta_b, theta_a), kernels)
-        xbar = d * y * y / (epsilon * T * T)
-        p_below = _kernel_estimate(kern, theta_b, c_below, "below").prob_below
-        p_above = _kernel_estimate(kern, theta_a, DEFAULT_C_ABOVE, "above").prob_above
-        for event, p in (("below", p_below), ("above", p_above)):
-            rows.append(ConcentrationRow(y, d, event, p, math.nan, xbar))
-            if p > 0.0:
-                fit_pts[event].append((xbar, math.log(p)))
-            else:
-                dropped += 1
+    for d in dict.fromkeys(dc for _, dc in cells):
+        starts = [y for y, dc in cells if dc == d]
+        kerns = kernels or bridge_kernels(spec, BridgeQuery(starts[0], T, d, epsilon),
+                                          starts, (c_below, DEFAULT_C_ABOVE))
+        for y in starts:
+            query = BridgeQuery(y_start=y, T=T, delta=d, epsilon=epsilon)
+            kern, row = _column(kerns, query)
+            theta_b = threshold_value(query, c_below)
+            theta_a = threshold_value(query, DEFAULT_C_ABOVE)
+            xbar = d * y * y / (epsilon * T * T)
+            p_below = _kernel_estimate(kern, row, theta_b, c_below, "below").prob_below
+            p_above = _kernel_estimate(kern, row, theta_a, DEFAULT_C_ABOVE, "above").prob_above
+            for event, p in (("below", p_below), ("above", p_above)):
+                rows.append(ConcentrationRow(y, d, event, p, math.nan, xbar))
+                if p > 0.0:
+                    fit_pts[event].append((xbar, math.log(p)))
+                else:
+                    dropped += 1
 
     if len(fit_pts["below"]) < 2 or len(fit_pts["above"]) < 2:
         raise EmptySweepError("too few resolvable probabilities to fit")

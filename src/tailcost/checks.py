@@ -702,8 +702,11 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
     The raw mean E[exp(log-weight)] is one for any adapted control, but with
     steering active up to the terminal cutoff the weight second moment
     diverges and no sample mean can resolve the identity; the normalization
-    leg therefore stops the steering at mid-horizon, where the weight tail
-    is light enough for the sample standard error to be a real yardstick.
+    leg therefore stops the steering at mid-horizon.  Its weights are still
+    heavy-tailed: the Pareto tail index of the largest weights measured
+    0.29-0.72 over six seeds (max/mean 25-73), so the sample standard error
+    is no sure yardstick, and seeds 124 and 134 of 0-199 fail this leg at
+    4000 paths by drawing no large weight.
     The full-strength steering is audited through the indicator estimator
     instead, whose variance stays finite, against the solved tail mass.
     """
@@ -770,7 +773,8 @@ def _check_bridge_pair() -> VerificationReport:
     spec = linear_drift(0.5)
     query = bridge.BridgeQuery(y_start=-1.0, T=1.0, delta=0.25, epsilon=0.1)
     exact = bridge.linear_bridge_moments(bridge.linear_pieces(spec, query), query)
-    kernels: dict = {}  # both thresholds lie on one lattice: one kernel
+    # one kernel on the start's own lattice serves both thresholds
+    kernels = bridge.bridge_kernels(spec, query, (query.y_start,))
     below = bridge.conditional_prob_green(
         spec, query, bridge.DEFAULT_C_BELOW, "below", kernels=kernels)
     above = bridge.conditional_prob_green(

@@ -212,7 +212,8 @@ def _cmd_bridge(config: checks.RunConfig, out_dir: Path, args: argparse.Namespac
         y_start=config.probe_y, T=spec.horizon_T,
         delta=config.bridge_delta, epsilon=epsilon,
     )
-    kernels: dict = {}  # each distinct kernel of this command is built once
+    starts = (config.probe_y, config.probe_y - 0.2, config.probe_y - 0.4)
+    kernels = bridge.bridge_kernels(spec, query, starts)  # shared by conditionals and sweep
     cond_rows = []
     for fraction, side in ((bridge.DEFAULT_C_BELOW, "below"), (bridge.DEFAULT_C_ABOVE, "above")):
         est = bridge.conditional_prob_green(spec, query, fraction, side, kernels=kernels)
@@ -233,8 +234,7 @@ def _cmd_bridge(config: checks.RunConfig, out_dir: Path, args: argparse.Namespac
         cond_rows, config.table_format,
     )
     sweep = bridge.concentration_check(
-        spec, epsilon, spec.horizon_T,
-        y_sweep=(config.probe_y, config.probe_y - 0.2, config.probe_y - 0.4),
+        spec, epsilon, spec.horizon_T, y_sweep=starts,
         delta_sweep=(config.bridge_delta,), kernels=kernels,
     )
     conc_table = _write_table(

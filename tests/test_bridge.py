@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.optimize import minimize_scalar
 import oracles as orc
 from tailcost import bridge, drifts
 from tailcost.drifts import DriftSpec
-from tailcost.pde import PdeError
+from tailcost.pde import Grid1D, PdeError, _cn_march
 from tailcost.simulate import SimConfig
 
 EPS = 0.1
@@ -169,6 +170,67 @@ def test_kernel_with_a_nan_leg_is_refused(monkeypatch: pytest.MonkeyPatch) -> No
         bridge.bridge_kernel(drifts.zero_drift(), QUERY, bridge.GreenResources(n_y=401, n_t=101))
 
 
+SWEEP = (-1.0, -1.2, -1.4)
+FRACTIONS = (bridge.DEFAULT_C_BELOW, bridge.DEFAULT_C_ABOVE)
+
+
+@pytest.mark.parametrize("spec", [
+    drifts.zero_drift(), drifts.logcosh_drift(), drifts.linear_drift(0.5),
+    drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi),
+], ids=lambda s: s.name)
+def test_shared_lattice_columns_match_lone_marches(spec) -> None:
+    res = bridge.GreenResources(n_y=401, n_t=101)
+    kern = bridge.bridge_kernel(spec, QUERY, res, SWEEP, FRACTIONS)
+    xi = kern.xi
+    h = (xi[-1] - xi[0]) / (xi.size - 1)
+    grid = Grid1D(xi[0], xi[-1], xi.size, 0.0, QUERY.sample_time, res.n_t)
+    for i, y in enumerate(SWEEP):
+        # no start gets a coarser or narrower lattice than it anchors alone
+        query = dataclasses.replace(QUERY, y_start=y)
+        ((_, (lo, hi, n)),) = bridge._lattices(spec, query, res, (y,), FRACTIONS)
+        assert h <= (hi - lo) / (n - 1) and xi[0] <= lo and xi[-1] >= hi
+        point = np.zeros(xi.size)
+        point[grid.nearest_node(y)] = 1.0 / grid.h_y
+        assert xi[grid.nearest_node(y)] == pytest.approx(y, abs=1e-12)
+        lone = np.clip(_cn_march(spec, point, grid, EPS, 0.0, False), 0.0, None)
+        assert np.array_equal(kern.fan[i], lone)
+
+
+def test_kernel_with_a_nan_column_is_refused(monkeypatch: pytest.MonkeyPatch) -> None:
+    march = bridge._cn_march
+
+    def poisoned(*args, **kwargs):
+        leg = march(*args, **kwargs)
+        if leg.ndim == 2:
+            leg[1, leg.shape[1] // 2] = np.nan
+        return leg
+
+    monkeypatch.setattr(bridge, "_cn_march", poisoned)
+    with pytest.raises(bridge.IllConditionedBridgeError, match="y=-1.2"):
+        bridge.bridge_kernel(drifts.zero_drift(), QUERY, bridge.GreenResources(n_y=401, n_t=101),
+                             SWEEP)
+
+
+@pytest.mark.parametrize("spec", [
+    drifts.linear_drift(0.5), drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi),
+], ids=lambda s: s.name)
+def test_every_shared_start_meets_the_closed_form(spec) -> None:
+    # the invariant:bridge-pair gates, at every start of the shared lattice
+    kernels = bridge.bridge_kernels(spec, QUERY, SWEEP, FRACTIONS)
+    assert len(kernels) == 1
+    for y in SWEEP:
+        query = dataclasses.replace(QUERY, y_start=y)
+        exact = bridge.linear_bridge_moments(bridge.linear_pieces(spec, query), query)
+        below, above = (
+            bridge.conditional_prob_green(spec, query, c, side, kernels=kernels)
+            for c, side in zip(FRACTIONS, ("below", "above"))
+        )
+        assert abs(below.mean - exact.mean) <= 2e-3 * abs(exact.mean)
+        assert abs(below.variance - exact.variance) <= 2e-3 * exact.variance
+        assert abs(below.prob_below - exact.prob_below) <= 1e-3
+        assert abs(above.prob_above - exact.prob_above) <= 1e-3
+
+
 def test_green_normalization() -> None:
     spec = drifts.zero_drift()
     # threshold far to the right of all mass: c*delta*y/T = -100
@@ -189,10 +251,14 @@ def test_green_mass_matches_transition_kernel() -> None:
 
 
 def test_green_refinement_audit() -> None:
-    res = bridge.GreenResources(n_y=1201, n_t=601, audit=True)
-    quad = bridge.conditional_prob_green(drifts.zero_drift(), QUERY, 4.0, "below", res)
-    assert quad.extra["refinement_drift_prob"] < 1e-5
-    assert quad.extra["refinement_drift_mean"] < 1e-4
+    # the quadrature at 1201 target nodes against its refinement at 2401
+    coarse, fine = (
+        bridge.conditional_prob_green(drifts.zero_drift(), QUERY, 4.0, "below",
+                                      bridge.GreenResources(n_y=n_y, n_t=601))
+        for n_y in (1201, 2401)
+    )
+    assert abs(fine.prob_below - coarse.prob_below) < 1e-5
+    assert abs(fine.mean - coarse.mean) < 1e-4
 
 
 def test_green_input_guards() -> None:

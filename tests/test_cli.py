@@ -186,13 +186,7 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_out() -> None:
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("delta, marches", [(0.25, 6), (0.5, 8)])
-def test_bridge_builds_each_distinct_kernel_once(
-    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, delta: float, marches: int
-) -> None:
-    # two conditionals and three concentration cells: at delta 0.25 every
-    # threshold lies inside the start-to-pin span, so three cells share one
-    # lattice; at 0.5 the below threshold widens it for two of them
+def _count_marches(monkeypatch: pytest.MonkeyPatch) -> list:
     calls = []
     march = bridge._cn_march
 
@@ -201,19 +195,35 @@ def test_bridge_builds_each_distinct_kernel_once(
         return march(*args, **kwargs)
 
     monkeypatch.setattr(bridge, "_cn_march", counted)
-    config = _cfg(tmp_path, bridge_delta=delta)
-    assert cli.main(["bridge", "--config", config, "--out", str(tmp_path / "shared")]) == 0
-    assert len(calls) == marches
+    return calls
 
-    for name in ("conditional_prob_green", "concentration_check"):
-        def unshared(*args, kernels=None, _fn=getattr(bridge, name), **kwargs):
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(bridge, name, unshared)
-    calls.clear()
-    assert cli.main(["bridge", "--config", config, "--out", str(tmp_path / "alone")]) == 0
-    assert len(calls) == 10
-    for name in ("conditionals.csv", "concentration.csv", "bridge_summary.json"):
-        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+@pytest.mark.parametrize("delta", [0.25, 0.5])
+def test_bridge_builds_each_distinct_kernel_once(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, delta: float
+) -> None:
+    # two conditionals and three concentration cells on one lattice: one
+    # backward march from the pin, one forward march with a column per start
+    # (at delta 0.5 the below threshold widens the lattice, not the count)
+    calls = _count_marches(monkeypatch)
+    config = _cfg(tmp_path, bridge_delta=delta)
+    assert cli.main(["bridge", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 2
+    forward = [data for spec, data, grid, eps, wall, backward in calls if not backward]
+    assert [d.shape[0] for d in forward] == [3]
+
+
+def test_bridge_falls_back_to_a_lattice_per_start(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # -1.0001, -1.2001 and -1.4001 share only a 1e-4 spacing, far finer than
+    # any start anchors alone: each start keeps its own lattice
+    calls = _count_marches(monkeypatch)
+    config = _cfg(tmp_path, probe_y=-1.0001)
+    assert cli.main(["bridge", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 6
+    assert all(data.ndim == 1 for _, data, *_ in calls)
+    assert len(_rows(tmp_path / "o" / "concentration.csv")) == 6
 
 
 def test_bridge_writes_conditionals_with_exact_row(tmp_path: Path) -> None:
