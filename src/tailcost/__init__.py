@@ -28,7 +28,7 @@ from .drifts import (
     time_varying_linear,
     zero_drift,
 )
-from .pde import Grid1D, default_grid, hopf_cole, solve_u
+from .pde import Grid1D, default_grid, solve_u
 from .simulate import (
     ControllerField,
     EstimatorResult,
@@ -60,7 +60,6 @@ __all__ = [
     "conditional_prob_green",
     "default_grid",
     "drift_by_name",
-    "hopf_cole",
     "importance_sampling",
     "linear_bridge_moments",
     "linear_drift",

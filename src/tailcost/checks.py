@@ -715,11 +715,13 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
 
     def steering(eps: float):
         grid = pde._fan_grid(spec, x, eps, 801, 1001)
-        cost = pde.hopf_cole(pde.solve_u(spec, x, grid, eps))
-        return grid, cost, simulate.ControllerField.from_fields(grid, cost, spec)
+        heat = pde.solve_u(spec, x, grid, eps)
+        dq_dy = pde._cost_rows(heat, slice(None))[1]
+        ctl = simulate.ControllerField.from_fields(grid, dq_dy, spec)
+        return grid, pde._cost_rows(heat, 0)[0], ctl  # the level-0 cost
 
     eps = 0.1
-    grid, cost, ctl = steering(eps)
+    grid, q_start, ctl = steering(eps)
 
     half = simulate.SimConfig(n_paths=n_paths, dt=dt, seed=seed, terminal_cutoff=0.5)
     ens = simulate.simulate_controlled(spec, ctl, 0.0, 0.0, eps, half)
@@ -729,20 +731,20 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
     weight_z = abs(mean_w - 1.0) / se_w if se_w > 0 else 0.0
 
     eps_is, y0 = 0.2, -1.0
-    grid_is, cost_is, ctl_is = steering(eps_is)
+    grid_is, q_start_is, ctl_is = steering(eps_is)
     config = simulate.SimConfig(n_paths=n_paths, dt=dt, seed=seed)
     iy = grid_is.nearest_node(y0)
     y_eff = float(grid_is.y_nodes()[iy])
     est = simulate.importance_sampling(
         simulate.simulate_controlled(spec, ctl_is, y_eff, 0.0, eps_is, config), x
     )
-    u_pde = math.exp(-float(cost_is.q[0, iy]) / eps_is)
+    u_pde = math.exp(-float(q_start_is[iy]) / eps_is)
     is_z = abs(est.estimate - u_pde) / est.std_error if est.std_error > 0 else 0.0
 
     jy = grid.nearest_node(y0)
     ens_q = simulate.simulate_controlled(spec, ctl, float(grid.y_nodes()[jy]), 0.0, eps, config)
     cost_est = simulate.representation_q(ens_q)
-    q_pde = float(cost.q[0, jy])
+    q_pde = float(q_start[jy])
     budget = 3.0 * cost_est.std_error + 0.5 * math.sqrt(eps)
     cost_gap = abs(cost_est.estimate - q_pde)
     ok = weight_z <= 3.0 and is_z <= 3.0 and cost_gap <= budget

@@ -176,8 +176,8 @@ def _cmd_simulate(config: checks.RunConfig, out_dir: Path, args: argparse.Namesp
     epsilon = _mid_eps(config)
     x, t = config.probe_x, config.probe_t
     grid = pde._fan_grid(spec, x, epsilon, min(config.n_y, 1201), min(config.n_t, 1201), t_start=t)
-    cost = pde.hopf_cole(pde.solve_u(spec, x, grid, epsilon))
-    controller = simulate.ControllerField.from_fields(grid, cost, spec)
+    dq_dy = pde._cost_rows(pde.solve_u(spec, x, grid, epsilon), slice(None))[1]
+    controller = simulate.ControllerField.from_fields(grid, dq_dy, spec)
     y0 = float(grid.y_nodes()[grid.nearest_node(config.probe_y)])
     sim_config = simulate.SimConfig(n_paths=config.n_paths, dt=config.dt, seed=config.seed)
 

@@ -8,9 +8,9 @@ given state y at time t), obtained by marching the backward equation
 in reverse time.  The exponential transform q = -eps log u is the tail
 cost; its y-derivative feeds the controller, its threshold-derivative
 gives the transition density (Green function).  The cost transform,
-_cost_rows, runs on only the time levels a caller reads: hopf_cole takes
-them all, fan_cost_rows differences three thresholds x - dx, x, x + dx at
-the few levels the slope and convexity checks read.
+_cost_rows, runs on only the time levels a caller reads: the controller
+takes the slope of them all, fan_cost_rows differences three thresholds
+x - dx, x, x + dx at the few levels the slope and convexity checks read.
 
 Numerical scheme: full-operator Crank-Nicolson (central differences for
 both diffusion and drift) with a backward-Euler startup phase that damps
@@ -99,26 +99,6 @@ class HeatField:
     epsilon: float
     x_threshold: float
     u: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CostField:
-    """q = -eps log u with derivative fields.
-
-    overflow_mask marks nodes where u underflowed the representable floor;
-    q is +inf there and the node is excluded from statistics.  dq_dx is
-    all NaN: the threshold derivative needs neighbouring thresholds, which
-    fan_cost_rows solves at the levels a caller reads.
-    """
-
-    grid: Grid1D
-    epsilon: float
-    x_threshold: float
-    q: np.ndarray
-    dq_dy: np.ndarray
-    dq_dx: np.ndarray
-    overflow_mask: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -323,10 +303,10 @@ def _cost_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(q, dq_dy, underflow mask) of the time levels heat.u[rows].
 
-    The one Hopf-Cole kernel: hopf_cole passes every level, the exporter,
-    fan_cost_rows and the probe-value checks only the levels they read.
-    One level gives 1-D arrays; the y-differences never cross levels, so
-    any block gives the full transform's bits at the same (k, i).
+    The one Hopf-Cole kernel: the controller builds pass every level, the
+    exporter, fan_cost_rows and the probe-value checks only the levels they
+    read.  One level gives 1-D arrays; the y-differences never cross levels,
+    so any block gives the full transform's bits at the same (k, i).
     """
     u = heat.u[rows]
     mask = u < U_FLOOR
@@ -341,26 +321,6 @@ def _cost_rows(
         dq_dy[..., 0] = (-3.0 * q[..., 0] + 4.0 * q[..., 1] - q[..., 2]) / (2.0 * h)
         dq_dy[..., -1] = (3.0 * q[..., -1] - 4.0 * q[..., -2] + q[..., -3]) / (2.0 * h)
     return q, dq_dy, mask
-
-
-def hopf_cole(heat: HeatField) -> CostField:
-    """Cost transform q = -eps log u, with centered y-derivatives.
-
-    Nodes where u underflows are flagged in overflow_mask and carry q = +inf;
-    they are never clamped.  dq_dx is NaN here; fan_cost_rows gives it.
-    """
-    q, dq_dy, mask = _cost_rows(heat, slice(None))
-    dq_dx = np.full_like(q, np.nan)
-    return CostField(
-        grid=heat.grid,
-        epsilon=heat.epsilon,
-        x_threshold=heat.x_threshold,
-        q=q,
-        dq_dy=dq_dy,
-        dq_dx=dq_dx,
-        overflow_mask=mask,
-        diagnostics=dict(heat.diagnostics),
-    )
 
 
 def fan_cost_rows(
@@ -474,8 +434,8 @@ def costfield_rows(heat: HeatField, t_stride: int = 1, y_stride: int = 1):
     """(t, y, u, q, dq_dy, dq_dx) rows of the exported sub-lattice, as lists of floats.
 
     Only the exported time levels are transformed, one at a time, so memory
-    stays at a few rows; dq_dx is NaN, as in hopf_cole: one solve has no
-    threshold derivative (see fan_cost_rows).
+    stays at a few rows; dq_dx is NaN: one solve has no threshold
+    derivative (see fan_cost_rows).
     """
     grid = heat.grid
     t_nodes = grid.t_nodes()

@@ -26,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .drifts import ConfigError, DriftSpec
-from .pde import CostField, Grid1D
+from .pde import Grid1D
 
 
 class SimulationError(RuntimeError):
@@ -243,11 +243,12 @@ class ControllerError(SimulationError):
 
 @dataclass(frozen=True)
 class ControllerField:
-    """Steered drift b - (d/dy) cost, bilinear over the solved (t, y) lattice.
+    """Steered drift b - dq/dy, bilinear over the solved (t, y) lattice.
 
-    Rows where the cost field underflowed carry a restricted valid window
-    around the threshold; queries outside the window (or outside the time
-    range) do not extrapolate, they mark the path as escaped.
+    from_fields reads the slope lattice dq_dy alone.  Rows where the cost
+    underflowed carry a restricted valid window around the threshold;
+    queries outside the window (or outside the time range) do not
+    extrapolate, they mark the path as escaped.
 
     The y lattice must be uniform (as every Grid1D is) and control must be
     (t_nodes.size, y_nodes.size): evaluate finds a path's cell by one
@@ -277,15 +278,16 @@ class ControllerField:
 
     @classmethod
     def from_fields(
-        cls, grid: Grid1D, cost: CostField, spec: DriftSpec
+        cls, grid: Grid1D, dq_dy: np.ndarray, spec: DriftSpec
     ) -> "ControllerField":
-        if cost.q.ndim != 2:
-            raise ControllerError("controller needs a fully collected cost field")
-        n_t, n_y = cost.q.shape
+        """Controller of the (n_t, n_y) slope lattice dq_dy of a solve on grid."""
+        n_t, n_y = grid.n_t, grid.n_y
+        if dq_dy.shape != (n_t, n_y):
+            raise ControllerError(f"slope lattice has shape {dq_dy.shape}, grid needs {(n_t, n_y)}")
         t_nodes = grid.t_nodes()
         y_nodes = grid.y_nodes()
         # seed the per-row window search from the best-covered column
-        center = int(np.argmax(np.isfinite(cost.dq_dy).sum(axis=0)))
+        center = int(np.argmax(np.isfinite(dq_dy).sum(axis=0)))
         control = np.full((n_t, n_y), np.nan)
         window_lo = np.full(n_t, np.inf)
         window_hi = np.full(n_t, -np.inf)
@@ -293,7 +295,7 @@ class ControllerField:
         # the terminal row holds the raw step data and carries no usable
         # slope, so it never participates
         for i in range(n_t - 1):
-            finite = np.isfinite(cost.dq_dy[i])
+            finite = np.isfinite(dq_dy[i])
             if not finite[center]:
                 break
             # the contiguous finite run around center
@@ -302,14 +304,14 @@ class ControllerField:
             j_lo = int(holes_below[-1]) + 1 if holes_below.size else 0
             j_hi = center + int(holes_above[0]) - 1 if holes_above.size else n_y - 1
             drift_row = np.asarray(spec.b(y_nodes[j_lo : j_hi + 1], t_nodes[i]))
-            lam = drift_row - cost.dq_dy[i, j_lo : j_hi + 1]
+            lam = drift_row - dq_dy[i, j_lo : j_hi + 1]
             # steering never pushes below the plain drift
             control[i, j_lo : j_hi + 1] = np.maximum(lam, drift_row)
             window_lo[i] = y_nodes[j_lo]
             window_hi[i] = y_nodes[j_hi]
             last_row = i
         if last_row < 1:
-            raise ControllerError("cost field has no usable interior rows")
+            raise ControllerError("slope lattice has no usable interior rows")
         return cls(
             y_nodes=y_nodes,
             t_nodes=t_nodes,
@@ -368,7 +370,7 @@ def simulate_controlled(
     T = spec.horizon_T
     span = T - t
     cutoff = config.cutoff(span)
-    if cutoff >= span:
+    if cutoff >= span - 1e-12:  # the rounding slack of _check_dt's step count
         raise ConfigError("terminal cutoff swallows the whole horizon")
     n_paths, ids = config.n_paths, recorded_ids(config.n_paths)
     _check_memory(config.dt, span, len(ids), n_paths)

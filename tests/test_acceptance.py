@@ -40,16 +40,17 @@ SEED = 7
 
 @lru_cache(maxsize=None)
 def _controlled_setup(kind: str):
-    """Fan-wide grid, centre-threshold cost field and feedback controller at eps = 0.1."""
+    """Fan-wide grid, level-0 (q, dq_dy) and feedback controller at eps = 0.1."""
     spec = {"zero": zero_drift, "logcosh": logcosh_drift}[kind]()
     grid = pde.default_grid(
         spec, 0.0, EPS, n_y=801, n_t=1001,
         extra=pde.fan_margin(spec, 0.02, 3) + 0.04,
     )
-    cost = pde.hopf_cole(pde.solve_u(spec, 0.0, grid, EPS))
-    controller = simulate.ControllerField.from_fields(grid, cost, spec)
+    heat = pde.solve_u(spec, 0.0, grid, EPS)
+    _, dq_dy, _ = pde._cost_rows(heat, slice(None))
+    controller = simulate.ControllerField.from_fields(grid, dq_dy, spec)
     iy = grid.nearest_node(-1.0)
-    return spec, grid, cost, controller, iy
+    return spec, grid, pde._cost_rows(heat, 0)[:2], controller, iy
 
 
 def test_criterion_01_backward_field_matches_gaussian_oracle() -> None:
@@ -138,12 +139,12 @@ def test_criterion_05_sampling_representations_match_field() -> None:
     mid-horizon, where the weight variance is finite and the standard
     error is a real yardstick.
     """
-    spec, grid, cost, controller, iy = _controlled_setup("zero")
+    spec, grid, (q_start, dq_dy_start), controller, iy = _controlled_setup("zero")
     y0 = float(grid.y_nodes()[iy])
     _, _, _, dq_dx = pde.fan_cost_rows(spec, 0.0, grid, EPS, 0.02, 0)
     refs = {
-        "q": float(cost.q[0, iy]),
-        "slope_y": float(cost.dq_dy[0, iy]),
+        "q": float(q_start[iy]),
+        "slope_y": float(dq_dy_start[iy]),
         "slope_x": float(dq_dx[iy]),
     }
     refs["slope_sum"] = refs["slope_y"] + refs["slope_x"]

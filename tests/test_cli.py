@@ -385,10 +385,13 @@ def test_bad_float_config_is_a_config_error(
 def test_step_past_the_terminal_cutoff_is_a_config_error(
     tmp_path: Path, capsys: pytest.CaptureFixture
 ) -> None:
-    # a step as long as the horizon leaves nothing before the terminal cutoff
-    argv = ["simulate", "--config", _cfg(tmp_path, dt=1.0), "--out", str(tmp_path / "o")]
-    assert cli.main(argv) == 2
-    assert capsys.readouterr().err == "configuration error: terminal cutoff swallows the whole horizon\n"
+    # a step as long as the horizon leaves nothing before the terminal cutoff;
+    # from t = 0.999 the span 1 - 0.999 exceeds the 1e-3 cutoff by rounding only
+    for overrides in ({"dt": 1.0}, {"probe_t": 0.999, "dt": 1e-3}):
+        argv = ["simulate", "--config", _cfg(tmp_path, **overrides), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: terminal cutoff swallows the whole horizon\n"
 
 
 def test_unresolvable_linear_drift_is_a_config_error(

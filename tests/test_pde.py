@@ -210,35 +210,34 @@ def test_hopf_cole_constant_field() -> None:
     grid = pde.Grid1D(-1.0, 1.0, 5, 0.0, 1.0, 3)
     u = np.full((3, 5), math.exp(-5.0))
     heat = pde.HeatField(grid=grid, epsilon=0.1, x_threshold=0.0, u=u)
-    cost = pde.hopf_cole(heat)
-    assert np.allclose(cost.q, 0.5, rtol=1e-12)
-    assert np.allclose(cost.dq_dy, 0.0, atol=1e-12)
-    assert not cost.overflow_mask.any()
-    assert np.isnan(cost.dq_dx).all()
+    q, dq_dy, mask = pde._cost_rows(heat, slice(None))
+    assert np.allclose(q, 0.5, rtol=1e-12)
+    assert np.allclose(dq_dy, 0.0, atol=1e-12)
+    assert not mask.any()
 
 
 def test_hopf_cole_flags_underflow_without_clamping() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec, n=801)
-    cost = pde.hopf_cole(pde.solve_u(spec, 0.0, grid, EPS))
+    q, _, mask = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS), slice(None))
     # near the horizon, nodes far below the threshold underflow
-    assert cost.overflow_mask.any()
-    assert np.all(np.isinf(cost.q[cost.overflow_mask]))
-    ok = ~cost.overflow_mask
-    assert np.all(cost.q[ok] >= -1e-12)
-    assert np.all(np.isfinite(cost.q[ok]))
+    assert mask.any()
+    assert np.all(np.isinf(q[mask]))
+    ok = ~mask
+    assert np.all(q[ok] >= -1e-12)
+    assert np.all(np.isfinite(q[ok]))
 
 
 def test_cost_derivatives_match_oracle_at_probe() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec)
-    cost = pde.hopf_cole(pde.solve_u(spec, 0.0, grid, EPS))
+    q, dq_dy, mask = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS), slice(None))
     j = grid.nearest_node(-1.0)
-    assert cost.q[0, j] == pytest.approx(orc.COST_EPS_ZERO_PROBE, abs=1e-3)
-    assert cost.dq_dy[0, j] == pytest.approx(orc.SLOPE_Y_ZERO_PROBE, abs=2e-3)
+    assert q[0, j] == pytest.approx(orc.COST_EPS_ZERO_PROBE, abs=1e-3)
+    assert dq_dy[0, j] == pytest.approx(orc.SLOPE_Y_ZERO_PROBE, abs=2e-3)
     # cost decreases toward the threshold from below
-    interior = ~cost.overflow_mask[0]
-    assert np.all(cost.dq_dy[0, interior] <= 1e-10)
+    interior = ~mask[0]
+    assert np.all(dq_dy[0, interior] <= 1e-10)
 
 
 def test_bundle_dq_dx_matches_oracle() -> None:
@@ -281,16 +280,18 @@ def test_fan_rows_match_the_full_transform(spec, rows) -> None:
     eps = 0.005
     grid = pde._fan_grid(spec, 0.0, eps, 801, 201)
     dx, q, dq_dy, dq_dx = pde.fan_cost_rows(spec, 0.0, grid, eps, 0.02, rows)
-    full = [pde.hopf_cole(pde.solve_u(spec, x, grid, eps)) for x in (-dx, 0.0, dx)]
-    for member, fld in zip(q, full):
-        assert np.array_equal(member, fld.q[rows])
-    assert np.array_equal(dq_dy, full[1].dq_dy[rows], equal_nan=True)
-    lo_mask, hi_mask = full[0].overflow_mask[rows], full[2].overflow_mask[rows]
+    (q_lo, _, mask_lo), (q_c, dq_dy_c, _), (q_hi, _, mask_hi) = (
+        pde._cost_rows(pde.solve_u(spec, x, grid, eps), slice(None)) for x in (-dx, 0.0, dx)
+    )
+    for member, full_q in zip(q, (q_lo, q_c, q_hi)):
+        assert np.array_equal(member, full_q[rows])
+    assert np.array_equal(dq_dy, dq_dy_c[rows], equal_nan=True)
+    lo_mask, hi_mask = mask_lo[rows], mask_hi[rows]
     bad = lo_mask | hi_mask
     assert not np.array_equal(lo_mask, hi_mask) and not bad.all()
     assert np.array_equal(np.isnan(dq_dx), bad)
     with np.errstate(invalid="ignore"):
-        expected = (full[2].q[rows] - full[0].q[rows]) / (2.0 * dx)
+        expected = (q_hi[rows] - q_lo[rows]) / (2.0 * dx)
     assert np.array_equal(dq_dx[~bad], expected[~bad])
 
 
@@ -395,7 +396,7 @@ def test_costfield_rows_match_full_transform_bit_for_bit() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec, n=801)
     heat = pde.solve_u(spec, 0.0, grid, EPS)
-    cost = pde.hopf_cole(heat)
+    q, dq_dy, _ = pde._cost_rows(heat, slice(None))
     t_stride, y_stride = 7, 8  # 7 does not divide n_t - 1; 8 keeps both edge columns
     assert (grid.n_t - 1) % t_stride and (grid.n_y - 1) % y_stride == 0
     got = np.array(list(pde.costfield_rows(heat, t_stride=t_stride, y_stride=y_stride)))
@@ -404,7 +405,7 @@ def test_costfield_rows_match_full_transform_bit_for_bit() -> None:
     k, i = k.ravel(), i.ravel()
     want = np.column_stack([
         grid.t_nodes()[k], grid.y_nodes()[i], heat.u[k, i],
-        cost.q[k, i], cost.dq_dy[k, i], cost.dq_dx[k, i],
+        q[k, i], dq_dy[k, i], np.full(k.size, np.nan),
     ])
     assert np.isinf(want[:, 3]).any() and {0, grid.n_y - 1} <= set(i.tolist())
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

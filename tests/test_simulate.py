@@ -15,7 +15,8 @@ EPS = 0.1
 PROBE_Y, PROBE_X = -1.0, 0.0
 
 # Steered runs need the smoothed cost field on a grid whose time step
-# resolves the horizon cutoff; one solve per (drift, eps) is plenty.
+# resolves the horizon cutoff; one solve per (drift, eps) is plenty.  The
+# cache keeps the grid, the level-0 (q, dq_dy) rows and the controller.
 _FIELD_CACHE: dict = {}
 
 
@@ -23,8 +24,10 @@ def _steered(spec, eps, x=0.0):
     key = (spec.name, eps, x)
     if key not in _FIELD_CACHE:
         grid = pde.default_grid(spec, x, eps, n_y=801, n_t=2001)
-        cost = pde.hopf_cole(pde.solve_u(spec, x, grid, eps))
-        _FIELD_CACHE[key] = (grid, cost, sim.ControllerField.from_fields(grid, cost, spec))
+        heat = pde.solve_u(spec, x, grid, eps)
+        _, dq_dy, _ = pde._cost_rows(heat, slice(None))
+        ctl = sim.ControllerField.from_fields(grid, dq_dy, spec)
+        _FIELD_CACHE[key] = (grid, pde._cost_rows(heat, 0)[:2], ctl)
     return _FIELD_CACHE[key]
 
 
@@ -129,7 +132,7 @@ def test_naive_exceedance_matches_frozen_probe() -> None:
 
 def test_controller_field_from_smoothed_cost() -> None:
     spec = drifts.zero_drift()
-    grid, cost, ctl = _steered(spec, EPS)
+    grid, _, ctl = _steered(spec, EPS)
     # terminal row holds raw step data and must not be sampled
     assert ctl.last_row == grid.n_t - 2
     assert ctl.t_valid_max == grid.t_nodes()[-2]
@@ -156,8 +159,8 @@ def test_controller_rejects_times_outside_coverage() -> None:
 def test_coarse_time_grid_refused_near_horizon() -> None:
     spec = drifts.zero_drift()
     grid = pde.default_grid(spec, 0.0, EPS, n_y=401, n_t=11)
-    cost = pde.hopf_cole(pde.solve_u(spec, 0.0, grid, EPS))
-    ctl = sim.ControllerField.from_fields(grid, cost, spec)
+    _, dq_dy, _ = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS), slice(None))
+    ctl = sim.ControllerField.from_fields(grid, dq_dy, spec)
     with pytest.raises(sim.ControllerError):
         sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
                                 sim.SimConfig(n_paths=8, dt=2e-3, seed=1))
@@ -259,17 +262,17 @@ def test_controller_requires_uniform_lattice_and_matching_control() -> None:
         sim.ControllerField(y_nodes=y_nodes, control=np.zeros((4, 9)), **kw)
 
 
-def _loop_windows(grid, cost, spec):
+def _loop_windows(grid, dq_dy, spec):
     """The node-by-node window scan from_fields used before it went to arrays."""
-    n_t, n_y = cost.q.shape
+    n_t, n_y = dq_dy.shape
     t_nodes, y_nodes = grid.t_nodes(), grid.y_nodes()
-    center = int(np.argmax(np.isfinite(cost.dq_dy).sum(axis=0)))
+    center = int(np.argmax(np.isfinite(dq_dy).sum(axis=0)))
     control = np.full((n_t, n_y), np.nan)
     window_lo = np.full(n_t, np.inf)
     window_hi = np.full(n_t, -np.inf)
     last_row = 0
     for i in range(n_t - 1):
-        finite = np.isfinite(cost.dq_dy[i])
+        finite = np.isfinite(dq_dy[i])
         if not finite[center]:
             break
         j_lo = center
@@ -279,7 +282,7 @@ def _loop_windows(grid, cost, spec):
         while j_hi < n_y - 1 and finite[j_hi + 1]:
             j_hi += 1
         drift_row = np.asarray(spec.b(y_nodes[j_lo : j_hi + 1], t_nodes[i]))
-        lam = drift_row - cost.dq_dy[i, j_lo : j_hi + 1]
+        lam = drift_row - dq_dy[i, j_lo : j_hi + 1]
         control[i, j_lo : j_hi + 1] = np.maximum(lam, drift_row)
         window_lo[i] = y_nodes[j_lo]
         window_hi[i] = y_nodes[j_hi]
@@ -303,18 +306,40 @@ def test_from_fields_window_scan_matches_loop() -> None:
     dq_dy[3, 44:46] = np.nan
     dq_dy[5, 30] = np.nan
     dq_dy[7, [3, 57]] = np.nan
-    cost = pde.CostField(
-        grid=grid, epsilon=0.1, x_threshold=0.0, q=np.zeros_like(dq_dy),
-        dq_dy=dq_dy, dq_dx=np.full_like(dq_dy, np.nan),
-        overflow_mask=np.zeros(dq_dy.shape, dtype=bool),
-    )
-    ctl = sim.ControllerField.from_fields(grid, cost, spec)
-    control, window_lo, window_hi, last_row = _loop_windows(grid, cost, spec)
+    ctl = sim.ControllerField.from_fields(grid, dq_dy, spec)
+    control, window_lo, window_hi, last_row = _loop_windows(grid, dq_dy, spec)
     assert last_row == ctl.last_row == 4
     assert ctl.window_lo[2] == ctl.window_hi[2] == grid.y_nodes()[30]
     assert np.array_equal(ctl.control, control, equal_nan=True)
     assert np.array_equal(ctl.window_lo, window_lo)
     assert np.array_equal(ctl.window_hi, window_hi)
+
+
+def test_from_fields_refuses_a_lattice_off_the_grid() -> None:
+    # refused up front: in the row loop a wider lattice would fail on a bare
+    # broadcasting ValueError and a narrower one pass until the control check
+    spec = drifts.zero_drift()
+    grid = pde.Grid1D(-3.0, 3.0, 61, 0.0, 1.0, 12)
+    for shape in ((12, 62), (12, 60), (13, 61), (61,)):
+        with pytest.raises(sim.ControllerError):
+            sim.ControllerField.from_fields(grid, np.zeros(shape), spec)
+
+
+def test_controller_build_memory_stays_near_the_solved_field() -> None:
+    # beyond u, the build holds the slope lattice and the control; the
+    # transform's q, mask and temporaries are gone before the control is made
+    spec = drifts.zero_drift()
+    grid = pde._fan_grid(spec, 0.0, EPS, 1201, 1201)
+    heat = pde.solve_u(spec, 0.0, grid, EPS)
+    tracemalloc.start()
+    try:
+        dq_dy = pde._cost_rows(heat, slice(None))[1]
+        ctl = sim.ControllerField.from_fields(grid, dq_dy, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctl.last_row == grid.n_t - 2
+    assert peak < 3.5 * heat.u.nbytes, f"peak {peak / heat.u.nbytes:.2f} x u"
 
 
 def test_escaped_paths_flagged_and_capped() -> None:
@@ -402,16 +427,16 @@ def test_slope_representations_zero_drift() -> None:
 
 def test_slope_sum_identity_concave_drift() -> None:
     spec = drifts.logcosh_drift()
-    grid, cost, ctl = _steered(spec, EPS)
+    grid, (q_start, dq_dy_start), ctl = _steered(spec, EPS)
     ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
                                   sim.SimConfig(n_paths=4000, dt=1e-3, seed=12))
     dq = sim.representation_dq(ens)
     sy, sx, ss = dq["slope_y"], dq["slope_x"], dq["slope_sum"]
     assert sy.estimate + sx.estimate == pytest.approx(ss.estimate, abs=1e-10)
     iy = grid.nearest_node(PROBE_Y)
-    assert abs(sy.estimate - cost.dq_dy[0, iy]) <= max(3.0 * sy.std_error, 0.02)
+    assert abs(sy.estimate - dq_dy_start[iy]) <= max(3.0 * sy.std_error, 0.02)
     q_mc = sim.representation_q(ens)
-    assert abs(q_mc.estimate - cost.q[0, iy]) <= max(3.0 * q_mc.std_error, 0.05)
+    assert abs(q_mc.estimate - q_start[iy]) <= max(3.0 * q_mc.std_error, 0.05)
 
 
 # ------------------------------------------------------- importance sampling
