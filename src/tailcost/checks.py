@@ -164,13 +164,13 @@ def check_green_bound(
             n_t=max(101, int(round(401 * tau / T))),
         )
         dx = max(1, int(round(0.01 / grid.h_y))) * grid.h_y
-        heat = pde.solve_u(spec, 0.0, grid, epsilon)
+        heat = pde.solve_u(spec, 0.0, grid, epsilon, rows=0)
         kernel = pde.green_function(
             spec, grid, epsilon, t, T, thresholds=np.array([-dx, 0.0, dx])
         )
         for y in by_t[t]:
             iy = grid.nearest_node(y)
-            u_val = float(heat.u[0, iy])
+            u_val = float(heat.u[iy])
             if u_val < KERNEL_U_FLOOR or 1.0 - u_val < KERNEL_U_FLOOR:
                 n_skipped += 1
                 continue
@@ -331,7 +331,7 @@ def check_rate_zero_noise(
         grid = pde.default_grid(spec, x, eps, t_start=t, n_y=n_y, n_t=n_t)
         iy = grid.nearest_node(y)
         y_nodes.append(float(grid.y_nodes()[iy]))
-        q_start, _, _ = pde._cost_rows(pde.solve_u(spec, x, grid, eps), 0)
+        q_start, _, _ = pde._cost_rows(pde.solve_u(spec, x, grid, eps, rows=0))
         q_eps.append(float(q_start[iy]))
     classical = action.solve_shooting_many(spec, x, y_nodes, t)
     gaps = [abs(q - sol.q_value) for q, sol in zip(q_eps, classical)]
@@ -485,8 +485,8 @@ def check_short_time(
             spec, x, epsilon, t_start=t, n_y=1501,
             n_t=max(151, int(round(601 * tau))),
         )
-        heat = pde.solve_u(spec, x, grid, epsilon)
-        q_start, dq_dy_start, _ = pde._cost_rows(heat, 0)
+        heat = pde.solve_u(spec, x, grid, epsilon, rows=0)
+        q_start, dq_dy_start, _ = pde._cost_rows(heat)
         boundary = characteristic_F(spec, x, t)
         for y in probes:
             iy = grid.nearest_node(float(y))
@@ -494,7 +494,7 @@ def check_short_time(
             if not x - y_eff > drift_mass + math.sqrt(epsilon * tau):
                 n_outside += 1
                 continue
-            u_val = float(heat.u[0, iy])
+            u_val = float(heat.u[iy])
             if u_val < SHORT_TIME_U_FLOOR or 1.0 - u_val < 1e-12:
                 n_unresolved += 1
                 continue
@@ -715,10 +715,10 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
 
     def steering(eps: float):
         grid = pde._fan_grid(spec, x, eps, 801, 1001)
-        heat = pde.solve_u(spec, x, grid, eps)
-        dq_dy = pde._cost_rows(heat, slice(None))[1]
-        ctl = simulate.ControllerField.from_fields(grid, dq_dy, spec)
-        return grid, pde._cost_rows(heat, 0)[0], ctl  # the level-0 cost
+        q, dq_dy = pde._cost_rows(pde.solve_u(spec, x, grid, eps))[:2]
+        q_start = q[0].copy()  # the level-0 cost; the full q goes before the build
+        del q
+        return grid, q_start, simulate.ControllerField.from_fields(grid, dq_dy, spec)
 
     eps = 0.1
     grid, q_start, ctl = steering(eps)

@@ -103,11 +103,11 @@ def _cmd_solve(config: checks.RunConfig, out_dir: Path, args: argparse.Namespace
         spec, config.probe_x, epsilon,
         n_y=config.n_y, n_t=config.n_t, t_start=config.probe_t,
     )
-    heat = pde.solve_u(spec, config.probe_x, grid, epsilon)
     st, sy = _stride(grid.n_t), _stride(grid.n_y)
+    heat = pde.solve_u(spec, config.probe_x, grid, epsilon, rows=slice(None, None, st))
     table = _write_table(
         out_dir / "field", ["t", "y", "u", "q", "dq_dy", "dq_dx"],
-        pde.costfield_rows(heat, t_stride=st, y_stride=sy), config.table_format,
+        pde.costfield_rows(heat, y_stride=sy), config.table_format,
     )
     tables.write_json(out_dir / "field_meta.json", {
         "drift": spec.name,
@@ -176,7 +176,7 @@ def _cmd_simulate(config: checks.RunConfig, out_dir: Path, args: argparse.Namesp
     epsilon = _mid_eps(config)
     x, t = config.probe_x, config.probe_t
     grid = pde._fan_grid(spec, x, epsilon, min(config.n_y, 1201), min(config.n_t, 1201), t_start=t)
-    dq_dy = pde._cost_rows(pde.solve_u(spec, x, grid, epsilon), slice(None))[1]
+    dq_dy = pde._cost_rows(pde.solve_u(spec, x, grid, epsilon))[1]
     controller = simulate.ControllerField.from_fields(grid, dq_dy, spec)
     y0 = float(grid.y_nodes()[grid.nearest_node(config.probe_y)])
     sim_config = simulate.SimConfig(n_paths=config.n_paths, dt=config.dt, seed=config.seed)
@@ -227,15 +227,16 @@ def _cmd_bridge(config: checks.RunConfig, out_dir: Path, args: argparse.Namespac
             exact.method, "both", float("nan"), exact.mean, exact.variance,
             exact.prob_below, exact.prob_above,
         ])
+    # the sweep may refuse the configuration: nothing is written before it runs
+    sweep = bridge.concentration_check(
+        spec, epsilon, spec.horizon_T, y_sweep=starts,
+        delta_sweep=(config.bridge_delta,), kernels=kernels,
+    )
     cond_table = _write_table(
         out_dir / "conditionals",
         ["method", "side", "threshold_fraction", "mean", "variance",
          "prob_below", "prob_above"],
         cond_rows, config.table_format,
-    )
-    sweep = bridge.concentration_check(
-        spec, epsilon, spec.horizon_T, y_sweep=starts,
-        delta_sweep=(config.bridge_delta,), kernels=kernels,
     )
     conc_table = _write_table(
         out_dir / "concentration",

@@ -7,10 +7,10 @@ given state y at time t), obtained by marching the backward equation
 
 in reverse time.  The exponential transform q = -eps log u is the tail
 cost; its y-derivative feeds the controller, its threshold-derivative
-gives the transition density (Green function).  The cost transform,
-_cost_rows, runs on only the time levels a caller reads: the controller
-takes the slope of them all, fan_cost_rows differences three thresholds
-x - dx, x, x + dx at the few levels the slope and convexity checks read.
+gives the transition density (Green function).  solve_u keeps only the
+time levels its caller reads, and the cost transform, _cost_rows, runs on
+them: the controller takes the slope of every level, fan_cost_rows
+differences thresholds x - dx, x, x + dx at the few levels a check reads.
 
 Numerical scheme: full-operator Crank-Nicolson (central differences for
 both diffusion and drift) with a backward-Euler startup phase that damps
@@ -24,15 +24,16 @@ checked to be finite, so a non-finite datum or an overflow raises PdeError
 at the time level where it appears.  At the mesh Peclet numbers of every
 shipped configuration (|b| h_y / eps <= 1) each step is a monotone map, so
 the discrete solution inherits the maximum principle and monotonicity in y
-to roundoff.  The mesh Peclet and diffusion numbers are recorded as
-diagnostics, not enforced.
+to roundoff; solve_u checks both on every level it makes.  The mesh Peclet
+and diffusion numbers are recorded as diagnostics, not enforced.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -45,6 +46,7 @@ U_FLOOR = 1e-300  # below this, q = -eps log u is flagged, never clamped
 MAXPRINCIPLE_TOL = 1e-12
 MONOTONE_TOL = 1e-12
 N_STARTUP = 8  # backward-Euler step pairs that open every march
+CHECK_BLOCK = 16  # levels a solve does not keep are checked this many at a time
 
 
 class GridExtentError(ValueError):
@@ -93,12 +95,13 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class HeatField:
-    """u on the full (t, y) lattice; row k is time level t_k."""
+    """u at the time levels a solve kept: u[i] is level levels[i]; 1-D for an int levels."""
 
     grid: Grid1D
     epsilon: float
     x_threshold: float
     u: np.ndarray
+    levels: np.ndarray | int
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -154,7 +157,7 @@ def fan_margin(spec: DriftSpec, dx: float, n_x: int, t_start: float = 0.0) -> fl
 
 
 def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall: float,
-              backward: bool, out: np.ndarray | None = None) -> np.ndarray:
+              backward: bool, out: Callable[[int], np.ndarray] | None = None) -> np.ndarray:
     """Crank-Nicolson march of data u (..., n_y) across the grid's time levels.
 
     backward runs the backward equation from grid.T down to grid.t_start;
@@ -162,8 +165,9 @@ def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall
     differenced, so b sits on the neighbor nodes) runs upward.  The first
     N_STARTUP steps are pairs of backward-Euler half-steps (Rannacher
     startup) that damp the ringing singular data would excite.  Dirichlet
-    walls: 0 below, wall above.  Returns the last level; when out is given,
-    level k of the march (k = 0 the data) is written into out[k].
+    walls: 0 below, wall above.  Returns the last level; level k >= 1 is
+    written into out(k) (a fresh array without out), asked for only once
+    level k is solved, so it may be the array of level k - 1.
     """
     y, h, dt = grid.y_nodes(), grid.h_y, grid.h_t
     alpha = 0.5 * epsilon / (h * h)
@@ -211,14 +215,12 @@ def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall
 
     t = grid.t_nodes()[::-1] if backward else grid.t_nodes()
     half = -0.5 * dt if backward else 0.5 * dt
-    if out is not None:
-        out[0] = u
     for step in range(1, grid.n_t):
         if step <= N_STARTUP:
             v = implicit(implicit(u[..., 1:-1].copy(), t[step - 1] + half), t[step])
         else:
             v = implicit(explicit(u, t[step - 1]), t[step])
-        u = out[step] if out is not None else np.empty_like(u)
+        u = out(step) if out is not None else np.empty_like(u)
         u[..., 1:-1] = v
         u[..., 0] = 0.0
         u[..., -1] = wall
@@ -238,13 +240,15 @@ def solve_u(
     x_threshold: float,
     grid: Grid1D,
     epsilon: float,
+    rows: int | slice | list[int] = slice(None),
 ) -> HeatField:
     """Solve the backward equation on the grid with step data at x_threshold.
 
     The threshold is snapped to the nearest grid node (the node itself takes
-    the value 0.5).  Raises GridExtentError when the grid violates the domain
-    rule, PdeError when the drift is not finite on the grid or the returned
-    field would violate the maximum principle or monotonicity contracts.
+    the value 0.5) and only the time levels rows are kept.  Raises
+    GridExtentError when the grid violates the domain rule, PdeError when
+    the drift is not finite on the grid or any level, kept or not, violates
+    the maximum principle or monotonicity contracts.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -257,8 +261,34 @@ def solve_u(
     j = grid.nearest_node(x_threshold)
     x_snapped = grid.y_min + j * grid.h_y
 
-    levels = np.empty((grid.n_t, grid.n_y))
-    _cn_march(spec, _step_data(grid.n_y, j), grid, epsilon, 1.0, backward=True, out=levels[::-1])
+    levels = np.arange(grid.n_t)[rows]
+    kept = np.unique(levels)
+    held = np.empty((kept.size, grid.n_y))
+    # march step k makes level n_t - 1 - k: a kept level goes straight into
+    # its row of held (row[k], -1 if not kept), any other into the next row
+    # of a ring that is checked whenever it is full and at the end
+    row = np.full(grid.n_t, -1)
+    row[grid.n_t - 1 - kept] = np.arange(kept.size)
+    ring = np.empty((min(CHECK_BLOCK, grid.n_t - kept.size), grid.n_y))
+    filled, checked = 0, []
+
+    def out(k: int) -> np.ndarray:
+        nonlocal filled
+        if row[k] >= 0:
+            return held[row[k]]
+        if filled == len(ring):
+            checked.append(_field_violations(ring))
+            filled = 0
+        filled += 1
+        return ring[filled - 1]
+
+    start = out(0)
+    start[:] = _step_data(grid.n_y, j)
+    _cn_march(spec, start, grid, epsilon, 1.0, backward=True, out=out)
+    checked += [_field_violations(block) for block in (ring[:filled], held) if len(block)]
+    worst = {key: max(c[key] for c in checked) for key in checked[0]}
+    pick = np.searchsorted(kept, levels)  # a caller's repeats and order
+    u = held if np.array_equal(pick, np.arange(kept.size)) else held[pick]
 
     y_int = grid.y_nodes()[1:-1]
     b_max = max(
@@ -272,17 +302,16 @@ def solve_u(
         "threshold_node": j,
         "x_requested": x_threshold,
     }
-
-    worst = _field_violations(levels)
     if worst["max_principle"] > MAXPRINCIPLE_TOL or worst["monotonicity"] > MONOTONE_TOL:
         raise PdeError(f"scheme broke field contracts: {worst}")
     diagnostics.update(worst)
-    return HeatField(grid=grid, epsilon=epsilon, x_threshold=x_snapped, u=levels, diagnostics=diagnostics)
+    return HeatField(grid=grid, epsilon=epsilon, x_threshold=x_snapped, u=u, levels=levels,
+                     diagnostics=diagnostics)
 
 
 def _field_violations(levels: np.ndarray) -> dict:
     # min and max carry any NaN or inf, and the monotonicity scan goes row
-    # by row: a whole-lattice mask or difference would double peak memory
+    # by row: a whole-block mask or difference would double peak memory
     lo, hi = float(levels.min()), float(levels.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return {"max_principle": math.inf, "monotonicity": math.inf}
@@ -298,17 +327,14 @@ def exact_gaussian_u(stats: LinearDriftStats, x: float, y, epsilon: float):
     return ndtr(z)
 
 
-def _cost_rows(
-    heat: HeatField, rows: int | slice | list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, dq_dy, underflow mask) of the time levels heat.u[rows].
+def _cost_rows(heat: HeatField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q, dq_dy, underflow mask) of the time levels heat holds, shaped as heat.u.
 
-    The one Hopf-Cole kernel: the controller builds pass every level, the
-    exporter, fan_cost_rows and the probe-value checks only the levels they
-    read.  One level gives 1-D arrays; the y-differences never cross levels,
-    so any block gives the full transform's bits at the same (k, i).
+    The one Hopf-Cole kernel, for the controller builds (every level) and
+    the exporter and checks (the levels they read).  The y-differences never
+    cross levels, so any set of levels gives the full transform's bits.
     """
-    u = heat.u[rows]
+    u = heat.u
     mask = u < U_FLOOR
     with np.errstate(divide="ignore"):
         q = np.where(mask, np.inf, -heat.epsilon * np.log(np.maximum(u, U_FLOOR)))
@@ -334,15 +360,14 @@ def fan_cost_rows(
     """(dx, q, dq_dy, dq_dx) at the time levels rows of thresholds x - dx, x, x + dx.
 
     dx is snapped to a positive multiple of the grid spacing so every
-    threshold sits exactly on a node.  Each member is solved and read at
-    rows before the next is solved, so one lattice is alive at a time.  q
+    threshold sits exactly on a node.  Each member keeps only rows.  q
     stacks the three members (axis 0: x - dx, x, x + dx); dq_dy is the
     centre's and dq_dx the centred difference of q across the fan (error
     O(dx^2)), NaN where a neighbour underflowed.
     """
     dx = max(1, int(round(dx / grid.h_y))) * grid.h_y
     (q_lo, _, lo_mask), (q_c, dq_dy, _), (q_hi, _, hi_mask) = (
-        _cost_rows(solve_u(spec, x + j * dx, grid, epsilon), rows) for j in (-1, 0, 1)
+        _cost_rows(solve_u(spec, x + j * dx, grid, epsilon, rows)) for j in (-1, 0, 1)
     )
     with np.errstate(invalid="ignore"):  # inf - inf across masked nodes
         dq_dx = (q_hi - q_lo) / (2.0 * dx)
@@ -416,36 +441,36 @@ def audit_domain(
     constant for the threshold-tail decay), so it is audited rather than
     trusted: values above 1e-6 mean the grid rule failed.
     """
-    base = solve_u(spec, x, grid, epsilon)
+    base = solve_u(spec, x, grid, epsilon, rows=0)
     n_wide = int(round((grid.n_y - 1) * 1.5)) + 1
     wide_grid = default_grid(
         spec, x, epsilon, t_start=grid.t_start, n_y=n_wide, n_t=grid.n_t, widen=1.5
     )
-    wide = solve_u(spec, x, wide_grid, epsilon)
+    wide = solve_u(spec, x, wide_grid, epsilon, rows=0)
     drift = 0.0
     for yp in probe_y:
         i0 = grid.nearest_node(float(yp))
         i1 = wide_grid.nearest_node(float(yp))
-        drift = max(drift, abs(float(base.u[0, i0]) - float(wide.u[0, i1])))
+        drift = max(drift, abs(float(base.u[i0]) - float(wide.u[i1])))
     return drift
 
 
-def costfield_rows(heat: HeatField, t_stride: int = 1, y_stride: int = 1):
-    """(t, y, u, q, dq_dy, dq_dx) rows of the exported sub-lattice, as lists of floats.
+def costfield_rows(heat: HeatField, y_stride: int = 1):
+    """(t, y, u, q, dq_dy, dq_dx) rows of every level heat holds, as lists of floats.
 
-    Only the exported time levels are transformed, one at a time, so memory
-    stays at a few rows; dq_dx is NaN: one solve has no threshold
-    derivative (see fan_cost_rows).
+    The levels are transformed one at a time, so memory stays at a few rows
+    beyond them; dq_dx is NaN: one solve has no threshold derivative (see
+    fan_cost_rows).
     """
     grid = heat.grid
     t_nodes = grid.t_nodes()
     block = np.empty((len(range(0, grid.n_y, y_stride)), 6))
     block[:, 1] = grid.y_nodes()[::y_stride]
     block[:, 5] = np.nan
-    for k in range(0, grid.n_t, t_stride):
-        q, dq_dy, _ = _cost_rows(heat, k)
+    for k, u in zip(np.atleast_1d(heat.levels), heat.u.reshape(-1, grid.n_y)):
+        q, dq_dy, _ = _cost_rows(replace(heat, u=u, levels=k))
         block[:, 0] = t_nodes[k]
-        block[:, 2] = heat.u[k, ::y_stride]
+        block[:, 2] = u[::y_stride]
         block[:, 3] = q[::y_stride]
         block[:, 4] = dq_dy[::y_stride]
         yield from block.tolist()

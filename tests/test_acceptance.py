@@ -46,11 +46,10 @@ def _controlled_setup(kind: str):
         spec, 0.0, EPS, n_y=801, n_t=1001,
         extra=pde.fan_margin(spec, 0.02, 3) + 0.04,
     )
-    heat = pde.solve_u(spec, 0.0, grid, EPS)
-    _, dq_dy, _ = pde._cost_rows(heat, slice(None))
+    q, dq_dy, _ = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS))
     controller = simulate.ControllerField.from_fields(grid, dq_dy, spec)
     iy = grid.nearest_node(-1.0)
-    return spec, grid, pde._cost_rows(heat, 0)[:2], controller, iy
+    return spec, grid, (q[0].copy(), dq_dy[0].copy()), controller, iy
 
 
 def test_criterion_01_backward_field_matches_gaussian_oracle() -> None:

@@ -324,6 +324,15 @@ def _expect_config_error(capsys: pytest.CaptureFixture, argv: list[str]) -> None
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+def test_bridge_refusal_writes_no_file(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
+    # at the threshold no sweep cell is deep enough: the refusal comes
+    # before the conditionals table is written
+    out = tmp_path / "o"
+    _expect_config_error(capsys, ["bridge", "--config", _cfg(tmp_path, probe_y=0.0),
+                                  "--out", str(out)])
+    assert list(out.iterdir()) == []
+
+
 def test_config_error_exit_codes(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
     out = ["--out", str(tmp_path / "o")]
     bad_json = tmp_path / "bad.json"

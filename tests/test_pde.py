@@ -187,6 +187,52 @@ def test_field_violations_scan_stays_within_a_row_of_memory() -> None:
     assert peak < levels.nbytes // 16
 
 
+@pytest.mark.parametrize("rows", [0, -1], ids=["start", "horizon"])
+def test_contract_breach_is_caught_on_levels_not_kept(rows) -> None:
+    # a shear far beyond the mesh Peclet limit breaks both contracts; the
+    # horizon level is the step data itself, so keeping it alone leaves the
+    # breach to the levels the solve does not keep
+    spec = drifts.DriftSpec(
+        name="shear",
+        b=lambda y, t: 40.0 * np.sin(3.0 * np.asarray(y)),
+        db_dy=lambda y, t: 120.0 * np.cos(3.0 * np.asarray(y)),
+        d2b_dy2=None,
+        lipschitz_A=120.0,
+        is_concave=False,
+        vanishes_at_origin=True,
+        time_homogeneous=True,
+    )
+    grid = pde.Grid1D(-5.0, 5.0, 101, 0.0, 1.0, 41)
+    with pytest.raises(pde.PdeError, match="scheme broke field contracts") as full:
+        pde.solve_u(spec, 0.0, grid, 0.01)
+    with pytest.raises(pde.PdeError) as kept:
+        pde.solve_u(spec, 0.0, grid, 0.01, rows=rows)
+    assert str(kept.value) == str(full.value)
+
+
+@pytest.mark.parametrize("spec", [drifts.zero_drift(), drifts.logcosh_drift()],
+                         ids=["zero", "logcosh"])
+def test_streamed_solve_keeps_one_level_in_a_row_of_memory(spec) -> None:
+    # a solve that keeps level 0 checks every level but holds a few rows;
+    # its level and diagnostics are the full lattice's bits
+    eps = 0.0125
+    grid = pde.default_grid(spec, 0.0, eps, n_y=2001, n_t=2001)
+    full = pde.solve_u(spec, 0.0, grid, eps)
+    tracemalloc.start()
+    try:
+        start = pde.solve_u(spec, 0.0, grid, eps, rows=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert start.levels == 0 and start.u.shape == (grid.n_y,)
+    assert start.u.tobytes() == full.u[0].tobytes()
+    assert repr(start.diagnostics) == repr(full.diagnostics)
+    assert peak < 1_000_000, f"peak {peak / 1e6:.2f} MB"
+    picked = pde.solve_u(spec, 0.0, grid, eps, rows=[5, 3, 3, -1])
+    assert picked.levels.tolist() == [5, 3, 3, grid.n_t - 1]
+    assert picked.u.tobytes() == full.u[[5, 3, 3, -1]].tobytes()
+
+
 def test_self_convergence_on_common_nodes() -> None:
     # 601 -> 1201 is exact mesh halving, so coarse node k is fine node 2k
     spec = drifts.linear_drift(0.5)
@@ -209,8 +255,8 @@ def test_exact_gaussian_u_formula() -> None:
 def test_hopf_cole_constant_field() -> None:
     grid = pde.Grid1D(-1.0, 1.0, 5, 0.0, 1.0, 3)
     u = np.full((3, 5), math.exp(-5.0))
-    heat = pde.HeatField(grid=grid, epsilon=0.1, x_threshold=0.0, u=u)
-    q, dq_dy, mask = pde._cost_rows(heat, slice(None))
+    heat = pde.HeatField(grid=grid, epsilon=0.1, x_threshold=0.0, u=u, levels=np.arange(3))
+    q, dq_dy, mask = pde._cost_rows(heat)
     assert np.allclose(q, 0.5, rtol=1e-12)
     assert np.allclose(dq_dy, 0.0, atol=1e-12)
     assert not mask.any()
@@ -219,7 +265,7 @@ def test_hopf_cole_constant_field() -> None:
 def test_hopf_cole_flags_underflow_without_clamping() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec, n=801)
-    q, _, mask = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS), slice(None))
+    q, _, mask = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS))
     # near the horizon, nodes far below the threshold underflow
     assert mask.any()
     assert np.all(np.isinf(q[mask]))
@@ -231,7 +277,7 @@ def test_hopf_cole_flags_underflow_without_clamping() -> None:
 def test_cost_derivatives_match_oracle_at_probe() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec)
-    q, dq_dy, mask = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS), slice(None))
+    q, dq_dy, mask = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS))
     j = grid.nearest_node(-1.0)
     assert q[0, j] == pytest.approx(orc.COST_EPS_ZERO_PROBE, abs=1e-3)
     assert dq_dy[0, j] == pytest.approx(orc.SLOPE_Y_ZERO_PROBE, abs=2e-3)
@@ -281,7 +327,7 @@ def test_fan_rows_match_the_full_transform(spec, rows) -> None:
     grid = pde._fan_grid(spec, 0.0, eps, 801, 201)
     dx, q, dq_dy, dq_dx = pde.fan_cost_rows(spec, 0.0, grid, eps, 0.02, rows)
     (q_lo, _, mask_lo), (q_c, dq_dy_c, _), (q_hi, _, mask_hi) = (
-        pde._cost_rows(pde.solve_u(spec, x, grid, eps), slice(None)) for x in (-dx, 0.0, dx)
+        pde._cost_rows(pde.solve_u(spec, x, grid, eps)) for x in (-dx, 0.0, dx)
     )
     for member, full_q in zip(q, (q_lo, q_c, q_hi)):
         assert np.array_equal(member, full_q[rows])
@@ -379,8 +425,8 @@ def test_domain_audit_zero_and_linear() -> None:
 def test_costfield_rows_shape() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec, n=401)
-    heat = pde.solve_u(spec, 0.0, grid, EPS)
-    rows = list(pde.costfield_rows(heat, t_stride=100, y_stride=100))
+    heat = pde.solve_u(spec, 0.0, grid, EPS, rows=slice(None, None, 100))
+    rows = list(pde.costfield_rows(heat, y_stride=100))
     n_t = len(range(0, grid.n_t, 100))
     n_y = len(range(0, grid.n_y, 100))
     assert len(rows) == n_t * n_y
@@ -396,10 +442,11 @@ def test_costfield_rows_match_full_transform_bit_for_bit() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec, n=801)
     heat = pde.solve_u(spec, 0.0, grid, EPS)
-    q, dq_dy, _ = pde._cost_rows(heat, slice(None))
+    q, dq_dy, _ = pde._cost_rows(heat)
     t_stride, y_stride = 7, 8  # 7 does not divide n_t - 1; 8 keeps both edge columns
     assert (grid.n_t - 1) % t_stride and (grid.n_y - 1) % y_stride == 0
-    got = np.array(list(pde.costfield_rows(heat, t_stride=t_stride, y_stride=y_stride)))
+    kept = pde.solve_u(spec, 0.0, grid, EPS, rows=slice(None, None, t_stride))
+    got = np.array(list(pde.costfield_rows(kept, y_stride=y_stride)))
     k, i = np.meshgrid(np.arange(0, grid.n_t, t_stride), np.arange(0, grid.n_y, y_stride),
                        indexing="ij")
     k, i = k.ravel(), i.ravel()
@@ -414,8 +461,10 @@ def test_costfield_rows_match_full_transform_bit_for_bit() -> None:
 def test_costfield_rows_memory_stays_at_a_few_rows() -> None:
     grid = pde.Grid1D(-4.0, 4.0, 2001, 0.0, 1.0, 2001)
     u = np.tile(np.exp(-np.linspace(800.0, 0.0, grid.n_y)), (grid.n_t, 1))
-    heat = pde.HeatField(grid=grid, epsilon=EPS, x_threshold=0.0, u=u)
-    rows = pde.costfield_rows(heat, t_stride=cli._stride(grid.n_t), y_stride=cli._stride(grid.n_y))
+    t_stride = cli._stride(grid.n_t)
+    heat = pde.HeatField(grid=grid, epsilon=EPS, x_threshold=0.0, u=u[::t_stride],
+                         levels=np.arange(0, grid.n_t, t_stride))
+    rows = pde.costfield_rows(heat, y_stride=cli._stride(grid.n_y))
     tracemalloc.start()
     try:
         n_rows = sum(1 for _ in rows)

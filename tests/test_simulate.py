@@ -24,10 +24,9 @@ def _steered(spec, eps, x=0.0):
     key = (spec.name, eps, x)
     if key not in _FIELD_CACHE:
         grid = pde.default_grid(spec, x, eps, n_y=801, n_t=2001)
-        heat = pde.solve_u(spec, x, grid, eps)
-        _, dq_dy, _ = pde._cost_rows(heat, slice(None))
+        q, dq_dy, _ = pde._cost_rows(pde.solve_u(spec, x, grid, eps))
         ctl = sim.ControllerField.from_fields(grid, dq_dy, spec)
-        _FIELD_CACHE[key] = (grid, pde._cost_rows(heat, 0)[:2], ctl)
+        _FIELD_CACHE[key] = (grid, (q[0].copy(), dq_dy[0].copy()), ctl)
     return _FIELD_CACHE[key]
 
 
@@ -159,7 +158,7 @@ def test_controller_rejects_times_outside_coverage() -> None:
 def test_coarse_time_grid_refused_near_horizon() -> None:
     spec = drifts.zero_drift()
     grid = pde.default_grid(spec, 0.0, EPS, n_y=401, n_t=11)
-    _, dq_dy, _ = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS), slice(None))
+    _, dq_dy, _ = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS))
     ctl = sim.ControllerField.from_fields(grid, dq_dy, spec)
     with pytest.raises(sim.ControllerError):
         sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
@@ -333,7 +332,7 @@ def test_controller_build_memory_stays_near_the_solved_field() -> None:
     heat = pde.solve_u(spec, 0.0, grid, EPS)
     tracemalloc.start()
     try:
-        dq_dy = pde._cost_rows(heat, slice(None))[1]
+        dq_dy = pde._cost_rows(heat)[1]
         ctl = sim.ControllerField.from_fields(grid, dq_dy, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
