@@ -165,9 +165,7 @@ def check_green_bound(
         )
         dx = max(1, int(round(0.01 / grid.h_y))) * grid.h_y
         heat = pde.solve_u(spec, 0.0, grid, epsilon, rows=0)
-        kernel = pde.green_function(
-            spec, grid, epsilon, t, T, thresholds=np.array([-dx, 0.0, dx])
-        )
+        kernel = pde.green_function(spec, grid, epsilon, thresholds=np.array([-dx, 0.0, dx]))
         for y in by_t[t]:
             iy = grid.nearest_node(y)
             u_val = float(heat.u[iy])
@@ -666,7 +664,7 @@ def _check_kernel_mass() -> VerificationReport:
     """Kernel rows integrating to one away from the walls."""
     spec = logcosh_drift()
     grid = pde.default_grid(spec, 0.0, 0.1, n_y=801, n_t=201)
-    kernel = pde.green_function(spec, grid, 0.1, 0.0, spec.horizon_T, max_solves=101)
+    kernel = pde.green_function(spec, grid, 0.1, max_solves=101)
     sums = pde.green_row_sums(kernel)
     y = grid.y_nodes()
     window = np.abs(y) <= 1.0

@@ -10,13 +10,13 @@ cost; its y-derivative feeds the controller, its threshold-derivative
 gives the transition density (Green function).  solve_u keeps only the
 time levels its caller reads, and the cost transform, _cost_rows, runs on
 them: the controller takes the slope of every level, fan_cost_rows
-differences thresholds x - dx, x, x + dx at the few levels a check reads.
+differences the fan x - dx, x, x + dx (one solve) at the levels a check reads.
 
 Numerical scheme: full-operator Crank-Nicolson (central differences for
 both diffusion and drift) with a backward-Euler startup phase that damps
 the ringing the step terminal data would otherwise excite.  One march,
-_cn_march, serves the threshold solve, the Green fan (one column per
-threshold) and both bridge kernels; the upper wall value is its argument.
+_cn_march, serves the threshold solve and its fans, the Green fan (one column
+per threshold) and both bridge kernels; the upper wall value is its argument.
 The implicit matrix is LU-factored (LAPACK gttrf) once per march when the
 drift declares itself time-homogeneous, and at every time level otherwise;
 the startup half-steps and the CN steps share it.  Every solved level is
@@ -24,8 +24,9 @@ checked to be finite, so a non-finite datum or an overflow raises PdeError
 at the time level where it appears.  At the mesh Peclet numbers of every
 shipped configuration (|b| h_y / eps <= 1) each step is a monotone map, so
 the discrete solution inherits the maximum principle and monotonicity in y
-to roundoff; solve_u checks both on every level it makes.  The mesh Peclet
-and diffusion numbers are recorded as diagnostics, not enforced.
+to roundoff; solve_u folds every level it makes into running rows of the
+lowest value, the highest value and the steepest downward step to check
+both.  The mesh Peclet and diffusion numbers are recorded, not enforced.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -46,7 +47,6 @@ U_FLOOR = 1e-300  # below this, q = -eps log u is flagged, never clamped
 MAXPRINCIPLE_TOL = 1e-12
 MONOTONE_TOL = 1e-12
 N_STARTUP = 8  # backward-Euler step pairs that open every march
-CHECK_BLOCK = 16  # levels a solve does not keep are checked this many at a time
 
 
 class GridExtentError(ValueError):
@@ -95,11 +95,10 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class HeatField:
-    """u at the time levels a solve kept: u[i] is level levels[i]; 1-D for an int levels."""
+    """u at the kept levels: u[..., i, :] is levels[i] (no i axis for an int); fan members first."""
 
     grid: Grid1D
     epsilon: float
-    x_threshold: float
     u: np.ndarray
     levels: np.ndarray | int
     diagnostics: dict = field(default_factory=dict)
@@ -107,12 +106,10 @@ class HeatField:
 
 @dataclass(frozen=True)
 class GreenFunction:
-    """Transition density g(y_i, x_j) from time t to T, columns on x_nodes."""
+    """Transition density g(y_i, x_j) from grid.t_start to grid.T, columns on x_nodes."""
 
     grid: Grid1D
     epsilon: float
-    t: float
-    T: float
     x_nodes: np.ndarray
     g: np.ndarray
 
@@ -157,7 +154,7 @@ def fan_margin(spec: DriftSpec, dx: float, n_x: int, t_start: float = 0.0) -> fl
 
 
 def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall: float,
-              backward: bool, out: Callable[[int], np.ndarray] | None = None) -> np.ndarray:
+              backward: bool, level: Callable | None = None) -> np.ndarray:
     """Crank-Nicolson march of data u (..., n_y) across the grid's time levels.
 
     backward runs the backward equation from grid.T down to grid.t_start;
@@ -165,9 +162,9 @@ def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall
     differenced, so b sits on the neighbor nodes) runs upward.  The first
     N_STARTUP steps are pairs of backward-Euler half-steps (Rannacher
     startup) that damp the ringing singular data would excite.  Dirichlet
-    walls: 0 below, wall above.  Returns the last level; level k >= 1 is
-    written into out(k) (a fresh array without out), asked for only once
-    level k is solved, so it may be the array of level k - 1.
+    walls: 0 below, wall above.  Returns the last level; level(i, v) gets
+    each solved level v (i on grid.t_nodes()), in one of the march's two
+    alternating arrays, so it is valid only during the call.
     """
     y, h, dt = grid.y_nodes(), grid.h_y, grid.h_t
     alpha = 0.5 * epsilon / (h * h)
@@ -215,21 +212,23 @@ def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall
 
     t = grid.t_nodes()[::-1] if backward else grid.t_nodes()
     half = -0.5 * dt if backward else 0.5 * dt
+    buffers = (np.empty_like(u), np.empty_like(u))
     for step in range(1, grid.n_t):
         if step <= N_STARTUP:
             v = implicit(implicit(u[..., 1:-1].copy(), t[step - 1] + half), t[step])
         else:
             v = implicit(explicit(u, t[step - 1]), t[step])
-        u = out(step) if out is not None else np.empty_like(u)
+        u = buffers[step % 2]
         u[..., 1:-1] = v
         u[..., 0] = 0.0
         u[..., -1] = wall
+        if level is not None:
+            level(grid.n_t - 1 - step if backward else step, u)
     return u
 
 
 def _step_data(n_y: int, nodes: np.ndarray) -> np.ndarray:
     """Indicator data 1{y > x} per threshold node, one half on the node itself."""
-    nodes = np.asarray(nodes)
     data = (np.arange(n_y) > nodes[..., None]).astype(float)
     np.put_along_axis(data, nodes[..., None], 0.5, axis=-1)
     return data
@@ -237,58 +236,59 @@ def _step_data(n_y: int, nodes: np.ndarray) -> np.ndarray:
 
 def solve_u(
     spec: DriftSpec,
-    x_threshold: float,
+    x_threshold: float | Sequence[float],
     grid: Grid1D,
     epsilon: float,
     rows: int | slice | list[int] = slice(None),
 ) -> HeatField:
     """Solve the backward equation on the grid with step data at x_threshold.
 
-    The threshold is snapped to the nearest grid node (the node itself takes
-    the value 0.5) and only the time levels rows are kept.  Raises
-    GridExtentError when the grid violates the domain rule, PdeError when
-    the drift is not finite on the grid or any level, kept or not, violates
-    the maximum principle or monotonicity contracts.
+    Each threshold is snapped to the nearest grid node (the node itself takes
+    the value 0.5) and only the time levels rows are kept.  A sequence of
+    thresholds is a fan, one column each of one march, on u's leading axis.
+    Raises GridExtentError when the grid violates the domain rule around any
+    member, PdeError when the drift is not finite on the grid or any level
+    of any member, kept or not, violates the maximum principle or
+    monotonicity contracts.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    half = required_half_width(spec, x_threshold, epsilon, grid.t_start)
-    if grid.y_max - x_threshold < half - 1e-9 or x_threshold - grid.y_min < half - 1e-9:
-        raise GridExtentError(
-            f"grid [{grid.y_min}, {grid.y_max}] too small around x={x_threshold}: "
-            f"need half-width {half:.3g}"
-        )
-    j = grid.nearest_node(x_threshold)
-    x_snapped = grid.y_min + j * grid.h_y
+    for x in np.atleast_1d(x_threshold):
+        half = required_half_width(spec, x, epsilon, grid.t_start)
+        if grid.y_max - x < half - 1e-9 or x - grid.y_min < half - 1e-9:
+            raise GridExtentError(
+                f"grid [{grid.y_min}, {grid.y_max}] too small around x={x}: "
+                f"need half-width {half:.3g}"
+            )
+    nodes = np.vectorize(grid.nearest_node, otypes=[int])(x_threshold)
 
     levels = np.arange(grid.n_t)[rows]
     kept = np.unique(levels)
-    held = np.empty((kept.size, grid.n_y))
-    # march step k makes level n_t - 1 - k: a kept level goes straight into
-    # its row of held (row[k], -1 if not kept), any other into the next row
-    # of a ring that is checked whenever it is full and at the end
-    row = np.full(grid.n_t, -1)
-    row[grid.n_t - 1 - kept] = np.arange(kept.size)
-    ring = np.empty((min(CHECK_BLOCK, grid.n_t - kept.size), grid.n_y))
-    filled, checked = 0, []
+    held = np.empty((*nodes.shape, kept.size, grid.n_y))
+    keeps = dict(zip(kept.tolist(), np.moveaxis(held, -2, 0)))  # kept level -> its row of held
+    # running rows of the contracts, seeded with their bounds (0 <= u <= 1,
+    # no downward step) so that the reductions below need no clamp
+    lo, hi = np.zeros((*nodes.shape, grid.n_y)), np.ones((*nodes.shape, grid.n_y))
+    drop = np.zeros((*nodes.shape, grid.n_y - 1))
+    step = np.empty_like(drop)
 
-    def out(k: int) -> np.ndarray:
-        nonlocal filled
-        if row[k] >= 0:
-            return held[row[k]]
-        if filled == len(ring):
-            checked.append(_field_violations(ring))
-            filled = 0
-        filled += 1
-        return ring[filled - 1]
+    def fold(i: int, u: np.ndarray) -> None:
+        np.minimum(lo, u, out=lo)
+        np.maximum(hi, u, out=hi)
+        np.minimum(drop, np.subtract(u[..., 1:], u[..., :-1], out=step), out=drop)
+        if i in keeps:
+            keeps[i][...] = u
 
-    start = out(0)
-    start[:] = _step_data(grid.n_y, j)
-    _cn_march(spec, start, grid, epsilon, 1.0, backward=True, out=out)
-    checked += [_field_violations(block) for block in (ring[:filled], held) if len(block)]
-    worst = {key: max(c[key] for c in checked) for key in checked[0]}
+    data = _step_data(grid.n_y, nodes)
+    fold(grid.n_t - 1, data)
+    _cn_march(spec, data, grid, epsilon, 1.0, backward=True, level=fold)
+    # min and max are exact: the whole lattice's bits; a NaN fails the gate
+    worst = {"max_principle": max(0.0 - float(lo.min()), float(hi.max()) - 1.0),
+             "monotonicity": 0.0 - float(drop.min())}
+    if not (worst["max_principle"] <= MAXPRINCIPLE_TOL and worst["monotonicity"] <= MONOTONE_TOL):
+        raise PdeError(f"scheme broke field contracts: {worst}")
     pick = np.searchsorted(kept, levels)  # a caller's repeats and order
-    u = held if np.array_equal(pick, np.arange(kept.size)) else held[pick]
+    u = held if np.array_equal(pick, np.arange(kept.size)) else held[..., pick, :]
 
     y_int = grid.y_nodes()[1:-1]
     b_max = max(
@@ -299,26 +299,11 @@ def solve_u(
         "peclet": b_max * grid.h_y / epsilon,
         "diffusion_number": epsilon * grid.h_t / (2.0 * grid.h_y * grid.h_y),
         "startup_steps": N_STARTUP,
-        "threshold_node": j,
+        "threshold_node": nodes.tolist(),
         "x_requested": x_threshold,
+        **worst,
     }
-    if worst["max_principle"] > MAXPRINCIPLE_TOL or worst["monotonicity"] > MONOTONE_TOL:
-        raise PdeError(f"scheme broke field contracts: {worst}")
-    diagnostics.update(worst)
-    return HeatField(grid=grid, epsilon=epsilon, x_threshold=x_snapped, u=u, levels=levels,
-                     diagnostics=diagnostics)
-
-
-def _field_violations(levels: np.ndarray) -> dict:
-    # min and max carry any NaN or inf, and the monotonicity scan goes row
-    # by row: a whole-block mask or difference would double peak memory
-    lo, hi = float(levels.min()), float(levels.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return {"max_principle": math.inf, "monotonicity": math.inf}
-    under = max(0.0, -lo)
-    over = max(0.0, hi - 1.0)
-    mono = max(0.0, -min(float(np.diff(row).min()) for row in levels))
-    return {"max_principle": max(under, over), "monotonicity": mono}
+    return HeatField(grid=grid, epsilon=epsilon, u=u, levels=levels, diagnostics=diagnostics)
 
 
 def exact_gaussian_u(stats: LinearDriftStats, x: float, y, epsilon: float):
@@ -360,19 +345,17 @@ def fan_cost_rows(
     """(dx, q, dq_dy, dq_dx) at the time levels rows of thresholds x - dx, x, x + dx.
 
     dx is snapped to a positive multiple of the grid spacing so every
-    threshold sits exactly on a node.  Each member keeps only rows.  q
-    stacks the three members (axis 0: x - dx, x, x + dx); dq_dy is the
-    centre's and dq_dx the centred difference of q across the fan (error
-    O(dx^2)), NaN where a neighbour underflowed.
+    threshold sits exactly on a node.  The three members are one fan solve
+    that keeps only rows.  q stacks them (axis 0: x - dx, x, x + dx); dq_dy
+    is the centre's and dq_dx the centred difference of q across the fan
+    (error O(dx^2)), NaN where a neighbour underflowed.
     """
     dx = max(1, int(round(dx / grid.h_y))) * grid.h_y
-    (q_lo, _, lo_mask), (q_c, dq_dy, _), (q_hi, _, hi_mask) = (
-        _cost_rows(solve_u(spec, x + j * dx, grid, epsilon, rows)) for j in (-1, 0, 1)
-    )
+    q, dq_dy, mask = _cost_rows(solve_u(spec, [x - dx, x, x + dx], grid, epsilon, rows))
     with np.errstate(invalid="ignore"):  # inf - inf across masked nodes
-        dq_dx = (q_hi - q_lo) / (2.0 * dx)
-    dq_dx = np.where(lo_mask | hi_mask, np.nan, dq_dx)
-    return dx, np.stack([q_lo, q_c, q_hi]), dq_dy, dq_dx
+        dq_dx = (q[2] - q[0]) / (2.0 * dx)
+    dq_dx = np.where(mask[0] | mask[2], np.nan, dq_dx)
+    return dx, q, dq_dy[1], dq_dx
 
 
 def _fan_grid(spec: DriftSpec, x: float, epsilon: float, n_y: int, n_t: int,
@@ -388,20 +371,16 @@ def green_function(
     spec: DriftSpec,
     grid: Grid1D,
     epsilon: float,
-    t: float,
-    T: float,
     thresholds: np.ndarray | None = None,
     max_solves: int = 201,
 ) -> GreenFunction:
-    """Transition density g(y, x') = -du/dx' from solves at a fan of thresholds.
+    """Transition density g(y, x') = -du/dx' from grid.t_start to grid.T.
 
     Thresholds default to a node sub-lattice spanning the grid (at most
     max_solves columns); a caller interested in a window passes explicit
     threshold values, which are snapped to nodes.  Rows integrate to ~1
     (trapezoid over the threshold columns) for y away from the boundary.
     """
-    if not (math.isclose(t, grid.t_start) and math.isclose(T, grid.T)):
-        raise ValueError("green_function samples the (grid.t_start, grid.T) pair")
     if thresholds is None:
         stride = max(1, (grid.n_y - 1) // (max_solves - 1))
         nodes = np.arange(0, grid.n_y, stride)
@@ -420,7 +399,7 @@ def green_function(
     g[:, 1:-1] = -(profiles[2:] - profiles[:-2]).T / (thresholds[2:] - thresholds[:-2])
     g[:, 0] = -(profiles[1] - profiles[0]) / (thresholds[1] - thresholds[0])
     g[:, -1] = -(profiles[-1] - profiles[-2]) / (thresholds[-1] - thresholds[-2])
-    return GreenFunction(grid=grid, epsilon=epsilon, t=t, T=T, x_nodes=thresholds, g=g)
+    return GreenFunction(grid=grid, epsilon=epsilon, x_nodes=thresholds, g=g)
 
 
 def green_row_sums(green: GreenFunction) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -190,7 +191,7 @@ def _exceedance_reference(spec, grid: pde.Grid1D, iy: int) -> float:
     lo = j0 - math.ceil(6.4 * math.sqrt(EPS * delta) / fine.h_y)
     xi = fine.y_nodes()
     # one spare threshold on each side keeps the kernel's differences central
-    green = pde.green_function(spec, replace(fine, T=s, n_t=251), EPS, 0.0, s,
+    green = pde.green_function(spec, replace(fine, T=s, n_t=251), EPS,
                                thresholds=xi[lo - 1 : j0 + 2])
     below = simpson(green.g[j, 1:-1] * survival[lo : j0 + 1], x=xi[lo : j0 + 1])
     return 1.0 - below / total
@@ -347,6 +348,7 @@ def test_criterion_10_verify_runs_are_reproducible(tmp_path: Path) -> None:
             [sys.executable, "-m", "tailcost.cli", "verify",
              "--seed", str(SEED), "--out", str(out)],
             capture_output=True, text=True, timeout=900,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
         )
         walls.append(time.perf_counter() - start)
         assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -123,7 +123,7 @@ def test_factored_and_per_step_marches_agree_bitwise(spec) -> None:
     grid = _grid(spec, n=201)
     a, b = (pde.solve_u(s, 0.0, grid, EPS).u for s in (spec, per_step))
     assert np.array_equal(a, b)
-    a, b = (pde.green_function(s, grid, EPS, 0.0, 1.0, max_solves=21).g for s in (spec, per_step))
+    a, b = (pde.green_function(s, grid, EPS, max_solves=21).g for s in (spec, per_step))
     assert np.array_equal(a, b, equal_nan=True)
     query = bridge.BridgeQuery(y_start=-1.0, T=1.0, delta=0.25, epsilon=EPS)
     res = bridge.GreenResources(n_y=401, n_t=101)
@@ -160,31 +160,31 @@ def test_march_overflow_is_a_pde_error() -> None:
         pde._cn_march(spec, np.linspace(0.0, 1.0, grid.n_y), grid, EPS, 1.0, backward=True)
 
 
-def test_field_violations_flag_non_finite_levels() -> None:
-    levels = np.tile(np.linspace(0.0, 1.0, 5), (3, 1))
-    assert pde._field_violations(levels) == {"max_principle": 0.0, "monotonicity": 0.0}
-    for bad in (np.nan, np.inf):
-        broken = levels.copy()
-        broken[1, 2] = bad
-        worst = pde._field_violations(broken)
-        assert worst["max_principle"] > pde.MAXPRINCIPLE_TOL
-        assert worst["monotonicity"] > pde.MONOTONE_TOL
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25], ids=["nan", "inf", "dip"])
+def test_contract_fold_flags_a_bad_level(monkeypatch, bad: float) -> None:
+    # one node of a level the solve does not keep is spoiled on its way to
+    # the fold: a non-finite value must fail the gate (a NaN slips past a
+    # clamp at zero), a dip must be reported as its exact downward step
+    march, spoiled = pde._cn_march, []
 
+    def poisoned(*args, level, **kw):
+        def spoil(i, v):
+            if i == 7:
+                v = v.copy()
+                v[300] += bad
+                spoiled.append(v)
+            level(i, v)
+        return march(*args, level=spoil, **kw)
 
-def test_field_violations_scan_stays_within_a_row_of_memory() -> None:
-    # a 2001^2 lattice as solve_u hands it over, with one downward step of
-    # known size in an interior row
-    levels = np.tile(np.linspace(0.0, 1.0, 2001), (2001, 1))
-    levels[1000, 700] -= 0.25
-    drop = float(levels[1000, 699] - levels[1000, 700])
-    tracemalloc.start()
-    try:
-        worst = pde._field_violations(levels)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert worst == {"max_principle": 0.0, "monotonicity": drop}
-    assert peak < levels.nbytes // 16
+    monkeypatch.setattr(pde, "_cn_march", poisoned)
+    spec = drifts.zero_drift()
+    with pytest.raises(pde.PdeError, match="scheme broke field contracts") as err:
+        pde.solve_u(spec, 0.0, _grid(spec, n=401), EPS, rows=0)
+    if math.isfinite(bad):
+        drop = -float(np.diff(spoiled[0]).min())
+        assert f"'monotonicity': {drop!r}" in str(err.value)
+    else:
+        assert str(abs(bad)) in str(err.value)
 
 
 @pytest.mark.parametrize("rows", [0, -1], ids=["start", "horizon"])
@@ -233,6 +233,36 @@ def test_streamed_solve_keeps_one_level_in_a_row_of_memory(spec) -> None:
     assert picked.u.tobytes() == full.u[[5, 3, 3, -1]].tobytes()
 
 
+@pytest.mark.parametrize("spec", [
+    drifts.logcosh_drift(),
+    drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi),
+], ids=["logcosh", "linear_tv"])
+def test_fan_members_match_their_single_solves(spec) -> None:
+    # a fan is one multi-column march (linear_tv refactors at every level);
+    # every member keeps its single solve's bits at every level, and the
+    # contract values are the worst member's
+    grid = pde._fan_grid(spec, 0.0, EPS, 401, 201)
+    xs = [-2.0 * grid.h_y, 0.0, 2.0 * grid.h_y]
+    fan = pde.solve_u(spec, xs, grid, EPS)
+    singles = [pde.solve_u(spec, x, grid, EPS) for x in xs]
+    assert fan.u.shape == (3, grid.n_t, grid.n_y)
+    for member, single in zip(fan.u, singles):
+        assert np.array_equal(member, single.u)
+    for key in ("max_principle", "monotonicity"):
+        assert fan.diagnostics[key] == max(s.diagnostics[key] for s in singles)
+    assert fan.diagnostics["threshold_node"] == [s.diagnostics["threshold_node"] for s in singles]
+
+
+def test_fan_domain_rule_names_the_breaking_member() -> None:
+    # the zero drift needs a half-width of 4 around every member; only
+    # x - dx = -0.1 reaches past y_min
+    spec = drifts.zero_drift()
+    grid = pde.Grid1D(-4.0, 4.5, 401, 0.0, 1.0, 101)
+    pde.solve_u(spec, 0.0, grid, EPS, rows=0)
+    with pytest.raises(pde.GridExtentError, match=r"around x=-0\.1:"):
+        pde.solve_u(spec, [-0.1, 0.0, 0.1], grid, EPS, rows=0)
+
+
 def test_self_convergence_on_common_nodes() -> None:
     # 601 -> 1201 is exact mesh halving, so coarse node k is fine node 2k
     spec = drifts.linear_drift(0.5)
@@ -255,7 +285,7 @@ def test_exact_gaussian_u_formula() -> None:
 def test_hopf_cole_constant_field() -> None:
     grid = pde.Grid1D(-1.0, 1.0, 5, 0.0, 1.0, 3)
     u = np.full((3, 5), math.exp(-5.0))
-    heat = pde.HeatField(grid=grid, epsilon=0.1, x_threshold=0.0, u=u, levels=np.arange(3))
+    heat = pde.HeatField(grid=grid, epsilon=0.1, u=u, levels=np.arange(3))
     q, dq_dy, mask = pde._cost_rows(heat)
     assert np.allclose(q, 0.5, rtol=1e-12)
     assert np.allclose(dq_dy, 0.0, atol=1e-12)
@@ -346,7 +376,7 @@ def test_fan_rows_match_the_full_transform(spec, rows) -> None:
 def test_green_zero_drift_peak_and_rows() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec, n=801)
-    green = pde.green_function(spec, grid, EPS, 0.0, 1.0, max_solves=121)
+    green = pde.green_function(spec, grid, EPS, max_solves=121)
     assert green.g.min() >= -1e-10
     sums = pde.green_row_sums(green)
     y = grid.y_nodes()
@@ -356,7 +386,7 @@ def test_green_zero_drift_peak_and_rows() -> None:
     # peak needs a fine fan: column spacing enters the error quadratically
     fine_grid = _grid(spec, n=1201)
     thr = np.arange(-10, 11) * 2.0 * fine_grid.h_y
-    fine = pde.green_function(spec, fine_grid, EPS, 0.0, 1.0, thresholds=thr)
+    fine = pde.green_function(spec, fine_grid, EPS, thresholds=thr)
     iy = fine_grid.nearest_node(0.0)
     jx = int(np.argmin(np.abs(fine.x_nodes)))
     peak = fine.g[iy, jx]
@@ -368,7 +398,7 @@ def test_green_linear_drift_matches_density() -> None:
     grid = _grid(spec, n=1201)
     h = grid.h_y
     thr = np.arange(-math.floor(0.8 / (2 * h)), math.floor(0.8 / (2 * h)) + 1) * 2.0 * h
-    green = pde.green_function(spec, grid, EPS, 0.0, 1.0, thresholds=thr)
+    green = pde.green_function(spec, grid, EPS, thresholds=thr)
     stats = drifts.linear_stats(spec.A_of_s, 0.0, 1.0)
     y = grid.y_nodes()
     rows = np.abs(y) <= 0.5
@@ -389,7 +419,7 @@ def test_green_columns_match_single_threshold_solves(spec) -> None:
     extra = pde.fan_margin(spec, 0.04, 7) + 0.05
     grid = pde.default_grid(spec, 0.0, EPS, n_y=401, n_t=201, extra=extra)
     thr = np.arange(-3, 4) * 0.04
-    green = pde.green_function(spec, grid, EPS, 0.0, 1.0, thresholds=thr)
+    green = pde.green_function(spec, grid, EPS, thresholds=thr)
     x = green.x_nodes
     rows = np.array([pde.solve_u(spec, float(xj), grid, EPS).u[0] for xj in x])
     for j in range(1, x.size - 1):
@@ -403,12 +433,8 @@ def test_green_guards() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec, n=401)
     with pytest.raises(ValueError):
-        pde.green_function(spec, grid, EPS, 0.1, 1.0)
-    with pytest.raises(ValueError):
         # both values snap to the same node
-        pde.green_function(
-            spec, grid, EPS, 0.0, 1.0, thresholds=np.array([0.0, 1e-9, 0.5])
-        )
+        pde.green_function(spec, grid, EPS, thresholds=np.array([0.0, 1e-9, 0.5]))
 
 
 # ------------------------------------------------------------------ the audit
@@ -462,7 +488,7 @@ def test_costfield_rows_memory_stays_at_a_few_rows() -> None:
     grid = pde.Grid1D(-4.0, 4.0, 2001, 0.0, 1.0, 2001)
     u = np.tile(np.exp(-np.linspace(800.0, 0.0, grid.n_y)), (grid.n_t, 1))
     t_stride = cli._stride(grid.n_t)
-    heat = pde.HeatField(grid=grid, epsilon=EPS, x_threshold=0.0, u=u[::t_stride],
+    heat = pde.HeatField(grid=grid, epsilon=EPS, u=u[::t_stride],
                          levels=np.arange(0, grid.n_t, t_stride))
     rows = pde.costfield_rows(heat, y_stride=cli._stride(grid.n_y))
     tracemalloc.start()
