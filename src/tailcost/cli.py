@@ -78,13 +78,13 @@ def _slug(name: str) -> str:
     return re.sub(r"-+", "-", re.sub(r"[^a-z0-9._]+", "-", name.lower())).strip("-.")
 
 
-def _write_table(path: Path, header: list[str], rows: Iterable[Sequence], fmt: str) -> Path:
+def _write_table(path: Path, header: list[str], table: Iterable[Sequence], fmt: str) -> Path:
     # not with_suffix: stems like "...c-0.5" would lose their tail
     out = path.parent / f"{path.name}.{fmt}"
     if fmt == "csv":
-        tables.write_csv(out, header, rows)
+        tables.write_csv(out, header, table)
     else:
-        tables.write_json(out, {"header": header, "rows": list(rows)})
+        tables.write_json(out, {"header": header, "rows": list(tables.rows(table))})
     return out
 
 
@@ -107,7 +107,7 @@ def _cmd_solve(config: checks.RunConfig, out_dir: Path, args: argparse.Namespace
     heat = pde.solve_u(spec, config.probe_x, grid, epsilon, rows=slice(None, None, st))
     table = _write_table(
         out_dir / "field", ["t", "y", "u", "q", "dq_dy", "dq_dx"],
-        pde.costfield_rows(heat, y_stride=sy), config.table_format,
+        pde.costfield_blocks(heat, y_stride=sy), config.table_format,
     )
     tables.write_json(out_dir / "field_meta.json", {
         "drift": spec.name,
@@ -193,7 +193,7 @@ def _cmd_simulate(config: checks.RunConfig, out_dir: Path, args: argparse.Namesp
     ts = _stride(ensemble.times.size)
     table = _write_table(
         out_dir / "ensemble", ["path_id", "s", "y"],
-        simulate.ensemble_rows(ensemble, time_stride=ts),
+        simulate.ensemble_blocks(ensemble, path_stride=1, time_stride=ts),
         config.table_format,
     )
     header = simulate.ensemble_header(ensemble, epsilon)

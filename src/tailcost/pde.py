@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import ndtr
 
+from . import tables
 from .drifts import DriftSpec, LinearDriftStats, _trapz
 
 U_FLOOR = 1e-300  # below this, q = -eps log u is flagged, never clamped
@@ -312,14 +313,14 @@ def exact_gaussian_u(stats: LinearDriftStats, x: float, y, epsilon: float):
     return ndtr(z)
 
 
-def _cost_rows(heat: HeatField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(q, dq_dy, underflow mask) of the time levels heat holds, shaped as heat.u.
+def _cost_rows(heat: HeatField, u: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """(q, dq_dy, underflow mask) of the levels heat holds, or of u (some of them), shaped as u.
 
     The one Hopf-Cole kernel, for the controller builds (every level) and
     the exporter and checks (the levels they read).  The y-differences never
     cross levels, so any set of levels gives the full transform's bits.
     """
-    u = heat.u
+    u = heat.u if u is None else u
     mask = u < U_FLOOR
     with np.errstate(divide="ignore"):
         q = np.where(mask, np.inf, -heat.epsilon * np.log(np.maximum(u, U_FLOOR)))
@@ -434,22 +435,20 @@ def audit_domain(
     return drift
 
 
-def costfield_rows(heat: HeatField, y_stride: int = 1):
-    """(t, y, u, q, dq_dy, dq_dx) rows of every level heat holds, as lists of floats.
+def costfield_blocks(heat: HeatField, y_stride: int):
+    """One tables.Block (t, y, u, q, dq_dy, dq_dx) per level heat holds, all sharing one y list.
 
     The levels are transformed one at a time, so memory stays at a few rows
     beyond them; dq_dx is NaN: one solve has no threshold derivative (see
     fan_cost_rows).
     """
-    grid = heat.grid
-    t_nodes = grid.t_nodes()
-    block = np.empty((len(range(0, grid.n_y, y_stride)), 6))
-    block[:, 1] = grid.y_nodes()[::y_stride]
-    block[:, 5] = np.nan
-    for k, u in zip(np.atleast_1d(heat.levels), heat.u.reshape(-1, grid.n_y)):
-        q, dq_dy, _ = _cost_rows(replace(heat, u=u, levels=k))
-        block[:, 0] = t_nodes[k]
-        block[:, 2] = u[::y_stride]
-        block[:, 3] = q[::y_stride]
-        block[:, 4] = dq_dy[::y_stride]
-        yield from block.tolist()
+    t_nodes, y = heat.grid.t_nodes(), heat.grid.y_nodes()[::y_stride].tolist()
+    for k, u in zip(np.atleast_1d(heat.levels), heat.u.reshape(-1, heat.grid.n_y)):
+        q, dq_dy, _ = _cost_rows(heat, u)
+        yield tables.Block((float(t_nodes[k]), y, u[::y_stride].tolist(),
+                            q[::y_stride].tolist(), dq_dy[::y_stride].tolist(), math.nan))
+
+
+def costfield_rows(heat: HeatField, y_stride: int = 1):
+    """The (t, y, u, q, dq_dy, dq_dx) rows of costfield_blocks, as floats."""
+    return tables.rows(costfield_blocks(heat, y_stride))

@@ -21,10 +21,10 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
+from . import tables
 from .drifts import ConfigError, DriftSpec
 from .pde import Grid1D
 
@@ -554,15 +554,18 @@ def simulate_pinned_pull(
 
 # ------------------------------------------------------------------ export
 
-def ensemble_rows(
-    ensemble: PathEnsemble, path_stride: int = 1, time_stride: int = 1
-) -> Iterator[tuple[int, float, float]]:
-    """(path_id, s, y) rows for the CSV exporter, from the recorded rows
-    whose path id is a multiple of path_stride."""
+def ensemble_blocks(ensemble: PathEnsemble, path_stride: int, time_stride: int):
+    """One tables.Block (path_id, s, y) per recorded row whose path id is a
+    multiple of path_stride, all sharing one s list."""
+    s = ensemble.times[::time_stride].tolist()
     for row, pid in enumerate(ensemble.path_ids):
         if pid % path_stride == 0:
-            for k in range(0, ensemble.times.size, time_stride):
-                yield pid, float(ensemble.times[k]), float(ensemble.paths[row, k])
+            yield tables.Block((pid, s, ensemble.paths[row, ::time_stride].tolist()))
+
+
+def ensemble_rows(ensemble: PathEnsemble, path_stride: int = 1, time_stride: int = 1):
+    """The (path_id, s, y) rows of ensemble_blocks."""
+    return tables.rows(ensemble_blocks(ensemble, path_stride, time_stride))
 
 
 def ensemble_header(ensemble: PathEnsemble, epsilon: float) -> dict:

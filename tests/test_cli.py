@@ -8,6 +8,7 @@ modules, so verify here is always filtered with --only.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from tailcost import action, bridge, checks, cli, drifts, pde, simulate
+from tailcost import action, bridge, checks, cli, drifts, pde, simulate, tables
 
 SMALL = {
     "drift_kind": "zero",
@@ -115,6 +116,43 @@ def test_simulate_steers_on_one_cost_field(
     rc = cli.main(["simulate", "--config", _cfg(tmp_path), "--out", str(tmp_path / "o")])
     assert rc == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command, name", [("solve", "field"), ("simulate", "ensemble")])
+def test_block_tables_match_the_row_writers(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, command: str, name: str, fmt: str
+) -> None:
+    # the field goes out a level at a time and the ensemble a path at a time:
+    # the bytes must be those of csv.writer over format_cell, or of
+    # write_json, over the rows of the same blocks
+    handed = {}
+    write_table = cli._write_table
+
+    def captured(path, header, table, fmt):
+        handed[path.name] = header, list(table)
+        return write_table(path, header, handed[path.name][1], fmt)
+
+    monkeypatch.setattr(cli, "_write_table", captured)
+    out = tmp_path / "o"
+    rc = cli.main([command, "--config", _cfg(tmp_path, n_paths=200),
+                   "--format", fmt, "--out", str(out)])
+    assert rc == 0
+    header, table = handed[name]
+    assert len(table) > 1 and all(isinstance(block, tables.Block) for block in table)
+    if fmt == "csv":
+        want = io.StringIO(newline="")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([tables.format_cell(v) for v in row] for row in tables.rows(table))
+        want = want.getvalue().encode("utf-8")
+    else:
+        tables.write_json(tmp_path / "want.json", {"header": header, "rows": list(tables.rows(table))})
+        want = (tmp_path / "want.json").read_bytes()
+    got = (out / f"{name}.{fmt}").read_bytes()
+    assert got == want
+    if command == "solve":
+        assert b"inf" in got  # cells where u underflowed
 
 
 def test_classical_shoots_the_grid_in_a_few_batched_sweeps(
