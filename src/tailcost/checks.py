@@ -329,7 +329,7 @@ def check_rate_zero_noise(
         grid = pde.default_grid(spec, x, eps, t_start=t, n_y=n_y, n_t=n_t)
         iy = grid.nearest_node(y)
         y_nodes.append(float(grid.y_nodes()[iy]))
-        q_start, _, _ = pde._cost_rows(pde.solve_u(spec, x, grid, eps, rows=0))
+        q_start = pde._cost_rows(pde.solve_u(spec, x, grid, eps, rows=0).u, eps, grid.h_y)[0]
         q_eps.append(float(q_start[iy]))
     classical = action.solve_shooting_many(spec, x, y_nodes, t)
     gaps = [abs(q - sol.q_value) for q, sol in zip(q_eps, classical)]
@@ -484,7 +484,7 @@ def check_short_time(
             n_t=max(151, int(round(601 * tau))),
         )
         heat = pde.solve_u(spec, x, grid, epsilon, rows=0)
-        q_start, dq_dy_start, _ = pde._cost_rows(heat)
+        q_start, dq_dy_start, _ = pde._cost_rows(heat.u, epsilon, grid.h_y)
         boundary = characteristic_F(spec, x, t)
         for y in probes:
             iy = grid.nearest_node(float(y))
@@ -713,10 +713,8 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
 
     def steering(eps: float):
         grid = pde._fan_grid(spec, x, eps, 801, 1001)
-        q, dq_dy = pde._cost_rows(pde.solve_u(spec, x, grid, eps))[:2]
-        q_start = q[0].copy()  # the level-0 cost; the full q goes before the build
-        del q
-        return grid, q_start, simulate.ControllerField.from_fields(grid, dq_dy, spec)
+        ctl, start = simulate.ControllerField.from_fields(spec, x, grid, eps)
+        return grid, pde._cost_rows(start.u, eps, grid.h_y)[0], ctl
 
     eps = 0.1
     grid, q_start, ctl = steering(eps)

@@ -176,8 +176,7 @@ def _cmd_simulate(config: checks.RunConfig, out_dir: Path, args: argparse.Namesp
     epsilon = _mid_eps(config)
     x, t = config.probe_x, config.probe_t
     grid = pde._fan_grid(spec, x, epsilon, min(config.n_y, 1201), min(config.n_t, 1201), t_start=t)
-    dq_dy = pde._cost_rows(pde.solve_u(spec, x, grid, epsilon))[1]
-    controller = simulate.ControllerField.from_fields(grid, dq_dy, spec)
+    controller, _ = simulate.ControllerField.from_fields(spec, x, grid, epsilon)
     y0 = float(grid.y_nodes()[grid.nearest_node(config.probe_y)])
     sim_config = simulate.SimConfig(n_paths=config.n_paths, dt=config.dt, seed=config.seed)
 

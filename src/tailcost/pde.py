@@ -9,8 +9,8 @@ in reverse time.  The exponential transform q = -eps log u is the tail
 cost; its y-derivative feeds the controller, its threshold-derivative
 gives the transition density (Green function).  solve_u keeps only the
 time levels its caller reads, and the cost transform, _cost_rows, runs on
-them: the controller takes the slope of every level, fan_cost_rows
-differences the fan x - dx, x, x + dx (one solve) at the levels a check reads.
+them: the controller takes each level's slope as the march hands it over,
+fan_cost_rows differences a fan x - dx, x, x + dx at the levels a check reads.
 
 Numerical scheme: full-operator Crank-Nicolson (central differences for
 both diffusion and drift) with a backward-Euler startup phase that damps
@@ -241,16 +241,19 @@ def solve_u(
     grid: Grid1D,
     epsilon: float,
     rows: int | slice | list[int] = slice(None),
+    level: Callable | None = None,
 ) -> HeatField:
     """Solve the backward equation on the grid with step data at x_threshold.
 
     Each threshold is snapped to the nearest grid node (the node itself takes
     the value 0.5) and only the time levels rows are kept.  A sequence of
     thresholds is a fan, one column each of one march, on u's leading axis.
-    Raises GridExtentError when the grid violates the domain rule around any
-    member, PdeError when the drift is not finite on the grid or any level
-    of any member, kept or not, violates the maximum principle or
-    monotonicity contracts.
+    level(i, u) gets each level after the contract fold, in march order: the
+    step data first, at n_t - 1, then n_t - 2 down to 0; u is the march's own
+    buffer, valid only during the call.  Raises GridExtentError when the grid
+    violates the domain rule around any member, PdeError when the drift is
+    not finite on the grid or any level of any member, kept or not, violates
+    the maximum principle or monotonicity contracts.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -279,6 +282,8 @@ def solve_u(
         np.minimum(drop, np.subtract(u[..., 1:], u[..., :-1], out=step), out=drop)
         if i in keeps:
             keeps[i][...] = u
+        if level is not None:
+            level(i, u)
 
     data = _step_data(grid.n_y, nodes)
     fold(grid.n_t - 1, data)
@@ -313,25 +318,23 @@ def exact_gaussian_u(stats: LinearDriftStats, x: float, y, epsilon: float):
     return ndtr(z)
 
 
-def _cost_rows(heat: HeatField, u: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """(q, dq_dy, underflow mask) of the levels heat holds, or of u (some of them), shaped as u.
+def _cost_rows(u: np.ndarray, epsilon: float, h_y: float) -> tuple[np.ndarray, ...]:
+    """(q, dq_dy, underflow mask) of the levels u (..., n_y) on y nodes h_y apart, shaped as u.
 
-    The one Hopf-Cole kernel, for the controller builds (every level) and
-    the exporter and checks (the levels they read).  The y-differences never
-    cross levels, so any set of levels gives the full transform's bits.
+    The one Hopf-Cole kernel, for the controller build (a level at a time)
+    and the exporter and checks (the levels they read).  The y-differences
+    never cross levels, so any set of levels gives the full transform's bits.
     """
-    u = heat.u if u is None else u
     mask = u < U_FLOOR
     with np.errstate(divide="ignore"):
-        q = np.where(mask, np.inf, -heat.epsilon * np.log(np.maximum(u, U_FLOOR)))
+        q = np.where(mask, np.inf, -epsilon * np.log(np.maximum(u, U_FLOOR)))
 
-    h = heat.grid.h_y
     dq_dy = np.empty_like(q)
     with np.errstate(invalid="ignore"):  # inf - inf across masked nodes
-        dq_dy[..., 1:-1] = (q[..., 2:] - q[..., :-2]) / (2.0 * h)
+        dq_dy[..., 1:-1] = (q[..., 2:] - q[..., :-2]) / (2.0 * h_y)
         # one-sided second-order differences at the two boundary nodes
-        dq_dy[..., 0] = (-3.0 * q[..., 0] + 4.0 * q[..., 1] - q[..., 2]) / (2.0 * h)
-        dq_dy[..., -1] = (3.0 * q[..., -1] - 4.0 * q[..., -2] + q[..., -3]) / (2.0 * h)
+        dq_dy[..., 0] = (-3.0 * q[..., 0] + 4.0 * q[..., 1] - q[..., 2]) / (2.0 * h_y)
+        dq_dy[..., -1] = (3.0 * q[..., -1] - 4.0 * q[..., -2] + q[..., -3]) / (2.0 * h_y)
     return q, dq_dy, mask
 
 
@@ -352,7 +355,8 @@ def fan_cost_rows(
     (error O(dx^2)), NaN where a neighbour underflowed.
     """
     dx = max(1, int(round(dx / grid.h_y))) * grid.h_y
-    q, dq_dy, mask = _cost_rows(solve_u(spec, [x - dx, x, x + dx], grid, epsilon, rows))
+    q, dq_dy, mask = _cost_rows(solve_u(spec, [x - dx, x, x + dx], grid, epsilon, rows).u,
+                                epsilon, grid.h_y)
     with np.errstate(invalid="ignore"):  # inf - inf across masked nodes
         dq_dx = (q[2] - q[0]) / (2.0 * dx)
     dq_dx = np.where(mask[0] | mask[2], np.nan, dq_dx)
@@ -444,7 +448,7 @@ def costfield_blocks(heat: HeatField, y_stride: int):
     """
     t_nodes, y = heat.grid.t_nodes(), heat.grid.y_nodes()[::y_stride].tolist()
     for k, u in zip(np.atleast_1d(heat.levels), heat.u.reshape(-1, heat.grid.n_y)):
-        q, dq_dy, _ = _cost_rows(heat, u)
+        q, dq_dy, _ = _cost_rows(u, heat.epsilon, heat.grid.h_y)
         yield tables.Block((float(t_nodes[k]), y, u[::y_stride].tolist(),
                             q[::y_stride].tolist(), dq_dy[::y_stride].tolist(), math.nan))
 

@@ -2,10 +2,11 @@
 
 Euler-Maruyama throughout, with a Philox counter-based generator so runs
 are reproducible bit for bit from the seed alone.  The controlled
-simulator follows the steered drift read off a solved cost field, stops
-steering a short cutoff before the horizon, and accumulates the exact
-change-of-measure log weight so controlled samples can stand in for the
-original law (importance sampling) or be studied in their own right.
+simulator follows the steered drift b - dq/dy, built level by level in the
+backward solve's own march (ControllerField.from_fields), stops steering a
+short cutoff before the horizon, and accumulates the exact change-of-measure
+log weight so controlled samples can stand in for the original law
+(importance sampling) or be studied in their own right.
 
 The cost and slope representations and the importance-sampling estimate
 of the exceedance probability are plain averages over one such ensemble.
@@ -24,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tables
+from . import pde, tables
 from .drifts import ConfigError, DriftSpec
-from .pde import Grid1D
 
 
 class SimulationError(RuntimeError):
@@ -245,10 +245,10 @@ class ControllerError(SimulationError):
 class ControllerField:
     """Steered drift b - dq/dy, bilinear over the solved (t, y) lattice.
 
-    from_fields reads the slope lattice dq_dy alone.  Rows where the cost
-    underflowed carry a restricted valid window around the threshold;
-    queries outside the window (or outside the time range) do not
-    extrapolate, they mark the path as escaped.
+    from_fields builds it in one backward march, level by level.  Rows where
+    the cost underflowed carry a restricted valid window around the
+    threshold; queries outside the window (or outside the time range) do
+    not extrapolate, they mark the path as escaped.
 
     The y lattice must be uniform (as every Grid1D is) and control must be
     (t_nodes.size, y_nodes.size): evaluate finds a path's cell by one
@@ -278,48 +278,47 @@ class ControllerField:
 
     @classmethod
     def from_fields(
-        cls, grid: Grid1D, dq_dy: np.ndarray, spec: DriftSpec
-    ) -> "ControllerField":
-        """Controller of the (n_t, n_y) slope lattice dq_dy of a solve on grid."""
-        n_t, n_y = grid.n_t, grid.n_y
-        if dq_dy.shape != (n_t, n_y):
-            raise ControllerError(f"slope lattice has shape {dq_dy.shape}, grid needs {(n_t, n_y)}")
-        t_nodes = grid.t_nodes()
-        y_nodes = grid.y_nodes()
-        # seed the per-row window search from the best-covered column
-        center = int(np.argmax(np.isfinite(dq_dy).sum(axis=0)))
-        control = np.full((n_t, n_y), np.nan)
-        window_lo = np.full(n_t, np.inf)
-        window_hi = np.full(n_t, -np.inf)
-        last_row = 0
-        # the terminal row holds the raw step data and carries no usable
-        # slope, so it never participates
-        for i in range(n_t - 1):
-            finite = np.isfinite(dq_dy[i])
-            if not finite[center]:
-                break
-            # the contiguous finite run around center
-            holes_below = np.flatnonzero(~finite[:center])
-            holes_above = np.flatnonzero(~finite[center:])
+        cls, spec: DriftSpec, x: float, grid: pde.Grid1D, epsilon: float
+    ) -> tuple["ControllerField", pde.HeatField]:
+        """(controller, level-0 field) of the backward solve with step data at x on grid.
+
+        solve_u hands each level, top down, to a row step that transforms it
+        (pde._cost_rows) and steers over the finite run of its slope around
+        the threshold node, so the build holds the control lattice and a few
+        rows.  The terminal level (the step data) never participates.  The
+        lowest level whose threshold slope is not finite ends the usable
+        rows: every row above it is blank and last_row is the level below it.
+        """
+        t_nodes, y_nodes, seed = grid.t_nodes(), grid.y_nodes(), grid.nearest_node(x)
+        control = np.full((grid.n_t, grid.n_y), np.nan)
+        window_lo, window_hi = np.full(grid.n_t, np.inf), np.full(grid.n_t, -np.inf)
+        last_row = grid.n_t - 2
+
+        def step(i: int, u: np.ndarray) -> None:
+            nonlocal last_row
+            if i > last_row:
+                return
+            dq_dy = pde._cost_rows(u, epsilon, grid.h_y)[1]
+            finite = np.isfinite(dq_dy)
+            if not finite[seed]:
+                above = slice(i + 1, last_row + 1)  # the rows written so far
+                control[above], window_lo[above], window_hi[above] = np.nan, np.inf, -np.inf
+                last_row = i - 1
+                return
+            holes_below = np.flatnonzero(~finite[:seed])
+            holes_above = np.flatnonzero(~finite[seed:])
             j_lo = int(holes_below[-1]) + 1 if holes_below.size else 0
-            j_hi = center + int(holes_above[0]) - 1 if holes_above.size else n_y - 1
+            j_hi = seed + int(holes_above[0]) - 1 if holes_above.size else grid.n_y - 1
             drift_row = np.asarray(spec.b(y_nodes[j_lo : j_hi + 1], t_nodes[i]))
-            lam = drift_row - dq_dy[i, j_lo : j_hi + 1]
             # steering never pushes below the plain drift
-            control[i, j_lo : j_hi + 1] = np.maximum(lam, drift_row)
-            window_lo[i] = y_nodes[j_lo]
-            window_hi[i] = y_nodes[j_hi]
-            last_row = i
+            control[i, j_lo : j_hi + 1] = np.maximum(drift_row - dq_dy[j_lo : j_hi + 1], drift_row)
+            window_lo[i], window_hi[i] = y_nodes[j_lo], y_nodes[j_hi]
+
+        start = pde.solve_u(spec, x, grid, epsilon, rows=0, level=step)
         if last_row < 1:
-            raise ControllerError("slope lattice has no usable interior rows")
-        return cls(
-            y_nodes=y_nodes,
-            t_nodes=t_nodes,
-            control=control,
-            window_lo=window_lo,
-            window_hi=window_hi,
-            last_row=last_row,
-        )
+            raise ControllerError("the solve has no usable interior rows")
+        return cls(y_nodes=y_nodes, t_nodes=t_nodes, control=control, window_lo=window_lo,
+                   window_hi=window_hi, last_row=last_row), start
 
     def evaluate(self, y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray]:
         """(control values, validity mask) at positions y and time s."""

@@ -47,10 +47,9 @@ def _controlled_setup(kind: str):
         spec, 0.0, EPS, n_y=801, n_t=1001,
         extra=pde.fan_margin(spec, 0.02, 3) + 0.04,
     )
-    q, dq_dy, _ = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS))
-    controller = simulate.ControllerField.from_fields(grid, dq_dy, spec)
+    controller, start = simulate.ControllerField.from_fields(spec, 0.0, grid, EPS)
     iy = grid.nearest_node(-1.0)
-    return spec, grid, (q[0].copy(), dq_dy[0].copy()), controller, iy
+    return spec, grid, pde._cost_rows(start.u, EPS, grid.h_y)[:2], controller, iy
 
 
 def test_criterion_01_backward_field_matches_gaussian_oracle() -> None:

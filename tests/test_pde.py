@@ -234,6 +234,24 @@ def test_streamed_solve_keeps_one_level_in_a_row_of_memory(spec) -> None:
 
 
 @pytest.mark.parametrize("spec", [
+    drifts.zero_drift(),
+    drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi),
+], ids=["zero", "linear_tv"])
+def test_level_hook_gets_every_level_once_in_march_order(spec) -> None:
+    # the step data first, then n_t - 2 down to 0, each bit-equal to the
+    # full solve's row; the hook's u is the march's buffer, so it is copied
+    grid = _grid(spec, n=201)
+    full = pde.solve_u(spec, 0.0, grid, EPS)
+    seen = []
+    start = pde.solve_u(spec, 0.0, grid, EPS, rows=0,
+                        level=lambda i, u: seen.append((i, u.copy())))
+    assert [i for i, _ in seen] == list(range(grid.n_t - 1, -1, -1))
+    for i, u in seen:
+        assert u.tobytes() == full.u[i].tobytes()
+    assert start.u.tobytes() == full.u[0].tobytes()
+
+
+@pytest.mark.parametrize("spec", [
     drifts.logcosh_drift(),
     drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi),
 ], ids=["logcosh", "linear_tv"])
@@ -284,9 +302,7 @@ def test_exact_gaussian_u_formula() -> None:
 
 def test_hopf_cole_constant_field() -> None:
     grid = pde.Grid1D(-1.0, 1.0, 5, 0.0, 1.0, 3)
-    u = np.full((3, 5), math.exp(-5.0))
-    heat = pde.HeatField(grid=grid, epsilon=0.1, u=u, levels=np.arange(3))
-    q, dq_dy, mask = pde._cost_rows(heat)
+    q, dq_dy, mask = pde._cost_rows(np.full((3, 5), math.exp(-5.0)), 0.1, grid.h_y)
     assert np.allclose(q, 0.5, rtol=1e-12)
     assert np.allclose(dq_dy, 0.0, atol=1e-12)
     assert not mask.any()
@@ -295,7 +311,7 @@ def test_hopf_cole_constant_field() -> None:
 def test_hopf_cole_flags_underflow_without_clamping() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec, n=801)
-    q, _, mask = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS))
+    q, _, mask = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS).u, EPS, grid.h_y)
     # near the horizon, nodes far below the threshold underflow
     assert mask.any()
     assert np.all(np.isinf(q[mask]))
@@ -307,7 +323,7 @@ def test_hopf_cole_flags_underflow_without_clamping() -> None:
 def test_cost_derivatives_match_oracle_at_probe() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec)
-    q, dq_dy, mask = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS))
+    q, dq_dy, mask = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS).u, EPS, grid.h_y)
     j = grid.nearest_node(-1.0)
     assert q[0, j] == pytest.approx(orc.COST_EPS_ZERO_PROBE, abs=1e-3)
     assert dq_dy[0, j] == pytest.approx(orc.SLOPE_Y_ZERO_PROBE, abs=2e-3)
@@ -357,7 +373,7 @@ def test_fan_rows_match_the_full_transform(spec, rows) -> None:
     grid = pde._fan_grid(spec, 0.0, eps, 801, 201)
     dx, q, dq_dy, dq_dx = pde.fan_cost_rows(spec, 0.0, grid, eps, 0.02, rows)
     (q_lo, _, mask_lo), (q_c, dq_dy_c, _), (q_hi, _, mask_hi) = (
-        pde._cost_rows(pde.solve_u(spec, x, grid, eps)) for x in (-dx, 0.0, dx)
+        pde._cost_rows(pde.solve_u(spec, x, grid, eps).u, eps, grid.h_y) for x in (-dx, 0.0, dx)
     )
     for member, full_q in zip(q, (q_lo, q_c, q_hi)):
         assert np.array_equal(member, full_q[rows])
@@ -468,7 +484,7 @@ def test_costfield_rows_match_full_transform_bit_for_bit() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec, n=801)
     heat = pde.solve_u(spec, 0.0, grid, EPS)
-    q, dq_dy, _ = pde._cost_rows(heat)
+    q, dq_dy, _ = pde._cost_rows(heat.u, EPS, grid.h_y)
     t_stride, y_stride = 7, 8  # 7 does not divide n_t - 1; 8 keeps both edge columns
     assert (grid.n_t - 1) % t_stride and (grid.n_y - 1) % y_stride == 0
     kept = pde.solve_u(spec, 0.0, grid, EPS, rows=slice(None, None, t_stride))

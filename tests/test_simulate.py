@@ -24,9 +24,8 @@ def _steered(spec, eps, x=0.0):
     key = (spec.name, eps, x)
     if key not in _FIELD_CACHE:
         grid = pde.default_grid(spec, x, eps, n_y=801, n_t=2001)
-        q, dq_dy, _ = pde._cost_rows(pde.solve_u(spec, x, grid, eps))
-        ctl = sim.ControllerField.from_fields(grid, dq_dy, spec)
-        _FIELD_CACHE[key] = (grid, (q[0].copy(), dq_dy[0].copy()), ctl)
+        ctl, start = sim.ControllerField.from_fields(spec, x, grid, eps)
+        _FIELD_CACHE[key] = (grid, pde._cost_rows(start.u, eps, grid.h_y)[:2], ctl)
     return _FIELD_CACHE[key]
 
 
@@ -158,8 +157,7 @@ def test_controller_rejects_times_outside_coverage() -> None:
 def test_coarse_time_grid_refused_near_horizon() -> None:
     spec = drifts.zero_drift()
     grid = pde.default_grid(spec, 0.0, EPS, n_y=401, n_t=11)
-    _, dq_dy, _ = pde._cost_rows(pde.solve_u(spec, 0.0, grid, EPS))
-    ctl = sim.ControllerField.from_fields(grid, dq_dy, spec)
+    ctl, _ = sim.ControllerField.from_fields(spec, 0.0, grid, EPS)
     with pytest.raises(sim.ControllerError):
         sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
                                 sim.SimConfig(n_paths=8, dt=2e-3, seed=1))
@@ -262,7 +260,12 @@ def test_controller_requires_uniform_lattice_and_matching_control() -> None:
 
 
 def _loop_windows(grid, dq_dy, spec):
-    """The node-by-node window scan from_fields used before it went to arrays."""
+    """The controller build from_fields replaced, node by node.
+
+    It scans the whole slope lattice of a solve that kept every level,
+    seeded at the best-covered column, and stops at the first row whose
+    seed is not finite.
+    """
     n_t, n_y = dq_dy.shape
     t_nodes, y_nodes = grid.t_nodes(), grid.y_nodes()
     center = int(np.argmax(np.isfinite(dq_dy).sum(axis=0)))
@@ -289,14 +292,15 @@ def _loop_windows(grid, dq_dy, spec):
     return control, window_lo, window_hi, last_row
 
 
-def test_from_fields_window_scan_matches_loop() -> None:
+def test_from_fields_window_scan_matches_loop(monkeypatch) -> None:
     spec = drifts.logcosh_drift()
     grid = pde.Grid1D(-3.0, 3.0, 61, 0.0, 1.0, 12)
     ys, ts = np.meshgrid(grid.y_nodes(), grid.t_nodes())
     dq_dy = np.cos(ys) * (1.0 + ts)
-    # column 30 is the best covered; rows 0-4 have holes on both sides of
-    # it (row 2 leaves it alone, rows 3-4 reach the lattice edge) and row 5
-    # is NaN there, which ends the scan
+    # column 30 (x = 0, the seed) is the best covered; rows 0-4 have holes
+    # on both sides of it (row 2 leaves it alone, rows 3-4 reach the lattice
+    # edge) and row 5 is NaN there, which ends the usable rows: the rows
+    # 6-10 written before it arrived are blanked again
     dq_dy[8:, np.arange(61) != 30] = np.nan
     dq_dy[0, [25, 41]] = np.nan
     dq_dy[1, :10] = np.nan
@@ -305,40 +309,65 @@ def test_from_fields_window_scan_matches_loop() -> None:
     dq_dy[3, 44:46] = np.nan
     dq_dy[5, 30] = np.nan
     dq_dy[7, [3, 57]] = np.nan
-    ctl = sim.ControllerField.from_fields(grid, dq_dy, spec)
+
+    # a stand-in solve hands the lattice's rows over in the march's order,
+    # top down, and a stand-in transform passes each on as its slope row
+    def solve_u(spec, x, grid, epsilon, rows, level):
+        for i in range(grid.n_t - 1, -1, -1):
+            level(i, dq_dy[i])
+
+    monkeypatch.setattr(pde, "solve_u", solve_u)
+    monkeypatch.setattr(pde, "_cost_rows", lambda u, epsilon, h_y: (None, u, None))
+    ctl, _ = sim.ControllerField.from_fields(spec, 0.0, grid, EPS)
     control, window_lo, window_hi, last_row = _loop_windows(grid, dq_dy, spec)
     assert last_row == ctl.last_row == 4
     assert ctl.window_lo[2] == ctl.window_hi[2] == grid.y_nodes()[30]
     assert np.array_equal(ctl.control, control, equal_nan=True)
     assert np.array_equal(ctl.window_lo, window_lo)
     assert np.array_equal(ctl.window_hi, window_hi)
+    dq_dy[1, 30] = np.nan  # level 0 alone is usable: no interior row to steer by
+    with pytest.raises(sim.ControllerError, match="no usable interior rows"):
+        sim.ControllerField.from_fields(spec, 0.0, grid, EPS)
 
 
-def test_from_fields_refuses_a_lattice_off_the_grid() -> None:
-    # refused up front: in the row loop a wider lattice would fail on a bare
-    # broadcasting ValueError and a narrower one pass until the control check
-    spec = drifts.zero_drift()
-    grid = pde.Grid1D(-3.0, 3.0, 61, 0.0, 1.0, 12)
-    for shape in ((12, 62), (12, 60), (13, 61), (61,)):
-        with pytest.raises(sim.ControllerError):
-            sim.ControllerField.from_fields(grid, np.zeros(shape), spec)
+@pytest.mark.parametrize("spec, eps, t_start", [
+    (drifts.zero_drift(), 0.0125, 0.0),
+    (drifts.logcosh_drift(), EPS, 0.0),
+    (drifts.sin_drift(), EPS, 0.0),
+    (drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi), EPS, 0.0),
+    (drifts.logcosh_drift(), EPS, 0.25),
+], ids=["zero-0.0125", "logcosh", "sin", "linear_tv", "logcosh-t0.25"])
+def test_from_fields_matches_the_whole_lattice_scan(spec, eps, t_start) -> None:
+    # the one-march build against the route it replaced: keep every level,
+    # transform the whole lattice, scan it from the best-covered column;
+    # every case has underflow holes, rows whose window stops short of y_min
+    grid = pde._fan_grid(spec, 0.0, eps, 301, 201, t_start=t_start)
+    ctl, start = sim.ControllerField.from_fields(spec, 0.0, grid, eps)
+    q, dq_dy, _ = pde._cost_rows(pde.solve_u(spec, 0.0, grid, eps).u, eps, grid.h_y)
+    control, window_lo, window_hi, last_row = _loop_windows(grid, dq_dy, spec)
+    assert (window_lo[: last_row + 1] > grid.y_min).any()
+    assert ctl.last_row == last_row
+    assert np.array_equal(ctl.control, control, equal_nan=True)
+    assert np.array_equal(ctl.window_lo, window_lo)
+    assert np.array_equal(ctl.window_hi, window_hi)
+    assert start.levels == 0
+    q0, dq_dy0, _ = pde._cost_rows(start.u, eps, grid.h_y)
+    assert q0.tobytes() == q[0].tobytes() and dq_dy0.tobytes() == dq_dy[0].tobytes()
 
 
 def test_controller_build_memory_stays_near_the_solved_field() -> None:
-    # beyond u, the build holds the slope lattice and the control; the
-    # transform's q, mask and temporaries are gone before the control is made
+    # the whole build, solve included, holds the control lattice and a few
+    # rows: each level's transform lives only during its row step
     spec = drifts.zero_drift()
     grid = pde._fan_grid(spec, 0.0, EPS, 1201, 1201)
-    heat = pde.solve_u(spec, 0.0, grid, EPS)
     tracemalloc.start()
     try:
-        dq_dy = pde._cost_rows(heat)[1]
-        ctl = sim.ControllerField.from_fields(grid, dq_dy, spec)
+        ctl, _ = sim.ControllerField.from_fields(spec, 0.0, grid, EPS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert ctl.last_row == grid.n_t - 2
-    assert peak < 3.5 * heat.u.nbytes, f"peak {peak / heat.u.nbytes:.2f} x u"
+    assert peak < 1.25 * ctl.control.nbytes, f"peak {peak / ctl.control.nbytes:.2f} x control"
 
 
 def test_escaped_paths_flagged_and_capped() -> None:
