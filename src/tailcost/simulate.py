@@ -14,6 +14,12 @@ They read each path's weight, accumulated costs and slopes, cutoff state
 and terminal state only, so the steered simulator streams: it keeps those
 per path plus the whole rows of a fixed set of about RECORDED_ROWS paths,
 and its memory is bounded by the path count, not by paths times steps.
+
+On request the steered loop also marches the plain-law paths of
+terminal_sample on that function's own time grid, step k of both reading
+the same normals, so one draw per step serves both.  `tailcost simulate`
+takes its naive row from that plain leg: its steered and naive rows share
+each step's draws (common random numbers), so the two are not independent.
 """
 
 from __future__ import annotations
@@ -77,6 +83,7 @@ class PathEnsemble:
     terminal: np.ndarray  # (n_paths,) state at times[-1]
     log_girsanov_weight: np.ndarray  # (n_paths,)
     seed: int
+    plain_terminal: np.ndarray | None  # (n_paths,) terminal_sample on the seed's draws
     escaped: np.ndarray | None = None
     cutoff_index: int | None = None
     cutoff_state: np.ndarray | None = None  # (n_paths,) state at times[cutoff_index]
@@ -118,8 +125,9 @@ def _physical_memory() -> float:
 
 
 # per-path float vectors the steered loop holds at its peak (the state,
-# weight, four accumulators and the step's and evaluate's temporaries):
-# about 19 under tracemalloc at 1e5 paths
+# the plain leg, weight, four integrals and the step's and evaluate's
+# temporaries): 18.5 under tracemalloc at 1e5 paths with the plain leg, the
+# same for the zero, log-cosh, sin and linear_tv drifts
 _STATE_VECTORS = 24
 
 
@@ -154,6 +162,12 @@ def _time_grid(dt: float, start: float, end: float, n_paths: int = 0) -> np.ndar
     return np.linspace(start, end, _check_dt(dt, end - start, n_paths, n_paths) + 1)
 
 
+def _em_step(y: np.ndarray, drift, s: float, h: float, epsilon: float,
+             xi: np.ndarray) -> np.ndarray:
+    """One Euler-Maruyama step of dY = drift(Y, s) ds + sqrt(eps) dW from y."""
+    return y + np.asarray(drift(y, s)) * h + math.sqrt(epsilon * h) * xi
+
+
 def _euler_maruyama(
     rng: np.random.Generator,
     y: np.ndarray,
@@ -161,22 +175,18 @@ def _euler_maruyama(
     drift,
     epsilon: float,
     out: np.ndarray | None = None,
-    rows: slice = slice(None),
-    moving: np.ndarray | None = None,
 ) -> np.ndarray:
     """March dY = drift(Y, s) ds + sqrt(eps) dW from y along times.
 
-    One standard normal draw per path and step.  The new states of the
-    paths y[rows] go to out[:, k + 1] when out is given; paths where moving
-    is False stay put.  Returns the final state and leaves y as it was.
+    One standard normal draw per path and step.  The new states go to
+    out[:, k + 1] when out is given.  Returns the final state and leaves y
+    as it was.
     """
     for k in range(times.size - 1):
-        h = times[k + 1] - times[k]
         xi = rng.standard_normal(y.size)
-        stepped = y + np.asarray(drift(y, times[k])) * h + math.sqrt(epsilon * h) * xi
-        y = stepped if moving is None else np.where(moving, stepped, y)
+        y = _em_step(y, drift, times[k], times[k + 1] - times[k], epsilon, xi)
         if out is not None:
-            out[:, k + 1] = y[rows]
+            out[:, k + 1] = y
     return y
 
 
@@ -202,6 +212,7 @@ def simulate_uncontrolled(
         terminal=terminal,
         log_girsanov_weight=np.zeros(config.n_paths),
         seed=config.seed,
+        plain_terminal=terminal,
     )
 
 
@@ -218,17 +229,10 @@ def terminal_sample(
     return _euler_maruyama(_generator(config.seed), y, times, spec.b, epsilon)
 
 
-def estimate_u_naive(
-    spec: DriftSpec,
-    y0: float,
-    x: float,
-    t: float,
-    epsilon: float,
-    config: SimConfig,
-) -> EstimatorResult:
-    """Plain Monte Carlo exceedance probability with binomial error bars."""
-    terminal = terminal_sample(spec, y0, t, epsilon, config)
-    n = config.n_paths
+def estimate_u_naive(terminal: np.ndarray, x: float) -> EstimatorResult:
+    """Plain Monte Carlo exceedance probability of plain-law terminal states,
+    with binomial error bars."""
+    n = terminal.size
     p = float(np.count_nonzero(terminal > x)) / n
     # floor keeps the error bar honest when no sample lands on either side
     se = math.sqrt(max(p * (1.0 - p), 1.0 / n) / n)
@@ -330,19 +334,26 @@ class ControllerField:
         w = min(max(w, 0.0), 1.0)
         lo = max(self.window_lo[i], self.window_lo[i + 1])
         hi = min(self.window_hi[i], self.window_hi[i + 1])
-        valid = (y >= lo) & (y <= hi)
         row = (1.0 - w) * self.control[i] + w * self.control[i + 1]
         y_first, y_last = self.y_nodes[0], self.y_nodes[-1]
-        pos = (np.clip(y, lo, hi) - y_first) * ((self.y_nodes.size - 1) / (y_last - y_first))
+        pos = np.clip(y, lo, hi)
+        valid = pos == y  # y in [lo, hi]; a NaN is never valid
+        pos -= y_first
+        pos *= (self.y_nodes.size - 1) / (y_last - y_first)
         # pos at a node can truncate one cell low, onto the NaN outside the
         # window: keep every cell between the nodes at lo and hi
         j_lo = int(np.searchsorted(self.y_nodes, lo, side="right")) - 1
         j_hi = int(np.searchsorted(self.y_nodes, hi, side="left"))
         if j_hi == j_lo:  # a one-node window has no cell to interpolate in
             return np.full(np.shape(y), row[j_lo]), valid
-        j = np.clip(pos.astype(np.intp), j_lo, j_hi - 1)
-        left = row[j]
-        return left + (pos - j) * (row[j + 1] - left), valid
+        j = pos.astype(np.intp)
+        np.clip(j, j_lo, j_hi - 1, out=j)
+        # row[j] + (pos - j) * (row[j + 1] - row[j]), the differences taken
+        # once over the row
+        pos -= j
+        pos *= np.diff(row)[j]
+        pos += row[j]
+        return pos, valid
 
 
 # ----------------------------------------------------------------- steered
@@ -355,6 +366,7 @@ def simulate_controlled(
     epsilon: float,
     config: SimConfig,
     max_escaped_fraction: float = 0.01,
+    plain: bool = False,
 ) -> PathEnsemble:
     """Steered paths with exact change-of-measure accounting.
 
@@ -365,6 +377,10 @@ def simulate_controlled(
     window freeze in place and are flagged; more than max_escaped_fraction
     of them aborts the run.  Every path keeps its cutoff and terminal
     states; whole rows are kept only for the paths of recorded_ids.
+
+    With plain, the n_paths paths of terminal_sample(spec, y0, t, epsilon,
+    config) march in the same loop on that function's own time grid, step k
+    reading step k's normals, and plain_terminal is its result bit for bit.
     """
     T = spec.horizon_T
     span = T - t
@@ -388,20 +404,36 @@ def simulate_controlled(
             f"at {controller.t_valid_max:.6g}; refine the time grid or "
             "enlarge the cutoff"
         )
+    n_steps = times.size - 1
+    plain_times = _time_grid(config.dt, t, T) if plain else times[:1]
+    n_plain = plain_times.size - 1
     rows = slice(ids.start, ids.stop, ids.step)
     rng = _generator(config.seed)
     record = np.empty((len(ids), times.size))
     record[:, 0] = y0
     y = np.full(n_paths, float(y0))
+    plain_y = y.copy() if plain else None
     alive = np.ones(n_paths, dtype=bool)
+    xi = np.empty(n_paths)
+
+    def draw(k: int) -> None:
+        """Step k's normals into xi; the plain leg takes its step k on them."""
+        nonlocal plain_y
+        rng.standard_normal(out=xi)
+        if k < n_plain:
+            plain_y = _em_step(plain_y, spec.b, plain_times[k],
+                               plain_times[k + 1] - plain_times[k], epsilon, xi)
 
     logw = np.zeros(n_paths)
-    accum = {k: np.zeros(n_paths) for k in ("cost", "slope_y", "slope_x", "slope_sum")}
-
-    sqrt_eps = math.sqrt(epsilon)
+    # the cost and three base integrals of e = excess ds: A = int e,
+    # B = int b_y e and C = int s b_y e, which give the slope integrals
+    cost, a_int, b_int, c_int = (np.zeros(n_paths) for _ in range(4))
+    step, e, work = (np.empty(n_paths) for _ in range(3))
+    sqrt_eps, half_inv_eps = math.sqrt(epsilon), 0.5 / epsilon
     for k in range(n_ctl):
         s = times[k]
         h = times[k + 1] - times[k]
+        draw(k)
         lam, valid = controller.evaluate(y, s)
         alive &= valid
         frozen = ~alive
@@ -411,21 +443,39 @@ def simulate_controlled(
         # escaped paths get excess and step exactly 0.0; a lookup off the
         # window can be NaN, so mask rather than multiply by alive
         np.copyto(excess, 0.0, where=frozen)
-        dw = math.sqrt(h) * rng.standard_normal(n_paths)
-        step = (b_now + excess) * h + sqrt_eps * dw
+        # step = (b + excess) h + sqrt(eps) (sqrt(h) xi), in this order of roundings
+        np.multiply(xi, math.sqrt(h), out=work)
+        work *= sqrt_eps
+        np.add(b_now, excess, out=step)
+        step *= h
+        step += work
         np.copyto(step, 0.0, where=frozen)
         y += step
         record[:, k + 1] = y[rows]
-        sq = excess**2
-        logw += -(excess / sqrt_eps) * dw - (sq / (2.0 * epsilon)) * h
-        accum["cost"] += sq * h
-        accum["slope_y"] += (1.0 + (T - s) * by_now) * excess * h
-        accum["slope_x"] += (1.0 - (s - t) * by_now) * excess * h
-        accum["slope_sum"] += by_now * excess * h
+        # log dP/dQ gains -e (xi / sqrt(eps h) + excess / (2 eps)), the cost excess e
+        np.multiply(excess, h, out=e)
+        np.multiply(xi, 1.0 / math.sqrt(epsilon * h), out=work)
+        np.multiply(excess, half_inv_eps, out=step)
+        work += step
+        work *= e
+        logw -= work
+        np.multiply(excess, e, out=work)
+        cost += work
+        a_int += e
+        np.multiply(by_now, e, out=work)
+        b_int += work
+        work *= s
+        c_int += work
 
-    terminal = _euler_maruyama(
-        rng, y, times[n_ctl:], spec.b, epsilon, out=record[:, n_ctl:], rows=rows, moving=alive
-    )
+    # the free stretch runs the plain drift; escaped paths stay put
+    terminal = y
+    for k in range(n_ctl, n_steps):
+        draw(k)
+        stepped = _em_step(terminal, spec.b, times[k], times[k + 1] - times[k], epsilon, xi)
+        terminal = np.where(alive, stepped, terminal)
+        record[:, k + 1] = terminal[rows]
+    for k in range(n_steps, n_plain):  # should rounding give the plain grid more steps
+        draw(k)
 
     escaped = ~alive
     fraction = float(np.count_nonzero(escaped)) / n_paths
@@ -441,10 +491,12 @@ def simulate_controlled(
         terminal=terminal,
         log_girsanov_weight=logw,
         seed=config.seed,
+        plain_terminal=plain_y,
         escaped=escaped,
         cutoff_index=n_ctl,
         cutoff_state=y,
-        integrals=accum,
+        integrals={"cost": cost, "slope_y": a_int + T * b_int - c_int,
+                   "slope_x": a_int + t * b_int - c_int, "slope_sum": b_int},
     )
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,8 +120,8 @@ def test_euler_error_halves_with_step_without_noise() -> None:
 
 def test_naive_exceedance_matches_frozen_probe() -> None:
     spec = drifts.zero_drift()
-    res = sim.estimate_u_naive(spec, PROBE_Y, PROBE_X, 0.0, EPS,
-                               sim.SimConfig(n_paths=1_000_000, dt=1e-2, seed=14))
+    res = sim.estimate_u_naive(sim.terminal_sample(
+        spec, PROBE_Y, 0.0, EPS, sim.SimConfig(n_paths=1_000_000, dt=1e-2, seed=14)), PROBE_X)
     assert res.name == "exceedance_naive"
     assert res.std_error > 0.0
     assert abs(res.estimate - orc.U_ZERO_PROBE) <= 3.0 * res.std_error
@@ -391,6 +392,146 @@ def test_escaped_paths_flagged_and_capped() -> None:
     assert np.all(np.isfinite(ens.log_girsanov_weight[ens.kept]))
 
 
+# ------------------------------------------- fused step and the plain leg
+
+def _evaluate_reference(ctl, y, s):
+    """ControllerField.evaluate as it was before its in-place rewrite."""
+    i = int(np.searchsorted(ctl.t_nodes, s, side="right")) - 1
+    i = min(max(i, 0), ctl.last_row - 1)
+    w = (s - ctl.t_nodes[i]) / (ctl.t_nodes[i + 1] - ctl.t_nodes[i])
+    w = min(max(w, 0.0), 1.0)
+    lo = max(ctl.window_lo[i], ctl.window_lo[i + 1])
+    hi = min(ctl.window_hi[i], ctl.window_hi[i + 1])
+    valid = (y >= lo) & (y <= hi)
+    row = (1.0 - w) * ctl.control[i] + w * ctl.control[i + 1]
+    y_first, y_last = ctl.y_nodes[0], ctl.y_nodes[-1]
+    pos = (np.clip(y, lo, hi) - y_first) * ((ctl.y_nodes.size - 1) / (y_last - y_first))
+    j_lo = int(np.searchsorted(ctl.y_nodes, lo, side="right")) - 1
+    j_hi = int(np.searchsorted(ctl.y_nodes, hi, side="left"))
+    if j_hi == j_lo:
+        return np.full(np.shape(y), row[j_lo]), valid
+    j = np.clip(pos.astype(np.intp), j_lo, j_hi - 1)
+    left = row[j]
+    return left + (pos - j) * (row[j + 1] - left), valid
+
+
+def _loop_steered(spec, ctl, y0, t, epsilon, config, times, n_ctl):
+    """The steered loop the fused step replaced: one slope accumulator each,
+    the weight as -(excess / sqrt(eps)) dw - excess^2 / (2 eps) h.
+
+    Returns the recorded rows, terminal and cutoff states, escape flags, log
+    weight and integrals of a run over times, steering its first n_ctl steps.
+    """
+    T, n = spec.horizon_T, config.n_paths
+    ids = sim.recorded_ids(n)
+    rows = slice(ids.start, ids.stop, ids.step)
+    rng = sim._generator(config.seed)
+    record = np.empty((len(ids), times.size))
+    record[:, 0] = y0
+    y = np.full(n, float(y0))
+    alive = np.ones(n, dtype=bool)
+    logw = np.zeros(n)
+    accum = {k: np.zeros(n) for k in ("cost", "slope_y", "slope_x", "slope_sum")}
+    sqrt_eps = math.sqrt(epsilon)
+    for k in range(n_ctl):
+        s = times[k]
+        h = times[k + 1] - times[k]
+        lam, valid = _evaluate_reference(ctl, y, s)
+        alive &= valid
+        frozen = ~alive
+        b_now = np.asarray(spec.b(y, s), dtype=float)
+        by_now = np.asarray(spec.db_dy(y, s), dtype=float)
+        excess = np.subtract(lam, b_now, out=lam)
+        np.copyto(excess, 0.0, where=frozen)
+        dw = math.sqrt(h) * rng.standard_normal(n)
+        step = (b_now + excess) * h + sqrt_eps * dw
+        np.copyto(step, 0.0, where=frozen)
+        y += step
+        record[:, k + 1] = y[rows]
+        sq = excess**2
+        logw += -(excess / sqrt_eps) * dw - (sq / (2.0 * epsilon)) * h
+        accum["cost"] += sq * h
+        accum["slope_y"] += (1.0 + (T - s) * by_now) * excess * h
+        accum["slope_x"] += (1.0 - (s - t) * by_now) * excess * h
+        accum["slope_sum"] += by_now * excess * h
+    cutoff_state = y
+    for k in range(n_ctl, times.size - 1):
+        h = times[k + 1] - times[k]
+        xi = rng.standard_normal(n)
+        stepped = y + np.asarray(spec.b(y, times[k])) * h + math.sqrt(epsilon * h) * xi
+        y = np.where(alive, stepped, y)
+        record[:, k + 1] = y[rows]
+    return record, y, cutoff_state, ~alive, logw, accum
+
+
+def _narrow(ctl, lo, hi):
+    """ctl with every window cut to [lo, hi], so paths escape on both sides."""
+    return replace(ctl, window_lo=np.maximum(ctl.window_lo, lo),
+                   window_hi=np.minimum(ctl.window_hi, hi))
+
+
+# The fused step forms the weight and the integrals in another order: each
+# step's increments round in at most 8 places where the loop's did, so after
+# n steps the two differ by at most 8 n ulps of the quantity's largest
+# magnitude over the paths.
+ROUNDING_ULPS_PER_STEP = 8
+
+
+@pytest.mark.parametrize("kind, narrow", [
+    ("zero", False), ("logcosh", False), ("linear_tv", False), ("logcosh", True),
+])
+def test_fused_step_matches_the_loop_it_replaced(kind, narrow) -> None:
+    spec = {"zero": drifts.zero_drift(), "logcosh": drifts.logcosh_drift(),
+            "linear_tv": drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi)}[kind]
+    _, _, ctl = _steered(spec, EPS)
+    if narrow:
+        ctl = _narrow(ctl, -1.3, 0.4)
+    cfg = sim.SimConfig(n_paths=2000, dt=1e-3, seed=19)
+    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg, max_escaped_fraction=1.0)
+    paths, terminal, cutoff_state, escaped, logw, accum = _loop_steered(
+        spec, ctl, PROBE_Y, 0.0, EPS, cfg, ens.times, ens.cutoff_index)
+    assert (0 < escaped.sum() < 2000) if narrow else not escaped.any()
+    assert ens.plain_terminal is None
+    assert np.array_equal(ens.paths, paths)
+    assert np.array_equal(ens.terminal, terminal)
+    assert np.array_equal(ens.cutoff_state, cutoff_state)
+    assert np.array_equal(ens.escaped, escaped)
+    ulps = ROUNDING_ULPS_PER_STEP * ens.cutoff_index * np.finfo(float).eps
+    for name, got, want in [("log weight", ens.log_girsanov_weight, logw),
+                            *((key, ens.integrals[key], accum[key]) for key in accum)]:
+        gap = np.max(np.abs(got - want))
+        assert gap <= ulps * np.max(np.abs(want)), f"{name}: {gap:.3g}"
+
+
+@pytest.mark.parametrize("dt, narrow, longer", [
+    (1e-3, False, False), (7e-4, False, False), (1e-3, True, False), (1e-3, False, True),
+], ids=["dt1e-3", "dt7e-4", "escapes", "longer-plain-grid"])
+def test_plain_leg_is_terminal_sample_bit_for_bit(dt, narrow, longer, monkeypatch) -> None:
+    spec = drifts.logcosh_drift()
+    _, _, ctl = _steered(spec, EPS)
+    if narrow:
+        ctl = _narrow(ctl, -1.3, 0.4)
+    if longer:
+        # no dt searched gives the plain grid more steps than the steered
+        # one; three more here make the plain leg draw past the steered run
+        grid = sim._time_grid
+        monkeypatch.setattr(sim, "_time_grid", lambda dt, start, end, n_paths=0: np.linspace(
+            start, end, grid(dt, start, end, n_paths).size + 3))
+    cfg = sim.SimConfig(n_paths=2000, dt=dt, seed=23)
+    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg,
+                                  max_escaped_fraction=1.0, plain=True)
+    assert np.array_equal(ens.plain_terminal, sim.terminal_sample(spec, PROBE_Y, 0.0, EPS, cfg))
+    n_plain = sim._time_grid(dt, 0.0, 1.0).size - 1
+    if dt == 7e-4:
+        assert (ens.times.size - 1, n_plain) == (1430, 1429)
+    assert (n_plain > ens.times.size - 1) == longer
+    assert ens.escaped.any() == narrow
+    # the plain leg leaves the steered run as it was
+    alone = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg, max_escaped_fraction=1.0)
+    assert np.array_equal(ens.paths, alone.paths)
+    assert np.array_equal(ens.log_girsanov_weight, alone.log_girsanov_weight)
+
+
 # --------------------------------------------------- steered-run consistency
 
 def test_steered_marginal_matches_conditioned_law() -> None:
@@ -501,8 +642,8 @@ def test_steered_estimate_agrees_with_naive() -> None:
         ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, eps,
                                       sim.SimConfig(n_paths=40_000, dt=1e-3, seed=5))
         steered = sim.importance_sampling(ens, PROBE_X)
-    naive = sim.estimate_u_naive(spec, PROBE_Y, PROBE_X, 0.0, eps,
-                                 sim.SimConfig(n_paths=400_000, dt=5e-3, seed=6))
+    naive = sim.estimate_u_naive(sim.terminal_sample(
+        spec, PROBE_Y, 0.0, eps, sim.SimConfig(n_paths=400_000, dt=5e-3, seed=6)), PROBE_X)
     gap = abs(steered.estimate - naive.estimate)
     assert gap <= 3.0 * math.hypot(steered.std_error, naive.std_error)
     assert steered.extra["ess"] > 100.0
