@@ -84,7 +84,7 @@ def _write_table(path: Path, header: list[str], table: Iterable[Sequence], fmt: 
     if fmt == "csv":
         tables.write_csv(out, header, table)
     else:
-        tables.write_json(out, {"header": header, "rows": list(tables.rows(table))})
+        tables.write_json_table(out, header, table)
     return out
 
 

@@ -17,14 +17,22 @@ both diffusion and drift) with a backward-Euler startup phase that damps
 the ringing the step terminal data would otherwise excite.  One march,
 _cn_march, serves the threshold solve and its fans, the Green fan (one column
 per threshold) and both bridge kernels; the upper wall value is its argument.
-The implicit matrix is LU-factored (LAPACK gttrf) once per march when the
-drift declares itself time-homogeneous, and at every time level otherwise;
-the startup half-steps and the CN steps share it.  Every solved level is
-checked to be finite, so a non-finite datum or an overflow raises PdeError
-at the time level where it appears.  At the mesh Peclet numbers of every
-shipped configuration (|b| h_y / eps <= 1) each step is a monotone map, so
-the discrete solution inherits the maximum principle and monotonicity in y
-to roundoff; solve_u folds every level it makes into running rows of the
+The implicit matrix of a one-column march is LU-factored (LAPACK gttrf)
+once per march when the drift declares itself time-homogeneous, and at
+every time level otherwise; the startup half-steps and the CN steps share
+the factors (gttrs).  A multi-column march hands its columns to gtsv,
+which factors as it solves but runs the columns side by side, for the
+same bits.  Each step is solved in
+delta form (Beam and Warming): the march carries w = r L u, the explicit
+half of the CN step, from level to level, so a CN step is one banded
+solve of (I - r L)(v - u) = 2w for the increment and three vector passes,
+and never forms a stencil product.  On a plateau of u the increment
+vanishes, so no rounding piles up there.  Every solved level is checked
+to be finite, so a non-finite datum or an overflow raises PdeError at the
+time level where it appears.  At the mesh Peclet numbers of every shipped
+configuration (|b| h_y / eps <= 1) each step is a monotone map, so the
+discrete solution inherits the maximum principle and monotonicity in y to
+roundoff; solve_u folds every level it makes into running rows of the
 lowest value, the highest value and the steepest downward step to check
 both.  The mesh Peclet and diffusion numbers are recorded, not enforced.
 """
@@ -37,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 from scipy.special import ndtr
 
 from . import tables
@@ -166,12 +174,23 @@ def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall
     walls: 0 below, wall above.  Returns the last level; level(i, v) gets
     each solved level v (i on grid.t_nodes()), in one of the march's two
     alternating arrays, so it is valid only during the call.
+
+    Every step is solved in delta form for the increment d = v - u of the
+    interior, with w = r L u carried from level to level.  w is formed once,
+    from the data with the walls in place of its end values, as
+    r upper (u_+ - u) - r lower (u - u_-), plus the flux diagonal of the
+    forward equation.  A half-step solves (I - r L) d = w and sets w = d;
+    a CN step solves (I - r L) d = 2w and sets w = d - w.  When the stencil
+    moved since w was formed (a time-varying drift), r (L_new - L_old) u is
+    added to the right-hand side first.  A step is thus one banded solve and
+    three vector passes, with no stencil product.
     """
     y, h, dt = grid.y_nodes(), grid.h_y, grid.h_t
     alpha = 0.5 * epsilon / (h * h)
     r = 0.5 * dt  # the startup half-steps and the CN steps share I - r L
     m = grid.n_y - 2
     diag = np.full(m, 1.0 + 2.0 * r * alpha)
+    columns = u.ndim > 1  # a multi-column march
 
     def build(tv: float):
         b = np.asarray(spec.b(y[1:-1] if backward else y, tv), dtype=float)
@@ -179,50 +198,75 @@ def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall
             raise PdeError(f"drift {spec.name} is not finite on the grid at t={tv:g}")
         beta = b / (2.0 * h)
         if backward:
-            lower, upper = alpha - beta, alpha + beta
+            lower, upper, flux = alpha - beta, alpha + beta, 0.0
         else:
-            lower, upper = alpha + beta[:-2], alpha - beta[2:]
-        *lu, info = dgttrf(-r * lower[1:], diag, -r * upper[:-1])
+            lower, upper, flux = alpha + beta[:-2], alpha - beta[2:], r * (beta[:-2] - beta[2:])
+        rl, ru = r * lower, r * upper
+        bands = (-rl[1:], diag, -ru[:-1])
+        if columns:  # gtsv factors as it solves
+            return (ru, rl, flux), bands
+        *lu, info = dgttrf(*bands)
         if info != 0:
             raise PdeError(f"implicit matrix of drift {spec.name} is singular at t={tv:g}")
-        return lower, upper, lu
+        return (ru, rl, flux), lu
 
-    # (lower, upper) off-diagonals of the interior rows and the LU factors of
-    # the implicit matrix, kept for the last time level asked for; a
-    # time-homogeneous drift keys every level to t_start and factors once
+    # r times the stencil's (upper, lower, flux diagonal) of the interior rows
+    # and the implicit matrix, as LU factors for one column and as bands for
+    # several, kept for the last time level asked for; a time-homogeneous
+    # drift keys every level to t_start and factors once
     factored = functools.lru_cache(maxsize=1)(build)
 
     def stencil(tv: float):
         return factored(grid.t_start if spec.time_homogeneous else tv)
 
-    def explicit(u_full: np.ndarray, tv: float) -> np.ndarray:
-        lower, upper, _ = stencil(tv)
-        return u_full[..., 1:-1] + r * (
-            lower * u_full[..., :-2] - 2.0 * alpha * u_full[..., 1:-1] + upper * u_full[..., 2:]
-        )
-
-    def implicit(rhs: np.ndarray, tv: float) -> np.ndarray:
-        _, upper, lu = stencil(tv)
-        if wall:
-            rhs[..., -1] += r * upper[-1] * wall
-        # the (m, k) column-major view of rhs is what LAPACK solves in place
-        v, info = dgttrs(*lu, rhs.reshape(-1, m).T, overwrite_b=1)
-        if info != 0 or not np.isfinite(v).all():
-            raise PdeError(f"march of drift {spec.name} left the finite range at t={tv:g}")
-        return v.T.reshape(rhs.shape)
+    def product(u_full: np.ndarray, ru, rl, flux) -> np.ndarray:
+        # r L u of the interior in difference form, the walls in place of u's end values
+        d = np.diff(u_full, axis=-1)
+        d[..., 0], d[..., -1] = u_full[..., 1], wall - u_full[..., -2]
+        out = ru * d[..., 1:]
+        out -= rl * d[..., :-1]
+        out += flux * u_full[..., 1:-1]
+        return out
 
     t = grid.t_nodes()[::-1] if backward else grid.t_nodes()
     half = -0.5 * dt if backward else 0.5 * dt
-    buffers = (np.empty_like(u), np.empty_like(u))
-    for step in range(1, grid.n_t):
-        if step <= N_STARTUP:
-            v = implicit(implicit(u[..., 1:-1].copy(), t[step - 1] + half), t[step])
+    if not np.isfinite(u).all():
+        raise PdeError(f"data of the march of drift {spec.name} is not finite at t={t[0]:g}")
+    held = stencil(t[0] + half)[0]  # the stencil w is r L u of
+    w = product(u, *held)
+
+    def solve(rhs: np.ndarray, tv: float, u_full: np.ndarray) -> np.ndarray:
+        # the increment d of the step from level u_full to tv, solved in place in rhs
+        nonlocal held
+        coef, matrix = stencil(tv)
+        if coef is not held:
+            rhs += product(u_full, *(a - b for a, b in zip(coef, held)))
+            held = coef
+        # the (m, k) column-major view of rhs is what LAPACK solves in place:
+        # one column by the factors, several by gtsv, which factors as it solves
+        # but runs the columns side by side; both give the same bits
+        if columns:
+            *_, d, info = dgtsv(*matrix, rhs.reshape(-1, m).T, overwrite_b=1)
         else:
-            v = implicit(explicit(u, t[step - 1]), t[step])
-        u = buffers[step % 2]
-        u[..., 1:-1] = v
-        u[..., 0] = 0.0
-        u[..., -1] = wall
+            d, info = dgttrs(*matrix, rhs.reshape(-1, m).T, overwrite_b=1)
+        if info != 0 or not np.isfinite(d).all():
+            raise PdeError(f"march of drift {spec.name} left the finite range at t={tv:g}")
+        return rhs
+
+    rhs = np.empty_like(w)
+    buffers = (np.empty_like(u), np.empty_like(u))
+    for v in buffers:
+        v[..., 0], v[..., -1] = 0.0, wall
+    for step in range(1, grid.n_t):
+        v = buffers[step % 2]
+        if step <= N_STARTUP:
+            np.add(u[..., 1:-1], solve(w, t[step - 1] + half, u), out=v[..., 1:-1])
+            v[..., 1:-1] += solve(w, t[step], v)
+        else:
+            solve(np.add(w, w, out=rhs), t[step], u)
+            np.add(u[..., 1:-1], rhs, out=v[..., 1:-1])
+            np.subtract(rhs, w, out=w)
+        u = v
         if level is not None:
             level(grid.n_t - 1 - step if backward else step, u)
     return u

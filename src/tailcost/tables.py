@@ -7,7 +7,9 @@ from absolute paths is ever written.
 
 A table is an iterable of rows and Blocks, a Block being a run of rows by
 column: a list holds one cell per row, any other value is one cell on
-every row.  rows() is the row view JSON is built from; write_csv writes
+every row.  rows() is the row view JSON is built from: write_json_table
+writes write_json's bytes for it a part of rows at a time, so no table is
+ever held whole.  write_csv writes
 what csv.writer writes for it with every cell through format_cell.  A
 float (``np.float64`` included) is float.__repr__ of its value, never
 quoted.  Any other Block cell goes through format_cell, and a Block with
@@ -22,11 +24,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
+
+
+JSON_CHUNK = 256  # rows write_json_table encodes at once
 
 
 class Block(tuple):
@@ -52,6 +57,20 @@ def scrub(value: Any) -> Any:
 def write_json(path: Path | str, payload: dict[str, Any]) -> None:
     text = json.dumps(scrub(payload), indent=2, sort_keys=True)
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
+
+
+def write_json_table(path: Path | str, header: Sequence[str], table: Iterable[Sequence[Any]]) -> None:
+    """write_json of {"header": header, "rows": rows(table)}, written JSON_CHUNK rows at a time."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    head = encoder.encode(scrub({"header": header}))  # '{ ... ]\n}': reopened for rows
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head[:-2] + ',\n  "rows": [')
+        sep, row_iter = "\n", rows(table)
+        while part := list(islice(row_iter, JSON_CHUNK)):
+            # '[\n  row,\n  row\n]' of the part, its rows re-indented to depth 2
+            fh.write(sep + "  " + encoder.encode(scrub(part))[2:-2].replace("\n", "\n  "))
+            sep = ",\n"
+        fh.write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
 
 
 def format_cell(value: Any) -> str:

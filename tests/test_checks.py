@@ -35,7 +35,7 @@ DERIV_FINAL_GAP_ZERO = 0.019469727540120108
 DERIV_ENVELOPE_ZERO = 1.9324180168442782
 SHORT_WINDOW_ZERO = (0.5448849029168763, 0.8068553480393104)
 DUAL_GAP_LOGCOSH = 9.153983031584545e-07
-KERNEL_MASS_DEFECT = 1.8481216557120206e-11
+KERNEL_MASS_DEFECT = 1.848399211468177e-11
 BRIDGE_MEAN_REL_ERR = 3.392938569276668e-06
 WEIGHT_MEAN_SEED7 = 1.009353698986344
 

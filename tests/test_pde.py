@@ -4,9 +4,11 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import oracles as orc
 from tailcost import bridge, cli, drifts, pde
@@ -143,6 +145,23 @@ def test_march_rejects_non_finite_data(time_homogeneous: bool, backward: bool, b
         pde._cn_march(spec, data, grid, EPS, 1.0, backward)
 
 
+@pytest.mark.parametrize("time_homogeneous", [False, True])
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_march_refuses_non_finite_data_without_warnings(
+        time_homogeneous: bool, backward: bool, bad: float) -> None:
+    # the data is refused before the march forms r L u of it, so numpy has
+    # no invalid value to warn about (test_march_rejects_non_finite_data's cases)
+    spec = dataclasses.replace(drifts.logcosh_drift(), time_homogeneous=time_homogeneous)
+    grid = pde.Grid1D(-4.0, 4.0, 101, 0.0, 1.0, 21)
+    data = np.linspace(0.0, 1.0, grid.n_y)
+    data[50] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pde.PdeError, match=re.escape(spec.name) + ".* at t="):
+            pde._cn_march(spec, data, grid, EPS, 1.0, backward)
+
+
 def test_march_overflow_is_a_pde_error() -> None:
     # a finite drift so steep that the solved level overflows
     spec = drifts.DriftSpec(
@@ -158,6 +177,115 @@ def test_march_overflow_is_a_pde_error() -> None:
     grid = pde.Grid1D(-4.0, 4.0, 101, 0.0, 1.0, 21)
     with pytest.raises(pde.PdeError, match="steep"):
         pde._cn_march(spec, np.linspace(0.0, 1.0, grid.n_y), grid, EPS, 1.0, backward=True)
+
+
+# ------------------------------------------------------ the carried CN step
+
+def _textbook_stencil(spec, grid, epsilon, backward, tv):
+    """(alpha, r, lower, upper) of the interior rows: L u = lower u_- - 2 alpha u + upper u_+."""
+    y, h = grid.y_nodes(), grid.h_y
+    alpha, r = 0.5 * epsilon / (h * h), 0.5 * grid.h_t
+    beta = np.asarray(spec.b(y[1:-1] if backward else y, tv), dtype=float) / (2.0 * h)
+    if backward:
+        return alpha, r, alpha - beta, alpha + beta
+    return alpha, r, alpha + beta[:-2], alpha - beta[2:]
+
+
+def _textbook_product(spec, grid, epsilon, backward, tv, u):
+    """r L u of the interior rows of u (..., n_y), formed node by node."""
+    alpha, r, lower, upper = _textbook_stencil(spec, grid, epsilon, backward, tv)
+    return r * (lower * u[..., :-2] - 2.0 * alpha * u[..., 1:-1] + upper * u[..., 2:])
+
+
+def _textbook_march(spec, u, grid, epsilon, wall, backward, level):
+    """The two-sided step: (I - r L) v = (I + r L) u, each side formed in full, walls set per level."""
+    m = grid.n_y - 2
+
+    def implicit(rhs, tv):
+        _, r, lower, upper = _textbook_stencil(spec, grid, epsilon, backward, tv)
+        rhs[..., -1] += r * upper[-1] * wall
+        ab = np.zeros((3, m))
+        ab[0, 1:], ab[1], ab[2, :-1] = -r * upper[:-1], 1.0 + 2.0 * r * alpha, -r * lower[1:]
+        return solve_banded((1, 1), ab, rhs.reshape(-1, m).T).T.reshape(rhs.shape)
+
+    alpha = 0.5 * epsilon / (grid.h_y * grid.h_y)
+    t = grid.t_nodes()[::-1] if backward else grid.t_nodes()
+    half = -0.5 * grid.h_t if backward else 0.5 * grid.h_t
+    for step in range(1, grid.n_t):
+        if step <= pde.N_STARTUP:
+            v = implicit(implicit(u[..., 1:-1].copy(), t[step - 1] + half), t[step])
+        else:
+            rhs = u[..., 1:-1] + _textbook_product(spec, grid, epsilon, backward, t[step - 1], u)
+            v = implicit(rhs, t[step])
+        u = np.empty_like(u)
+        u[..., 1:-1], u[..., 0], u[..., -1] = v, 0.0, wall
+        level(step, u)
+    return u
+
+
+def _march_data(grid, backward, columns):
+    # step data at the middle node, or the fan's columns at the bottom wall,
+    # the middle and the top wall (whose end values the walls override);
+    # forward, point masses at three interior nodes
+    mid = grid.n_y // 2
+    if backward:
+        return pde._step_data(grid.n_y, np.array([mid] if columns == 1 else [0, mid, grid.n_y - 1]))
+    data = np.zeros((columns, grid.n_y))
+    data[range(columns), [mid] if columns == 1 else [mid - 20, mid, mid + 20]] = 1.0 / grid.h_y
+    return data
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("backward", [True, False], ids=["backward", "forward"])
+@pytest.mark.parametrize("spec", [
+    drifts.zero_drift(),
+    drifts.logcosh_drift(),
+    drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi),
+], ids=["zero", "logcosh", "linear_tv"])
+def test_carried_step_matches_the_textbook_step(monkeypatch, spec, backward, columns) -> None:
+    # every level within 1e-12 max|u| of the two-sided step, and the carried
+    # w = r L u of the last level within the same of a fresh product; the
+    # first half-step solves w in place, so the first right-hand side handed
+    # to LAPACK (dgttrs for one column, dgtsv for several) is a view of the
+    # march's w buffer
+    grid = pde.Grid1D(-4.0, 4.0, 241, 0.0, 1.0, 121)
+    wall = 1.0 if backward else 0.0
+    data = _march_data(grid, backward, columns)
+    solved = []
+    for name, at in (("dgttrs", 5), ("dgtsv", 3)):
+        def spy(*args, real=getattr(pde, name), at=at, **kw):
+            solved.append(args[at])
+            return real(*args, **kw)
+        monkeypatch.setattr(pde, name, spy)
+    carried, textbook = {}, {}
+    last = pde._cn_march(spec, data[0] if columns == 1 else data, grid, EPS, wall, backward,
+                         level=lambda i, v: carried.__setitem__(i, v.copy()))
+    _textbook_march(spec, data, grid, EPS, wall, backward,
+                    level=lambda step, v: textbook.__setitem__(
+                        grid.n_t - 1 - step if backward else step, v))
+    assert sorted(carried) == sorted(textbook)
+    scale = 1e-12 * np.abs(data).max()
+    for i, v in carried.items():
+        assert np.max(np.abs(v - textbook[i].reshape(v.shape))) <= scale, f"level {i}"
+    w = solved[0].T.reshape(last[..., 1:-1].shape)
+    t_last = grid.t_start if backward else grid.T
+    fresh = _textbook_product(spec, grid, EPS, backward, t_last, last)
+    assert np.max(np.abs(w - fresh)) <= scale
+
+
+@pytest.mark.parametrize("spec, grid", [
+    (drifts.logcosh_drift(), pde.Grid1D(-4.100548, 4.100548, 8203, 0.0, 1.0, 2001)),
+    (drifts.linear_drift(0.5),
+     pde.default_grid(drifts.linear_drift(0.5), 0.0, 0.2, n_y=2001, n_t=2001)),
+], ids=["logcosh-8203", "linear-2001"])
+def test_fine_lattices_keep_both_contracts_to_roundoff(spec, grid) -> None:
+    # the u ~ 1 plateau is carried as increments that vanish there, so no
+    # rounding piles up against MAXPRINCIPLE_TOL (the two-sided step raised
+    # PdeError with 1.73e-12 on the first lattice and read 7.4e-13 on the
+    # second, rate-limit's at eps = 0.2)
+    heat = pde.solve_u(spec, 0.0, grid, 0.2, rows=0)
+    assert heat.diagnostics["max_principle"] <= 1e-14
+    assert heat.diagnostics["monotonicity"] <= 1e-14
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25], ids=["nan", "inf", "dip"])

@@ -48,3 +48,20 @@ def test_write_csv_blocks_match_their_rows(tmp_path) -> None:
     writer.writerow(["t", "y", "v"])
     writer.writerows([tables.format_cell(v) for v in row] for row in rows)
     assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+def test_write_json_table_matches_write_json_of_its_rows(tmp_path, monkeypatch) -> None:
+    monkeypatch.setattr(tables, "JSON_CHUNK", 2)  # parts of two rows, and a part of one
+    y = [0.5, -1.0, 1e-300]
+    table = [
+        tables.Block((0.0, y, [0.1, np.float64(1.0) / 3.0, float("inf")])),
+        tables.Block((0.25, y, [float("nan"), -0.0, float("-inf")])),
+        ["head", np.int64(7), None, True, {"b": 1, "a": [float("nan")]}],
+        tables.Block((1.0, [], [])),
+        ['a "quoted"\nline', [], [1.5, np.float32(0.1)]],
+    ]
+    for header, body in ((["t", "y", "v"], table), (["t", "y", "v"], []), ([], [[]])):
+        got, want = tmp_path / "streamed.json", tmp_path / "whole.json"
+        tables.write_json_table(got, header, body)
+        tables.write_json(want, {"header": header, "rows": list(tables.rows(body))})
+        assert got.read_bytes() == want.read_bytes()
