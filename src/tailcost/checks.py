@@ -707,6 +707,9 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
     4000 paths by drawing no large weight.
     The full-strength steering is audited through the indicator estimator
     instead, whose variance stays finite, against the solved tail mass.
+    The three steered runs march as the legs of one simulate_legs loop: step
+    k of every leg reads the same normals, drawn once, as their equal seeds
+    already made it, so the three legs are not independent.
     """
     spec = zero_drift()
     x = 0.0
@@ -716,29 +719,28 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
         ctl, start = simulate.ControllerField.from_fields(spec, x, grid, eps)
         return grid, pde._cost_rows(start.u, eps, grid.h_y)[0], ctl
 
-    eps = 0.1
+    eps, eps_is, y0 = 0.1, 0.2, -1.0
     grid, q_start, ctl = steering(eps)
-
+    grid_is, q_start_is, ctl_is = steering(eps_is)
+    iy, jy = grid_is.nearest_node(y0), grid.nearest_node(y0)
+    y_eff = float(grid_is.y_nodes()[iy])
     half = simulate.SimConfig(n_paths=n_paths, dt=dt, seed=seed, terminal_cutoff=0.5)
-    ens = simulate.simulate_controlled(spec, ctl, 0.0, 0.0, eps, half)
+    config = simulate.SimConfig(n_paths=n_paths, dt=dt, seed=seed)
+    ens, ens_is, ens_q = simulate.simulate_legs(spec, [
+        simulate.Leg(ctl, 0.0, 0.0, eps, half),
+        simulate.Leg(ctl_is, y_eff, 0.0, eps_is, config),
+        simulate.Leg(ctl, float(grid.y_nodes()[jy]), 0.0, eps, config),
+    ], simulate.MAX_ESCAPED_FRACTION)
+
     w = np.exp(ens.log_girsanov_weight[ens.kept])
     mean_w = float(np.mean(w))
     se_w = float(np.std(w, ddof=1) / math.sqrt(w.size))
     weight_z = abs(mean_w - 1.0) / se_w if se_w > 0 else 0.0
 
-    eps_is, y0 = 0.2, -1.0
-    grid_is, q_start_is, ctl_is = steering(eps_is)
-    config = simulate.SimConfig(n_paths=n_paths, dt=dt, seed=seed)
-    iy = grid_is.nearest_node(y0)
-    y_eff = float(grid_is.y_nodes()[iy])
-    est = simulate.importance_sampling(
-        simulate.simulate_controlled(spec, ctl_is, y_eff, 0.0, eps_is, config), x
-    )
+    est = simulate.importance_sampling(ens_is, x)
     u_pde = math.exp(-float(q_start_is[iy]) / eps_is)
     is_z = abs(est.estimate - u_pde) / est.std_error if est.std_error > 0 else 0.0
 
-    jy = grid.nearest_node(y0)
-    ens_q = simulate.simulate_controlled(spec, ctl, float(grid.y_nodes()[jy]), 0.0, eps, config)
     cost_est = simulate.representation_q(ens_q)
     q_pde = float(q_start[jy])
     budget = 3.0 * cost_est.std_error + 0.5 * math.sqrt(eps)

@@ -15,11 +15,14 @@ and terminal state only, so the steered simulator streams: it keeps those
 per path plus the whole rows of a fixed set of about RECORDED_ROWS paths,
 and its memory is bounded by the path count, not by paths times steps.
 
-On request the steered loop also marches the plain-law paths of
-terminal_sample on that function's own time grid, step k of both reading
-the same normals, so one draw per step serves both.  `tailcost simulate`
-takes its naive row from that plain leg: its steered and naive rows share
-each step's draws (common random numbers), so the two are not independent.
+One loop marches several runs of one seed as legs (simulate_legs): each
+leg has its own controller, start, noise level, cutoff and time grid, or
+is the plain-law run of terminal_sample on that function's own grid, and
+step k of every leg reads the same normals, drawn once, as equal seeds
+already made it (common random numbers).  So each leg is its solo run bit
+for bit, and the legs are not independent.  `tailcost simulate` takes its
+naive row from a plain leg beside its steered run, and
+`invariant:weight-mean` marches its three steered runs as three legs.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,29 +127,34 @@ def _physical_memory() -> float:
         return math.inf
 
 
-# per-path float vectors the steered loop holds at its peak (the state,
-# the plain leg, weight, four integrals and the step's and evaluate's
-# temporaries): 18.5 under tracemalloc at 1e5 paths with the plain leg, the
-# same for the zero, log-cosh, sin and linear_tv drifts
-_STATE_VECTORS = 24
+# per-path float vectors of a run at its peak, the end of the loop: each
+# leg's own (_LEG_VECTORS: the cutoff and terminal states, the live and
+# escape flags, the weight, the cost, the base and slope integrals) and the
+# step's temporaries, which all legs share (_STEP_VECTORS).  Under
+# tracemalloc at 1e5 paths, one to three steered legs hold 9.3 per leg plus
+# 4.2 (zero drift) or 5.2 (log-cosh) shared; a plain leg holds 3.
+_LEG_VECTORS = 12
+_STEP_VECTORS = 7
 
 
-def _check_memory(dt: float, span: float, n_rows: int, n_paths: int) -> None:
-    """Refuse steps of dt over span whose time grid, rows and state cannot fit.
+def _check_memory(dt: float, span: float, n_rows: int, n_paths: int, n_legs: int) -> None:
+    """Refuse n_legs runs of steps of dt over span that cannot fit.
 
-    Runs before any allocation sized by the step count; n_rows is the
-    number of recorded path rows and n_paths the number of paths whose
-    state vectors the simulator holds (0 when only the time grid is kept).
+    Runs before any allocation sized by the step count.  Each leg holds its
+    time grid, n_rows recorded path rows and the state vectors of n_paths
+    paths (0 when only the time grid is kept); the step temporaries are
+    counted once.
     """
     nodes = span / dt + 2.0  # a float, so a tiny dt cannot overflow
     grid_bytes, row_bytes = 8.0 * nodes, 8.0 * nodes * n_rows
-    state_bytes = 8.0 * _STATE_VECTORS * n_paths
+    leg_bytes, step_bytes = 8.0 * _LEG_VECTORS * n_paths, 8.0 * _STEP_VECTORS * n_paths
     memory = _physical_memory()
-    if grid_bytes + row_bytes + state_bytes > memory:
+    if n_legs * (grid_bytes + row_bytes + leg_bytes) + step_bytes > memory:
         raise ConfigError(
-            f"dt={dt} over span {span} needs {grid_bytes / 1e9:.3g} GB for the time grid, "
-            f"{row_bytes / 1e9:.3g} GB for the recorded rows and "
-            f"{state_bytes / 1e9:.3g} GB for the per-path state, beyond the "
+            f"dt={dt} over span {span} needs, per leg, {grid_bytes / 1e9:.3g} GB for the "
+            f"time grid, {row_bytes / 1e9:.3g} GB for the recorded rows and "
+            f"{leg_bytes / 1e9:.3g} GB for the per-path state, and "
+            f"{step_bytes / 1e9:.3g} GB for the step: {n_legs} leg(s) exceed the "
             f"{memory / 1e9:.3g} GB of physical memory; use a coarser dt or fewer paths"
         )
 
@@ -154,7 +162,7 @@ def _check_memory(dt: float, span: float, n_rows: int, n_paths: int) -> None:
 def _check_dt(dt: float, span: float, n_rows: int = 0, n_paths: int = 0) -> int:
     if dt > span / 10.0 + 1e-15:
         raise ConfigError(f"dt={dt} too coarse for span {span}; need span/10 or finer")
-    _check_memory(dt, span, n_rows, n_paths)
+    _check_memory(dt, span, n_rows, n_paths, 1)
     return max(1, int(math.ceil(span / dt - 1e-12)))
 
 
@@ -336,7 +344,9 @@ class ControllerField:
         hi = min(self.window_hi[i], self.window_hi[i + 1])
         row = (1.0 - w) * self.control[i] + w * self.control[i + 1]
         y_first, y_last = self.y_nodes[0], self.y_nodes[-1]
-        pos = np.clip(y, lo, hi)
+        # np.clip's Python wrapper costs more than these two passes
+        pos = np.maximum(y, lo)
+        np.minimum(pos, hi, out=pos)
         valid = pos == y  # y in [lo, hi]; a NaN is never valid
         pos -= y_first
         pos *= (self.y_nodes.size - 1) / (y_last - y_first)
@@ -346,17 +356,208 @@ class ControllerField:
         j_hi = int(np.searchsorted(self.y_nodes, hi, side="left"))
         if j_hi == j_lo:  # a one-node window has no cell to interpolate in
             return np.full(np.shape(y), row[j_lo]), valid
+        # a NaN y truncates to INT_MIN; the clamp makes it a valid index
         j = pos.astype(np.intp)
-        np.clip(j, j_lo, j_hi - 1, out=j)
+        np.maximum(j, j_lo, out=j)
+        np.minimum(j, j_hi - 1, out=j)
         # row[j] + (pos - j) * (row[j + 1] - row[j]), the differences taken
         # once over the row
         pos -= j
-        pos *= np.diff(row)[j]
-        pos += row[j]
+        pos *= np.diff(row).take(j)
+        pos += row.take(j)
         return pos, valid
 
 
 # ----------------------------------------------------------------- steered
+
+# the share of escaped paths beyond which a steered run is refused
+MAX_ESCAPED_FRACTION = 0.01
+
+
+@dataclass(frozen=True)
+class Leg:
+    """One run that simulate_legs marches on the shared draws.
+
+    With a controller it is simulate_controlled(spec, controller, y0, t,
+    epsilon, config); with controller None it is the plain-law run of
+    terminal_sample(spec, y0, t, epsilon, config), on that function's grid.
+    """
+
+    controller: ControllerField | None
+    y0: float
+    t: float
+    epsilon: float
+    config: SimConfig
+
+
+class _Run:
+    """A leg's time grid and the per-path state it carries from step to step."""
+
+    def __init__(self, spec: DriftSpec, leg: Leg, cutoff: float | None, ids: range) -> None:
+        T, t, dt, n_paths = spec.horizon_T, leg.t, leg.config.dt, leg.config.n_paths
+        self.spec, self.leg, self.ids = spec, leg, ids
+        self.rows = slice(ids.start, ids.stop, ids.step)
+        if cutoff is None:
+            self.times, self.n_ctl = _time_grid(dt, t, T), 0
+        else:
+            n_ctl = _check_dt(dt, T - t - cutoff)
+            n_free = max(1, int(math.ceil(cutoff / dt - 1e-12)))
+            times = np.concatenate(
+                [
+                    np.linspace(t, T - cutoff, n_ctl + 1),
+                    np.linspace(T - cutoff, T, n_free + 1)[1:],
+                ]
+            )
+            if times[n_ctl - 1] > leg.controller.t_valid_max + 1e-12:
+                raise ControllerError(
+                    "controller time resolution too coarse near the horizon: "
+                    f"last steered step at {times[n_ctl - 1]:.6g} but coverage ends "
+                    f"at {leg.controller.t_valid_max:.6g}; refine the time grid or "
+                    "enlarge the cutoff"
+                )
+            self.times, self.n_ctl = times, n_ctl
+        self.n_steps = self.times.size - 1
+        self.record = np.empty((len(ids), self.times.size))
+        self.record[:, 0] = leg.y0
+        # y is the state at the cutoff once steering ends; terminal marches on
+        self.y = np.full(n_paths, float(leg.y0))
+        self.terminal = self.y
+        if cutoff is not None:
+            self.alive = np.ones(n_paths, dtype=bool)
+            self.logw = np.zeros(n_paths)
+            # the cost and three base integrals of e = excess ds: A = int e,
+            # B = int b_y e and C = int s b_y e, which give the slope integrals
+            self.cost, self.a_int, self.b_int, self.c_int = (np.zeros(n_paths) for _ in range(4))
+            self.sqrt_eps, self.half_inv_eps = math.sqrt(leg.epsilon), 0.5 / leg.epsilon
+
+    def steer(self, k: int, xi: np.ndarray, step: np.ndarray, e: np.ndarray,
+              work: np.ndarray) -> None:
+        """Steered step k on the normals xi; step, e and work are scratch."""
+        spec, times, y = self.spec, self.times, self.y
+        s = times[k]
+        h = times[k + 1] - times[k]
+        lam, valid = self.leg.controller.evaluate(y, s)
+        self.alive &= valid
+        frozen = ~self.alive
+        b_now = np.asarray(spec.b(y, s), dtype=float)
+        by_now = np.asarray(spec.db_dy(y, s), dtype=float)
+        excess = np.subtract(lam, b_now, out=lam)
+        # escaped paths get excess and step exactly 0.0; a lookup off the
+        # window can be NaN, so mask rather than multiply by alive
+        np.copyto(excess, 0.0, where=frozen)
+        # step = (b + excess) h + sqrt(eps) (sqrt(h) xi), in this order of roundings
+        np.multiply(xi, math.sqrt(h), out=work)
+        work *= self.sqrt_eps
+        np.add(b_now, excess, out=step)
+        step *= h
+        step += work
+        np.copyto(step, 0.0, where=frozen)
+        y += step
+        self.record[:, k + 1] = y[self.rows]
+        # log dP/dQ gains -e (xi / sqrt(eps h) + excess / (2 eps)), the cost excess e
+        np.multiply(excess, h, out=e)
+        np.multiply(xi, 1.0 / math.sqrt(self.leg.epsilon * h), out=work)
+        np.multiply(excess, self.half_inv_eps, out=step)
+        work += step
+        work *= e
+        self.logw -= work
+        np.multiply(excess, e, out=work)
+        self.cost += work
+        self.a_int += e
+        np.multiply(by_now, e, out=work)
+        self.b_int += work
+        work *= s
+        self.c_int += work
+
+    def free(self, k: int, xi: np.ndarray) -> None:
+        """Plain-drift step k on the normals xi; escaped paths stay put."""
+        times = self.times
+        stepped = _em_step(self.terminal, self.spec.b, times[k], times[k + 1] - times[k],
+                           self.leg.epsilon, xi)
+        if self.leg.controller is not None:
+            stepped = np.where(self.alive, stepped, self.terminal)
+        self.terminal = stepped
+        self.record[:, k + 1] = stepped[self.rows]
+
+    def ensemble(self) -> PathEnsemble:
+        seed, n_paths = self.leg.config.seed, self.leg.config.n_paths
+        if self.leg.controller is None:
+            return PathEnsemble(times=self.times, paths=self.record, path_ids=self.ids,
+                                terminal=self.terminal, log_girsanov_weight=np.zeros(n_paths),
+                                seed=seed, plain_terminal=self.terminal)
+        T, t = self.spec.horizon_T, self.leg.t
+        a_int, b_int, c_int = self.a_int, self.b_int, self.c_int
+        return PathEnsemble(
+            times=self.times,
+            paths=self.record,
+            path_ids=self.ids,
+            terminal=self.terminal,
+            log_girsanov_weight=self.logw,
+            seed=seed,
+            plain_terminal=None,
+            escaped=~self.alive,
+            cutoff_index=self.n_ctl,
+            cutoff_state=self.y,
+            integrals={"cost": self.cost, "slope_y": a_int + T * b_int - c_int,
+                       "slope_x": a_int + t * b_int - c_int, "slope_sum": b_int},
+        )
+
+
+def _march(spec: DriftSpec, legs: list[Leg], max_escaped_fraction: float) -> list[PathEnsemble]:
+    """The loop of simulate_legs and simulate_controlled: one draw per step,
+    every leg stepping on it until its own grid ends."""
+    def shared(leg: Leg) -> tuple:
+        return leg.config.n_paths, leg.config.dt, leg.config.seed, leg.t
+
+    if any(shared(leg) != shared(legs[0]) for leg in legs):
+        raise ConfigError("the legs must agree on n_paths, dt, seed and t")
+    n_paths, dt, seed, t = shared(legs[0])
+    span = spec.horizon_T - t
+    cutoffs = [None if leg.controller is None else leg.config.cutoff(span) for leg in legs]
+    # the rounding slack of _check_dt's step count
+    if any(c is not None and c >= span - 1e-12 for c in cutoffs):
+        raise ConfigError("terminal cutoff swallows the whole horizon")
+    ids = recorded_ids(n_paths)
+    _check_memory(dt, span, len(ids), n_paths, len(legs))
+    runs = [_Run(spec, leg, cutoff, ids) for leg, cutoff in zip(legs, cutoffs)]
+    rng = _generator(seed)
+    xi, step, e, work = (np.empty(n_paths) for _ in range(4))
+    for k in range(max(run.n_steps for run in runs)):
+        rng.standard_normal(out=xi)
+        for run in runs:
+            if k < run.n_ctl:
+                run.steer(k, xi, step, e, work)
+            elif k < run.n_steps:
+                run.free(k, xi)
+
+    for run in runs:
+        if run.leg.controller is None:
+            continue
+        fraction = float(np.count_nonzero(~run.alive)) / n_paths
+        if fraction > max_escaped_fraction:
+            raise GridCoverageError(
+                f"{fraction:.2%} of paths left the controller window "
+                f"(limit {max_escaped_fraction:.2%}); widen the solve"
+            )
+    return [run.ensemble() for run in runs]
+
+
+def simulate_legs(
+    spec: DriftSpec, legs: list[Leg], max_escaped_fraction: float
+) -> list[PathEnsemble]:
+    """One PathEnsemble per leg, all legs marching on one stream of draws.
+
+    Step k of every leg reads step k's normals, drawn once, the normals a
+    solo run of the same seed reads too (common random numbers), so each
+    leg's ensemble is its solo run bit for bit.  For a steered leg that is
+    simulate_controlled(..., max_escaped_fraction); for a plain leg it is
+    terminal_sample's run, with the rows of recorded_ids and its result as
+    both terminal and plain_terminal.  The legs must agree on n_paths, dt,
+    seed and t (ConfigError otherwise).  The loop runs as long as the
+    longest leg's grid, and each leg stops at the end of its own.
+    """
+    return _march(spec, legs, max_escaped_fraction)
+
 
 def simulate_controlled(
     spec: DriftSpec,
@@ -365,7 +566,7 @@ def simulate_controlled(
     t: float,
     epsilon: float,
     config: SimConfig,
-    max_escaped_fraction: float = 0.01,
+    max_escaped_fraction: float = MAX_ESCAPED_FRACTION,
     plain: bool = False,
 ) -> PathEnsemble:
     """Steered paths with exact change-of-measure accounting.
@@ -379,125 +580,17 @@ def simulate_controlled(
     states; whole rows are kept only for the paths of recorded_ids.
 
     With plain, the n_paths paths of terminal_sample(spec, y0, t, epsilon,
-    config) march in the same loop on that function's own time grid, step k
-    reading step k's normals, and plain_terminal is its result bit for bit.
+    config) march in the same loop as a plain leg on that function's own
+    time grid, step k reading step k's normals, and plain_terminal is its
+    result bit for bit.
     """
-    T = spec.horizon_T
-    span = T - t
-    cutoff = config.cutoff(span)
-    if cutoff >= span - 1e-12:  # the rounding slack of _check_dt's step count
-        raise ConfigError("terminal cutoff swallows the whole horizon")
-    n_paths, ids = config.n_paths, recorded_ids(config.n_paths)
-    _check_memory(config.dt, span, len(ids), n_paths)
-    n_ctl = _check_dt(config.dt, span - cutoff)
-    n_free = max(1, int(math.ceil(cutoff / config.dt - 1e-12)))
-    times = np.concatenate(
-        [
-            np.linspace(t, T - cutoff, n_ctl + 1),
-            np.linspace(T - cutoff, T, n_free + 1)[1:],
-        ]
-    )
-    if times[n_ctl - 1] > controller.t_valid_max + 1e-12:
-        raise ControllerError(
-            "controller time resolution too coarse near the horizon: "
-            f"last steered step at {times[n_ctl - 1]:.6g} but coverage ends "
-            f"at {controller.t_valid_max:.6g}; refine the time grid or "
-            "enlarge the cutoff"
-        )
-    n_steps = times.size - 1
-    plain_times = _time_grid(config.dt, t, T) if plain else times[:1]
-    n_plain = plain_times.size - 1
-    rows = slice(ids.start, ids.stop, ids.step)
-    rng = _generator(config.seed)
-    record = np.empty((len(ids), times.size))
-    record[:, 0] = y0
-    y = np.full(n_paths, float(y0))
-    plain_y = y.copy() if plain else None
-    alive = np.ones(n_paths, dtype=bool)
-    xi = np.empty(n_paths)
-
-    def draw(k: int) -> None:
-        """Step k's normals into xi; the plain leg takes its step k on them."""
-        nonlocal plain_y
-        rng.standard_normal(out=xi)
-        if k < n_plain:
-            plain_y = _em_step(plain_y, spec.b, plain_times[k],
-                               plain_times[k + 1] - plain_times[k], epsilon, xi)
-
-    logw = np.zeros(n_paths)
-    # the cost and three base integrals of e = excess ds: A = int e,
-    # B = int b_y e and C = int s b_y e, which give the slope integrals
-    cost, a_int, b_int, c_int = (np.zeros(n_paths) for _ in range(4))
-    step, e, work = (np.empty(n_paths) for _ in range(3))
-    sqrt_eps, half_inv_eps = math.sqrt(epsilon), 0.5 / epsilon
-    for k in range(n_ctl):
-        s = times[k]
-        h = times[k + 1] - times[k]
-        draw(k)
-        lam, valid = controller.evaluate(y, s)
-        alive &= valid
-        frozen = ~alive
-        b_now = np.asarray(spec.b(y, s), dtype=float)
-        by_now = np.asarray(spec.db_dy(y, s), dtype=float)
-        excess = np.subtract(lam, b_now, out=lam)
-        # escaped paths get excess and step exactly 0.0; a lookup off the
-        # window can be NaN, so mask rather than multiply by alive
-        np.copyto(excess, 0.0, where=frozen)
-        # step = (b + excess) h + sqrt(eps) (sqrt(h) xi), in this order of roundings
-        np.multiply(xi, math.sqrt(h), out=work)
-        work *= sqrt_eps
-        np.add(b_now, excess, out=step)
-        step *= h
-        step += work
-        np.copyto(step, 0.0, where=frozen)
-        y += step
-        record[:, k + 1] = y[rows]
-        # log dP/dQ gains -e (xi / sqrt(eps h) + excess / (2 eps)), the cost excess e
-        np.multiply(excess, h, out=e)
-        np.multiply(xi, 1.0 / math.sqrt(epsilon * h), out=work)
-        np.multiply(excess, half_inv_eps, out=step)
-        work += step
-        work *= e
-        logw -= work
-        np.multiply(excess, e, out=work)
-        cost += work
-        a_int += e
-        np.multiply(by_now, e, out=work)
-        b_int += work
-        work *= s
-        c_int += work
-
-    # the free stretch runs the plain drift; escaped paths stay put
-    terminal = y
-    for k in range(n_ctl, n_steps):
-        draw(k)
-        stepped = _em_step(terminal, spec.b, times[k], times[k + 1] - times[k], epsilon, xi)
-        terminal = np.where(alive, stepped, terminal)
-        record[:, k + 1] = terminal[rows]
-    for k in range(n_steps, n_plain):  # should rounding give the plain grid more steps
-        draw(k)
-
-    escaped = ~alive
-    fraction = float(np.count_nonzero(escaped)) / n_paths
-    if fraction > max_escaped_fraction:
-        raise GridCoverageError(
-            f"{fraction:.2%} of paths left the controller window "
-            f"(limit {max_escaped_fraction:.2%}); widen the solve"
-        )
-    return PathEnsemble(
-        times=times,
-        paths=record,
-        path_ids=ids,
-        terminal=terminal,
-        log_girsanov_weight=logw,
-        seed=config.seed,
-        plain_terminal=plain_y,
-        escaped=escaped,
-        cutoff_index=n_ctl,
-        cutoff_state=y,
-        integrals={"cost": cost, "slope_y": a_int + T * b_int - c_int,
-                   "slope_x": a_int + t * b_int - c_int, "slope_sum": b_int},
-    )
+    legs = [Leg(controller, y0, t, epsilon, config)]
+    if plain:
+        legs.append(Leg(None, y0, t, epsilon, config))
+    # _march, not simulate_legs, so that perfbench's span of this function
+    # keeps the loop's time as its own
+    steered, *rest = _march(spec, legs, max_escaped_fraction)
+    return replace(steered, plain_terminal=rest[0].terminal) if plain else steered
 
 
 # ---------------------------------------------------------------- averages

@@ -415,6 +415,31 @@ def _evaluate_reference(ctl, y, s):
     return left + (pos - j) * (row[j + 1] - left), valid
 
 
+def test_evaluate_matches_its_reference_bit_for_bit() -> None:
+    # every entry, bit for bit: between and on nodes, one ulp past either
+    # window edge, far outside, +-0, +-inf and NaN (which truncates to
+    # INT_MIN before the cell clamp)
+    _, _, steered = _steered(drifts.zero_drift(), EPS)
+    rng = np.random.default_rng(5)
+    for ctl in (_windowed_field(), _narrow(steered, -1.3, 0.4)):
+        y_first, y_last = ctl.y_nodes[0], ctl.y_nodes[-1]
+        for s in np.linspace(ctl.t_nodes[0], ctl.t_valid_max, 11):
+            i = min(int(np.searchsorted(ctl.t_nodes, s, side="right")) - 1, ctl.last_row - 1)
+            edges = [max(ctl.window_lo[i], ctl.window_lo[i + 1]),
+                     min(ctl.window_hi[i], ctl.window_hi[i + 1])]
+            y = np.concatenate([
+                rng.uniform(y_first - 0.5, y_last + 0.5, 400), ctl.y_nodes, edges,
+                np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, y_first - 9.0, y_last + 9.0],
+            ])
+            with np.errstate(invalid="ignore"):
+                lam, valid = ctl.evaluate(y, s)
+                lam_ref, valid_ref = _evaluate_reference(ctl, y, s)
+            assert np.array_equal(lam.view(np.int64), lam_ref.view(np.int64))
+            assert np.array_equal(valid, valid_ref)
+            assert np.isnan(lam[-8:-6]).all() and not valid[-8:-6].any()
+
+
 def _loop_steered(spec, ctl, y0, t, epsilon, config, times, n_ctl):
     """The steered loop the fused step replaced: one slope accumulator each,
     the weight as -(excess / sqrt(eps)) dw - excess^2 / (2 eps) h.
@@ -530,6 +555,104 @@ def test_plain_leg_is_terminal_sample_bit_for_bit(dt, narrow, longer, monkeypatc
     alone = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg, max_escaped_fraction=1.0)
     assert np.array_equal(ens.paths, alone.paths)
     assert np.array_equal(ens.log_girsanov_weight, alone.log_girsanov_weight)
+
+
+class _CountedDraws:
+    """A generator that counts its standard_normal calls."""
+
+    def __init__(self, rng) -> None:
+        self.rng, self.calls = rng, 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def _assert_same_ensemble(got, want) -> None:
+    assert got.path_ids == want.path_ids
+    assert (got.seed, got.cutoff_index) == (want.seed, want.cutoff_index)
+    for name in ("times", "paths", "terminal", "log_girsanov_weight", "plain_terminal",
+                 "escaped", "cutoff_state"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        assert a is None or np.array_equal(a, b), name
+    assert got.integrals.keys() == want.integrals.keys()
+    for key in got.integrals:
+        assert np.array_equal(got.integrals[key], want.integrals[key]), key
+
+
+def test_legs_match_solo_runs_bit_for_bit(monkeypatch) -> None:
+    # invariant:weight-mean's three legs, a leg whose paths escape on a
+    # longer grid (75 steered and 26 free steps against 100), and a plain leg
+    spec = drifts.zero_drift()
+    ctl, ctl_is = _steered(spec, 0.1)[2], _steered(spec, 0.2)[2]
+    cfg = sim.SimConfig(n_paths=300, dt=1e-2, seed=29)
+    legs = [
+        sim.Leg(ctl, 0.0, 0.0, 0.1, replace(cfg, terminal_cutoff=0.5)),
+        sim.Leg(ctl_is, PROBE_Y, 0.0, 0.2, cfg),
+        sim.Leg(ctl, PROBE_Y, 0.0, 0.1, cfg),
+        sim.Leg(_narrow(ctl, -1.15, 0.1), PROBE_Y, 0.0, 0.1, replace(cfg, terminal_cutoff=0.255)),
+        sim.Leg(None, PROBE_Y, 0.0, 0.1, cfg),
+    ]
+    made, generator = [], sim._generator
+
+    def counted(seed):
+        made.append(_CountedDraws(generator(seed)))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_generator", counted)
+        ensembles = sim.simulate_legs(spec, legs, 1.0)
+    steps = [ens.times.size - 1 for ens in ensembles]
+    assert steps == [100, 100, 100, 101, 100]
+    assert [g.calls for g in made] == [max(steps)]
+    assert 0 < ensembles[3].escaped.sum() < 300
+    for leg, ens in zip(legs[:4], ensembles):
+        _assert_same_ensemble(ens, sim.simulate_controlled(
+            spec, leg.controller, leg.y0, leg.t, leg.epsilon, leg.config, 1.0))
+    # the plain leg records the rows of recorded_ids, one in six here
+    plain = sim.simulate_uncontrolled(spec, PROBE_Y, 0.0, 0.1, cfg)
+    _assert_same_ensemble(ensembles[4], replace(plain, paths=plain.paths[::6],
+                                                path_ids=range(0, 300, 6)))
+
+
+def test_legs_must_share_paths_step_seed_and_start() -> None:
+    spec = drifts.zero_drift()
+    ctl = _constant_field(0.5)
+    cfg = sim.SimConfig(n_paths=40, dt=1e-2, seed=5)
+    lead = sim.Leg(ctl, PROBE_Y, 0.0, EPS, cfg)
+    for other in (replace(lead, config=replace(cfg, n_paths=41)),
+                  replace(lead, config=replace(cfg, dt=2e-2)),
+                  replace(lead, config=replace(cfg, seed=6)),
+                  replace(lead, t=0.1)):
+        with pytest.raises(drifts.ConfigError, match="agree"):
+            sim.simulate_legs(spec, [lead, other], 1.0)
+    # a leg's own start, noise level and cutoff may differ
+    sim.simulate_legs(spec, [lead, replace(lead, y0=0.0, epsilon=0.2,
+                                           config=replace(cfg, terminal_cutoff=0.3))], 1.0)
+
+
+def test_memory_guard_counts_every_leg(monkeypatch) -> None:
+    spec = drifts.zero_drift()
+    cfg = sim.SimConfig(n_paths=20_000, dt=1e-2, seed=5)
+    leg = sim.Leg(_constant_field(0.5), PROBE_Y, 0.0, EPS, cfg)
+    nodes = 1.0 / cfg.dt + 2.0
+    per_leg = 8.0 * (nodes * (1 + len(sim.recorded_ids(cfg.n_paths)))
+                     + sim._LEG_VECTORS * cfg.n_paths)
+    # room for the shared step vectors and two legs: one fits, three do not
+    monkeypatch.setattr(sim, "_physical_memory",
+                        lambda: 8.0 * sim._STEP_VECTORS * cfg.n_paths + 2.0 * per_leg)
+    assert sim.simulate_legs(spec, [leg], 1.0)[0].terminal.shape == (cfg.n_paths,)
+    monkeypatch.setattr(sim, "_generator", lambda seed: pytest.fail("drew after the refusal"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(drifts.ConfigError, match="3 leg"):
+            sim.simulate_legs(spec, [leg, leg, leg], 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # refused before any grid or per-path vector was allocated
+    assert peak < 8 * cfg.n_paths, f"peak {peak} B"
 
 
 # --------------------------------------------------- steered-run consistency
