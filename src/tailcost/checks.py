@@ -730,7 +730,7 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
         simulate.Leg(ctl, 0.0, 0.0, eps, half),
         simulate.Leg(ctl_is, y_eff, 0.0, eps_is, config),
         simulate.Leg(ctl, float(grid.y_nodes()[jy]), 0.0, eps, config),
-    ], simulate.MAX_ESCAPED_FRACTION)
+    ])
 
     w = np.exp(ens.log_girsanov_weight[ens.kept])
     mean_w = float(np.mean(w))

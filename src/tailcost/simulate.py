@@ -127,42 +127,50 @@ def _physical_memory() -> float:
         return math.inf
 
 
-# per-path float vectors of a run at its peak, the end of the loop: each
-# leg's own (_LEG_VECTORS: the cutoff and terminal states, the live and
-# escape flags, the weight, the cost, the base and slope integrals) and the
+# per-path float vectors of a run at its peak, the end of the loop: a
+# steered leg's own (_LEG_VECTORS: the cutoff and terminal states, the live
+# and escape flags, the weight, the cost, the base and slope integrals), a
+# plain leg's own (_PLAIN_VECTORS: its state and the step it adds) and the
 # step's temporaries, which all legs share (_STEP_VECTORS).  Under
 # tracemalloc at 1e5 paths, one to three steered legs hold 9.3 per leg plus
 # 4.2 (zero drift) or 5.2 (log-cosh) shared; a plain leg holds 3.
 _LEG_VECTORS = 12
+_PLAIN_VECTORS = 3
 _STEP_VECTORS = 7
 
 
-def _check_memory(dt: float, span: float, n_rows: int, n_paths: int, n_legs: int) -> None:
-    """Refuse n_legs runs of steps of dt over span that cannot fit.
+def _check_memory(dt: float, span: float, n_rows: int, n_paths: int, n_steered: int,
+                  n_plain: int) -> None:
+    """Refuse n_steered steered and n_plain plain legs of steps of dt over span
+    that cannot fit.
 
-    Runs before any allocation sized by the step count.  Each leg holds its
-    time grid, n_rows recorded path rows and the state vectors of n_paths
-    paths (0 when only the time grid is kept); the step temporaries are
-    counted once.
+    Runs before any allocation sized by the step count.  Every leg holds its
+    time grid; a steered leg also holds n_rows recorded path rows and its
+    state vectors of n_paths paths (0 when only the time grid is kept), a
+    plain leg its own fewer vectors; the step temporaries are counted once.
     """
     nodes = span / dt + 2.0  # a float, so a tiny dt cannot overflow
     grid_bytes, row_bytes = 8.0 * nodes, 8.0 * nodes * n_rows
-    leg_bytes, step_bytes = 8.0 * _LEG_VECTORS * n_paths, 8.0 * _STEP_VECTORS * n_paths
+    leg_bytes, plain_bytes = 8.0 * _LEG_VECTORS * n_paths, 8.0 * _PLAIN_VECTORS * n_paths
+    step_bytes = 8.0 * _STEP_VECTORS * n_paths
+    need = ((n_steered + n_plain) * grid_bytes + n_steered * (row_bytes + leg_bytes)
+            + n_plain * plain_bytes + step_bytes)
     memory = _physical_memory()
-    if n_legs * (grid_bytes + row_bytes + leg_bytes) + step_bytes > memory:
+    if need > memory:
         raise ConfigError(
             f"dt={dt} over span {span} needs, per leg, {grid_bytes / 1e9:.3g} GB for the "
-            f"time grid, {row_bytes / 1e9:.3g} GB for the recorded rows and "
-            f"{leg_bytes / 1e9:.3g} GB for the per-path state, and "
-            f"{step_bytes / 1e9:.3g} GB for the step: {n_legs} leg(s) exceed the "
-            f"{memory / 1e9:.3g} GB of physical memory; use a coarser dt or fewer paths"
+            f"time grid, per steered leg {row_bytes / 1e9:.3g} GB for the recorded rows and "
+            f"{leg_bytes / 1e9:.3g} GB for the per-path state, {plain_bytes / 1e9:.3g} GB per "
+            f"plain leg and {step_bytes / 1e9:.3g} GB for the step: {n_steered} steered and "
+            f"{n_plain} plain leg(s) need {need / 1e9:.3g} GB, beyond the {memory / 1e9:.3g} GB "
+            "of physical memory; use a coarser dt or fewer paths"
         )
 
 
 def _check_dt(dt: float, span: float, n_rows: int = 0, n_paths: int = 0) -> int:
     if dt > span / 10.0 + 1e-15:
         raise ConfigError(f"dt={dt} too coarse for span {span}; need span/10 or finer")
-    _check_memory(dt, span, n_rows, n_paths, 1)
+    _check_memory(dt, span, n_rows, n_paths, 1, 0)
     return max(1, int(math.ceil(span / dt - 1e-12)))
 
 
@@ -476,8 +484,8 @@ class _Run:
                            self.leg.epsilon, xi)
         if self.leg.controller is not None:
             stepped = np.where(self.alive, stepped, self.terminal)
+            self.record[:, k + 1] = stepped[self.rows]
         self.terminal = stepped
-        self.record[:, k + 1] = stepped[self.rows]
 
     def ensemble(self) -> PathEnsemble:
         seed, n_paths = self.leg.config.seed, self.leg.config.n_paths
@@ -518,8 +526,11 @@ def _march(spec: DriftSpec, legs: list[Leg], max_escaped_fraction: float) -> lis
     if any(c is not None and c >= span - 1e-12 for c in cutoffs):
         raise ConfigError("terminal cutoff swallows the whole horizon")
     ids = recorded_ids(n_paths)
-    _check_memory(dt, span, len(ids), n_paths, len(legs))
-    runs = [_Run(spec, leg, cutoff, ids) for leg, cutoff in zip(legs, cutoffs)]
+    n_plain = cutoffs.count(None)
+    _check_memory(dt, span, len(ids), n_paths, len(legs) - n_plain, n_plain)
+    # a plain leg records no rows
+    runs = [_Run(spec, leg, cutoff, range(0) if cutoff is None else ids)
+            for leg, cutoff in zip(legs, cutoffs)]
     rng = _generator(seed)
     xi, step, e, work = (np.empty(n_paths) for _ in range(4))
     for k in range(max(run.n_steps for run in runs)):
@@ -542,21 +553,19 @@ def _march(spec: DriftSpec, legs: list[Leg], max_escaped_fraction: float) -> lis
     return [run.ensemble() for run in runs]
 
 
-def simulate_legs(
-    spec: DriftSpec, legs: list[Leg], max_escaped_fraction: float
-) -> list[PathEnsemble]:
+def simulate_legs(spec: DriftSpec, legs: list[Leg]) -> list[PathEnsemble]:
     """One PathEnsemble per leg, all legs marching on one stream of draws.
 
     Step k of every leg reads step k's normals, drawn once, the normals a
     solo run of the same seed reads too (common random numbers), so each
     leg's ensemble is its solo run bit for bit.  For a steered leg that is
-    simulate_controlled(..., max_escaped_fraction); for a plain leg it is
-    terminal_sample's run, with the rows of recorded_ids and its result as
+    simulate_controlled(spec, controller, y0, t, epsilon, config); a plain
+    leg is terminal_sample's run, recorded with no rows and its result as
     both terminal and plain_terminal.  The legs must agree on n_paths, dt,
     seed and t (ConfigError otherwise).  The loop runs as long as the
     longest leg's grid, and each leg stops at the end of its own.
     """
-    return _march(spec, legs, max_escaped_fraction)
+    return _march(spec, legs, MAX_ESCAPED_FRACTION)
 
 
 def simulate_controlled(

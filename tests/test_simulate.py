@@ -600,9 +600,10 @@ def test_legs_match_solo_runs_bit_for_bit(monkeypatch) -> None:
         made.append(_CountedDraws(generator(seed)))
         return made[-1]
 
+    monkeypatch.setattr(sim, "MAX_ESCAPED_FRACTION", 1.0)
     with monkeypatch.context() as m:
         m.setattr(sim, "_generator", counted)
-        ensembles = sim.simulate_legs(spec, legs, 1.0)
+        ensembles = sim.simulate_legs(spec, legs)
     steps = [ens.times.size - 1 for ens in ensembles]
     assert steps == [100, 100, 100, 101, 100]
     assert [g.calls for g in made] == [max(steps)]
@@ -610,13 +611,16 @@ def test_legs_match_solo_runs_bit_for_bit(monkeypatch) -> None:
     for leg, ens in zip(legs[:4], ensembles):
         _assert_same_ensemble(ens, sim.simulate_controlled(
             spec, leg.controller, leg.y0, leg.t, leg.epsilon, leg.config, 1.0))
-    # the plain leg records the rows of recorded_ids, one in six here
-    plain = sim.simulate_uncontrolled(spec, PROBE_Y, 0.0, 0.1, cfg)
-    _assert_same_ensemble(ensembles[4], replace(plain, paths=plain.paths[::6],
-                                                path_ids=range(0, 300, 6)))
+    # the plain leg is terminal_sample's run and records no rows
+    plain = ensembles[4]
+    assert plain.path_ids == range(0) and plain.paths.shape == (0, plain.times.size)
+    assert np.array_equal(plain.times, sim._time_grid(cfg.dt, 0.0, spec.horizon_T))
+    want = sim.terminal_sample(spec, PROBE_Y, 0.0, 0.1, cfg)
+    assert np.array_equal(plain.terminal, want) and np.array_equal(plain.plain_terminal, want)
+    assert not plain.log_girsanov_weight.any() and plain.escaped is None
 
 
-def test_legs_must_share_paths_step_seed_and_start() -> None:
+def test_legs_must_share_paths_step_seed_and_start(monkeypatch) -> None:
     spec = drifts.zero_drift()
     ctl = _constant_field(0.5)
     cfg = sim.SimConfig(n_paths=40, dt=1e-2, seed=5)
@@ -626,10 +630,11 @@ def test_legs_must_share_paths_step_seed_and_start() -> None:
                   replace(lead, config=replace(cfg, seed=6)),
                   replace(lead, t=0.1)):
         with pytest.raises(drifts.ConfigError, match="agree"):
-            sim.simulate_legs(spec, [lead, other], 1.0)
+            sim.simulate_legs(spec, [lead, other])
     # a leg's own start, noise level and cutoff may differ
+    monkeypatch.setattr(sim, "MAX_ESCAPED_FRACTION", 1.0)
     sim.simulate_legs(spec, [lead, replace(lead, y0=0.0, epsilon=0.2,
-                                           config=replace(cfg, terminal_cutoff=0.3))], 1.0)
+                                           config=replace(cfg, terminal_cutoff=0.3))])
 
 
 def test_memory_guard_counts_every_leg(monkeypatch) -> None:
@@ -637,17 +642,24 @@ def test_memory_guard_counts_every_leg(monkeypatch) -> None:
     cfg = sim.SimConfig(n_paths=20_000, dt=1e-2, seed=5)
     leg = sim.Leg(_constant_field(0.5), PROBE_Y, 0.0, EPS, cfg)
     nodes = 1.0 / cfg.dt + 2.0
-    per_leg = 8.0 * (nodes * (1 + len(sim.recorded_ids(cfg.n_paths)))
-                     + sim._LEG_VECTORS * cfg.n_paths)
+    rows = len(sim.recorded_ids(cfg.n_paths))
+    per_leg = 8.0 * (nodes * (1 + rows) + sim._LEG_VECTORS * cfg.n_paths)
+    monkeypatch.setattr(sim, "MAX_ESCAPED_FRACTION", 1.0)
+    # tailcost simulate's steered and plain legs fit in one time grid, the
+    # recorded rows and 24 per-path vectors
+    monkeypatch.setattr(sim, "_physical_memory",
+                        lambda: 8.0 * (nodes * (1 + rows) + 24 * cfg.n_paths))
+    steered, plain = sim.simulate_legs(spec, [leg, replace(leg, controller=None)])
+    assert steered.paths.shape[0] == rows and plain.paths.size == 0
     # room for the shared step vectors and two legs: one fits, three do not
     monkeypatch.setattr(sim, "_physical_memory",
                         lambda: 8.0 * sim._STEP_VECTORS * cfg.n_paths + 2.0 * per_leg)
-    assert sim.simulate_legs(spec, [leg], 1.0)[0].terminal.shape == (cfg.n_paths,)
+    assert sim.simulate_legs(spec, [leg])[0].terminal.shape == (cfg.n_paths,)
     monkeypatch.setattr(sim, "_generator", lambda seed: pytest.fail("drew after the refusal"))
     tracemalloc.start()
     try:
-        with pytest.raises(drifts.ConfigError, match="3 leg"):
-            sim.simulate_legs(spec, [leg, leg, leg], 1.0)
+        with pytest.raises(drifts.ConfigError, match="3 steered and 0 plain leg"):
+            sim.simulate_legs(spec, [leg, leg, leg])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
