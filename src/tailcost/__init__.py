@@ -38,7 +38,6 @@ from .simulate import (
     representation_dq,
     representation_q,
     simulate_controlled,
-    simulate_uncontrolled,
 )
 
 __version__ = "0.1.0"
@@ -69,7 +68,6 @@ __all__ = [
     "representation_q",
     "run_all",
     "simulate_controlled",
-    "simulate_uncontrolled",
     "sin_drift",
     "solve_shooting",
     "solve_shooting_many",

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .drifts import ConfigError, DriftSpec, _rk4, _trapz, characteristic_F
+from .drifts import ConfigError, DriftSpec, _rk4, characteristic_F
 
 REGION_TOL = 1e-9  # scaled by (1 + |x|) when classifying y against F(x, t)
 TERMINAL_MISMATCH_TOL = 1e-9
@@ -100,14 +100,6 @@ def _simpson(f: np.ndarray, h: float) -> float:
     if f.size % 2 == 0 or f.size < 3:
         raise ValueError(f"Simpson's rule needs an odd number of samples, got {f.size}")
     return float(h / 3.0 * (f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-1:2])))
-
-
-def action(path: Path, spec: DriftSpec) -> float:
-    """One half the trapezoid integral of (y' - b)^2 along the path."""
-    s, y = path.times, path.y
-    yp = np.gradient(y, s, edge_order=2)
-    b_vals = np.asarray(spec.b(y, s), dtype=float)
-    return float(_trapz(0.5 * (yp - b_vals) ** 2, s))
 
 
 def shoot_terminal(
@@ -311,37 +303,6 @@ def solve_shooting(
 ) -> ClassicalSolution:
     """Classical cost and derivatives at (x, y, t) via the momentum system."""
     return solve_shooting_many(spec, x, y, t, n_steps)[0]
-
-
-def derivatives_first(sol: ClassicalSolution, spec: DriftSpec) -> dict:
-    """First derivatives by the closed forms, plus their integral-form twins.
-
-    The integral forms weight the excess slope w = y' - b along the path;
-    they must agree with the endpoint forms, so both are returned for
-    consistency checking.  They are taken by Simpson's rule on the nodes.
-    """
-    times, ys, ps = sol.path.times, sol.path.y, sol.momentum_p
-    t, T = times[0], times[-1]
-    span = T - t
-    h = float(times[1] - times[0])
-    by = np.asarray(spec.db_dy(ys, times), dtype=float)
-    w = -ps  # lambda*(s) - b(y(s), s)
-
-    dq_dy_integral = -_simpson((1.0 + (T - times) * by) * w, h) / span
-    dq_dx_integral = _simpson((1.0 - (times - t) * by) * w, h) / span
-    sum_integral = -_simpson(by * w, h)
-    flow_decay = math.exp(-_simpson(by, h))
-
-    return {
-        "dq_dy": sol.dq_dy,
-        "dq_dx": sol.dq_dx,
-        "dq_dt": sol.dq_dt,
-        "dq_dy_integral": dq_dy_integral,
-        "dq_dx_integral": dq_dx_integral,
-        "dq_dx_flow": float(w[0]) * flow_decay,
-        "sum_identity_lhs": sol.dq_dy + sol.dq_dx,
-        "sum_identity_rhs": sum_integral,
-    }
 
 
 def variational_system(

@@ -98,7 +98,7 @@ class BridgeEstimate:
         for p in (self.prob_below, self.prob_above):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
-        if self.method not in ("exact-linear", "green-quadrature", "monte-carlo"):
+        if self.method not in ("exact-linear", "green-quadrature"):
             raise ValueError(f"unknown method tag {self.method!r}")
 
 
@@ -171,22 +171,6 @@ def linear_bridge_moments(
             "theta_above": theta_a,
         },
     )
-
-
-def two_leg_classical_cost(
-    stats_pieces: tuple[LinearDriftStats, LinearDriftStats],
-    y: float,
-    mid: float,
-) -> float:
-    """Zero-noise cost of passing through mid at the look-back time.
-
-    Sum of the quadratic leg costs y -> mid and mid -> 0; its minimizer
-    over mid is the point the conditional law concentrates on.
-    """
-    leg1, leg2 = stats_pieces
-    gap1 = mid - leg1.Lambda * y
-    gap2 = 0.0 - leg2.Lambda * mid
-    return 0.5 * gap1 * gap1 / leg1.sigma2 + 0.5 * gap2 * gap2 / leg2.sigma2
 
 
 # --------------------------------------------------------- quadrature route
@@ -346,39 +330,6 @@ def conditional_prob_green(
         kernels = (bridge_kernel(spec, query, resources, fractions=(threshold_fraction,)),)
     kern, row = _column(kernels, query)
     return _kernel_estimate(kern, row, theta, threshold_fraction, side)
-
-
-def bridge_monte_carlo(query: BridgeQuery, config) -> BridgeEstimate:
-    """Sampling route for the driftless case, as a third independent check.
-
-    The unit pull toward the pin reproduces the driftless conditional law
-    exactly, so its samples at the look-back time estimate the same
-    moments and the two default events.  Standard errors land in extra.
-    """
-    from .simulate import simulate_pinned_pull
-
-    vals = simulate_pinned_pull(1.0, query.y_start, 0.0, query.T,
-                                query.sample_time, query.epsilon, config)
-    n = vals.size
-    theta_b = threshold_value(query, DEFAULT_C_BELOW)
-    theta_a = threshold_value(query, DEFAULT_C_ABOVE)
-    below = float((vals < theta_b).mean())
-    above = float((vals > theta_a).mean())
-    return BridgeEstimate(
-        mean=float(vals.mean()),
-        variance=float(vals.var(ddof=1)),
-        prob_below=below,
-        prob_above=above,
-        method="monte-carlo",
-        extra={
-            "theta_below": theta_b,
-            "theta_above": theta_a,
-            "se_mean": float(vals.std(ddof=1) / math.sqrt(n)),
-            "se_below": math.sqrt(max(below * (1.0 - below), 1.0 / n) / n),
-            "se_above": math.sqrt(max(above * (1.0 - above), 1.0 / n) / n),
-            "n": int(n),
-        },
-    )
 
 
 # ------------------------------------------------------- concentration fits

@@ -73,16 +73,6 @@ class LinearDriftStats:
             raise ValueError(f"degenerate linear stats: {self}")
 
 
-def eval_b(spec: DriftSpec, y: float, t: float) -> float:
-    """Evaluate the drift at a single point, guarding against non-finite output."""
-    if t > spec.horizon_T + 1e-12:
-        raise DriftError(f"t={t} beyond horizon T={spec.horizon_T}")
-    val = float(spec.b(y, t))
-    if not math.isfinite(val):
-        raise DriftError(f"drift {spec.name} non-finite at (y={y}, t={t})")
-    return val
-
-
 def zero_drift(T: float = 1.0) -> DriftSpec:
     return DriftSpec(
         name="zero",

@@ -46,10 +46,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
-from scipy.special import ndtr
 
 from . import tables
-from .drifts import DriftSpec, LinearDriftStats, _trapz
+from .drifts import DriftSpec, _trapz
 
 U_FLOOR = 1e-300  # below this, q = -eps log u is flagged, never clamped
 
@@ -356,12 +355,6 @@ def solve_u(
     return HeatField(grid=grid, epsilon=epsilon, u=u, levels=levels, diagnostics=diagnostics)
 
 
-def exact_gaussian_u(stats: LinearDriftStats, x: float, y, epsilon: float):
-    """Closed-form u for a linear drift: the state at T is Gaussian(Lambda y, eps sigma2)."""
-    z = (stats.Lambda * np.asarray(y, dtype=float) - x) / math.sqrt(epsilon * stats.sigma2)
-    return ndtr(z)
-
-
 def _cost_rows(u: np.ndarray, epsilon: float, h_y: float) -> tuple[np.ndarray, ...]:
     """(q, dq_dy, underflow mask) of the levels u (..., n_y) on y nodes h_y apart, shaped as u.
 
@@ -495,8 +488,3 @@ def costfield_blocks(heat: HeatField, y_stride: int):
         q, dq_dy, _ = _cost_rows(u, heat.epsilon, heat.grid.h_y)
         yield tables.Block((float(t_nodes[k]), y, u[::y_stride].tolist(),
                             q[::y_stride].tolist(), dq_dy[::y_stride].tolist(), math.nan))
-
-
-def costfield_rows(heat: HeatField, y_stride: int = 1):
-    """The (t, y, u, q, dq_dy, dq_dx) rows of costfield_blocks, as floats."""
-    return tables.rows(costfield_blocks(heat, y_stride))

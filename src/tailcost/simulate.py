@@ -1,6 +1,6 @@
-"""SDE path simulation: uncontrolled, optimally controlled, and pinned-pull.
+"""SDE path simulation: optimally controlled paths and the plain law beside them.
 
-Euler-Maruyama throughout, with a Philox counter-based generator so runs
+Euler-Maruyama in one loop, with a Philox counter-based generator so runs
 are reproducible bit for bit from the seed alone.  The controlled
 simulator follows the steered drift b - dq/dy, built level by level in the
 backward solve's own march (ControllerField.from_fields), stops steering a
@@ -17,12 +17,12 @@ and its memory is bounded by the path count, not by paths times steps.
 
 One loop marches several runs of one seed as legs (simulate_legs): each
 leg has its own controller, start, noise level, cutoff and time grid, or
-is the plain-law run of terminal_sample on that function's own grid, and
-step k of every leg reads the same normals, drawn once, as equal seeds
-already made it (common random numbers).  So each leg is its solo run bit
-for bit, and the legs are not independent.  `tailcost simulate` takes its
-naive row from a plain leg beside its steered run, and
-`invariant:weight-mean` marches its three steered runs as three legs.
+is the plain-law Euler run on [t, T] at dt, and step k of every leg reads
+the same normals, drawn once, as equal seeds already made it (common
+random numbers).  So each leg is its solo run bit for bit, and the legs
+are not independent.  `tailcost simulate` takes its naive row from a
+plain leg beside its steered run, and `invariant:weight-mean` marches its
+three steered runs as three legs.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class PathEnsemble:
     terminal: np.ndarray  # (n_paths,) state at times[-1]
     log_girsanov_weight: np.ndarray  # (n_paths,)
     seed: int
-    plain_terminal: np.ndarray | None  # (n_paths,) terminal_sample on the seed's draws
+    plain_terminal: np.ndarray | None  # (n_paths,) the plain-law run on the seed's draws
     escaped: np.ndarray | None = None
     cutoff_index: int | None = None
     cutoff_state: np.ndarray | None = None  # (n_paths,) state at times[cutoff_index]
@@ -146,8 +146,8 @@ def _check_memory(dt: float, span: float, n_rows: int, n_paths: int, n_steered: 
 
     Runs before any allocation sized by the step count.  Every leg holds its
     time grid; a steered leg also holds n_rows recorded path rows and its
-    state vectors of n_paths paths (0 when only the time grid is kept), a
-    plain leg its own fewer vectors; the step temporaries are counted once.
+    state vectors of n_paths paths, a plain leg its own fewer vectors; the
+    step temporaries are counted once.
     """
     nodes = span / dt + 2.0  # a float, so a tiny dt cannot overflow
     grid_bytes, row_bytes = 8.0 * nodes, 8.0 * nodes * n_rows
@@ -167,82 +167,14 @@ def _check_memory(dt: float, span: float, n_rows: int, n_paths: int, n_steered: 
         )
 
 
-def _check_dt(dt: float, span: float, n_rows: int = 0, n_paths: int = 0) -> int:
+def _check_dt(dt: float, span: float) -> int:
     if dt > span / 10.0 + 1e-15:
         raise ConfigError(f"dt={dt} too coarse for span {span}; need span/10 or finer")
-    _check_memory(dt, span, n_rows, n_paths, 1, 0)
     return max(1, int(math.ceil(span / dt - 1e-12)))
 
 
-def _time_grid(dt: float, start: float, end: float, n_paths: int = 0) -> np.ndarray:
-    return np.linspace(start, end, _check_dt(dt, end - start, n_paths, n_paths) + 1)
-
-
-def _em_step(y: np.ndarray, drift, s: float, h: float, epsilon: float,
-             xi: np.ndarray) -> np.ndarray:
-    """One Euler-Maruyama step of dY = drift(Y, s) ds + sqrt(eps) dW from y."""
-    return y + np.asarray(drift(y, s)) * h + math.sqrt(epsilon * h) * xi
-
-
-def _euler_maruyama(
-    rng: np.random.Generator,
-    y: np.ndarray,
-    times: np.ndarray,
-    drift,
-    epsilon: float,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """March dY = drift(Y, s) ds + sqrt(eps) dW from y along times.
-
-    One standard normal draw per path and step.  The new states go to
-    out[:, k + 1] when out is given.  Returns the final state and leaves y
-    as it was.
-    """
-    for k in range(times.size - 1):
-        xi = rng.standard_normal(y.size)
-        y = _em_step(y, drift, times[k], times[k + 1] - times[k], epsilon, xi)
-        if out is not None:
-            out[:, k + 1] = y
-    return y
-
-
-# ------------------------------------------------------------- uncontrolled
-
-def simulate_uncontrolled(
-    spec: DriftSpec,
-    y0: float,
-    t: float,
-    epsilon: float,
-    config: SimConfig,
-) -> PathEnsemble:
-    """Paths of dY = b dt + sqrt(eps) dW from (t, y0) up to the horizon."""
-    times = _time_grid(config.dt, t, spec.horizon_T, config.n_paths)
-    paths = np.empty((config.n_paths, times.size))
-    paths[:, 0] = y0
-    terminal = _euler_maruyama(_generator(config.seed), paths[:, 0], times, spec.b, epsilon,
-                               out=paths)
-    return PathEnsemble(
-        times=times,
-        paths=paths,
-        path_ids=range(config.n_paths),
-        terminal=terminal,
-        log_girsanov_weight=np.zeros(config.n_paths),
-        seed=config.seed,
-        plain_terminal=terminal,
-    )
-
-
-def terminal_sample(
-    spec: DriftSpec,
-    y0: float,
-    t: float,
-    epsilon: float,
-    config: SimConfig,
-) -> np.ndarray:
-    """Terminal values only; memory stays flat in the step count."""
-    times = _time_grid(config.dt, t, spec.horizon_T)
-    y = np.full(config.n_paths, float(y0))
-    return _euler_maruyama(_generator(config.seed), y, times, spec.b, epsilon)
+def _time_grid(dt: float, start: float, end: float) -> np.ndarray:
+    return np.linspace(start, end, _check_dt(dt, end - start) + 1)
 
 
 def estimate_u_naive(terminal: np.ndarray, x: float) -> EstimatorResult:
@@ -387,8 +319,8 @@ class Leg:
     """One run that simulate_legs marches on the shared draws.
 
     With a controller it is simulate_controlled(spec, controller, y0, t,
-    epsilon, config); with controller None it is the plain-law run of
-    terminal_sample(spec, y0, t, epsilon, config), on that function's grid.
+    epsilon, config); with controller None it is the plain-law Euler run on
+    [t, T] at dt from y0, on the uniform grid of ceil((T - t)/dt) steps.
     """
 
     controller: ControllerField | None
@@ -479,11 +411,11 @@ class _Run:
 
     def free(self, k: int, xi: np.ndarray) -> None:
         """Plain-drift step k on the normals xi; escaped paths stay put."""
-        times = self.times
-        stepped = _em_step(self.terminal, self.spec.b, times[k], times[k + 1] - times[k],
-                           self.leg.epsilon, xi)
+        y, s, h = self.terminal, self.times[k], self.times[k + 1] - self.times[k]
+        # one Euler-Maruyama step of dY = b(Y, s) ds + sqrt(eps) dW
+        stepped = y + np.asarray(self.spec.b(y, s)) * h + math.sqrt(self.leg.epsilon * h) * xi
         if self.leg.controller is not None:
-            stepped = np.where(self.alive, stepped, self.terminal)
+            stepped = np.where(self.alive, stepped, y)
             self.record[:, k + 1] = stepped[self.rows]
         self.terminal = stepped
 
@@ -511,9 +443,11 @@ class _Run:
         )
 
 
-def _march(spec: DriftSpec, legs: list[Leg], max_escaped_fraction: float) -> list[PathEnsemble]:
-    """The loop of simulate_legs and simulate_controlled: one draw per step,
-    every leg stepping on it until its own grid ends."""
+def _march(spec: DriftSpec, legs: list[Leg]) -> list[PathEnsemble]:
+    """The loop of simulate_legs and simulate_controlled, the package's one
+    Euler-Maruyama loop: one draw per step, every leg stepping on it until
+    its own grid ends.  The run is refused when a steered leg's escaped
+    share exceeds MAX_ESCAPED_FRACTION, read at call time."""
     def shared(leg: Leg) -> tuple:
         return leg.config.n_paths, leg.config.dt, leg.config.seed, leg.t
 
@@ -545,10 +479,10 @@ def _march(spec: DriftSpec, legs: list[Leg], max_escaped_fraction: float) -> lis
         if run.leg.controller is None:
             continue
         fraction = float(np.count_nonzero(~run.alive)) / n_paths
-        if fraction > max_escaped_fraction:
+        if fraction > MAX_ESCAPED_FRACTION:
             raise GridCoverageError(
                 f"{fraction:.2%} of paths left the controller window "
-                f"(limit {max_escaped_fraction:.2%}); widen the solve"
+                f"(limit {MAX_ESCAPED_FRACTION:.2%}); widen the solve"
             )
     return [run.ensemble() for run in runs]
 
@@ -560,12 +494,13 @@ def simulate_legs(spec: DriftSpec, legs: list[Leg]) -> list[PathEnsemble]:
     solo run of the same seed reads too (common random numbers), so each
     leg's ensemble is its solo run bit for bit.  For a steered leg that is
     simulate_controlled(spec, controller, y0, t, epsilon, config); a plain
-    leg is terminal_sample's run, recorded with no rows and its result as
-    both terminal and plain_terminal.  The legs must agree on n_paths, dt,
-    seed and t (ConfigError otherwise).  The loop runs as long as the
-    longest leg's grid, and each leg stops at the end of its own.
+    leg is the plain-law Euler run on [t, T] at dt, recorded with no rows
+    and its result as both terminal and plain_terminal.  The legs must
+    agree on n_paths, dt, seed and t (ConfigError otherwise).  The loop
+    runs as long as the longest leg's grid, and each leg stops at the end
+    of its own.
     """
-    return _march(spec, legs, MAX_ESCAPED_FRACTION)
+    return _march(spec, legs)
 
 
 def simulate_controlled(
@@ -575,7 +510,6 @@ def simulate_controlled(
     t: float,
     epsilon: float,
     config: SimConfig,
-    max_escaped_fraction: float = MAX_ESCAPED_FRACTION,
     plain: bool = False,
 ) -> PathEnsemble:
     """Steered paths with exact change-of-measure accounting.
@@ -584,21 +518,20 @@ def simulate_controlled(
     the final stretch runs the plain drift.  log_girsanov_weight holds
     log dP/dQ along each path, so averaging exp(weight) * functional
     recovers plain-law expectations.  Paths that leave the controller's
-    window freeze in place and are flagged; more than max_escaped_fraction
+    window freeze in place and are flagged; more than MAX_ESCAPED_FRACTION
     of them aborts the run.  Every path keeps its cutoff and terminal
     states; whole rows are kept only for the paths of recorded_ids.
 
-    With plain, the n_paths paths of terminal_sample(spec, y0, t, epsilon,
-    config) march in the same loop as a plain leg on that function's own
-    time grid, step k reading step k's normals, and plain_terminal is its
-    result bit for bit.
+    With plain, n_paths paths of the plain-law Euler run on [t, T] at dt
+    march in the same loop as a plain leg on their own time grid, step k
+    reading step k's normals, and plain_terminal is their terminal state.
     """
     legs = [Leg(controller, y0, t, epsilon, config)]
     if plain:
         legs.append(Leg(None, y0, t, epsilon, config))
     # _march, not simulate_legs, so that perfbench's span of this function
     # keeps the loop's time as its own
-    steered, *rest = _march(spec, legs, max_escaped_fraction)
+    steered, *rest = _march(spec, legs)
     return replace(steered, plain_terminal=rest[0].terminal) if plain else steered
 
 
@@ -680,31 +613,6 @@ def importance_sampling(ensemble: PathEnsemble, x: float) -> EstimatorResult:
     )
 
 
-# -------------------------------------------------------------- pinned pull
-
-def simulate_pinned_pull(
-    mu: float,
-    z0: float,
-    t: float,
-    horizon_T: float,
-    sample_time: float,
-    epsilon: float,
-    config: SimConfig,
-) -> np.ndarray:
-    """Samples of dZ = -mu Z/(T - s) ds + sqrt(eps) dW at a fixed time.
-
-    The pull drives Z toward zero at the horizon; sample_time must stay
-    strictly short of it so the coefficient remains bounded.
-    """
-    if not t < sample_time < horizon_T:
-        raise ValueError("need t < sample_time < horizon_T")
-    times = _time_grid(config.dt, t, sample_time)
-    z = np.full(config.n_paths, float(z0))
-    return _euler_maruyama(
-        _generator(config.seed), z, times, lambda z, s: -mu * z / (horizon_T - s), epsilon
-    )
-
-
 # ------------------------------------------------------------------ export
 
 def ensemble_blocks(ensemble: PathEnsemble, path_stride: int, time_stride: int):
@@ -714,11 +622,6 @@ def ensemble_blocks(ensemble: PathEnsemble, path_stride: int, time_stride: int):
     for row, pid in enumerate(ensemble.path_ids):
         if pid % path_stride == 0:
             yield tables.Block((pid, s, ensemble.paths[row, ::time_stride].tolist()))
-
-
-def ensemble_rows(ensemble: PathEnsemble, path_stride: int = 1, time_stride: int = 1):
-    """The (path_id, s, y) rows of ensemble_blocks."""
-    return tables.rows(ensemble_blocks(ensemble, path_stride, time_stride))
 
 
 def ensemble_header(ensemble: PathEnsemble, epsilon: float) -> dict:

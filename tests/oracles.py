@@ -3,7 +3,9 @@
 Every constant below was computed from the stated closed form (or, where
 noted, by adaptive quadrature on it) in a standalone script before the
 library code existed, then frozen here.  Tests compare library output
-against these numbers, never the other way round.  Nothing in this file
+against these numbers, never the other way round.  The reference routines
+at the end (an Euler-Maruyama run, the action functional, the integral
+forms of the slopes) are written out independently.  Nothing in this file
 imports the library.
 
 Conventions: the reference process is ``dY = b(Y, s) ds + sqrt(eps) dW``
@@ -74,11 +76,6 @@ CONDITIONED_EXCEEDANCE = 0.9540283024638664
 
 # Gaussian-CDF product bound, right-hand side at z = 0: sqrt(pi * ln 2).
 CDF_BOUND_AT_ZERO = 1.4756646266356057
-
-# Linear pinned diffusion toward the origin (mu = 1, eps = 0.1, z0 = 1,
-# observed at s = 0.5 on [0, 1]).
-PIN_SDE_MEAN = 0.5
-PIN_SDE_VAR = 0.025
 
 
 # --------------------------------------------------------------------------
@@ -242,3 +239,46 @@ def linear_fit(xs, ys) -> tuple[float, float, float]:
     ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(intercept), r2
+
+
+# --------------------------------------------------------------------------
+# Reference routines, for the drift b(y, s) of any spec.
+
+def euler_terminal(b, y0: float, times, eps: float, n_paths: int, seed: int) -> np.ndarray:
+    """Terminal states of Euler-Maruyama for dY = b(Y, s) ds + sqrt(eps) dW
+    from y0 along times: one Philox standard normal per path and step."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    y = np.full(n_paths, float(y0))
+    for s, s_next in zip(times[:-1], times[1:]):
+        xi = rng.standard_normal(n_paths)
+        h = s_next - s
+        y = y + np.asarray(b(y, s)) * h + math.sqrt(eps * h) * xi
+    return y
+
+
+def action(times, y, b) -> float:
+    """One half the trapezoid integral of (y' - b)^2 along the path (times, y)."""
+    f = 0.5 * (np.gradient(y, times, edge_order=2) - np.asarray(b(y, times), dtype=float)) ** 2
+    return float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(times)))
+
+
+def _simpson(f, h: float) -> float:
+    return float(h / 3.0 * (f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-1:2])))
+
+
+def integral_slopes(times, p, b_y) -> dict:
+    """Integral forms of the classical cost's first derivatives along a
+    minimiser with momentum p and drift slope b_y at its nodes.
+
+    They weight the excess slope w = y' - b = -p, by Simpson's rule on an
+    odd number of equally spaced nodes; dq_dx_flow carries w at the start
+    along the flow, and slope_sum is the sum dq_dy + dq_dx.
+    """
+    t, T, h = times[0], times[-1], times[1] - times[0]
+    w = -np.asarray(p, dtype=float)
+    return {
+        "dq_dy": -_simpson((1.0 + (T - times) * b_y) * w, h) / (T - t),
+        "dq_dx": _simpson((1.0 - (times - t) * b_y) * w, h) / (T - t),
+        "dq_dx_flow": float(w[0]) * math.exp(-_simpson(b_y, h)),
+        "slope_sum": -_simpson(b_y * w, h),
+    }

@@ -37,14 +37,13 @@ def _focusing_holding_solution() -> tuple[act.ClassicalSolution, drifts.DriftSpe
 
 def test_action_straight_line_zero_drift() -> None:
     times = np.linspace(0.0, 1.0, 501)
-    path = act.Path(times=times, y=-1.0 + times)
-    assert act.action(path, drifts.zero_drift()) == pytest.approx(0.5, abs=1e-12)
+    assert orc.action(times, -1.0 + times, drifts.zero_drift().b) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_action_flow_path_costs_nothing() -> None:
     spec = drifts.logcosh_drift()
     sol = act.solve_shooting(spec, 0.0, 0.5)
-    assert act.action(sol.path, spec) == pytest.approx(0.0, abs=1e-10)
+    assert orc.action(sol.path.times, sol.path.y, spec.b) == pytest.approx(0.0, abs=1e-10)
 
 
 # ----------------------------------------------------------------- shooting
@@ -251,13 +250,12 @@ def test_first_derivative_integral_forms_agree() -> None:
     """Endpoint and weighted-integral forms of the slopes must coincide."""
     for spec in (drifts.logcosh_drift(), drifts.time_varying_linear(0.3, 0.2, 2.0 * math.pi)):
         sol = act.solve_shooting(spec, 0.0, -1.0)
-        d = act.derivatives_first(sol, spec)
-        assert d["dq_dy_integral"] == pytest.approx(d["dq_dy"], abs=1e-6)
-        assert d["dq_dx_integral"] == pytest.approx(d["dq_dx"], abs=1e-6)
-        assert d["dq_dx_flow"] == pytest.approx(d["dq_dx"], abs=1e-6)
-        assert d["sum_identity_rhs"] == pytest.approx(
-            d["sum_identity_lhs"], abs=1e-6
-        )
+        times = sol.path.times
+        d = orc.integral_slopes(times, sol.momentum_p, spec.db_dy(sol.path.y, times))
+        assert d["dq_dy"] == pytest.approx(sol.dq_dy, abs=1e-6)
+        assert d["dq_dx"] == pytest.approx(sol.dq_dx, abs=1e-6)
+        assert d["dq_dx_flow"] == pytest.approx(sol.dq_dx, abs=1e-6)
+        assert d["slope_sum"] == pytest.approx(sol.dq_dy + sol.dq_dx, abs=1e-6)
 
 
 def test_first_derivatives_match_finite_differences() -> None:

@@ -11,7 +11,6 @@ import oracles as orc
 from tailcost import bridge, drifts
 from tailcost.drifts import DriftSpec
 from tailcost.pde import Grid1D, PdeError, _cn_march
-from tailcost.simulate import SimConfig
 
 EPS = 0.1
 QUERY = bridge.BridgeQuery(y_start=-1.0, T=1.0, delta=0.25, epsilon=EPS)
@@ -87,10 +86,11 @@ def test_growing_drift_mean_is_the_two_leg_minimizer() -> None:
     est = bridge.linear_bridge_moments(pieces, QUERY)
     assert est.mean == pytest.approx(orc.PIN_MEAN_A05, abs=1e-12)
     assert est.variance / EPS == pytest.approx(orc.PIN_VAR_UNIT_EPS_A05, rel=1e-12)
-    # independent route: minimize the two-leg zero-noise cost numerically
-    res = minimize_scalar(lambda z: bridge.two_leg_classical_cost(pieces, -1.0, z),
-                          bounds=(-1.0, 0.5), method="bounded",
-                          options={"xatol": 1e-10})
+    # independent route: minimize the two-leg zero-noise cost numerically,
+    # the quadratic leg costs -1 -> z and z -> 0
+    (lam1, var1), (lam2, var2) = ((leg.Lambda, leg.sigma2) for leg in pieces)
+    res = minimize_scalar(lambda z: 0.5 * (z + lam1) ** 2 / var1 + 0.5 * (lam2 * z) ** 2 / var2,
+                          bounds=(-1.0, 0.5), method="bounded", options={"xatol": 1e-10})
     assert res.x == pytest.approx(est.mean, abs=1e-6)
     assert res.x == pytest.approx(orc.two_leg_minimizer(-1.0, 1.0, 0.25, A=0.5), abs=1e-8)
 
@@ -334,14 +334,3 @@ def test_concentration_rows_and_summary() -> None:
     assert set(summary) >= {"gamma_below", "gamma_above", "r2_below",
                             "r2_above", "passed", "n_rows"}
     assert summary["n_rows"] == 4
-
-
-# ------------------------------------------------------------ sampling route
-
-def test_monte_carlo_route_agrees() -> None:
-    n = 200_000
-    mc = bridge.bridge_monte_carlo(QUERY, SimConfig(n_paths=n, dt=1e-3, seed=17))
-    assert mc.method == "monte-carlo"
-    assert abs(mc.mean - orc.BB_MEAN) <= 3.0 * mc.extra["se_mean"]
-    assert abs(mc.variance - orc.BB_VAR) <= 3.0 * orc.BB_VAR * math.sqrt(2.0 / n)
-    assert abs(mc.prob_above - orc.BB_PROB_ABOVE_C025) <= 3.0 * mc.extra["se_above"]

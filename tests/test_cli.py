@@ -459,9 +459,6 @@ def test_step_count_beyond_memory_is_a_config_error(
     err = capsys.readouterr().err
     assert "80 GB for the time grid" in err and "4e+03 GB for the recorded rows" in err
     assert "physical memory" in err
-    config = simulate.SimConfig(n_paths=1_000_000, dt=1e-6, seed=0)
-    with pytest.raises(checks.ConfigError, match="physical memory"):
-        simulate.simulate_uncontrolled(drifts.zero_drift(), -1.0, 0.0, 0.2, config)
 
 
 def test_probe_at_the_horizon_is_a_config_error(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:

@@ -97,24 +97,6 @@ def test_spot_check_rejects_drift_that_needs_scalar_time() -> None:
         drifts.spot_check(forged)
 
 
-def test_eval_b_guards() -> None:
-    spec = drifts.linear_drift(0.5)
-    assert drifts.eval_b(spec, -2.0, 0.25) == pytest.approx(-1.0)
-    with pytest.raises(drifts.DriftError):
-        drifts.eval_b(spec, 0.0, 1.5)  # beyond the horizon
-    bad = drifts.DriftSpec(
-        name="bad",
-        b=lambda y, t: float("nan") * (1.0 + 0.0 * y),
-        db_dy=lambda y, t: 0.0 * y,
-        d2b_dy2=None,
-        lipschitz_A=1.0,
-        is_concave=False,
-        vanishes_at_origin=False,
-    )
-    with pytest.raises(drifts.DriftError):
-        drifts.eval_b(bad, 0.0, 0.0)
-
-
 def test_derivatives_match_finite_differences() -> None:
     # centered differences at h = 1e-4 across the standard grid and times
     h = 1e-4

@@ -146,10 +146,3 @@ def test_cdf_bound_constant() -> None:
     assert orc.CDF_BOUND_AT_ZERO == pytest.approx(
         math.sqrt(math.pi * math.log(2.0)), rel=REL
     )
-
-
-def test_pinned_sde_constants() -> None:
-    # dZ = -Z/(1-s) ds + sqrt(eps) dW from z0=1: mean (1-s)*z0,
-    # variance eps*s*(1-s) at s = 0.5
-    assert orc.PIN_SDE_MEAN == pytest.approx(0.5 * 1.0, rel=REL)
-    assert orc.PIN_SDE_VAR == pytest.approx(0.1 * 0.5 * 0.5, rel=REL)

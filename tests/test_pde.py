@@ -9,9 +9,10 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.special import ndtr
 
 import oracles as orc
-from tailcost import bridge, cli, drifts, pde
+from tailcost import bridge, cli, drifts, pde, tables
 
 EPS = 0.1
 
@@ -79,7 +80,7 @@ def test_linear_drift_matches_gaussian_oracle() -> None:
     stats = drifts.linear_stats(spec.A_of_s, 0.0, 1.0)
     y = grid.y_nodes()
     probe = np.abs(y) <= 4.0 * math.sqrt(EPS * stats.sigma2)
-    exact = pde.exact_gaussian_u(stats, 0.0, y[probe], EPS)
+    exact = ndtr(stats.Lambda * y[probe] / math.sqrt(EPS * stats.sigma2))  # x = 0
     assert np.max(np.abs(heat.u[0, probe] - exact)) <= 5e-5
 
 
@@ -93,7 +94,7 @@ def test_fast_time_varying_drift_matches_gaussian_oracle() -> None:
     stats = drifts.linear_stats(spec.A_of_s, 0.0, 1.0)
     y = grid.y_nodes()
     probe = np.abs(y) <= 4.0 * math.sqrt(EPS * stats.sigma2)
-    exact = pde.exact_gaussian_u(stats, 0.0, y[probe], EPS)
+    exact = ndtr(stats.Lambda * y[probe] / math.sqrt(EPS * stats.sigma2))  # x = 0
     assert np.max(np.abs(heat.u[0, probe] - exact)) <= 5e-5
 
 
@@ -418,14 +419,6 @@ def test_self_convergence_on_common_nodes() -> None:
     assert diff <= 1e-4
 
 
-def test_exact_gaussian_u_formula() -> None:
-    stats = drifts.LinearDriftStats(Lambda=orc.GROWTH_A05, sigma2=orc.VAR_UNIT_A05)
-    for y in (-1.5, -0.5, 0.3):
-        assert pde.exact_gaussian_u(stats, 0.0, y, EPS) == pytest.approx(
-            orc.gaussian_u(y, 0.0, EPS, A=0.5), rel=1e-12
-        )
-
-
 # ----------------------------------------------------------------- cost field
 
 def test_hopf_cole_constant_field() -> None:
@@ -596,7 +589,7 @@ def test_costfield_rows_shape() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec, n=401)
     heat = pde.solve_u(spec, 0.0, grid, EPS, rows=slice(None, None, 100))
-    rows = list(pde.costfield_rows(heat, y_stride=100))
+    rows = list(tables.rows(pde.costfield_blocks(heat, 100)))
     n_t = len(range(0, grid.n_t, 100))
     n_y = len(range(0, grid.n_y, 100))
     assert len(rows) == n_t * n_y
@@ -616,7 +609,7 @@ def test_costfield_rows_match_full_transform_bit_for_bit() -> None:
     t_stride, y_stride = 7, 8  # 7 does not divide n_t - 1; 8 keeps both edge columns
     assert (grid.n_t - 1) % t_stride and (grid.n_y - 1) % y_stride == 0
     kept = pde.solve_u(spec, 0.0, grid, EPS, rows=slice(None, None, t_stride))
-    got = np.array(list(pde.costfield_rows(kept, y_stride=y_stride)))
+    got = np.array(list(tables.rows(pde.costfield_blocks(kept, y_stride))))
     k, i = np.meshgrid(np.arange(0, grid.n_t, t_stride), np.arange(0, grid.n_y, y_stride),
                        indexing="ij")
     k, i = k.ravel(), i.ravel()
@@ -634,7 +627,7 @@ def test_costfield_rows_memory_stays_at_a_few_rows() -> None:
     t_stride = cli._stride(grid.n_t)
     heat = pde.HeatField(grid=grid, epsilon=EPS, u=u[::t_stride],
                          levels=np.arange(0, grid.n_t, t_stride))
-    rows = pde.costfield_rows(heat, y_stride=cli._stride(grid.n_y))
+    rows = tables.rows(pde.costfield_blocks(heat, cli._stride(grid.n_y)))
     tracemalloc.start()
     try:
         n_rows = sum(1 for _ in rows)

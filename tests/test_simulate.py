@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles as orc
-from tailcost import drifts, pde, simulate as sim
+from tailcost import drifts, pde, simulate as sim, tables
 from tailcost.action import shoot_terminal
 
 EPS = 0.1
@@ -42,6 +42,11 @@ def _constant_field(c: float, lo=-6.0, hi=6.0, n_y=41, n_t=41, T=1.0):
     )
 
 
+def _plain(spec, y0, epsilon, config):
+    """The ensemble of one plain leg: the plain-law Euler run from (0, y0)."""
+    return sim.simulate_legs(spec, [sim.Leg(None, y0, 0.0, epsilon, config)])[0]
+
+
 # ------------------------------------------------------------ configuration
 
 def test_config_rejects_bad_arguments() -> None:
@@ -67,20 +72,18 @@ def test_config_cutoff_default_and_override() -> None:
 def test_step_size_must_resolve_span() -> None:
     spec = drifts.zero_drift()
     with pytest.raises(ValueError):
-        sim.simulate_uncontrolled(spec, -1.0, 0.0, EPS,
-                                  sim.SimConfig(n_paths=4, dt=0.2, seed=1))
+        _plain(spec, -1.0, EPS, sim.SimConfig(n_paths=4, dt=0.2, seed=1))
 
 
 def test_same_seed_reproduces_paths_bitwise() -> None:
     spec = drifts.logcosh_drift()
     cfg = sim.SimConfig(n_paths=64, dt=1e-2, seed=123)
-    a = sim.simulate_uncontrolled(spec, -1.0, 0.0, EPS, cfg)
-    b = sim.simulate_uncontrolled(spec, -1.0, 0.0, EPS, cfg)
-    assert np.array_equal(a.paths, b.paths)
+    a = _plain(spec, -1.0, EPS, cfg)
+    b = _plain(spec, -1.0, EPS, cfg)
+    assert np.array_equal(a.terminal, b.terminal)
     assert np.array_equal(a.times, b.times)
-    c = sim.simulate_uncontrolled(spec, -1.0, 0.0, EPS,
-                                  sim.SimConfig(n_paths=64, dt=1e-2, seed=124))
-    assert not np.array_equal(a.paths, c.paths)
+    c = _plain(spec, -1.0, EPS, sim.SimConfig(n_paths=64, dt=1e-2, seed=124))
+    assert not np.array_equal(a.terminal, c.terminal)
 
 
 # ------------------------------------------------------------- plain scheme
@@ -88,20 +91,11 @@ def test_same_seed_reproduces_paths_bitwise() -> None:
 def test_terminal_moments_linear_drift() -> None:
     A, n = 0.5, 100_000
     spec = drifts.linear_drift(A)
-    vals = sim.terminal_sample(spec, PROBE_Y, 0.0, EPS,
-                               sim.SimConfig(n_paths=n, dt=2e-3, seed=10))
+    vals = _plain(spec, PROBE_Y, EPS, sim.SimConfig(n_paths=n, dt=2e-3, seed=10)).terminal
     mean_exact = orc.growth(A, 1.0) * PROBE_Y
     var_exact = EPS * orc.quad_var(A, 1.0)
     assert abs(vals.mean() - mean_exact) <= 3.0 * math.sqrt(var_exact / n)
     assert abs(vals.var(ddof=1) - var_exact) <= 3.0 * var_exact * math.sqrt(2.0 / n)
-
-
-def test_terminal_sample_is_last_column_of_stored_paths() -> None:
-    spec = drifts.logcosh_drift()
-    cfg = sim.SimConfig(n_paths=256, dt=1e-2, seed=31)
-    stored = sim.simulate_uncontrolled(spec, PROBE_Y, 0.0, EPS, cfg)
-    terminal = sim.terminal_sample(spec, PROBE_Y, 0.0, EPS, cfg)
-    assert np.array_equal(terminal, stored.paths[:, -1])
 
 
 def test_euler_error_halves_with_step_without_noise() -> None:
@@ -111,17 +105,16 @@ def test_euler_error_halves_with_step_without_noise() -> None:
     ref = float(shoot_terminal(spec, -1.0, 0.0, np.array([0.0]))[0])
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
-        ens = sim.simulate_uncontrolled(spec, -1.0, 0.0, 1e-16,
-                                        sim.SimConfig(n_paths=2, dt=dt, seed=1))
-        errs.append(abs(float(ens.paths[0, -1]) - ref))
+        ens = _plain(spec, -1.0, 1e-16, sim.SimConfig(n_paths=2, dt=dt, seed=1))
+        errs.append(abs(float(ens.terminal[0]) - ref))
     assert 1.8 < errs[0] / errs[1] < 2.2
     assert 1.8 < errs[1] / errs[2] < 2.2
 
 
 def test_naive_exceedance_matches_frozen_probe() -> None:
     spec = drifts.zero_drift()
-    res = sim.estimate_u_naive(sim.terminal_sample(
-        spec, PROBE_Y, 0.0, EPS, sim.SimConfig(n_paths=1_000_000, dt=1e-2, seed=14)), PROBE_X)
+    res = sim.estimate_u_naive(_plain(
+        spec, PROBE_Y, EPS, sim.SimConfig(n_paths=1_000_000, dt=1e-2, seed=14)).terminal, PROBE_X)
     assert res.name == "exceedance_naive"
     assert res.std_error > 0.0
     assert abs(res.estimate - orc.U_ZERO_PROBE) <= 3.0 * res.std_error
@@ -371,7 +364,7 @@ def test_controller_build_memory_stays_near_the_solved_field() -> None:
     assert peak < 1.25 * ctl.control.nbytes, f"peak {peak / ctl.control.nbytes:.2f} x control"
 
 
-def test_escaped_paths_flagged_and_capped() -> None:
+def test_escaped_paths_flagged_and_capped(monkeypatch) -> None:
     spec = drifts.zero_drift()
     narrow = sim.ControllerField(
         y_nodes=np.linspace(-1.2, 1.5, 28),
@@ -384,8 +377,8 @@ def test_escaped_paths_flagged_and_capped() -> None:
     cfg = sim.SimConfig(n_paths=2000, dt=2e-3, seed=3)
     with pytest.raises(sim.GridCoverageError):
         sim.simulate_controlled(spec, narrow, PROBE_Y, 0.0, EPS, cfg)
-    ens = sim.simulate_controlled(spec, narrow, PROBE_Y, 0.0, EPS, cfg,
-                                  max_escaped_fraction=0.95)
+    monkeypatch.setattr(sim, "MAX_ESCAPED_FRACTION", 0.95)
+    ens = sim.simulate_controlled(spec, narrow, PROBE_Y, 0.0, EPS, cfg)
     frac = float(ens.escaped.mean())
     assert 0.3 < frac < 0.8
     assert ens.kept.sum() == 2000 - ens.escaped.sum()
@@ -505,14 +498,15 @@ ROUNDING_ULPS_PER_STEP = 8
 @pytest.mark.parametrize("kind, narrow", [
     ("zero", False), ("logcosh", False), ("linear_tv", False), ("logcosh", True),
 ])
-def test_fused_step_matches_the_loop_it_replaced(kind, narrow) -> None:
+def test_fused_step_matches_the_loop_it_replaced(kind, narrow, monkeypatch) -> None:
     spec = {"zero": drifts.zero_drift(), "logcosh": drifts.logcosh_drift(),
             "linear_tv": drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi)}[kind]
     _, _, ctl = _steered(spec, EPS)
     if narrow:
         ctl = _narrow(ctl, -1.3, 0.4)
     cfg = sim.SimConfig(n_paths=2000, dt=1e-3, seed=19)
-    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg, max_escaped_fraction=1.0)
+    monkeypatch.setattr(sim, "MAX_ESCAPED_FRACTION", 1.0)
+    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg)
     paths, terminal, cutoff_state, escaped, logw, accum = _loop_steered(
         spec, ctl, PROBE_Y, 0.0, EPS, cfg, ens.times, ens.cutoff_index)
     assert (0 < escaped.sum() < 2000) if narrow else not escaped.any()
@@ -540,19 +534,21 @@ def test_plain_leg_is_terminal_sample_bit_for_bit(dt, narrow, longer, monkeypatc
         # no dt searched gives the plain grid more steps than the steered
         # one; three more here make the plain leg draw past the steered run
         grid = sim._time_grid
-        monkeypatch.setattr(sim, "_time_grid", lambda dt, start, end, n_paths=0: np.linspace(
-            start, end, grid(dt, start, end, n_paths).size + 3))
+        monkeypatch.setattr(sim, "_time_grid", lambda dt, start, end: np.linspace(
+            start, end, grid(dt, start, end).size + 3))
     cfg = sim.SimConfig(n_paths=2000, dt=dt, seed=23)
-    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg,
-                                  max_escaped_fraction=1.0, plain=True)
-    assert np.array_equal(ens.plain_terminal, sim.terminal_sample(spec, PROBE_Y, 0.0, EPS, cfg))
-    n_plain = sim._time_grid(dt, 0.0, 1.0).size - 1
+    monkeypatch.setattr(sim, "MAX_ESCAPED_FRACTION", 1.0)
+    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg, plain=True)
+    plain_times = sim._time_grid(dt, 0.0, 1.0)
+    assert np.array_equal(ens.plain_terminal, orc.euler_terminal(
+        spec.b, PROBE_Y, plain_times, EPS, cfg.n_paths, cfg.seed))
+    n_plain = plain_times.size - 1
     if dt == 7e-4:
         assert (ens.times.size - 1, n_plain) == (1430, 1429)
     assert (n_plain > ens.times.size - 1) == longer
     assert ens.escaped.any() == narrow
     # the plain leg leaves the steered run as it was
-    alone = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg, max_escaped_fraction=1.0)
+    alone = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg)
     assert np.array_equal(ens.paths, alone.paths)
     assert np.array_equal(ens.log_girsanov_weight, alone.log_girsanov_weight)
 
@@ -610,12 +606,12 @@ def test_legs_match_solo_runs_bit_for_bit(monkeypatch) -> None:
     assert 0 < ensembles[3].escaped.sum() < 300
     for leg, ens in zip(legs[:4], ensembles):
         _assert_same_ensemble(ens, sim.simulate_controlled(
-            spec, leg.controller, leg.y0, leg.t, leg.epsilon, leg.config, 1.0))
-    # the plain leg is terminal_sample's run and records no rows
+            spec, leg.controller, leg.y0, leg.t, leg.epsilon, leg.config))
+    # the plain leg is the plain-law Euler run and records no rows
     plain = ensembles[4]
     assert plain.path_ids == range(0) and plain.paths.shape == (0, plain.times.size)
     assert np.array_equal(plain.times, sim._time_grid(cfg.dt, 0.0, spec.horizon_T))
-    want = sim.terminal_sample(spec, PROBE_Y, 0.0, 0.1, cfg)
+    want = orc.euler_terminal(spec.b, PROBE_Y, plain.times, 0.1, cfg.n_paths, cfg.seed)
     assert np.array_equal(plain.terminal, want) and np.array_equal(plain.plain_terminal, want)
     assert not plain.log_girsanov_weight.any() and plain.escaped is None
 
@@ -777,8 +773,8 @@ def test_steered_estimate_agrees_with_naive() -> None:
         ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, eps,
                                       sim.SimConfig(n_paths=40_000, dt=1e-3, seed=5))
         steered = sim.importance_sampling(ens, PROBE_X)
-    naive = sim.estimate_u_naive(sim.terminal_sample(
-        spec, PROBE_Y, 0.0, eps, sim.SimConfig(n_paths=400_000, dt=5e-3, seed=6)), PROBE_X)
+    naive = sim.estimate_u_naive(_plain(
+        spec, PROBE_Y, eps, sim.SimConfig(n_paths=400_000, dt=5e-3, seed=6)).terminal, PROBE_X)
     gap = abs(steered.estimate - naive.estimate)
     assert gap <= 3.0 * math.hypot(steered.std_error, naive.std_error)
     assert steered.extra["ess"] > 100.0
@@ -810,34 +806,17 @@ def test_collapsed_weights_warn() -> None:
     assert res.extra["ess"] < 10.0
 
 
-# ----------------------------------------------------------------- pinned SDE
-
-def test_pinned_pull_matches_conditional_moments() -> None:
-    n = 200_000
-    vals = sim.simulate_pinned_pull(1.0, 1.0, 0.0, 1.0, 0.5, EPS,
-                                    sim.SimConfig(n_paths=n, dt=1e-3, seed=8))
-    assert abs(vals.mean() - orc.PIN_SDE_MEAN) <= 3.0 * math.sqrt(orc.PIN_SDE_VAR / n)
-    assert abs(vals.var(ddof=1) - orc.PIN_SDE_VAR) <= 3.0 * orc.PIN_SDE_VAR * math.sqrt(2.0 / n)
-
-
-def test_pinned_pull_validates_sample_time() -> None:
-    cfg = sim.SimConfig(n_paths=4, dt=1e-3, seed=1)
-    with pytest.raises(ValueError):
-        sim.simulate_pinned_pull(1.0, 1.0, 0.0, 1.0, 1.0, EPS, cfg)
-    with pytest.raises(ValueError):
-        sim.simulate_pinned_pull(1.0, 1.0, 0.5, 1.0, 0.5, EPS, cfg)
-
-
 # --------------------------------------------------------------- export glue
 
 def test_ensemble_rows_and_header() -> None:
     spec = drifts.zero_drift()
-    ens = sim.simulate_uncontrolled(spec, -1.0, 0.0, EPS,
-                                    sim.SimConfig(n_paths=3, dt=0.1, seed=5))
-    rows = list(sim.ensemble_rows(ens))
+    # a zero control on the zero drift: the plain law, every path recorded
+    ens = sim.simulate_controlled(spec, _constant_field(0.0), -1.0, 0.0, EPS,
+                                  sim.SimConfig(n_paths=3, dt=0.05, seed=5))
+    rows = list(tables.rows(sim.ensemble_blocks(ens, 1, 1)))
     assert len(rows) == 3 * ens.times.size
     assert rows[0] == (0, 0.0, -1.0)
-    strided = list(sim.ensemble_rows(ens, path_stride=2, time_stride=4))
+    strided = list(tables.rows(sim.ensemble_blocks(ens, 2, 4)))
     assert {pid for pid, _, _ in strided} == {0, 2}
     hdr = sim.ensemble_header(ens, EPS)
     assert hdr["seed"] == 5 and hdr["n_paths"] == 3
