@@ -32,12 +32,13 @@ from .pde import Grid1D, default_grid, solve_u
 from .simulate import (
     ControllerField,
     EstimatorResult,
+    Leg,
     PathEnsemble,
     SimConfig,
     importance_sampling,
     representation_dq,
     representation_q,
-    simulate_controlled,
+    simulate_legs,
 )
 
 __version__ = "0.1.0"
@@ -50,6 +51,7 @@ __all__ = [
     "DriftSpec",
     "EstimatorResult",
     "Grid1D",
+    "Leg",
     "PathEnsemble",
     "RunConfig",
     "SimConfig",
@@ -67,7 +69,7 @@ __all__ = [
     "representation_dq",
     "representation_q",
     "run_all",
-    "simulate_controlled",
+    "simulate_legs",
     "sin_drift",
     "solve_shooting",
     "solve_shooting_many",

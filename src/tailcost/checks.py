@@ -732,9 +732,7 @@ def _check_weight_mean(seed: int, n_paths: int, dt: float) -> VerificationReport
         simulate.Leg(ctl, float(grid.y_nodes()[jy]), 0.0, eps, config),
     ])
 
-    w = np.exp(ens.log_girsanov_weight[ens.kept])
-    mean_w = float(np.mean(w))
-    se_w = float(np.std(w, ddof=1) / math.sqrt(w.size))
+    mean_w, se_w = simulate._mean_se(np.exp(ens.log_girsanov_weight[ens.kept]))
     weight_z = abs(mean_w - 1.0) / se_w if se_w > 0 else 0.0
 
     est = simulate.importance_sampling(ens_is, x)

@@ -180,14 +180,15 @@ def _cmd_simulate(config: checks.RunConfig, out_dir: Path, args: argparse.Namesp
     y0 = float(grid.y_nodes()[grid.nearest_node(config.probe_y)])
     sim_config = simulate.SimConfig(n_paths=config.n_paths, dt=config.dt, seed=config.seed)
 
-    # the naive row reads the plain leg, which marches on the steered run's draws
-    ensemble = simulate.simulate_controlled(spec, controller, y0, t, epsilon, sim_config,
-                                            plain=True)
+    # the naive row reads the plain twin, which marches on the steered leg's draws
+    steered = simulate.Leg(controller, y0, t, epsilon, sim_config)
+    ensemble, plain = simulate.simulate_legs(
+        spec, [steered, dataclasses.replace(steered, controller=None)])
     records = [simulate.representation_q(ensemble).as_dict()]
     for est in simulate.representation_dq(ensemble).values():
         records.append(est.as_dict())
     records.append(simulate.importance_sampling(ensemble, x).as_dict())
-    records.append(simulate.estimate_u_naive(ensemble.plain_terminal, x).as_dict())
+    records.append(simulate.estimate_u_naive(plain.terminal, x).as_dict())
 
     ts = _stride(ensemble.times.size)
     table = _write_table(

@@ -1,28 +1,29 @@
 """SDE path simulation: optimally controlled paths and the plain law beside them.
 
-Euler-Maruyama in one loop, with a Philox counter-based generator so runs
-are reproducible bit for bit from the seed alone.  The controlled
-simulator follows the steered drift b - dq/dy, built level by level in the
-backward solve's own march (ControllerField.from_fields), stops steering a
-short cutoff before the horizon, and accumulates the exact change-of-measure
-log weight so controlled samples can stand in for the original law
-(importance sampling) or be studied in their own right.
+Euler-Maruyama in one loop, simulate_legs, with a Philox counter-based
+generator so runs are reproducible bit for bit from the seed alone.  The
+loop marches one or more runs of one seed as legs (Leg).  A steered leg
+follows the drift b - dq/dy, built level by level in the backward solve's
+own march (ControllerField.from_fields), stops steering a short cutoff
+before the horizon, and accumulates the exact change-of-measure log weight
+so controlled samples can stand in for the original law (importance
+sampling) or be studied in their own right.  A plain leg is the plain-law
+Euler run.
 
 The cost and slope representations and the importance-sampling estimate
-of the exceedance probability are plain averages over one such ensemble.
-They read each path's weight, accumulated costs and slopes, cutoff state
-and terminal state only, so the steered simulator streams: it keeps those
-per path plus the whole rows of a fixed set of about RECORDED_ROWS paths,
-and its memory is bounded by the path count, not by paths times steps.
+of the exceedance probability are plain averages over one steered
+ensemble.  They read each path's weight, accumulated costs and slopes,
+cutoff state and terminal state only, so a steered leg streams: it keeps
+those per path plus the whole rows of a fixed set of about RECORDED_ROWS
+paths, and its memory is bounded by the path count, not by paths times
+steps.
 
-One loop marches several runs of one seed as legs (simulate_legs): each
-leg has its own controller, start, noise level, cutoff and time grid, or
-is the plain-law Euler run on [t, T] at dt, and step k of every leg reads
-the same normals, drawn once, as equal seeds already made it (common
-random numbers).  So each leg is its solo run bit for bit, and the legs
-are not independent.  `tailcost simulate` takes its naive row from a
-plain leg beside its steered run, and `invariant:weight-mean` marches its
-three steered runs as three legs.
+Each leg has its own controller, start, noise level, cutoff and time
+grid, and step k of every leg reads the same normals, drawn once, as
+equal seeds already made it (common random numbers).  So each leg is its
+one-leg run bit for bit, and the legs are not independent.  `tailcost
+simulate` takes its naive row from a plain leg beside its steered leg,
+and `invariant:weight-mean` marches its three steered runs as three legs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,7 +70,7 @@ class SimConfig:
         return max(self.dt, 1e-3 * span)
 
 
-# The steered simulator records whole rows only for the paths of
+# A steered leg records whole rows only for the paths of
 # recorded_ids(n_paths), the rows `tailcost simulate` exports.
 RECORDED_ROWS = 50
 
@@ -86,7 +87,6 @@ class PathEnsemble:
     terminal: np.ndarray  # (n_paths,) state at times[-1]
     log_girsanov_weight: np.ndarray  # (n_paths,)
     seed: int
-    plain_terminal: np.ndarray | None  # (n_paths,) the plain-law run on the seed's draws
     escaped: np.ndarray | None = None
     cutoff_index: int | None = None
     cutoff_state: np.ndarray | None = None  # (n_paths,) state at times[cutoff_index]
@@ -318,9 +318,18 @@ MAX_ESCAPED_FRACTION = 0.01
 class Leg:
     """One run that simulate_legs marches on the shared draws.
 
-    With a controller it is simulate_controlled(spec, controller, y0, t,
-    epsilon, config); with controller None it is the plain-law Euler run on
-    [t, T] at dt from y0, on the uniform grid of ceil((T - t)/dt) steps.
+    A steered leg (a controller) drives dY = lambda dt + sqrt(eps) dW from
+    y0 on [t, T - cutoff], the cutoff read from config; the final stretch
+    runs the plain drift.  Its log_girsanov_weight holds log dP/dQ along
+    each path, so averaging exp(weight) * functional recovers plain-law
+    expectations.  Paths that leave the controller's window freeze in
+    place and are flagged; more than MAX_ESCAPED_FRACTION of them refuses
+    the run.  Every path keeps its cutoff and terminal states; whole rows
+    are kept only for the paths of recorded_ids.
+
+    A plain leg (controller None) is the plain-law Euler run on [t, T] at
+    dt from y0, on the uniform grid of ceil((T - t)/dt) steps; it records
+    no rows and carries zero weights.
     """
 
     controller: ControllerField | None
@@ -424,7 +433,7 @@ class _Run:
         if self.leg.controller is None:
             return PathEnsemble(times=self.times, paths=self.record, path_ids=self.ids,
                                 terminal=self.terminal, log_girsanov_weight=np.zeros(n_paths),
-                                seed=seed, plain_terminal=self.terminal)
+                                seed=seed)
         T, t = self.spec.horizon_T, self.leg.t
         a_int, b_int, c_int = self.a_int, self.b_int, self.c_int
         return PathEnsemble(
@@ -434,7 +443,6 @@ class _Run:
             terminal=self.terminal,
             log_girsanov_weight=self.logw,
             seed=seed,
-            plain_terminal=None,
             escaped=~self.alive,
             cutoff_index=self.n_ctl,
             cutoff_state=self.y,
@@ -443,11 +451,18 @@ class _Run:
         )
 
 
-def _march(spec: DriftSpec, legs: list[Leg]) -> list[PathEnsemble]:
-    """The loop of simulate_legs and simulate_controlled, the package's one
-    Euler-Maruyama loop: one draw per step, every leg stepping on it until
-    its own grid ends.  The run is refused when a steered leg's escaped
-    share exceeds MAX_ESCAPED_FRACTION, read at call time."""
+def simulate_legs(spec: DriftSpec, legs: list[Leg]) -> list[PathEnsemble]:
+    """One PathEnsemble per leg, all legs marching on one stream of draws.
+
+    The package's one Euler-Maruyama loop.  Step k of every leg reads step
+    k's normals, drawn once, the normals a one-leg run of the same seed
+    reads too (common random numbers), so each leg's ensemble is its
+    one-leg run bit for bit.  The legs must agree on n_paths, dt, seed and
+    t (ConfigError otherwise).  The loop runs as long as the longest leg's
+    grid, and each leg stops at the end of its own.  The run is refused
+    when a steered leg's escaped share exceeds MAX_ESCAPED_FRACTION, read
+    at call time.
+    """
     def shared(leg: Leg) -> tuple:
         return leg.config.n_paths, leg.config.dt, leg.config.seed, leg.t
 
@@ -487,65 +502,23 @@ def _march(spec: DriftSpec, legs: list[Leg]) -> list[PathEnsemble]:
     return [run.ensemble() for run in runs]
 
 
-def simulate_legs(spec: DriftSpec, legs: list[Leg]) -> list[PathEnsemble]:
-    """One PathEnsemble per leg, all legs marching on one stream of draws.
-
-    Step k of every leg reads step k's normals, drawn once, the normals a
-    solo run of the same seed reads too (common random numbers), so each
-    leg's ensemble is its solo run bit for bit.  For a steered leg that is
-    simulate_controlled(spec, controller, y0, t, epsilon, config); a plain
-    leg is the plain-law Euler run on [t, T] at dt, recorded with no rows
-    and its result as both terminal and plain_terminal.  The legs must
-    agree on n_paths, dt, seed and t (ConfigError otherwise).  The loop
-    runs as long as the longest leg's grid, and each leg stops at the end
-    of its own.
-    """
-    return _march(spec, legs)
-
-
-def simulate_controlled(
-    spec: DriftSpec,
-    controller: ControllerField,
-    y0: float,
-    t: float,
-    epsilon: float,
-    config: SimConfig,
-    plain: bool = False,
-) -> PathEnsemble:
-    """Steered paths with exact change-of-measure accounting.
-
-    The controller drives dY = lambda dt + sqrt(eps) dW on [t, T - cutoff];
-    the final stretch runs the plain drift.  log_girsanov_weight holds
-    log dP/dQ along each path, so averaging exp(weight) * functional
-    recovers plain-law expectations.  Paths that leave the controller's
-    window freeze in place and are flagged; more than MAX_ESCAPED_FRACTION
-    of them aborts the run.  Every path keeps its cutoff and terminal
-    states; whole rows are kept only for the paths of recorded_ids.
-
-    With plain, n_paths paths of the plain-law Euler run on [t, T] at dt
-    march in the same loop as a plain leg on their own time grid, step k
-    reading step k's normals, and plain_terminal is their terminal state.
-    """
-    legs = [Leg(controller, y0, t, epsilon, config)]
-    if plain:
-        legs.append(Leg(None, y0, t, epsilon, config))
-    # _march, not simulate_legs, so that perfbench's span of this function
-    # keeps the loop's time as its own
-    steered, *rest = _march(spec, legs)
-    return replace(steered, plain_terminal=rest[0].terminal) if plain else steered
-
-
 # ---------------------------------------------------------------- averages
+
+def _mean_se(vals: np.ndarray) -> tuple[float, float]:
+    """Sample mean of vals and its standard error."""
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+
 
 def representation_q(ensemble: PathEnsemble) -> EstimatorResult:
     """Cost as half the mean accumulated squared excess drift."""
     kept = ensemble.kept
     vals = 0.5 * ensemble.integrals["cost"][kept]
     n = int(vals.size)
+    estimate, se = _mean_se(vals)
     return EstimatorResult(
         name="cost_representation",
-        estimate=float(np.mean(vals)),
-        std_error=float(np.std(vals, ddof=1) / math.sqrt(n)),
+        estimate=estimate,
+        std_error=se,
         n=n,
         extra={"escaped_fraction": 1.0 - n / ensemble.n_paths},
     )
@@ -562,13 +535,9 @@ def representation_dq(ensemble: PathEnsemble) -> dict[str, EstimatorResult]:
         ("slope_x", 1.0, span),
         ("slope_sum", -1.0, 1.0),
     ):
-        vals = sign * ensemble.integrals[key][kept] / scale
-        out[key] = EstimatorResult(
-            name=f"{key}_representation",
-            estimate=float(np.mean(vals)),
-            std_error=float(np.std(vals, ddof=1) / math.sqrt(n)),
-            n=n,
-        )
+        estimate, se = _mean_se(sign * ensemble.integrals[key][kept] / scale)
+        out[key] = EstimatorResult(name=f"{key}_representation", estimate=estimate,
+                                   std_error=se, n=n)
     return out
 
 
@@ -591,8 +560,7 @@ def importance_sampling(ensemble: PathEnsemble, x: float) -> EstimatorResult:
     hits = (ensemble.terminal[kept] > x).astype(float)
     vals = weights * hits
     n = int(vals.size)
-    estimate = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n))
+    estimate, se = _mean_se(vals)
     ess = _ess(vals)
     if ess < 10.0:
         warnings.warn(f"importance weights collapsed: ESS {ess:.2f}", RuntimeWarning)

@@ -52,6 +52,11 @@ def _controlled_setup(kind: str):
     return spec, grid, pde._cost_rows(start.u, EPS, grid.h_y)[:2], controller, iy
 
 
+def _steer(spec, controller, y0: float, config: simulate.SimConfig) -> simulate.PathEnsemble:
+    """The ensemble of one steered leg from (0, y0) at eps = 0.1."""
+    return simulate.simulate_legs(spec, [simulate.Leg(controller, y0, 0.0, EPS, config)])[0]
+
+
 def test_criterion_01_backward_field_matches_gaussian_oracle() -> None:
     """Lattice survival field vs the exact Gaussian for two linear drifts.
 
@@ -148,7 +153,7 @@ def test_criterion_05_sampling_representations_match_field() -> None:
     }
     refs["slope_sum"] = refs["slope_y"] + refs["slope_x"]
     config = simulate.SimConfig(n_paths=100_000, dt=1e-3, seed=SEED)
-    ensemble = simulate.simulate_controlled(spec, controller, y0, 0.0, EPS, config)
+    ensemble = _steer(spec, controller, y0, config)
     budget = 0.5 * math.sqrt(EPS)
     estimates = {"q": simulate.representation_q(ensemble)}
     estimates.update(simulate.representation_dq(ensemble))
@@ -160,7 +165,7 @@ def test_criterion_05_sampling_representations_match_field() -> None:
     half = simulate.SimConfig(
         n_paths=100_000, dt=1e-3, seed=SEED, terminal_cutoff=0.5,
     )
-    free_tail = simulate.simulate_controlled(spec, controller, 0.0, 0.0, EPS, half)
+    free_tail = _steer(spec, controller, 0.0, half)
     w = np.exp(free_tail.log_girsanov_weight[free_tail.kept])
     mean_w = float(np.mean(w))
     se = float(np.std(w, ddof=1) / math.sqrt(w.size))
@@ -228,7 +233,7 @@ def test_criterion_06_steered_paths_exceed_threshold() -> None:
         config = simulate.SimConfig(
             n_paths=20_000, dt=1e-3, seed=SEED, terminal_cutoff=1e-3,
         )
-        ensemble = simulate.simulate_controlled(spec, controller, y0, 0.0, EPS, config)
+        ensemble = _steer(spec, controller, y0, config)
         state = ensemble.cutoff_state[ensemble.kept]
         frac = float(np.mean(state > 0.0))
         se = math.sqrt(frac * (1.0 - frac) / state.size)

@@ -8,6 +8,7 @@ modules, so verify here is always filtered with --only.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles as orc
 from tailcost import action, bridge, checks, cli, drifts, pde, simulate, tables
 
 SMALL = {
@@ -87,18 +89,40 @@ def test_simulate_writes_estimates_and_ensemble(tmp_path: Path) -> None:
 def test_simulate_runs_one_steered_ensemble(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    # the representations and the reweighted mass all average one ensemble
+    # the representations and the reweighted mass all average one steered
+    # leg, and the naive row reads its plain twin, marched in the same call
     calls = []
-    steer = simulate.simulate_controlled
+    march = simulate.simulate_legs
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return steer(*args, **kwargs)
+    def counted(spec, legs):
+        calls.append(legs)
+        return march(spec, legs)
 
-    monkeypatch.setattr(simulate, "simulate_controlled", counted)
+    monkeypatch.setattr(simulate, "simulate_legs", counted)
     rc = cli.main(["simulate", "--config", _cfg(tmp_path), "--out", str(tmp_path / "o")])
     assert rc == 0
     assert len(calls) == 1
+    steered, plain = calls[0]
+    assert steered.controller is not None
+    assert plain == dataclasses.replace(steered, controller=None)
+
+
+def test_simulate_naive_row_is_the_plain_euler_run(tmp_path: Path) -> None:
+    # the plain twin is the plain-law Euler run on [t, T] from the
+    # steered leg's start, on the seed's draws
+    rc = cli.main(["simulate", "--config", _cfg(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    config = checks.RunConfig(**dict(SMALL, eps_list=tuple(SMALL["eps_list"])))
+    spec = config.drift()
+    meta = json.loads((tmp_path / "o" / "ensemble_meta.json").read_text())
+    assert (meta["n_paths"], meta["epsilon"], meta["seed"]) == (400, 0.2, config.seed)
+    times = simulate._time_grid(config.dt, config.probe_t, spec.horizon_T)
+    terminal = orc.euler_terminal(spec.b, meta["y0"], times, meta["epsilon"],
+                                  config.n_paths, config.seed)
+    want = simulate.estimate_u_naive(terminal, config.probe_x).as_dict()
+    payload = json.loads((tmp_path / "o" / "estimates.json").read_text())
+    naive = [rec for rec in payload["estimates"] if rec["name"] == "exceedance_naive"]
+    assert naive == [want]
 
 
 def test_simulate_steers_on_one_cost_field(

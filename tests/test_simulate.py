@@ -42,6 +42,11 @@ def _constant_field(c: float, lo=-6.0, hi=6.0, n_y=41, n_t=41, T=1.0):
     )
 
 
+def _steer(spec, ctl, y0, epsilon, config):
+    """The ensemble of one steered leg from (0, y0)."""
+    return sim.simulate_legs(spec, [sim.Leg(ctl, y0, 0.0, epsilon, config)])[0]
+
+
 def _plain(spec, y0, epsilon, config):
     """The ensemble of one plain leg: the plain-law Euler run from (0, y0)."""
     return sim.simulate_legs(spec, [sim.Leg(None, y0, 0.0, epsilon, config)])[0]
@@ -153,8 +158,8 @@ def test_coarse_time_grid_refused_near_horizon() -> None:
     grid = pde.default_grid(spec, 0.0, EPS, n_y=401, n_t=11)
     ctl, _ = sim.ControllerField.from_fields(spec, 0.0, grid, EPS)
     with pytest.raises(sim.ControllerError):
-        sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
-                                sim.SimConfig(n_paths=8, dt=2e-3, seed=1))
+        _steer(spec, ctl, PROBE_Y, EPS,
+               sim.SimConfig(n_paths=8, dt=2e-3, seed=1))
 
 
 def _windowed_field():
@@ -376,9 +381,9 @@ def test_escaped_paths_flagged_and_capped(monkeypatch) -> None:
     )
     cfg = sim.SimConfig(n_paths=2000, dt=2e-3, seed=3)
     with pytest.raises(sim.GridCoverageError):
-        sim.simulate_controlled(spec, narrow, PROBE_Y, 0.0, EPS, cfg)
+        _steer(spec, narrow, PROBE_Y, EPS, cfg)
     monkeypatch.setattr(sim, "MAX_ESCAPED_FRACTION", 0.95)
-    ens = sim.simulate_controlled(spec, narrow, PROBE_Y, 0.0, EPS, cfg)
+    ens = _steer(spec, narrow, PROBE_Y, EPS, cfg)
     frac = float(ens.escaped.mean())
     assert 0.3 < frac < 0.8
     assert ens.kept.sum() == 2000 - ens.escaped.sum()
@@ -506,11 +511,10 @@ def test_fused_step_matches_the_loop_it_replaced(kind, narrow, monkeypatch) -> N
         ctl = _narrow(ctl, -1.3, 0.4)
     cfg = sim.SimConfig(n_paths=2000, dt=1e-3, seed=19)
     monkeypatch.setattr(sim, "MAX_ESCAPED_FRACTION", 1.0)
-    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg)
+    ens = _steer(spec, ctl, PROBE_Y, EPS, cfg)
     paths, terminal, cutoff_state, escaped, logw, accum = _loop_steered(
         spec, ctl, PROBE_Y, 0.0, EPS, cfg, ens.times, ens.cutoff_index)
     assert (0 < escaped.sum() < 2000) if narrow else not escaped.any()
-    assert ens.plain_terminal is None
     assert np.array_equal(ens.paths, paths)
     assert np.array_equal(ens.terminal, terminal)
     assert np.array_equal(ens.cutoff_state, cutoff_state)
@@ -538,19 +542,20 @@ def test_plain_leg_is_terminal_sample_bit_for_bit(dt, narrow, longer, monkeypatc
             start, end, grid(dt, start, end).size + 3))
     cfg = sim.SimConfig(n_paths=2000, dt=dt, seed=23)
     monkeypatch.setattr(sim, "MAX_ESCAPED_FRACTION", 1.0)
-    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg, plain=True)
+    leg = sim.Leg(ctl, PROBE_Y, 0.0, EPS, cfg)
+    ens, plain = sim.simulate_legs(spec, [leg, replace(leg, controller=None)])
     plain_times = sim._time_grid(dt, 0.0, 1.0)
-    assert np.array_equal(ens.plain_terminal, orc.euler_terminal(
+    assert np.array_equal(plain.times, plain_times)
+    assert np.array_equal(plain.terminal, orc.euler_terminal(
         spec.b, PROBE_Y, plain_times, EPS, cfg.n_paths, cfg.seed))
     n_plain = plain_times.size - 1
     if dt == 7e-4:
         assert (ens.times.size - 1, n_plain) == (1430, 1429)
     assert (n_plain > ens.times.size - 1) == longer
     assert ens.escaped.any() == narrow
-    # the plain leg leaves the steered run as it was
-    alone = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg)
-    assert np.array_equal(ens.paths, alone.paths)
-    assert np.array_equal(ens.log_girsanov_weight, alone.log_girsanov_weight)
+    # each leg is its one-leg run: the twin leaves the steered run as it was
+    _assert_same_ensemble(ens, sim.simulate_legs(spec, [leg])[0])
+    _assert_same_ensemble(plain, _plain(spec, PROBE_Y, EPS, cfg))
 
 
 class _CountedDraws:
@@ -567,8 +572,8 @@ class _CountedDraws:
 def _assert_same_ensemble(got, want) -> None:
     assert got.path_ids == want.path_ids
     assert (got.seed, got.cutoff_index) == (want.seed, want.cutoff_index)
-    for name in ("times", "paths", "terminal", "log_girsanov_weight", "plain_terminal",
-                 "escaped", "cutoff_state"):
+    for name in ("times", "paths", "terminal", "log_girsanov_weight", "escaped",
+                 "cutoff_state"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a is None) == (b is None), name
         assert a is None or np.array_equal(a, b), name
@@ -604,15 +609,14 @@ def test_legs_match_solo_runs_bit_for_bit(monkeypatch) -> None:
     assert steps == [100, 100, 100, 101, 100]
     assert [g.calls for g in made] == [max(steps)]
     assert 0 < ensembles[3].escaped.sum() < 300
-    for leg, ens in zip(legs[:4], ensembles):
-        _assert_same_ensemble(ens, sim.simulate_controlled(
-            spec, leg.controller, leg.y0, leg.t, leg.epsilon, leg.config))
+    for leg, ens in zip(legs, ensembles):
+        _assert_same_ensemble(ens, sim.simulate_legs(spec, [leg])[0])
     # the plain leg is the plain-law Euler run and records no rows
     plain = ensembles[4]
     assert plain.path_ids == range(0) and plain.paths.shape == (0, plain.times.size)
     assert np.array_equal(plain.times, sim._time_grid(cfg.dt, 0.0, spec.horizon_T))
     want = orc.euler_terminal(spec.b, PROBE_Y, plain.times, 0.1, cfg.n_paths, cfg.seed)
-    assert np.array_equal(plain.terminal, want) and np.array_equal(plain.plain_terminal, want)
+    assert np.array_equal(plain.terminal, want)
     assert not plain.log_girsanov_weight.any() and plain.escaped is None
 
 
@@ -668,8 +672,8 @@ def test_memory_guard_counts_every_leg(monkeypatch) -> None:
 def test_steered_marginal_matches_conditioned_law() -> None:
     spec = drifts.zero_drift()
     _, _, ctl = _steered(spec, EPS)
-    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
-                                  sim.SimConfig(n_paths=4000, dt=2.5e-4, seed=42))
+    ens = _steer(spec, ctl, PROBE_Y, EPS,
+                 sim.SimConfig(n_paths=4000, dt=2.5e-4, seed=42))
     assert ens.escaped.sum() == 0
     assert ens.times[ens.cutoff_index] == pytest.approx(0.999, abs=1e-12)
     cut = ens.cutoff_state[ens.kept]
@@ -686,7 +690,7 @@ def test_steered_memory_is_bounded_by_the_path_count() -> None:
     cfg = sim.SimConfig(n_paths=2000, dt=1e-4, seed=17)
     tracemalloc.start()
     try:
-        ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS, cfg)
+        ens = _steer(spec, ctl, PROBE_Y, EPS, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -702,8 +706,8 @@ def test_steered_memory_is_bounded_by_the_path_count() -> None:
 def test_work_representation_recovers_smoothed_cost() -> None:
     spec = drifts.zero_drift()
     _, _, ctl = _steered(spec, EPS)
-    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
-                                  sim.SimConfig(n_paths=10_000, dt=1e-3, seed=13))
+    ens = _steer(spec, ctl, PROBE_Y, EPS,
+                 sim.SimConfig(n_paths=10_000, dt=1e-3, seed=13))
     res = sim.representation_q(ens)
     # the cutoff discretization leaves an O(dt log dt) remainder, so the
     # gate keeps a fixed slack on top of the statistical band
@@ -713,8 +717,8 @@ def test_work_representation_recovers_smoothed_cost() -> None:
 def test_slope_representations_zero_drift() -> None:
     spec = drifts.zero_drift()
     _, _, ctl = _steered(spec, EPS)
-    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
-                                  sim.SimConfig(n_paths=10_000, dt=1e-3, seed=13))
+    ens = _steer(spec, ctl, PROBE_Y, EPS,
+                 sim.SimConfig(n_paths=10_000, dt=1e-3, seed=13))
     dq = sim.representation_dq(ens)
     sy, sx, ss = dq["slope_y"], dq["slope_x"], dq["slope_sum"]
     assert abs(sy.estimate - orc.SLOPE_Y_ZERO_PROBE) <= max(3.0 * sy.std_error, 0.02)
@@ -728,8 +732,8 @@ def test_slope_representations_zero_drift() -> None:
 def test_slope_sum_identity_concave_drift() -> None:
     spec = drifts.logcosh_drift()
     grid, (q_start, dq_dy_start), ctl = _steered(spec, EPS)
-    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
-                                  sim.SimConfig(n_paths=4000, dt=1e-3, seed=12))
+    ens = _steer(spec, ctl, PROBE_Y, EPS,
+                 sim.SimConfig(n_paths=4000, dt=1e-3, seed=12))
     dq = sim.representation_dq(ens)
     sy, sx, ss = dq["slope_y"], dq["slope_x"], dq["slope_sum"]
     assert sy.estimate + sx.estimate == pytest.approx(ss.estimate, abs=1e-10)
@@ -748,8 +752,8 @@ def test_constant_shift_recovers_exact_probability() -> None:
     # weight accounting from the steering quality.
     spec = drifts.zero_drift()
     ctl = _constant_field(1.2)
-    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
-                                  sim.SimConfig(n_paths=200_000, dt=2e-3, seed=9))
+    ens = _steer(spec, ctl, PROBE_Y, EPS,
+                 sim.SimConfig(n_paths=200_000, dt=2e-3, seed=9))
     res = sim.importance_sampling(ens, PROBE_X)
     assert abs(res.estimate - orc.U_ZERO_PROBE) <= 3.0 * res.std_error
 
@@ -757,8 +761,8 @@ def test_constant_shift_recovers_exact_probability() -> None:
 def test_weight_mean_is_one_for_mild_shift() -> None:
     spec = drifts.zero_drift()
     ctl = _constant_field(0.5)
-    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
-                                  sim.SimConfig(n_paths=100_000, dt=2e-3, seed=4))
+    ens = _steer(spec, ctl, PROBE_Y, EPS,
+                 sim.SimConfig(n_paths=100_000, dt=2e-3, seed=4))
     w = np.exp(ens.log_girsanov_weight[ens.kept])
     assert abs(w.mean() - 1.0) <= 3.0 * w.std(ddof=1) / math.sqrt(w.size)
 
@@ -770,8 +774,8 @@ def test_steered_estimate_agrees_with_naive() -> None:
     _, _, ctl = _steered(spec, eps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, eps,
-                                      sim.SimConfig(n_paths=40_000, dt=1e-3, seed=5))
+        ens = _steer(spec, ctl, PROBE_Y, eps,
+                     sim.SimConfig(n_paths=40_000, dt=1e-3, seed=5))
         steered = sim.importance_sampling(ens, PROBE_X)
     naive = sim.estimate_u_naive(_plain(
         spec, PROBE_Y, eps, sim.SimConfig(n_paths=400_000, dt=5e-3, seed=6)).terminal, PROBE_X)
@@ -785,8 +789,8 @@ def test_steering_beats_naive_variance_in_small_noise() -> None:
     eps = 0.05
     spec = drifts.zero_drift()
     _, _, ctl = _steered(spec, eps)
-    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, eps,
-                                  sim.SimConfig(n_paths=20_000, dt=5e-4, seed=11))
+    ens = _steer(spec, ctl, PROBE_Y, eps,
+                 sim.SimConfig(n_paths=20_000, dt=5e-4, seed=11))
     res = sim.importance_sampling(ens, PROBE_X)
     exact = orc.gaussian_u(PROBE_Y, PROBE_X, eps)
     assert abs(res.estimate - exact) <= 3.0 * res.std_error
@@ -799,8 +803,8 @@ def test_steering_beats_naive_variance_in_small_noise() -> None:
 def test_collapsed_weights_warn() -> None:
     spec = drifts.zero_drift()
     ctl = _constant_field(5.0)
-    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
-                                  sim.SimConfig(n_paths=50, dt=5e-3, seed=2))
+    ens = _steer(spec, ctl, PROBE_Y, EPS,
+                 sim.SimConfig(n_paths=50, dt=5e-3, seed=2))
     with pytest.warns(RuntimeWarning, match="ESS"):
         res = sim.importance_sampling(ens, PROBE_X)
     assert res.extra["ess"] < 10.0
@@ -811,8 +815,8 @@ def test_collapsed_weights_warn() -> None:
 def test_ensemble_rows_and_header() -> None:
     spec = drifts.zero_drift()
     # a zero control on the zero drift: the plain law, every path recorded
-    ens = sim.simulate_controlled(spec, _constant_field(0.0), -1.0, 0.0, EPS,
-                                  sim.SimConfig(n_paths=3, dt=0.05, seed=5))
+    ens = _steer(spec, _constant_field(0.0), -1.0, EPS,
+                 sim.SimConfig(n_paths=3, dt=0.05, seed=5))
     rows = list(tables.rows(sim.ensemble_blocks(ens, 1, 1)))
     assert len(rows) == 3 * ens.times.size
     assert rows[0] == (0, 0.0, -1.0)
@@ -829,8 +833,8 @@ def test_three_routes_to_the_same_cost() -> None:
     # Monte Carlo work estimate must line up within their stated slacks
     spec = drifts.zero_drift()
     _, _, ctl = _steered(spec, EPS)
-    ens = sim.simulate_controlled(spec, ctl, PROBE_Y, 0.0, EPS,
-                                  sim.SimConfig(n_paths=10_000, dt=1e-3, seed=21))
+    ens = _steer(spec, ctl, PROBE_Y, EPS,
+                 sim.SimConfig(n_paths=10_000, dt=1e-3, seed=21))
     q_mc = sim.representation_q(ens)
     assert abs(q_mc.estimate - orc.COST_EPS_ZERO_PROBE) <= max(3.0 * q_mc.std_error, 0.05)
     assert abs(orc.COST_EPS_ZERO_PROBE - 0.5) <= math.sqrt(EPS)
