@@ -84,20 +84,15 @@ def driftless_cost(x: float, y: float, epsilon: float, tau: float) -> float:
 
 # ------------------------------------------------------------ cdf inequality
 
-def check_cdf_inequality(
-    z_min: float = -8.0, z_max: float = 8.0, step: float = 0.01
-) -> VerificationReport:
+def check_cdf_inequality() -> VerificationReport:
     """Gaussian density bounded by the cdf times the root of its negative log.
 
-    Scans exp(-z^2/2) <= 2 sqrt(pi) N(z) sqrt(-log N(z)) on the grid and
-    reports the worst margin; a single violation fails the check.
+    Scans exp(-z^2/2) <= 2 sqrt(pi) N(z) sqrt(-log N(z)) on [-8, 8] at
+    step 0.01 and reports the worst margin; a single violation fails the
+    check.
     """
-    if step <= 0.0:
-        raise ConfigError("step must be positive")
-    if not z_min < z_max:
-        raise ConfigError("need z_min < z_max")
-    n = int(round((z_max - z_min) / step)) + 1
-    z = z_min + step * np.arange(n)
+    n = 1601
+    z = -8.0 + 0.01 * np.arange(n)
     cdf = ndtr(z)
     lhs = np.exp(-0.5 * z * z)
     rhs = 2.0 * math.sqrt(math.pi) * cdf * np.sqrt(-log_ndtr(z))
@@ -113,7 +108,7 @@ def check_cdf_inequality(
             "violations": violations,
             "worst_margin": float(margin[worst]),
             "worst_z": float(z[worst]),
-            "margin_at_zero": float(margin[int(round(-z_min / step))]) if z_min <= 0.0 <= z_max else None,
+            "margin_at_zero": float(margin[800]),  # z[800] = 0
         },
         expected="density lower bound holds at every grid point",
         tolerance=0.0,
@@ -124,40 +119,29 @@ def check_cdf_inequality(
 # ------------------------------------------------------------- kernel bound
 
 # the bound approaches equality deep in the left tail, where the lattice
-# tail error is also largest; default probes keep |z| under about five so
+# tail error is also largest; the probe depths keep |z| under about five so
 # the true margin dominates the discretization
-_GREEN_PROBES_DEFAULT = tuple(
-    (y, t) for t in (0.0, 0.2, 0.4, 0.6, 0.8) for y in (-0.7, -0.45, -0.2, 0.3, 0.9)
-)
+KERNEL_PROBE_TIMES = (0.0, 0.2, 0.4, 0.6, 0.8)
+KERNEL_PROBE_DEPTHS = (-0.7, -0.45, -0.2, 0.3, 0.9)
+KERNEL_SLACK = 1e-3  # relative excess of the kernel over its bound forgiven
 KERNEL_U_FLOOR = 1e-12  # survival values this close to 0 or 1 are unresolved
 
 
-def check_green_bound(
-    spec: DriftSpec,
-    epsilon: float,
-    probes: tuple[tuple[float, float], ...] = _GREEN_PROBES_DEFAULT,
-    slack: float = 1e-3,
-    lipschitz_A: float | None = None,
-) -> VerificationReport:
+def check_green_bound(spec: DriftSpec) -> VerificationReport:
     """Transition kernel bounded by the survival odds at (y, t) probes.
 
-    For each probe the kernel value into the threshold x = 0 at the horizon
-    must satisfy g <= (1 + tau A) u sqrt(-2 log u / (eps tau)) up to the
-    relative slack.  Probes whose survival value leaves the resolvable band
-    are skipped and counted.  lipschitz_A overrides the drift's declared
-    slope bound, which lets a harness test exercise the failure path.
+    At eps = 0.1, for each probe time in KERNEL_PROBE_TIMES and depth in
+    KERNEL_PROBE_DEPTHS the kernel value into the threshold x = 0 at the
+    horizon must satisfy g <= (1 + tau A) u sqrt(-2 log u / (eps tau)) up
+    to the relative KERNEL_SLACK.  Probes whose survival value leaves the
+    resolvable band are skipped and counted.
     """
+    epsilon = 0.1
     T = spec.horizon_T
-    A = spec.lipschitz_A if lipschitz_A is None else lipschitz_A
-    by_t: dict[float, list[float]] = {}
-    for y, t in probes:
-        if not t < T:
-            raise ConfigError(f"probe time {t} is not before the horizon {T}")
-        by_t.setdefault(float(t), []).append(float(y))
-
+    A = spec.lipschitz_A
     rows = []
     n_skipped = 0
-    for t in sorted(by_t):
+    for t in KERNEL_PROBE_TIMES:
         tau = T - t
         grid = pde.default_grid(
             spec, 0.0, epsilon, t_start=t, n_y=1201,
@@ -166,7 +150,7 @@ def check_green_bound(
         dx = max(1, int(round(0.01 / grid.h_y))) * grid.h_y
         heat = pde.solve_u(spec, 0.0, grid, epsilon, rows=0)
         kernel = pde.green_function(spec, grid, epsilon, thresholds=np.array([-dx, 0.0, dx]))
-        for y in by_t[t]:
+        for y in KERNEL_PROBE_DEPTHS:
             iy = grid.nearest_node(y)
             u_val = float(heat.u[iy])
             if u_val < KERNEL_U_FLOOR or 1.0 - u_val < KERNEL_U_FLOOR:
@@ -186,7 +170,7 @@ def check_green_bound(
         status, observed = SKIPPED, {"n_checked": 0, "n_skipped": n_skipped}
     else:
         worst = max(rows, key=lambda r: r["ratio"])
-        status = PASS if worst["ratio"] <= 1.0 + slack else FAIL
+        status = PASS if worst["ratio"] <= 1.0 + KERNEL_SLACK else FAIL
         observed = {
             "n_checked": len(rows),
             "n_skipped": n_skipped,
@@ -199,32 +183,28 @@ def check_green_bound(
         status=status,
         observed=observed,
         expected="kernel below the survival-odds bound at every resolvable probe",
-        tolerance=slack,
+        tolerance=KERNEL_SLACK,
         anchor="kernel-cost-inequality",
     )
 
 
 # -------------------------------------------------------------- slope bound
 
+SLOPE_SLACK = 1e-3  # relative excess of a slope over its bound forgiven
 SLOPE_NOISE_FLOOR = 1e-6  # slopes and bounds below this compare as zero
 
 
-def check_gradient_bounds(
-    spec: DriftSpec,
-    slack: float = 1e-3,
-    lipschitz_A: float | None = None,
-) -> VerificationReport:
+def check_gradient_bounds(spec: DriftSpec) -> VerificationReport:
     """Both cost slopes bounded by the square-root of the cost itself.
 
     On the fan of thresholds 0 and about +-0.02 at eps = 0.1, |dq/dx| and
     |dq/dy| must stay below (1 + tau A) sqrt(2 q / tau) at 20 probes about
-    the threshold, on four time levels.  Where both sides sit under the
-    noise floor (deep above the free boundary) the probe passes as a
-    zero-zero comparison.  lipschitz_A overrides the drift's declared slope bound,
-    which lets a harness test exercise the failure path.
+    the threshold, on four time levels, up to the relative SLOPE_SLACK.
+    Where both sides sit under the noise floor (deep above the free
+    boundary) the probe passes as a zero-zero comparison.
     """
     epsilon = 0.1
-    A = spec.lipschitz_A if lipschitz_A is None else lipschitz_A
+    A = spec.lipschitz_A
     grid = pde._fan_grid(spec, 0.0, epsilon, 1201, 601)
     T = grid.T
     t_nodes = grid.t_nodes()
@@ -261,7 +241,7 @@ def check_gradient_bounds(
             "bound": rhs,
             **entries,
             "ratio": worst_lhs / max(rhs, SLOPE_NOISE_FLOOR),
-            "ok": worst_lhs <= rhs * (1.0 + slack) + SLOPE_NOISE_FLOOR,
+            "ok": worst_lhs <= rhs * (1.0 + SLOPE_SLACK) + SLOPE_NOISE_FLOOR,
         })
 
     if not rows:
@@ -282,7 +262,7 @@ def check_gradient_bounds(
         status=status,
         observed=observed,
         expected="both slopes below the square-root cost bound at every probe",
-        tolerance=slack,
+        tolerance=SLOPE_SLACK,
         anchor="slope-cost-inequality",
     )
 
@@ -370,27 +350,20 @@ DERIV_GAP_GATE = 0.05  # largest final gap of either slope
 DERIV_ENVELOPE_GATE = 0.2  # smallest fitted exponent of the vanishing slopes
 
 
-def check_derivative_convergence(
-    spec: DriftSpec,
-    probe: tuple[float, float, float] = (0.0, -1.0, 0.0),
-    eps_list: tuple[float, ...] = (0.2, 0.1, 0.05, 0.025),
-) -> VerificationReport:
+def check_derivative_convergence(spec: DriftSpec) -> VerificationReport:
     """Lattice slopes converging to the classical slopes as eps shrinks.
 
-    Below the free boundary both slope gaps must decrease along eps_list
-    and end under DERIV_GAP_GATE.  At 0.4 above the boundary the classical
-    slopes vanish, so the lattice slope magnitudes are fitted against eps
-    and the fitted exponent must clear DERIV_ENVELOPE_GATE.
+    From (x, y, t) = (0, -1, 0), below the free boundary, both slope gaps
+    must decrease along eps = 0.2, 0.1, 0.05, 0.025 and end under
+    DERIV_GAP_GATE.  At 0.4 above the boundary the classical slopes
+    vanish, so the lattice slope magnitudes are fitted against eps and the
+    fitted exponent must clear DERIV_ENVELOPE_GATE.
     """
     if not spec.is_concave:
         raise ConfigError(f"drift {spec.name} is not concave; the slope limit needs concavity")
-    eps_arr = tuple(sorted(set(float(e) for e in eps_list), reverse=True))
-    if len(eps_arr) < 3:
-        raise ConfigError("need at least three eps values for the envelope fit")
-    x, y_below, t = probe
+    eps_arr = (0.2, 0.1, 0.05, 0.025)
+    x, y_below, t = 0.0, -1.0, 0.0
     boundary = characteristic_F(spec, x, t)
-    if not y_below < boundary:
-        raise ConfigError("probe must start below the free boundary")
     y_above = boundary + 0.4
 
     slopes_y, slopes_x, y_nodes, magnitudes = [], [], [], []
@@ -440,23 +413,22 @@ def check_derivative_convergence(
 SHORT_TIME_SLACK = 1e-3  # relative shortfall the slope floor forgives
 SHORT_TIME_U_FLOOR = 1e-13  # survival values below this are unresolved
 SLOPE_DEPTH_MAX = 5.0  # deepest (x - y) / sqrt(eps tau) the slope floor gates
+SLOPE_DECAY_C = 10.0  # calibration constant c of the slope floor's exp(-c A tau)
+SHORT_TIME_LOOKBACKS = (0.25, 0.1, 0.05)  # tau = T - t, longest first
+SHORT_TIME_PROBES = (-0.4, -0.5, -0.7)
 
 
-def check_short_time(
-    spec: DriftSpec,
-    delta_list: tuple[float, ...] = (0.25, 0.1, 0.05),
-    probes: tuple[float, ...] = (-0.4, -0.5, -0.7),
-    x: float = 0.0,
-    decay_constant: float = 10.0,
-) -> VerificationReport:
+def check_short_time(spec: DriftSpec) -> VerificationReport:
     """Quadratic cost window and steep-slope floor near the horizon.
 
-    Keeps probes satisfying x - y > 2 int |b(x, s)| ds + sqrt(eps tau)
-    at eps = 0.1 and reports the fitted window constants min and max of
-    q tau / (x - y)^2 over them; each kept probe below the free boundary
-    must also satisfy -dq/dy >= ((F - y) / tau) exp(-c A tau) with the
-    configurable calibration constant c.  Probes outside the window or
-    with survival values under SHORT_TIME_U_FLOOR are skipped and counted.
+    For each look-back tau in SHORT_TIME_LOOKBACKS, keeps the start points
+    y of SHORT_TIME_PROBES satisfying x - y > 2 int |b(x, s)| ds +
+    sqrt(eps tau) at x = 0 and eps = 0.1 and reports the fitted window
+    constants min and max of q tau / (x - y)^2 over them; each kept probe
+    below the free boundary must also satisfy
+    -dq/dy >= ((F - y) / tau) exp(-c A tau) with c = SLOPE_DECAY_C.
+    Probes outside the window or with survival values under
+    SHORT_TIME_U_FLOOR are skipped and counted.
 
     The slope floor becomes an equality as (x - y) / sqrt(eps tau) grows,
     with true margin shrinking like the inverse square of that depth, so
@@ -467,16 +439,13 @@ def check_short_time(
     rule, so b(x, .) must be smooth and keep one sign on each [T - tau, T];
     a sign change puts a kink in |b| and raises ConfigError.
     """
-    if decay_constant <= 0.0:
-        raise ConfigError("decay constant must be positive")
     epsilon = 0.1
+    x = 0.0
     T = spec.horizon_T
     rows = []
     n_outside = 0
     n_unresolved = 0
-    for tau in sorted(delta_list, reverse=True):
-        if not 0.0 < tau < T:
-            raise ConfigError(f"look-back {tau} must sit inside (0, {T})")
+    for tau in SHORT_TIME_LOOKBACKS:
         t = T - tau
         drift_mass = 2.0 * _gauss_legendre(lambda s: abs(spec.b(x, s)), t, T)
         grid = pde.default_grid(
@@ -486,8 +455,8 @@ def check_short_time(
         heat = pde.solve_u(spec, x, grid, epsilon, rows=0)
         q_start, dq_dy_start, _ = pde._cost_rows(heat.u, epsilon, grid.h_y)
         boundary = characteristic_F(spec, x, t)
-        for y in probes:
-            iy = grid.nearest_node(float(y))
+        for y in SHORT_TIME_PROBES:
+            iy = grid.nearest_node(y)
             y_eff = float(grid.y_nodes()[iy])
             if not x - y_eff > drift_mass + math.sqrt(epsilon * tau):
                 n_outside += 1
@@ -501,7 +470,7 @@ def check_short_time(
             if y_eff < boundary:
                 lhs = -float(dq_dy_start[iy])
                 rhs = (boundary - y_eff) / tau * math.exp(
-                    -decay_constant * spec.lipschitz_A * tau
+                    -SLOPE_DECAY_C * spec.lipschitz_A * tau
                 )
                 gated = (x - y_eff) / math.sqrt(epsilon * tau) <= SLOPE_DEPTH_MAX
                 row.update(
@@ -526,7 +495,7 @@ def check_short_time(
             "n_kept": len(rows),
             "n_outside_window": n_outside,
             "n_unresolved": n_unresolved,
-            "decay_constant": decay_constant,
+            "decay_constant": SLOPE_DECAY_C,
             "rows": rows,
         }
     return VerificationReport(
@@ -541,35 +510,35 @@ def check_short_time(
 
 # -------------------------------------------------------------- convexity
 
-def check_convexity_suite(
-    spec: DriftSpec,
-    n_y: int = 1201,
-    n_t: int = 601,
-    dx: float = 0.02,
-    t_fracs: tuple[float, ...] = (0.0, 0.3, 0.6),
-    psd_tol: float = 1e-5,
-    mixed_only: bool = False,
-) -> VerificationReport:
+CONVEX_N_Y = 1201  # lattice of the three-threshold fan
+CONVEX_N_T = 601
+CONVEX_DX = 0.02  # threshold spacing of the fan
+CONVEX_T_FRACS = (0.0, 0.3, 0.6)  # checked levels, as fractions of the span
+PSD_TOL = 1e-5  # the eigenvalue floor, relative to the curvature scale
+
+
+def check_convexity_suite(spec: DriftSpec, mixed_only: bool = False) -> VerificationReport:
     """Convexity of the cost in both endpoints on a fan of three thresholds.
 
-    Checks, about x = 0 at eps = 0.1, second differences in the start point,
-    the sign of the mixed threshold-start difference, and the smaller
-    eigenvalue of the 2x2 second-difference matrix.  The eigenvalue floor
-    is psd_tol times the curvature scale plus an explicit stencil-truncation
-    envelope (dx^2 + h^2) / 8 times the largest fourth difference: the
-    matrix is rank-deficient wherever the cost depends on the endpoints
-    through their difference alone, and there the truncation mismatch
-    between the three difference operators is the entire eigenvalue
-    signal.  A genuinely indefinite field lands orders of magnitude below
-    the envelope.  mixed_only restricts to the sign check, which holds
-    without concavity of the drift.
+    Checks, about x = 0 at eps = 0.1 on the CONVEX_* lattice, second
+    differences in the start point, the sign of the mixed threshold-start
+    difference, and the smaller eigenvalue of the 2x2 second-difference
+    matrix.  The eigenvalue floor is PSD_TOL times the curvature scale plus
+    an explicit stencil-truncation envelope (dx^2 + h^2) / 8 times the
+    largest fourth difference: the matrix is rank-deficient wherever the
+    cost depends on the endpoints through their difference alone, and
+    there the truncation mismatch between the three difference operators
+    is the entire eigenvalue signal.  A genuinely indefinite field lands
+    orders of magnitude below the envelope.  The curvature and mixed-sign
+    gates take PSD_TOL of the scale as their slack.  mixed_only restricts
+    to the sign check, which holds without concavity of the drift.
     """
-    if not 0.0 < psd_tol < 1.0:
-        raise ConfigError("psd_tol must sit in (0, 1)")
     epsilon = 0.1
-    grid = pde._fan_grid(spec, 0.0, epsilon, n_y, n_t, dx=dx)
-    levels = [min(int(round(frac * (grid.n_t - 1))), grid.n_t - 2) for frac in t_fracs]
-    ddx, q, _, _ = pde.fan_cost_rows(spec, 0.0, grid, epsilon, dx, levels)
+    grid = pde._fan_grid(spec, 0.0, epsilon, CONVEX_N_Y, CONVEX_N_T, dx=CONVEX_DX)
+    levels = [
+        min(int(round(frac * (grid.n_t - 1))), grid.n_t - 2) for frac in CONVEX_T_FRACS
+    ]
+    ddx, q, _, _ = pde.fan_cost_rows(spec, 0.0, grid, epsilon, CONVEX_DX, levels)
     h = grid.h_y
     q_cap = -epsilon * math.log(1e-12)  # beyond this the tail is lattice noise
 
@@ -603,10 +572,10 @@ def check_convexity_suite(
             "min_eigenvalue": float(np.min(min_eig)),
             "scale": scale,
             "truncation_envelope": trunc,
-            "mixed_ok": bool(np.max(mixed) <= psd_tol * scale),
+            "mixed_ok": bool(np.max(mixed) <= PSD_TOL * scale),
             "convex_ok": bool(
-                np.min(d2y) >= -psd_tol * scale
-                and np.min(min_eig) >= -(psd_tol * scale + trunc)
+                np.min(d2y) >= -PSD_TOL * scale
+                and np.min(min_eig) >= -(PSD_TOL * scale + trunc)
             ),
         })
 
@@ -625,7 +594,7 @@ def check_convexity_suite(
         status=(PASS if ok else FAIL) if rows else SKIPPED,
         observed={"rows": rows} if rows else {"n_rows": 0},
         expected=expected,
-        tolerance=psd_tol,
+        tolerance=PSD_TOL,
         anchor=anchor,
     )
 
@@ -896,8 +865,8 @@ def _battery(config: RunConfig) -> dict:
 
     thunks = {
         "cdf-bound": check_cdf_inequality,
-        "kernel-bound:zero": lambda: check_green_bound(zero, 0.1),
-        "kernel-bound:logcosh": lambda: check_green_bound(lcosh, 0.1),
+        "kernel-bound:zero": lambda: check_green_bound(zero),
+        "kernel-bound:logcosh": lambda: check_green_bound(lcosh),
         "slope-bound:zero": lambda: check_gradient_bounds(zero),
         "slope-bound:logcosh": lambda: check_gradient_bounds(lcosh),
         "rate-limit:zero": rate_limit(zero),

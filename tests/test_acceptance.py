@@ -254,26 +254,29 @@ def test_criterion_06_steered_paths_exceed_threshold() -> None:
 def test_criterion_07_inequality_suite_zero_violations() -> None:
     """Density, kernel, and slope bounds with 1e-3 relative slack.
 
-    The density bound is scanned on [-8, 8] at step 0.01; the kernel and
-    slope bounds run at their probe sets for the zero and log-cosh
-    drifts.  A single violation anywhere fails.
+    The density bound is scanned on [-8, 8] at step 0.01 (1601 points);
+    the kernel and slope bounds run at their probe sets for the zero and
+    log-cosh drifts.  A single violation anywhere fails.
     """
-    cdf = checks.check_cdf_inequality(z_min=-8.0, z_max=8.0, step=0.01)
+    assert checks.KERNEL_SLACK == 1e-3
+    assert checks.SLOPE_SLACK == 1e-3
+    cdf = checks.check_cdf_inequality()
     assert cdf.status == "pass"
+    assert cdf.observed["n_points"] == 1601
     assert cdf.observed["violations"] == 0
 
     for kind in ("zero", "logcosh"):
         spec = {"zero": zero_drift, "logcosh": logcosh_drift}[kind]()
-        kernel = checks.check_green_bound(spec, EPS, slack=1e-3)
+        kernel = checks.check_green_bound(spec)
         assert kernel.status == "pass", f"{spec.name}: {kernel.observed}"
         assert kernel.observed["n_skipped"] == 0
         assert kernel.observed["worst_ratio"] <= 1.0 + 1e-3
-        slope = checks.check_gradient_bounds(spec, slack=1e-3)
+        slope = checks.check_gradient_bounds(spec)
         assert slope.status == "pass", f"{spec.name}: {slope.observed}"
         assert slope.observed["worst_ratio"] <= 1.0 + 1e-3
 
 
-def test_criterion_08_joint_convexity_of_the_cost() -> None:
+def test_criterion_08_joint_convexity_of_the_cost(monkeypatch: pytest.MonkeyPatch) -> None:
     """Convexity of the cost in each endpoint and jointly, concave drifts.
 
     Second differences in the start point at least -1e-6 of scale, mixed
@@ -283,10 +286,12 @@ def test_criterion_08_joint_convexity_of_the_cost() -> None:
     its truncation sits under the floor; the mixed-sign check must also
     pass on a drift with no concavity.
     """
+    monkeypatch.setattr(checks, "CONVEX_N_Y", 3001)
+    monkeypatch.setattr(checks, "CONVEX_N_T", 601)
+    monkeypatch.setattr(checks, "CONVEX_DX", 0.003)
+    monkeypatch.setattr(checks, "CONVEX_T_FRACS", (0.0, 0.3))
     for spec in (zero_drift(), logcosh_drift()):
-        rep = checks.check_convexity_suite(
-            spec, n_y=3001, n_t=601, dx=0.003, t_fracs=(0.0, 0.3),
-        )
+        rep = checks.check_convexity_suite(spec)
         assert rep.status == "pass", f"{spec.name}: {rep.observed}"
         for row in rep.observed["rows"]:
             scale = row["scale"]
@@ -296,6 +301,7 @@ def test_criterion_08_joint_convexity_of_the_cost() -> None:
                 f"{spec.name} t={row['t']}: eigenvalue {row['min_eigenvalue']:.2e}"
             )
 
+    monkeypatch.undo()  # the mixed-sign check runs on the battery's own lattice
     mixed = checks.check_convexity_suite(sin_drift(), mixed_only=True)
     assert mixed.status == "pass", f"sin: {mixed.observed}"
 

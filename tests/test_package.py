@@ -1,4 +1,5 @@
-"""Package-wide layout: one Euler-Maruyama loop and a public surface that resolves."""
+"""Package-wide layout: one Euler-Maruyama loop, a public surface that resolves,
+and no test-only knob among the battery's parameters."""
 
 from __future__ import annotations
 
@@ -34,3 +35,32 @@ def test_one_draw_site_and_a_resolving_public_surface() -> None:
     assert sites == [("simulate.py", "simulate_legs")]
     missing = [name for name in tailcost.__all__ if not hasattr(tailcost, name)]
     assert missing == []
+
+
+def test_every_check_default_is_set_by_the_package() -> None:
+    # a defaulted parameter that no package call sets is a test-only knob;
+    # it belongs in a module constant that tests monkeypatch
+    package = Path(tailcost.__file__).parent
+    defaults = {}
+    for node in ast.parse((package / "checks.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args.posonlyargs + node.args.args
+            named = args[len(args) - len(node.args.defaults):] + [
+                a for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None
+            ]
+            defaults[node.name] = ([a.arg for a in args], {a.arg for a in named})
+    passed = {name: set() for name in defaults}
+    for path in package.glob("*.py"):
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in defaults:
+                positional, _ = defaults[name]
+                passed[name].update(positional[:len(call.args)])
+                passed[name].update(k.arg for k in call.keywords)
+    unset = sorted(
+        f"{name}({arg})" for name, (_, named) in defaults.items() for arg in named - passed[name]
+    )
+    assert unset == []
