@@ -133,8 +133,10 @@ def _momenta(
 ) -> np.ndarray:
     """Search m = -p(t) > 0 with y(T; m) = x for every lane at once.
 
-    A geometric ladder of candidates brackets each root in one batched
-    sweep.  Safeguarded Newton steps follow, with the slope dy(T)/dm
+    A geometric ladder of candidates (m = 0, then base * 2^j) brackets
+    each root in two batched sweeps: every lane sweeps the first two
+    rungs, and only the lanes that neither rung carries to x sweep the
+    rest.  Safeguarded Newton steps follow, with the slope dy(T)/dm
     taken from a twin lane at m + delta in the same sweep (so no
     curvature data is needed); a step that leaves the bracket or is not
     finite falls back to the bracket midpoint.  A lane stops once its
@@ -150,7 +152,13 @@ def _momenta(
     ladder = np.concatenate(
         (np.zeros((xs.size, 1)), base[:, None] * 2.0 ** np.arange(22)), axis=1
     )
-    g = overshoot(ys, xs, ladder)
+    # a rung left unswept reads as a miss; it lies above a lane's first
+    # reaching rung, so the bracket below reads swept rungs only
+    g = np.full_like(ladder, -np.inf)
+    g[:, :2] = overshoot(ys, xs, ladder[:, :2])
+    short = np.flatnonzero((g[:, :2] < 0.0).all(axis=1))
+    if short.size:
+        g[short, 2:] = overshoot(ys[short], xs[short], ladder[short, 2:])
     reached = g >= 0.0
     missed = np.flatnonzero(~reached.any(axis=1))
     if missed.size:
@@ -160,8 +168,10 @@ def _momenta(
     # the uncontrolled flow already reaches x: caller classified wrongly
     flow = k == 0
     rows = np.arange(xs.size)
-    lo, hi = ladder[rows, k - 1], ladder[rows, k]
-    g_lo, g_hi = g[rows, k - 1], g[rows, k]
+    # a flow lane reads rung 0 alone (lo = hi = 0) and keeps m = 0
+    below = np.maximum(k - 1, 0)
+    lo, hi = ladder[rows, below], ladder[rows, k]
+    g_lo, g_hi = g[rows, below], g[rows, k]
     with np.errstate(invalid="ignore", divide="ignore"):
         m = lo + (hi - lo) * (-g_lo) / (g_hi - g_lo)
     m = np.where(np.isfinite(m) & (m > lo) & (m < hi), m, 0.5 * (lo + hi))
@@ -298,11 +308,10 @@ def solve_shooting(
     spec: DriftSpec,
     x: float,
     y: float,
-    t: float = 0.0,
     n_steps: int = 500,
 ) -> ClassicalSolution:
-    """Classical cost and derivatives at (x, y, t) via the momentum system."""
-    return solve_shooting_many(spec, x, y, t, n_steps)[0]
+    """Classical cost and derivatives at (x, y, 0) via the momentum system."""
+    return solve_shooting_many(spec, x, y, n_steps=n_steps)[0]
 
 
 def variational_system(

@@ -8,6 +8,7 @@ import pytest
 
 import oracles as orc
 from tailcost import action as act
+from tailcost import cli
 from tailcost import drifts
 
 
@@ -102,7 +103,7 @@ def test_shooting_boundary_point_is_free() -> None:
 
 def test_shooting_rejects_bad_start_time() -> None:
     with pytest.raises(ValueError):
-        act.solve_shooting(drifts.zero_drift(), 0.0, -1.0, t=1.0)
+        act.solve_shooting_many(drifts.zero_drift(), 0.0, -1.0, t=1.0)[0]
 
 
 # ------------------------------------------------------- batched shooting
@@ -184,6 +185,62 @@ def test_shooting_many_names_the_lane_it_cannot_bracket() -> None:
     assert far.binding and far.diagnostics["terminal_mismatch"] <= 1e-9
     with pytest.raises(act.ShootingError, match=r"x=0\.0, y=-0\.001, t=0\.0"):
         act.solve_shooting_many(downdraft, [0.0, 0.0], [-3e4, -1e-3])
+
+
+def _record_sweeps(monkeypatch) -> list[tuple[int, int]]:
+    """Patch shoot_terminal to log (lanes, n_steps) of every sweep."""
+    sweeps = []
+    shoot = act.shoot_terminal
+
+    def recording(spec, y0, t, p0, n_steps=500, nodes=None):
+        r = shoot(spec, y0, t, p0, n_steps, nodes)
+        sweeps.append((r.size, n_steps))
+        return r
+
+    monkeypatch.setattr(act, "shoot_terminal", recording)
+    return sweeps
+
+
+def test_shooting_many_stage_two_lanes_solve_as_if_alone(monkeypatch) -> None:
+    # (0, -1) first reaches x on rung 3 of the ladder, past the two rungs
+    # every lane sweeps; (0.5, -0.1) reaches it on rung 1
+    spec = drifts.linear_drift(2.0)
+    pairs = ((0.0, -1.0), (0.5, -0.1))
+    singles = [act.solve_shooting(spec, x, y) for x, y in pairs]
+    sweeps = _record_sweeps(monkeypatch)
+    batch = act.solve_shooting_many(spec, *zip(*pairs))
+    # two lanes on rungs 0-1, then the short lane alone on rungs 2-22
+    assert sweeps[:2] == [(4, 500), (21, 500)]
+    for got, ref in zip(batch, singles):
+        assert got.binding
+        for name in ("q_value", "dq_dy", "dq_dx"):
+            assert getattr(got, name) == getattr(ref, name), name
+        assert np.array_equal(got.path.y, ref.path.y)
+        assert np.array_equal(got.momentum_p, ref.momentum_p)
+    assert batch[0].q_value == pytest.approx(orc.classical_cost(-1.0, 0.0, A=2.0), rel=1e-8)
+
+
+def test_momenta_leaves_a_flow_lane_at_zero() -> None:
+    # a lane the caller should have called free reaches x on rung 0; it
+    # brackets on that rung alone and keeps m = 0 beside a binding lane
+    spec = drifts.linear_drift(2.0)
+    free_y = float(drifts.characteristic_F(spec, 0.0, 0.0)) + 0.5
+    m = act._momenta(spec, np.array([0.0, 0.0]), np.array([free_y, -1.0]), 0.0, 500)
+    (alone,) = act._momenta(spec, np.array([0.0]), np.array([-1.0]), 0.0, 500)
+    assert m[0] == 0.0
+    assert m[1] == alone
+
+
+def test_classical_grid_sweeps_two_rungs_per_lane(monkeypatch) -> None:
+    # a work count, not a timing: every lane of the sin grid reaches x on
+    # rung 1, so the ladder sweep holds 25 x 2 lanes and nothing sweeps
+    # the other 21 rungs (one 23-rung sweep made it 375,000 lane-steps)
+    sweeps = _record_sweeps(monkeypatch)
+    xs, ys = zip(*((dx, -1.0 + dy) for dx in cli._CLASSICAL_DX for dy in cli._CLASSICAL_DY))
+    act.solve_shooting_many(drifts.sin_drift(), xs, ys)
+    assert sweeps[0] == (50, 500)
+    assert len(sweeps) == 5
+    assert sum(lanes * n_steps for lanes, n_steps in sweeps) == 112_500
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 501])
@@ -270,7 +327,7 @@ def test_first_derivatives_match_finite_differences() -> None:
         act.solve_shooting(spec, h, -1.0).q_value
         - act.solve_shooting(spec, -h, -1.0).q_value
     ) / (2.0 * h)
-    fd_t = (act.solve_shooting(spec, 0.0, -1.0, t=h).q_value - sol.q_value) / h
+    fd_t = (act.solve_shooting_many(spec, 0.0, -1.0, t=h)[0].q_value - sol.q_value) / h
     assert fd_y == pytest.approx(sol.dq_dy, abs=1e-5)
     assert fd_x == pytest.approx(sol.dq_dx, abs=1e-5)
     assert fd_t == pytest.approx(sol.dq_dt, abs=1e-4)  # one-sided step
@@ -378,7 +435,7 @@ def _overflowing_solution() -> tuple[act.ClassicalSolution, drifts.DriftSpec]:
      drifts.ConfigError, r"x=0\.0, y=nan"),
     (lambda: act.minimize_direct(drifts.logcosh_drift(), -math.inf, -1.0),
      drifts.ConfigError, r"x=-inf, y=-1\.0"),
-    (lambda: act.solve_shooting(drifts.logcosh_drift(), 0.0, -1.0, t=-math.inf),
+    (lambda: act.solve_shooting_many(drifts.logcosh_drift(), 0.0, -1.0, t=-math.inf)[0],
      drifts.ConfigError, "finite t"),
     (lambda: act.minimize_direct(drifts.logcosh_drift(), 0.0, -1.0, t=-math.inf),
      drifts.ConfigError, "t=-inf"),
