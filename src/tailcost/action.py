@@ -118,14 +118,17 @@ def shoot_terminal(
     written into them.  Large trial momenta can blow a lane up; it comes
     back NaN, which callers treat as overshoot.
     """
-    p = np.array(p0, dtype=float)
-    y = np.array(np.broadcast_to(np.asarray(y0, dtype=float), p.shape))
+    p = np.asarray(p0, dtype=float)
     b, b_y = spec.b, spec.db_dy
 
-    def rhs(yv, pv, s):
-        return np.asarray(b(yv, s)) - pv, -np.asarray(b_y(yv, s)) * pv
+    def rhs(state, s, slope):
+        (yv, pv), (ky, kp) = state, slope
+        np.subtract(b(yv, s), pv, out=ky)
+        np.negative(b_y(yv, s), out=kp)
+        kp *= pv
 
-    return _rk4(rhs, y, p, np.linspace(t, spec.horizon_T, n_steps + 1), nodes)[0]
+    z0 = (np.broadcast_to(np.asarray(y0, dtype=float), p.shape), p)
+    return _rk4(rhs, z0, np.linspace(t, spec.horizon_T, n_steps + 1), nodes)[0]
 
 
 def _momenta(
@@ -304,14 +307,9 @@ def _solution(
     )
 
 
-def solve_shooting(
-    spec: DriftSpec,
-    x: float,
-    y: float,
-    n_steps: int = 500,
-) -> ClassicalSolution:
+def solve_shooting(spec: DriftSpec, x: float, y: float) -> ClassicalSolution:
     """Classical cost and derivatives at (x, y, 0) via the momentum system."""
-    return solve_shooting_many(spec, x, y, n_steps=n_steps)[0]
+    return solve_shooting_many(spec, x, y)[0]
 
 
 def variational_system(
@@ -340,15 +338,17 @@ def variational_system(
     v = (np.asarray(spec.d2b_dy2(y_k, s_k), dtype=float) * p_k).tolist()
     t0 = times[0]
 
-    def rhs(phi, psi, s):
+    def rhs(state, s, slope):
+        (phi, psi), (kphi, kpsi) = state, slope
         k = round((s - t0) / (0.5 * h))  # s falls on a node or a midpoint
-        return a[k] * phi - psi, -a[k] * psi - v[k] * phi
+        kphi[...] = a[k] * phi - psi
+        kpsi[...] = -a[k] * psi - v[k] * phi
 
     phi, psi = np.empty(times.size), np.empty(times.size)
     if tag == "terminal":
-        _rk4(rhs, 0.0, 1.0, times[::-1], nodes=(phi[::-1], psi[::-1]))
+        _rk4(rhs, (0.0, 1.0), times[::-1], nodes=(phi[::-1], psi[::-1]))
     else:
-        _rk4(rhs, 0.0, 1.0, times, nodes=(phi, psi))
+        _rk4(rhs, (0.0, 1.0), times, nodes=(phi, psi))
     return VariationalSystem(phi=phi, psi=psi, tag=tag)
 
 

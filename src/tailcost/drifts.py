@@ -183,31 +183,60 @@ def drift_by_name(kind: str, **params) -> DriftSpec:
     return factory(**params)
 
 
-def _rk4(f: Callable, y, p, times: np.ndarray, nodes: tuple | None = None) -> tuple:
-    """Classical RK4 for the pair (y, p)' = f(y, p, s) on equally spaced times.
+def _rk4(f: Callable, z0, times: np.ndarray, nodes: tuple | None = None) -> np.ndarray:
+    """Classical RK4 for z' = f(z, s) on equally spaced times; returns z at times[-1].
 
-    The one fixed-step integrator of the classical layer.  times may run
+    The one fixed-step integrator of the classical layer.  The state z0
+    has shape (components, *lanes) and is copied once; the march then
+    updates the copy in place.  f(state, s, slope) gets tuples of the
+    components' views and writes dz/ds at (state, s) into slope; the
+    views and the step's buffers are made once per call.  times may run
     forward or backward; the step is h = (times[-1] - times[0]) / n.
-    When nodes = (ys, ps) is given, the state at times[i] is written into
-    ys[i] and ps[i].  Overflow is silenced: a lane that blows up comes
-    back non-finite, for the caller to refuse or to read as overshoot.
+    When nodes holds one array per component, the state at times[i] is
+    written into nodes[c][i].  Overflow is silenced: a lane that blows
+    up comes back non-finite, for the caller to refuse or to read as
+    overshoot.
     """
     n = times.size - 1
     h = (times[-1] - times[0]) / n
+    half, sixth = 0.5 * h, h / 6.0
+    z = np.array(z0, dtype=float)
+    k1, k2, k3, k4, stage, acc = (np.empty_like(z) for _ in range(6))
+
+    def views(u: np.ndarray) -> tuple:
+        return tuple(u[c, ...] for c in range(len(u)))
+
+    state, at_stage = views(z), views(stage)
+    v1, v2, v3, v4 = (views(k) for k in (k1, k2, k3, k4))
     if nodes is not None:
-        nodes[0][0], nodes[1][0] = y, p
+        for node, zc in zip(nodes, state):
+            node[0] = zc
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
             s = times[i]
-            k1y, k1p = f(y, p, s)
-            k2y, k2p = f(y + 0.5 * h * k1y, p + 0.5 * h * k1p, s + 0.5 * h)
-            k3y, k3p = f(y + 0.5 * h * k2y, p + 0.5 * h * k2p, s + 0.5 * h)
-            k4y, k4p = f(y + h * k3y, p + h * k3p, s + h)
-            y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+            f(state, s, v1)
+            # stages z + (h/2) k1, z + (h/2) k2, z + h k3
+            np.multiply(k1, half, out=stage)
+            np.add(z, stage, out=stage)
+            f(at_stage, s + half, v2)
+            np.multiply(k2, half, out=stage)
+            np.add(z, stage, out=stage)
+            f(at_stage, s + half, v3)
+            np.multiply(k3, h, out=stage)
+            np.add(z, stage, out=stage)
+            f(at_stage, s + h, v4)
+            # z + (h/6) (((k1 + 2 k2) + 2 k3) + k4)
+            np.multiply(k2, 2.0, out=acc)
+            acc += k1
+            np.multiply(k3, 2.0, out=stage)
+            acc += stage
+            acc += k4
+            acc *= sixth
+            z += acc
             if nodes is not None:
-                nodes[0][i + 1], nodes[1][i + 1] = y, p
-    return y, p
+                for node, zc in zip(nodes, state):
+                    node[i + 1] = zc
+    return z
 
 
 def characteristic_F(spec: DriftSpec, x: float | np.ndarray, t: float) -> float | np.ndarray:
@@ -221,8 +250,11 @@ def characteristic_F(spec: DriftSpec, x: float | np.ndarray, t: float) -> float 
     T = spec.horizon_T
     if not t < T:
         raise ConfigError(f"need t < T, got t={t}, T={T}")
-    y, _ = _rk4(lambda y, p, s: (spec.b(y, s), 0.0), np.array(x, dtype=float), 0.0,
-                np.linspace(T, t, 501))
+
+    def rhs(state, s, slope):
+        slope[0][...] = spec.b(state[0], s)
+
+    y = _rk4(rhs, (np.asarray(x, dtype=float),), np.linspace(T, t, 501))[0]
     if not np.all(np.isfinite(y)):
         bad = np.asarray(x, dtype=float)[~np.isfinite(y)]
         raise DriftError(f"characteristic diverged for drift {spec.name} at x={bad}, t={t}")

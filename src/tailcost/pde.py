@@ -481,10 +481,18 @@ def costfield_blocks(heat: HeatField, y_stride: int):
 
     The levels are transformed one at a time, so memory stays at a few rows
     beyond them; dq_dx is NaN: one solve has no threshold derivative (see
-    fan_cost_rows).
+    fan_cost_rows).  A fan's field has no one cost table and raises
+    ValueError.
     """
+    if heat.u.ndim != np.ndim(heat.levels) + 1:
+        raise ValueError(f"costfield_blocks exports one threshold, got a fan: u of shape "
+                         f"{heat.u.shape} for levels of shape {np.shape(heat.levels)}")
     t_nodes, y = heat.grid.t_nodes(), heat.grid.y_nodes()[::y_stride].tolist()
-    for k, u in zip(np.atleast_1d(heat.levels), heat.u.reshape(-1, heat.grid.n_y)):
-        q, dq_dy, _ = _cost_rows(u, heat.epsilon, heat.grid.h_y)
-        yield tables.Block((float(t_nodes[k]), y, u[::y_stride].tolist(),
-                            q[::y_stride].tolist(), dq_dy[::y_stride].tolist(), math.nan))
+
+    def blocks():
+        for k, u in zip(np.atleast_1d(heat.levels), heat.u.reshape(-1, heat.grid.n_y)):
+            q, dq_dy, _ = _cost_rows(u, heat.epsilon, heat.grid.h_y)
+            yield tables.Block((float(t_nodes[k]), y, u[::y_stride].tolist(),
+                                q[::y_stride].tolist(), dq_dy[::y_stride].tolist(), math.nan))
+
+    return blocks()

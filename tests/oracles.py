@@ -282,3 +282,57 @@ def integral_slopes(times, p, b_y) -> dict:
         "dq_dx_flow": float(w[0]) * math.exp(-_simpson(b_y, h)),
         "slope_sum": -_simpson(b_y * w, h),
     }
+
+
+def rk4_nodes(f, z0, times) -> list[list[float]]:
+    """Classical RK4 for z' = f(z, s) on one lane in Python floats: the state at every node.
+
+    times are equally spaced, forward or backward, with the step
+    h = (times[-1] - times[0]) / n; each step is the textbook formula
+    z + (h/6) (k1 + 2 k2 + 2 k3 + k4) with stages at z + (h/2) k1,
+    z + (h/2) k2 and z + h k3.  f(z, s) returns the slope as a list.
+    """
+    times = [float(s) for s in times]
+    h = (times[-1] - times[0]) / (len(times) - 1)
+    z = [float(c) for c in z0]
+    nodes = [z]
+    for s in times[:-1]:
+        k1 = f(z, s)
+        k2 = f([c + 0.5 * h * k for c, k in zip(z, k1)], s + 0.5 * h)
+        k3 = f([c + 0.5 * h * k for c, k in zip(z, k2)], s + 0.5 * h)
+        k4 = f([c + h * k for c, k in zip(z, k3)], s + h)
+        z = [c + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+             for c, a1, a2, a3, a4 in zip(z, k1, k2, k3, k4)]
+        nodes.append(z)
+    return nodes
+
+
+def momentum_rhs(b, b_y):
+    """The momentum system y' = b(y, s) - p, p' = -b_y(y, s) p on one lane."""
+    def f(z, s):
+        y, p = z
+        return [float(b(y, s)) - p, -float(b_y(y, s)) * p]
+    return f
+
+
+def variation_rhs(b_y, b_yy, times, ys, ps):
+    """The second variation phi' = b_y phi - psi, psi' = -b_y psi - b_yy p phi
+    along the stored path (times, ys, ps) with momenta ps.
+
+    The coefficients are read at the path's nodes and, for a stage that
+    falls between two nodes, at the average of their y and p and the
+    midpoint time.
+    """
+    times, ys, ps = ([float(u) for u in v] for v in (times, ys, ps))
+    t0, h = times[0], times[1] - times[0]
+
+    def f(z, s):
+        j, odd = divmod(round((s - t0) / (0.5 * h)), 2)
+        if odd:
+            y, p, s_c = 0.5 * (ys[j] + ys[j + 1]), 0.5 * (ps[j] + ps[j + 1]), times[j] + 0.5 * h
+        else:
+            y, p, s_c = ys[j], ps[j], times[j]
+        a, v = float(b_y(y, s_c)), float(b_yy(y, s_c)) * p
+        phi, psi = z
+        return [a * phi - psi, -a * psi - v * phi]
+    return f

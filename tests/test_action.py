@@ -137,13 +137,13 @@ def _assert_same_solutions(batch, singles) -> None:
 @pytest.mark.parametrize("spec", _BATCH_DRIFTS, ids=lambda s: s.name)
 def test_shooting_many_matches_one_point_solves(spec: drifts.DriftSpec) -> None:
     xs, ys = (list(v) for v in zip(*_GRID))
-    singles = [act.solve_shooting(spec, x, y, n_steps=_STEPS) for x, y in _GRID]
+    singles = [act.solve_shooting_many(spec, x, y, n_steps=_STEPS)[0] for x, y in _GRID]
     assert all(sol.binding for sol in singles)
     _assert_same_solutions(act.solve_shooting_many(spec, xs, ys, n_steps=_STEPS), singles)
 
     # free lanes above the boundary, interleaved with the binding ones
     free = [(x, float(drifts.characteristic_F(spec, x, 0.0)) + 0.5) for x in (-0.5, 0.2)]
-    free_sols = [act.solve_shooting(spec, x, y, n_steps=_STEPS) for x, y in free]
+    free_sols = [act.solve_shooting_many(spec, x, y, n_steps=_STEPS)[0] for x, y in free]
     assert not any(sol.binding for sol in free_sols)
     mixed = [free[0], *_GRID[:12], free[1], *_GRID[12:]]
     mixed_refs = [free_sols[0], *singles[:12], free_sols[1], *singles[12:]]
@@ -283,6 +283,50 @@ def test_characteristic_and_shooting_invert_each_other(spec: drifts.DriftSpec) -
     for t in (0.0, 0.4):
         lands = act.shoot_terminal(spec, drifts.characteristic_F(spec, xs, t), t, np.zeros(3))
         assert np.max(np.abs(lands - xs)) <= 1e-12, (spec.name, t)
+
+
+def _bits(u) -> np.ndarray:
+    return np.asarray(u, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3])
+@pytest.mark.parametrize("spec", [drifts.logcosh_drift(), drifts.time_varying_linear(0.25, 0.25, 2.0)],
+                         ids=lambda s: s.name)
+def test_rk4_kernel_matches_a_library_free_rk4_bit_for_bit(spec: drifts.DriftSpec, t: float) -> None:
+    # every lane is finite: a blown-up lane's NaN bits are not the point here
+    xs = np.array([-0.5, 0.0, 0.4, 0.0, -0.5])
+    ys = np.array([-1.5, -1.0, -0.3, 1.5, 2.0])
+    sols = act.solve_shooting_many(spec, xs, ys, t=t)
+    assert [sol.binding for sol in sols] == [True, True, True, False, False]
+    # the solved momenta and one trial momentum per start
+    y0 = np.concatenate((ys, ys))
+    p0 = np.concatenate(([sol.dq_dy for sol in sols], -0.75 * np.ones(ys.size)))
+    n = 500
+    node_y, node_p = np.empty((n + 1, y0.size)), np.empty((n + 1, y0.size))
+    term = act.shoot_terminal(spec, y0, t, p0, n, nodes=(node_y, node_p))
+    times = np.linspace(t, spec.horizon_T, n + 1)
+    momentum = orc.momentum_rhs(spec.b, spec.db_dy)
+    for i, (y, p) in enumerate(zip(y0, p0)):
+        ref = np.array(orc.rk4_nodes(momentum, (y, p), times))
+        assert np.isfinite(ref).all()
+        assert np.array_equal(_bits(node_y[:, i]), _bits(ref[:, 0])), i
+        assert np.array_equal(_bits(node_p[:, i]), _bits(ref[:, 1])), i
+        assert _bits(term[i]) == _bits(ref[-1, 0]), i
+
+    def flow(z, s):
+        return [float(spec.b(z[0], s))]
+
+    back = [orc.rk4_nodes(flow, (x,), np.linspace(spec.horizon_T, t, 501))[-1][0] for x in xs]
+    assert np.array_equal(_bits(drifts.characteristic_F(spec, xs, t)), _bits(back))
+
+    for sol in sols[:3]:
+        variation = orc.variation_rhs(spec.db_dy, spec.d2b_dy2, times, sol.path.y, sol.momentum_p)
+        # phi = 0, psi = 1 at T ("terminal", run backward) or at t ("initial")
+        for tag, run in (("terminal", slice(None, None, -1)), ("initial", slice(None))):
+            got = act.variational_system(sol, spec, tag)
+            ref = np.array(orc.rk4_nodes(variation, (0.0, 1.0), times[run]))[run]
+            assert np.array_equal(_bits(got.phi), _bits(ref[:, 0])), tag
+            assert np.array_equal(_bits(got.psi), _bits(ref[:, 1])), tag
 
 
 def test_conservation_on_the_criterion_grid() -> None:

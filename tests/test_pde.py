@@ -621,6 +621,19 @@ def test_costfield_rows_match_full_transform_bit_for_bit() -> None:
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("rows", [slice(None, None, 200), 0], ids=["levels", "int-row"])
+def test_costfield_blocks_refuses_a_fan(rows) -> None:
+    # a fan's members would otherwise pass as extra levels or be dropped
+    spec = drifts.zero_drift()
+    grid = _grid(spec, n=401, extra=0.5)
+    fan = pde.solve_u(spec, [-0.25, 0.0, 0.25], grid, EPS, rows=rows)
+    assert fan.u.shape[0] == 3
+    with pytest.raises(ValueError, match="fan"):
+        pde.costfield_blocks(fan, 100)
+    single = pde.solve_u(spec, 0.0, grid, EPS, rows=rows)
+    assert len(list(pde.costfield_blocks(single, 100))) == np.size(single.levels)
+
+
 def test_costfield_rows_memory_stays_at_a_few_rows() -> None:
     grid = pde.Grid1D(-4.0, 4.0, 2001, 0.0, 1.0, 2001)
     u = np.tile(np.exp(-np.linspace(800.0, 0.0, grid.n_y)), (grid.n_t, 1))
