@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._scipy import dpttrf, dpttrs
 from .drifts import ConfigError, DriftSpec, _rk4, characteristic_F
 
 REGION_TOL = 1e-9  # scaled by (1 + |x|) when classifying y against F(x, t)

@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._scipy import ndtr
 from .drifts import ConfigError, DriftSpec, LinearDriftStats, _trapz, linear_stats
 from .pde import Grid1D, _cn_march, required_half_width
 

@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from . import action, bridge, pde, simulate, tables
+from ._scipy import log_ndtr, ndtr
 from .drifts import (
     ConfigError,
     DriftSpec,

@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from . import tables
+from ._scipy import dgtsv, dgttrf, dgttrs
 from .drifts import DriftSpec, _trapz
 
 U_FLOOR = 1e-300  # below this, q = -eps log u is flagged, never clamped
@@ -310,7 +310,10 @@ def solve_u(
     nodes = np.vectorize(grid.nearest_node, otypes=[int])(x_threshold)
 
     levels = np.arange(grid.n_t)[rows]
-    kept = np.unique(levels)
+    # the sorted distinct levels; np.unique would load numpy.ma
+    is_kept = np.zeros(grid.n_t, dtype=bool)
+    is_kept[levels] = True
+    kept = np.flatnonzero(is_kept)
     held = np.empty((*nodes.shape, kept.size, grid.n_y))
     keeps = dict(zip(kept.tolist(), np.moveaxis(held, -2, 0)))  # kept level -> its row of held
     # running rows of the contracts, seeded with their bounds (0 <= u <= 1,

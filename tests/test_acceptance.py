@@ -87,16 +87,17 @@ def test_criterion_02_shooting_and_direct_minimization_agree() -> None:
         zero_drift(), linear_drift(0.5), time_varying_linear(0.3, 0.2, 3.0),
         logcosh_drift(), sin_drift(),
     )
+    # one batch per drift; each lane is its one-point solve bit for bit
+    points = [(dxo, -1.0 + dyo) for dxo in (-0.5, -0.25, 0.0, 0.25, 0.5)
+              for dyo in (-1.0, -0.75, -0.5, -0.25, 0.0)]
+    xs, ys = zip(*points)
     for spec in drifts:
-        for dxo in (-0.5, -0.25, 0.0, 0.25, 0.5):
-            for dyo in (-1.0, -0.75, -0.5, -0.25, 0.0):
-                x, y = dxo, -1.0 + dyo
-                sol = action.solve_shooting(spec, x, y)
-                q_direct, _ = action.minimize_direct(spec, x, y)
-                gap = abs(sol.q_value - q_direct)
-                assert gap <= 1e-4, f"{spec.name} at ({x}, {y}): route gap {gap:.2e}"
-                cons = sol.diagnostics["conservation"]
-                assert cons <= 1e-6, f"{spec.name} at ({x}, {y}): conservation {cons:.2e}"
+        for (x, y), sol in zip(points, action.solve_shooting_many(spec, xs, ys)):
+            q_direct, _ = action.minimize_direct(spec, x, y)
+            gap = abs(sol.q_value - q_direct)
+            assert gap <= 1e-4, f"{spec.name} at ({x}, {y}): route gap {gap:.2e}"
+            cons = sol.diagnostics["conservation"]
+            assert cons <= 1e-6, f"{spec.name} at ({x}, {y}): conservation {cons:.2e}"
 
 
 def test_criterion_03_vanishing_noise_rate() -> None:
@@ -153,7 +154,12 @@ def test_criterion_05_sampling_representations_match_field() -> None:
     }
     refs["slope_sum"] = refs["slope_y"] + refs["slope_x"]
     config = simulate.SimConfig(n_paths=100_000, dt=1e-3, seed=SEED)
-    ensemble = _steer(spec, controller, y0, config)
+    half = replace(config, terminal_cutoff=0.5)
+    # two legs of one march; each is its one-leg run bit for bit
+    ensemble, free_tail = simulate.simulate_legs(spec, [
+        simulate.Leg(controller, y0, 0.0, EPS, config),
+        simulate.Leg(controller, 0.0, 0.0, EPS, half),
+    ])
     budget = 0.5 * math.sqrt(EPS)
     estimates = {"q": simulate.representation_q(ensemble)}
     estimates.update(simulate.representation_dq(ensemble))
@@ -162,10 +168,6 @@ def test_criterion_05_sampling_representations_match_field() -> None:
         tol = 3.0 * est.std_error + budget
         assert gap <= tol, f"{name}: gap {gap:.4f} over budget {tol:.4f}"
 
-    half = simulate.SimConfig(
-        n_paths=100_000, dt=1e-3, seed=SEED, terminal_cutoff=0.5,
-    )
-    free_tail = _steer(spec, controller, 0.0, half)
     w = np.exp(free_tail.log_girsanov_weight[free_tail.kept])
     mean_w = float(np.mean(w))
     se = float(np.std(w, ddof=1) / math.sqrt(w.size))

@@ -248,6 +248,28 @@ def test_cli_import_leaves_scipy_integrate_and_optimize_out() -> None:
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_and_a_solve_leave_the_heavy_modules_out() -> None:
+    # the compiled routines come without the scipy.linalg and scipy.special
+    # packages, whose array-API layer loads numpy.f2py and numpy.testing; a
+    # solve then loads no numpy.ma
+    script = (
+        "import sys, tailcost.cli\n"
+        "heavy = ('scipy.linalg', 'scipy.special', 'numpy.f2py', 'numpy.testing')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "from tailcost import drifts, pde\n"
+        "spec = drifts.zero_drift()\n"
+        "grid = pde.default_grid(spec, 0.0, 0.2, n_y=201, n_t=21)\n"
+        "pde.solve_u(spec, 0.0, grid, 0.2, rows=[3, 0, 3])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "False"]
+
+
 def _count_marches(monkeypatch: pytest.MonkeyPatch) -> list:
     calls = []
     march = bridge._cn_march

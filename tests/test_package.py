@@ -1,5 +1,6 @@
 """Package-wide layout: one Euler-Maruyama loop, a public surface that resolves,
-and no test-only knob among the battery's parameters."""
+no test-only knob among the battery's parameters, and one source of compiled
+scipy code."""
 
 from __future__ import annotations
 
@@ -64,3 +65,48 @@ def test_every_check_default_is_set_by_the_package() -> None:
         f"{name}({arg})" for name, (_, named) in defaults.items() for arg in named - passed[name]
     )
     assert unset == []
+
+
+def test_compiled_scipy_routines_are_the_public_objects() -> None:
+    import scipy.linalg.lapack
+    import scipy.special
+
+    from tailcost import _scipy, action, bridge, checks, pde
+
+    public = {name: getattr(scipy.linalg.lapack, name)
+              for name in ("dgtsv", "dgttrf", "dgttrs", "dpttrf", "dpttrs")}
+    public.update(log_ndtr=scipy.special.log_ndtr, ndtr=scipy.special.ndtr)
+    for name, routine in public.items():
+        assert getattr(_scipy, name) is routine, name
+    used = {pde: ("dgtsv", "dgttrf", "dgttrs"), action: ("dpttrf", "dpttrs"),
+            bridge: ("ndtr",), checks: ("log_ndtr", "ndtr")}
+    for module, names in used.items():
+        for name in names:
+            assert getattr(module, name) is public[name], f"{module.__name__}.{name}"
+    # no module imports scipy by name: compiled code comes through _scipy
+    importers = []
+    for path in sorted(Path(tailcost.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            importers += [path.name for n in names if n.split(".")[0] == "scipy"]
+    assert importers == []
+
+
+def test_a_missing_extension_module_falls_back_to_the_public_names() -> None:
+    import scipy.special
+
+    from tailcost import _scipy
+
+    assert _scipy._extension("scipy.special._no_such_module") is None
+    assert _scipy._routines(
+        "scipy.special._no_such_module", "scipy.special", ("log_ndtr", "ndtr")
+    ) == [scipy.special.log_ndtr, scipy.special.ndtr]
+    # the module is there but lacks one of the routines asked for
+    assert _scipy._routines(
+        "scipy.special._special_ufuncs", "scipy.special", ("ndtr", "logsumexp")
+    ) == [scipy.special.ndtr, scipy.special.logsumexp]
