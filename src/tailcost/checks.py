@@ -14,8 +14,9 @@ values and structural gates instead of asserting magic numbers.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,12 +75,6 @@ def _is_driftless(spec: DriftSpec) -> bool:
     probe_y = (-2.0, -0.5, 0.0, 1.5)
     probe_t = (0.0, 0.5 * spec.horizon_T)
     return all(spec.b(y, t) == 0.0 for y in probe_y for t in probe_t)
-
-
-def driftless_cost(x: float, y: float, epsilon: float, tau: float) -> float:
-    """Closed-form cost for b identically zero over a window of length tau."""
-    z = (y - x) / math.sqrt(epsilon * tau)
-    return float(-epsilon * log_ndtr(z))
 
 
 # ------------------------------------------------------------ cdf inequality
@@ -267,75 +262,106 @@ def check_gradient_bounds(spec: DriftSpec) -> VerificationReport:
     )
 
 
-# ---------------------------------------------------------------- rate fit
+# ------------------------------------------------------ zero-noise limits
 
 MONO_SLACK = 0.05  # relative rise a decreasing gap sequence may take per step
 RATE_SLOPE_GATE = 0.45  # smallest fitted exponent of the cost gap in eps
 RATE_ANCHOR_TOL = 1e-3  # driftless eps = 0.1 gap against its closed form
+DERIV_GAP_GATE = 0.05  # largest final gap of either slope
+DERIV_ENVELOPE_GATE = 0.2  # smallest fitted exponent of the vanishing slopes
 
 
-def _monotone(seq: list[float]) -> bool:
+def _monotone(seq: tuple[float, ...]) -> bool:
     """Each entry at most (1 + MONO_SLACK) times the one before."""
     return all(b <= a * (1.0 + MONO_SLACK) for a, b in zip(seq, seq[1:]))
 
 
-def check_rate_zero_noise(
-    spec: DriftSpec,
-    probe: tuple[float, float, float] = (0.0, -1.0, 0.0),
-    eps_list: tuple[float, ...] = (0.4, 0.2, 0.1, 0.05, 0.025),
-    n_y: int = 2001,
-    n_t: int = 2001,
-) -> VerificationReport:
-    """Cost gap |q_eps - q| shrinking like a power of eps at one probe.
+@dataclass(frozen=True)
+class LimitSweep:
+    """Lattice gaps to the classical limits at a probe node, one entry per eps, largest first.
+
+    above_magnitude is |dq/dy| + |dq/dx| 0.4 above the free boundary, where both limits vanish.
+    """
+
+    spec: DriftSpec
+    probe: tuple[float, float, float]
+    boundary: float
+    eps: tuple[float, ...]
+    gap: tuple[float, ...]
+    gap_dq_dy: tuple[float, ...]
+    gap_dq_dx: tuple[float, ...]
+    above_magnitude: tuple[float, ...]
+
+
+def limit_sweep(
+    spec: DriftSpec, probe: tuple[float, float, float], eps_list: tuple[float, ...]
+) -> LimitSweep:
+    """One fan of thresholds x - 0.02, x, x + 0.02 per eps, read at the probe.
+
+    Each distinct eps gets the 2001 x 1201 fan lattice, widened (never
+    narrowed: the domain rule holds) until h_y divides |y - x|, so the probe
+    is a node.  Raises ConfigError before the first march for a ladder not
+    of four or more positive eps spanning a factor of eight, a probe time
+    not before the horizon, or a probe off the lattice or a spacing from x.
+    """
+    eps_arr = tuple(sorted(set(float(e) for e in eps_list), reverse=True))
+    if len(eps_arr) < 4 or eps_arr[-1] <= 0.0 or eps_arr[0] / eps_arr[-1] < 8.0:
+        raise ConfigError("need four or more distinct positive eps spanning a factor of eight")
+    x, y, t = probe
+    if not t < spec.horizon_T:
+        raise ConfigError("probe time must be before the horizon")
+    d = abs(y - x)
+    grids = []
+    for eps in eps_arr:
+        grid = pde._fan_grid(spec, x, eps, 2001, 1201, t_start=t)
+        n = grid.n_y // 2
+        k = int(d * n / (grid.y_max - x))  # whole spacings from x to y
+        if k >= n or (k == 0 and d > 0.0):
+            raise ConfigError(f"probe y={y} is off the lattice or within a spacing of x={x}")
+        grids.append(replace(grid, y_min=x - d * n / k, y_max=x + d * n / k) if k else grid)
+    boundary = float(characteristic_F(spec, x, t))
+    (sol,) = action.solve_shooting_many(spec, x, y, t)
+
+    rungs = []
+    for eps, grid in zip(eps_arr, grids):
+        _, q, dq_dy, dq_dx = pde.fan_cost_rows(spec, x, grid, eps, 0.02, 0)
+        iy, ia = grid.nearest_node(y), grid.nearest_node(boundary + 0.4)
+        rungs.append((abs(float(q[1, iy]) - sol.q_value), abs(float(dq_dy[iy]) - sol.dq_dy),
+                      abs(float(dq_dx[iy]) - sol.dq_dx),
+                      abs(float(dq_dy[ia])) + abs(float(dq_dx[ia]))))
+    return LimitSweep(spec, probe, boundary, eps_arr, *zip(*rungs))
+
+
+def check_rate_zero_noise(sweep: LimitSweep) -> VerificationReport:
+    """Cost gap |q_eps - q| shrinking like a power of eps at the sweep's probe.
 
     Fits log gap against log eps; the fitted slope must clear RATE_SLOPE_GATE
     and the gap sequence must decrease monotonically up to MONO_SLACK.
     For a driftless spec the eps = 0.1 gap is also compared against the
     closed form, which pins the absolute scale of both solvers.
     """
-    eps_arr = tuple(sorted(set(float(e) for e in eps_list), reverse=True))
-    if len(eps_arr) < 4:
-        raise ConfigError("need at least four distinct eps values")
-    if any(e <= 0.0 for e in eps_arr):
-        raise ConfigError("eps values must be positive")
-    if eps_arr[0] / eps_arr[-1] < 8.0:
-        raise ConfigError("eps values must span at least a factor of eight")
-    x, y, t = probe
-    if not t < spec.horizon_T:
-        raise ConfigError("probe time must be before the horizon")
-
-    q_eps, y_nodes = [], []
-    for eps in eps_arr:
-        grid = pde.default_grid(spec, x, eps, t_start=t, n_y=n_y, n_t=n_t)
-        iy = grid.nearest_node(y)
-        y_nodes.append(float(grid.y_nodes()[iy]))
-        q_start = pde._cost_rows(pde.solve_u(spec, x, grid, eps, rows=0).u, eps, grid.h_y)[0]
-        q_eps.append(float(q_start[iy]))
-    classical = action.solve_shooting_many(spec, x, y_nodes, t)
-    gaps = [abs(q - sol.q_value) for q, sol in zip(q_eps, classical)]
-    y_eff = y_nodes[-1]
-
-    slope, _, r2 = bridge.fit_line(np.log(np.array(eps_arr)), np.log(np.array(gaps)))
-    monotone = _monotone(gaps)
+    spec, (x, y, t) = sweep.spec, sweep.probe
+    slope, _, r2 = bridge.fit_line(np.log(sweep.eps), np.log(sweep.gap))
+    monotone = _monotone(sweep.gap)
     anchor_err = None
     if _is_driftless(spec):
         span = spec.horizon_T - t
-        for eps, gap in zip(eps_arr, gaps):
-            if math.isclose(eps, 0.1):
-                exact = driftless_cost(x, y_eff, eps, span) - (x - y_eff) ** 2 / (2.0 * span)
-                anchor_err = abs(gap - exact)
+        for eps, gap in zip(sweep.eps, sweep.gap):
+            if math.isclose(eps, 0.1):  # the closed form -eps log N((y - x) / sqrt(eps span))
+                exact = -eps * float(log_ndtr((y - x) / math.sqrt(eps * span)))
+                anchor_err = abs(gap - (exact - max(x - y, 0.0) ** 2 / (2.0 * span)))
     anchored = anchor_err is None or anchor_err <= RATE_ANCHOR_TOL
     ok = slope >= RATE_SLOPE_GATE and monotone and anchored
     return VerificationReport(
         check_name=f"rate-limit:{spec.name}",
         status=PASS if ok else FAIL,
         observed={
-            "rows": [{"eps": e, "gap": g} for e, g in zip(eps_arr, gaps)],
+            "rows": [{"eps": e, "gap": g} for e, g in zip(sweep.eps, sweep.gap)],
             "slope": slope,
             "r2": r2,
             "monotone": monotone,
             "anchor_gap_error": anchor_err,
-            "probe_y": y_eff,
+            "probe_y": float(y),
         },
         expected=f"fitted slope >= {RATE_SLOPE_GATE}, gaps monotone, "
                  "driftless point on the closed form",
@@ -344,48 +370,22 @@ def check_rate_zero_noise(
     )
 
 
-# ------------------------------------------------------- derivative limits
-
-DERIV_GAP_GATE = 0.05  # largest final gap of either slope
-DERIV_ENVELOPE_GATE = 0.2  # smallest fitted exponent of the vanishing slopes
-
-
-def check_derivative_convergence(spec: DriftSpec) -> VerificationReport:
+def check_derivative_convergence(sweep: LimitSweep) -> VerificationReport:
     """Lattice slopes converging to the classical slopes as eps shrinks.
 
-    From (x, y, t) = (0, -1, 0), below the free boundary, both slope gaps
-    must decrease along eps = 0.2, 0.1, 0.05, 0.025 and end under
+    At the sweep's probe, below the free boundary in the battery, both
+    slope gaps must decrease down the sweep's eps ladder and end under
     DERIV_GAP_GATE.  At 0.4 above the boundary the classical slopes
     vanish, so the lattice slope magnitudes are fitted against eps and the
     fitted exponent must clear DERIV_ENVELOPE_GATE.
     """
+    spec, gaps_y, gaps_x = sweep.spec, sweep.gap_dq_dy, sweep.gap_dq_dx
     if not spec.is_concave:
         raise ConfigError(f"drift {spec.name} is not concave; the slope limit needs concavity")
-    eps_arr = (0.2, 0.1, 0.05, 0.025)
-    x, y_below, t = 0.0, -1.0, 0.0
-    boundary = characteristic_F(spec, x, t)
-    y_above = boundary + 0.4
-
-    slopes_y, slopes_x, y_nodes, magnitudes = [], [], [], []
-    for eps in eps_arr:
-        grid = pde._fan_grid(spec, x, eps, 2001, 1201, t_start=t)
-        _, _, dq_dy, dq_dx = pde.fan_cost_rows(spec, x, grid, eps, 0.02, 0)
-        ib = grid.nearest_node(y_below)
-        ia = grid.nearest_node(y_above)
-        y_nodes.append(float(grid.y_nodes()[ib]))
-        slopes_y.append(float(dq_dy[ib]))
-        slopes_x.append(float(dq_dx[ib]))
-        magnitudes.append(abs(float(dq_dy[ia])) + abs(float(dq_dx[ia])))
-    classical = action.solve_shooting_many(spec, x, y_nodes, t)
-    gaps_y = [abs(s - sol.dq_dy) for s, sol in zip(slopes_y, classical)]
-    gaps_x = [abs(s - sol.dq_dx) for s, sol in zip(slopes_x, classical)]
-
-    envelope_slope, _, _ = bridge.fit_line(np.log(np.array(eps_arr)), np.log(np.array(magnitudes)))
+    envelope_slope, _, _ = bridge.fit_line(np.log(sweep.eps), np.log(sweep.above_magnitude))
     ok = (
-        _monotone(gaps_y)
-        and _monotone(gaps_x)
-        and gaps_y[-1] <= DERIV_GAP_GATE
-        and gaps_x[-1] <= DERIV_GAP_GATE
+        _monotone(gaps_y) and _monotone(gaps_x)
+        and gaps_y[-1] <= DERIV_GAP_GATE and gaps_x[-1] <= DERIV_GAP_GATE
         and envelope_slope >= DERIV_ENVELOPE_GATE
     )
     return VerificationReport(
@@ -394,12 +394,12 @@ def check_derivative_convergence(spec: DriftSpec) -> VerificationReport:
         observed={
             "rows": [
                 {"eps": e, "gap_dq_dy": gy, "gap_dq_dx": gx, "above_magnitude": m}
-                for e, gy, gx, m in zip(eps_arr, gaps_y, gaps_x, magnitudes)
+                for e, gy, gx, m in zip(sweep.eps, gaps_y, gaps_x, sweep.above_magnitude)
             ],
             "final_gap_dq_dy": gaps_y[-1],
             "final_gap_dq_dx": gaps_x[-1],
             "envelope_slope": envelope_slope,
-            "boundary": float(boundary),
+            "boundary": sweep.boundary,
         },
         expected=f"slope gaps decreasing to <= {DERIV_GAP_GATE}; "
                  f"vanishing envelope exponent >= {DERIV_ENVELOPE_GATE}",
@@ -790,7 +790,10 @@ def _is_finite_number(value: object) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by the command-line surface and the check battery."""
+    """Knobs shared by the command-line surface and the check battery.
+
+    n_y and n_t size ``solve``'s lattice and cap ``simulate``'s; the battery sizes its own.
+    """
 
     seed: int = 7
     eps_list: tuple[float, ...] = (0.4, 0.2, 0.1, 0.05, 0.025)
@@ -857,23 +860,20 @@ def _battery(config: RunConfig) -> dict:
     lin = linear_drift(0.5)
     lcosh = logcosh_drift()
     probe = (config.probe_x, config.probe_y, config.probe_t)
+    # each drift's sweep is built by the first of its views to run, once
+    sweep = functools.cache(lambda spec: limit_sweep(spec, probe, config.eps_list))
 
-    def rate_limit(spec: DriftSpec):
-        return lambda: check_rate_zero_noise(
-            spec, probe, config.eps_list, n_y=config.n_y, n_t=config.n_t
-        )
-
-    thunks = {
+    return {
         "cdf-bound": check_cdf_inequality,
         "kernel-bound:zero": lambda: check_green_bound(zero),
         "kernel-bound:logcosh": lambda: check_green_bound(lcosh),
         "slope-bound:zero": lambda: check_gradient_bounds(zero),
         "slope-bound:logcosh": lambda: check_gradient_bounds(lcosh),
-        "rate-limit:zero": rate_limit(zero),
-        "rate-limit:linear": rate_limit(lin),
-        "rate-limit:logcosh": rate_limit(lcosh),
-        "derivative-limit:zero": lambda: check_derivative_convergence(zero),
-        "derivative-limit:logcosh": lambda: check_derivative_convergence(lcosh),
+        "rate-limit:zero": lambda: check_rate_zero_noise(sweep(zero)),
+        "rate-limit:linear": lambda: check_rate_zero_noise(sweep(lin)),
+        "rate-limit:logcosh": lambda: check_rate_zero_noise(sweep(lcosh)),
+        "derivative-limit:zero": lambda: check_derivative_convergence(sweep(zero)),
+        "derivative-limit:logcosh": lambda: check_derivative_convergence(sweep(lcosh)),
         "short-time:zero": lambda: check_short_time(zero),
         "short-time:linear": lambda: check_short_time(lin),
         "convexity:zero": lambda: check_convexity_suite(zero),
@@ -887,7 +887,6 @@ def _battery(config: RunConfig) -> dict:
         ),
         "invariant:bridge-pair": _check_bridge_pair,
     }
-    return thunks
 
 
 def run_all(

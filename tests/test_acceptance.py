@@ -100,7 +100,16 @@ def test_criterion_02_shooting_and_direct_minimization_agree() -> None:
             assert cons <= 1e-6, f"{spec.name} at ({x}, {y}): conservation {cons:.2e}"
 
 
-def test_criterion_03_vanishing_noise_rate() -> None:
+@pytest.fixture(scope="module")
+def limit_sweeps() -> dict:
+    """One zero-noise sweep per drift from (0, -1, 0) down the ladder 0.4 .. 0.025."""
+    return {
+        spec.name: checks.limit_sweep(spec, (0.0, -1.0, 0.0), orc.RATE_EPS)
+        for spec in (zero_drift(), linear_drift(0.5), logcosh_drift())
+    }
+
+
+def test_criterion_03_vanishing_noise_rate(limit_sweeps: dict) -> None:
     """Cost gap shrinking in the noise with a fitted exponent over 0.45.
 
     Zero, linear, and log-cosh drifts on the ladder 0.4 .. 0.025 with
@@ -108,7 +117,7 @@ def test_criterion_03_vanishing_noise_rate() -> None:
     of the closed form.
     """
     for spec in (zero_drift(), linear_drift(0.5), logcosh_drift()):
-        rep = checks.check_rate_zero_noise(spec)
+        rep = checks.check_rate_zero_noise(limit_sweeps[spec.name])
         obs = rep.observed
         assert rep.status == "pass", f"{spec.name}: {obs}"
         assert obs["slope"] >= 0.45
@@ -119,7 +128,7 @@ def test_criterion_03_vanishing_noise_rate() -> None:
             assert abs(gap_01 - orc.GAP_ZERO_PROBE) <= 1e-3
 
 
-def test_criterion_04_derivative_limits_and_vanishing_envelope() -> None:
+def test_criterion_04_derivative_limits_and_vanishing_envelope(limit_sweeps: dict) -> None:
     """Lattice slopes reaching the classical slopes below the free boundary.
 
     Both endpoint slopes within 0.05 at eps = 0.025 for the concave
@@ -127,7 +136,7 @@ def test_criterion_04_derivative_limits_and_vanishing_envelope() -> None:
     the noise with fitted exponent at least 0.2.
     """
     for spec in (zero_drift(), logcosh_drift()):
-        rep = checks.check_derivative_convergence(spec)
+        rep = checks.check_derivative_convergence(limit_sweeps[spec.name])
         obs = rep.observed
         assert rep.status == "pass", f"{spec.name}: {obs}"
         assert obs["final_gap_dq_dy"] <= 0.05

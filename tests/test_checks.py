@@ -15,12 +15,14 @@ import math
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from scipy.stats import norm
 
 import oracles as orc
-from tailcost import checks, pde
+from tailcost import action, checks, pde
 from tailcost.drifts import (
     linear_drift, logcosh_drift, sin_drift, time_varying_linear, zero_drift,
 )
@@ -31,10 +33,10 @@ GREEN_WORST_LOGCOSH = 0.8675460927904198
 GREEN_INJECTED = 1.199705651541309
 SLOPE_WORST_ZERO = 0.944141939888905
 SLOPE_INJECTED = 1.8046266118376573
-RATE_SLOPE_ZERO = 0.8079235514321261
-RATE_ANCHOR_ERR_ZERO = 6.613054500148596e-05
-DERIV_FINAL_GAP_ZERO = 0.019469727540120108
-DERIV_ENVELOPE_ZERO = 1.9324180168442782
+RATE_SLOPE_ZERO = 0.8079248307213422
+RATE_ANCHOR_ERR_ZERO = 7.002870903649594e-05
+DERIV_FINAL_GAP_ZERO = 0.019415301020346276
+DERIV_ENVELOPE_ZERO = 1.6380775759820168
 SHORT_WINDOW_ZERO = (0.5448849029168763, 0.8068553480393104)
 DUAL_GAP_LOGCOSH = 9.153983031584545e-07
 KERNEL_MASS_DEFECT = 1.848399211468177e-11
@@ -184,10 +186,78 @@ def test_gradient_bounds_trip_under_negative_slope_allowance() -> None:
     assert rep.observed["worst_ratio"] == pytest.approx(SLOPE_INJECTED, rel=REL)
 
 
-# ----------------------------------------------------------------- rate fit
+# ------------------------------------------------------- zero-noise limits
 
-def test_rate_fit_zero_drift() -> None:
-    rep = checks.check_rate_zero_noise(zero_drift())
+PROBE = (0.0, -1.0, 0.0)  # RunConfig's default probe
+
+
+@pytest.fixture(scope="module")
+def limit_battery() -> dict:
+    """run_all(only="limit") once, counting its fan marches, classical batches and plain solves."""
+    seen = {"marches": [], "batches": [], "plain": 0, "sweeps": {}}
+    fan, shoot, solve, sweep = (
+        pde.fan_cost_rows, action.solve_shooting_many, pde.solve_u, checks.limit_sweep
+    )
+
+    def counted_fan(spec, *args, **kwargs):
+        seen["marches"].append(spec.name)
+        return fan(spec, *args, **kwargs)
+
+    def counted_shoot(spec, *args, **kwargs):
+        seen["batches"].append(spec.name)
+        return shoot(spec, *args, **kwargs)
+
+    def counted_solve(spec, x_threshold, *args, **kwargs):
+        seen["plain"] += np.ndim(x_threshold) == 0
+        return solve(spec, x_threshold, *args, **kwargs)
+
+    def kept_sweep(spec, probe, eps_list):
+        seen["sweeps"].setdefault(spec.name, []).append(sweep(spec, probe, eps_list))
+        return seen["sweeps"][spec.name][-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde, "fan_cost_rows", counted_fan)
+        mp.setattr(action, "solve_shooting_many", counted_shoot)
+        mp.setattr(pde, "solve_u", counted_solve)
+        mp.setattr(checks, "limit_sweep", kept_sweep)
+        reports, _ = checks.run_all(checks.RunConfig(), only="limit")
+    seen["reports"] = {r.check_name: r for r in reports}
+    return seen
+
+
+def test_limit_checks_share_one_sweep_per_drift(limit_battery: dict) -> None:
+    # five views, three drifts: one fan per rung and one classical batch
+    # per drift feed both limits, and no plain solve is left
+    names = ("zero", "linear(A=0.5)", "logcosh(c=0.5)")
+    assert sorted(limit_battery["reports"]) == [
+        "derivative-limit:logcosh(c=0.5)", "derivative-limit:zero",
+        "rate-limit:linear(A=0.5)", "rate-limit:logcosh(c=0.5)", "rate-limit:zero",
+    ]
+    assert sorted(limit_battery["marches"]) == sorted(names * len(orc.RATE_EPS))
+    assert sorted(limit_battery["batches"]) == sorted(names)
+    assert limit_battery["plain"] == 0
+    built = {name: len(sweeps) for name, sweeps in limit_battery["sweeps"].items()}
+    assert built == dict.fromkeys(names, 1)
+
+
+def test_one_limit_view_builds_only_its_sweep(
+    limit_battery: dict, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    built = []
+    (zero,) = limit_battery["sweeps"]["zero"]
+    monkeypatch.setattr(
+        checks, "limit_sweep", lambda spec, probe, eps_list: built.append(spec.name) or zero
+    )
+    for only, n_views in (("rate-limit:zero", 1), ("limit:zero", 2)):
+        built.clear()
+        reports, _ = checks.run_all(checks.RunConfig(), only=only)
+        assert built == ["zero"] and len(reports) == n_views
+        for rep in reports:
+            assert rep == limit_battery["reports"][rep.check_name]
+
+
+def test_rate_fit_zero_drift(limit_battery: dict) -> None:
+    rep = limit_battery["reports"]["rate-limit:zero"]
     assert rep.status == "pass"
     obs = rep.observed
     assert obs["slope"] == pytest.approx(RATE_SLOPE_ZERO, rel=REL)
@@ -201,21 +271,65 @@ def test_rate_fit_zero_drift() -> None:
         assert row["gap"] == pytest.approx(exact, abs=2e-3)
 
 
-def test_rate_fit_rejects_bad_ladders() -> None:
-    with pytest.raises(checks.ConfigError):
-        checks.check_rate_zero_noise(zero_drift(), eps_list=(0.4, 0.2, 0.1))
-    with pytest.raises(checks.ConfigError):
-        checks.check_rate_zero_noise(zero_drift(), eps_list=(0.4, 0.2, 0.1, -0.05))
-    with pytest.raises(checks.ConfigError):
-        checks.check_rate_zero_noise(zero_drift(), eps_list=(0.4, 0.3, 0.2, 0.1))
-    with pytest.raises(checks.ConfigError):
-        checks.check_rate_zero_noise(zero_drift(), probe=(0.0, -1.0, 1.0))
+def test_rate_anchor_above_the_threshold() -> None:
+    # above x the driftless classical cost is 0, so the closed-form gap is
+    # the whole lattice-free cost -eps log N((y - x) / sqrt(eps))
+    y = 0.5
+    gaps = tuple(-e * float(norm.logcdf(y / math.sqrt(e))) for e in orc.RATE_EPS)
+    sweep = checks.LimitSweep(zero_drift(), (0.0, y, 0.0), 0.0, orc.RATE_EPS, *[gaps] * 4)
+    rep = checks.check_rate_zero_noise(sweep)
+    assert rep.status == "pass"
+    assert rep.observed["anchor_gap_error"] == pytest.approx(0.0, abs=1e-12)
 
 
-# ----------------------------------------------------------- derivative fit
+def test_rate_fit_rejects_bad_ladders(monkeypatch: pytest.MonkeyPatch) -> None:
+    # every refusal comes before the first march
+    monkeypatch.setattr(pde, "fan_cost_rows", None)
+    with pytest.raises(checks.ConfigError):
+        checks.limit_sweep(zero_drift(), PROBE, (0.4, 0.2, 0.1))
+    with pytest.raises(checks.ConfigError):
+        checks.limit_sweep(zero_drift(), PROBE, (0.4, 0.2, 0.1, -0.05))
+    with pytest.raises(checks.ConfigError):
+        checks.limit_sweep(zero_drift(), PROBE, (0.4, 0.3, 0.2, 0.1))
+    with pytest.raises(checks.ConfigError):
+        checks.limit_sweep(zero_drift(), (0.0, -1.0, 1.0), orc.RATE_EPS)
+    # beyond the walls, or nearer the threshold than one spacing: no node to read
+    for y in (-12.0, 4.5, -1e-4):
+        with pytest.raises(checks.ConfigError, match="off the lattice"):
+            checks.limit_sweep(zero_drift(), (0.0, y, 0.0), orc.RATE_EPS)
 
-def test_derivative_limit_zero_drift() -> None:
-    rep = checks.check_derivative_convergence(zero_drift())
+
+def test_limit_sweep_puts_the_probe_on_a_node(monkeypatch: pytest.MonkeyPatch) -> None:
+    # every rung's lattice keeps x on its centre node, has y on a node and
+    # is never narrower than the fan grid the domain rule sized
+    grids = []
+
+    def no_march(spec, x, grid, *args):
+        grids.append(grid)
+        zeros = np.zeros(grid.n_y)
+        return 0.02, np.zeros((3, grid.n_y)), zeros, zeros
+
+    monkeypatch.setattr(pde, "fan_cost_rows", no_march)
+    monkeypatch.setattr(action, "solve_shooting_many", lambda *args: [
+        SimpleNamespace(q_value=0.0, dq_dy=0.0, dq_dx=0.0)
+    ])
+    spec = logcosh_drift()
+    for x, y, t in ((0.0, -1.0, 0.0), (0.25, -0.7, 0.5), (0.3, 0.3, 0.2)):
+        grids.clear()
+        checks.limit_sweep(spec, (x, y, t), orc.RATE_EPS)
+        assert len(grids) == len(orc.RATE_EPS)
+        for eps, grid in zip(orc.RATE_EPS, grids):
+            base = pde._fan_grid(spec, x, eps, 2001, 1201, t_start=t)
+            assert (grid.n_y, grid.n_t, grid.t_start) == (2001, 1201, t)
+            assert grid.y_max - x >= base.y_max - x
+            assert grid.y_nodes()[grid.n_y // 2] == pytest.approx(x, abs=1e-12)
+            assert grid.y_nodes()[grid.nearest_node(y)] == pytest.approx(y, abs=1e-12)
+            if y == x:
+                assert grid == base
+
+
+def test_derivative_limit_zero_drift(limit_battery: dict) -> None:
+    rep = limit_battery["reports"]["derivative-limit:zero"]
     assert rep.status == "pass"
     obs = rep.observed
     assert obs["final_gap_dq_dy"] == pytest.approx(DERIV_FINAL_GAP_ZERO, rel=REL)
@@ -229,9 +343,10 @@ def test_derivative_limit_zero_drift() -> None:
     assert first["gap_dq_dy"] == pytest.approx(exact, abs=1e-2)
 
 
-def test_derivative_limit_rejects_bad_setups() -> None:
+def test_derivative_limit_rejects_bad_setups(limit_battery: dict) -> None:
+    (zero,) = limit_battery["sweeps"]["zero"]
     with pytest.raises(checks.ConfigError):
-        checks.check_derivative_convergence(sin_drift())  # not concave
+        checks.check_derivative_convergence(replace(zero, spec=sin_drift()))  # not concave
 
 
 # ------------------------------------------------------------- short window

@@ -507,6 +507,20 @@ def test_step_count_beyond_memory_is_a_config_error(
     assert "physical memory" in err
 
 
+def test_probe_off_the_limit_lattice_is_a_config_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture
+) -> None:
+    # y = -12 lies beyond every rung's wall: refused before any march, not
+    # read off the wall node as a failed check
+    out = tmp_path / "o"
+    config = _cfg(tmp_path, probe_y=-12.0, eps_list=list(orc.RATE_EPS))
+    assert cli.main(["verify", "--only", "rate-limit:zero", "--config", config,
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: probe y=-12.0 is off the lattice")
+    assert not (out / "report.json").exists()
+
+
 def test_probe_at_the_horizon_is_a_config_error(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
     out = ["--out", str(tmp_path / "o")]
     for command in ("solve", "classical", "simulate"):
