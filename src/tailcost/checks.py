@@ -319,8 +319,8 @@ def limit_sweep(
         if k >= n or (k == 0 and d > 0.0):
             raise ConfigError(f"probe y={y} is off the lattice or within a spacing of x={x}")
         grids.append(replace(grid, y_min=x - d * n / k, y_max=x + d * n / k) if k else grid)
-    boundary = float(characteristic_F(spec, x, t))
     (sol,) = action.solve_shooting_many(spec, x, y, t)
+    boundary = sol.diagnostics["boundary_F"]  # the shooting's own characteristic_F(spec, x, t)
 
     rungs = []
     for eps, grid in zip(eps_arr, grids):

@@ -15,21 +15,25 @@ fan_cost_rows differences a fan x - dx, x, x + dx at the levels a check reads.
 Numerical scheme: full-operator Crank-Nicolson (central differences for
 both diffusion and drift) with a backward-Euler startup phase that damps
 the ringing the step terminal data would otherwise excite.  One march,
-_cn_march, serves the threshold solve and its fans, the Green fan (one column
-per threshold) and both bridge kernels; the upper wall value is its argument.
-The implicit matrix of a one-column march is LU-factored (LAPACK gttrf)
-once per march when the drift declares itself time-homogeneous, and at
-every time level otherwise; the startup half-steps and the CN steps share
-the factors (gttrs).  A multi-column march hands its columns to gtsv,
-which factors as it solves but runs the columns side by side, for the
-same bits.  Each step is solved in
+_cn_march, serves the threshold solve and its fans, the Green fan (one
+column per threshold) and both bridge kernels; the upper wall value is its
+argument.  The implicit matrix I - r L is LU-factored (LAPACK gttrf) once
+per march when the drift declares itself time-homogeneous, and at every
+time level otherwise; the startup half-steps and the CN steps share the
+factors.  A factorization without a row interchange (always, when the
+matrix is diagonally dominant: mesh Peclet numbers up to 1) is kept as
+L D (D^-1 U), two unit-bidiagonal bands and the pivots, and every solve is
+two band sweeps (LAPACK tbtrs) around one division by the pivots, so that
+no division sits inside a row recurrence; after an interchange the
+factors' own solve (gttrs) runs.  One column and many take the same path,
+so a fan member gets the bits of its lone march.  Each step is solved in
 delta form (Beam and Warming): the march carries w = r L u, the explicit
-half of the CN step, from level to level, so a CN step is one banded
-solve of (I - r L)(v - u) = 2w for the increment and three vector passes,
-and never forms a stencil product.  On a plateau of u the increment
-vanishes, so no rounding piles up there.  Every solved level is checked
-to be finite, so a non-finite datum or an overflow raises PdeError at the
-time level where it appears.  At the mesh Peclet numbers of every shipped
+half of the CN step, from level to level, so a CN step is one solve of
+(I - r L)(v - u) = 2w for the increment and three vector passes, and a
+time-homogeneous march never forms a stencil product.  On a plateau of u
+the increment vanishes, so no rounding piles up there.  Every solved level
+is checked to be finite, so a non-finite datum or an overflow raises
+PdeError at the time level where it appears.  At the mesh Peclet numbers of every shipped
 configuration (|b| h_y / eps <= 1) each step is a monotone map, so the
 discrete solution inherits the maximum principle and monotonicity in y to
 roundoff; solve_u folds every level it makes into running rows of the
@@ -47,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tables
-from ._scipy import dgtsv, dgttrf, dgttrs
+from ._scipy import dgttrf, dgttrs, dtbtrs
 from .drifts import DriftSpec, _trapz
 
 U_FLOOR = 1e-300  # below this, q = -eps log u is flagged, never clamped
@@ -181,42 +185,48 @@ def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall
     forward equation.  A half-step solves (I - r L) d = w and sets w = d;
     a CN step solves (I - r L) d = 2w and sets w = d - w.  When the stencil
     moved since w was formed (a time-varying drift), r (L_new - L_old) u is
-    added to the right-hand side first.  A step is thus one banded solve and
-    three vector passes, with no stencil product.
+    added to the right-hand side first, node by node from the level's
+    neighbours.  A solve is a unit-lower band sweep by the multipliers of
+    dgttrf's factors of I - r L, a division by the pivots and a unit-upper
+    band sweep by the superdiagonal over the pivots, or dgttrs on the
+    factors when dgttrf interchanged rows.  Every increment is checked to be
+    finite, so an overflow raises PdeError at the level where it appears.
     """
     y, h, dt = grid.y_nodes(), grid.h_y, grid.h_t
-    alpha = 0.5 * epsilon / (h * h)
     r = 0.5 * dt  # the startup half-steps and the CN steps share I - r L
+    ra, rh = r * (0.5 * epsilon / (h * h)), r / (2.0 * h)  # r alpha and r / 2h
     m = grid.n_y - 2
-    diag = np.full(m, 1.0 + 2.0 * r * alpha)
-    columns = u.ndim > 1  # a multi-column march
+    diag = np.full(m, 1.0 + 2.0 * ra)
+    unpivoted = np.arange(1, m + 1, dtype=np.int32)
+    # dgttrf's unit-lower factor (the multipliers) and its upper factor over
+    # the pivots as LAPACK bands (row 0 above row 1, unit diagonals unread),
+    # Fortran-ordered so that dtbtrs takes them uncopied
+    lower, upper = np.ones((2, m), order="F"), np.ones((2, m), order="F")
 
     def build(tv: float):
         b = np.asarray(spec.b(y[1:-1] if backward else y, tv), dtype=float)
-        if not np.all(np.isfinite(b)):
+        if not np.isfinite(b).all():
             raise PdeError(f"drift {spec.name} is not finite on the grid at t={tv:g}")
-        beta = b / (2.0 * h)
+        rb = rh * b
         if backward:
-            lower, upper, flux = alpha - beta, alpha + beta, 0.0
+            rl, ru, flux = ra - rb, ra + rb, 0.0
         else:
-            lower, upper, flux = alpha + beta[:-2], alpha - beta[2:], r * (beta[:-2] - beta[2:])
-        rl, ru = r * lower, r * upper
-        bands = (-rl[1:], diag, -ru[:-1])
-        if columns:  # gtsv factors as it solves
-            return (ru, rl, flux), bands
-        *lu, info = dgttrf(*bands)
+            rl, ru, flux = ra + rb[:-2], ra - rb[2:], rb[:-2] - rb[2:]
+        # by position: overwrite_dl, overwrite_d, overwrite_du
+        dl, d, du, du2, ipiv, info = dgttrf(-rl[1:], diag, -ru[:-1], 1, 0, 1)
         if info != 0:
             raise PdeError(f"implicit matrix of drift {spec.name} is singular at t={tv:g}")
-        return (ru, rl, flux), lu
+        if not (ipiv == unpivoted).all():  # only where I - r L is not diagonally dominant
+            return (ru, rl, flux), (dl, d, du, du2, ipiv)
+        lower[1, :-1] = dl
+        np.divide(du, d[:-1], out=upper[0, 1:])
+        return (ru, rl, flux), (lower, d, upper)
 
     # r times the stencil's (upper, lower, flux diagonal) of the interior rows
-    # and the implicit matrix, as LU factors for one column and as bands for
-    # several, kept for the last time level asked for; a time-homogeneous
-    # drift keys every level to t_start and factors once
-    factored = functools.lru_cache(maxsize=1)(build)
-
-    def stencil(tv: float):
-        return factored(grid.t_start if spec.time_homogeneous else tv)
+    # and the factors of I - r L, kept for the last time level asked for; a
+    # time-homogeneous drift is built once, at t_start.  The bands are
+    # refilled in place, so a level's factors hold until the next build.
+    stencil = functools.lru_cache(maxsize=1)(build)
 
     def product(u_full: np.ndarray, ru, rl, flux) -> np.ndarray:
         # r L u of the interior in difference form, the walls in place of u's end values
@@ -231,24 +241,37 @@ def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall
     half = -0.5 * dt if backward else 0.5 * dt
     if not np.isfinite(u).all():
         raise PdeError(f"data of the march of drift {spec.name} is not finite at t={t[0]:g}")
-    held = stencil(t[0] + half)[0]  # the stencil w is r L u of
-    w = product(u, *held)
+    held, factors = stencil(grid.t_start if spec.time_homogeneous else t[0] + half)
+    w = product(u, *held)  # held: the stencil w is r L u of
+    zero = np.zeros_like(w)
 
     def solve(rhs: np.ndarray, tv: float, u_full: np.ndarray) -> np.ndarray:
-        # the increment d of the step from level u_full to tv, solved in place in rhs
-        nonlocal held
-        coef, matrix = stencil(tv)
-        if coef is not held:
-            rhs += product(u_full, *(a - b for a, b in zip(coef, held)))
-            held = coef
-        # the (m, k) column-major view of rhs is what LAPACK solves in place:
-        # one column by the factors, several by gtsv, which factors as it solves
-        # but runs the columns side by side; both give the same bits
-        if columns:
-            *_, d, info = dgtsv(*matrix, rhs.reshape(-1, m).T, overwrite_b=1)
+        # the increment of the step from level u_full to tv, solved in place in rhs
+        nonlocal held, factors
+        if not spec.time_homogeneous:
+            coef, factors = stencil(tv)
+            if coef is not held:
+                # r (L_new - L_old) u_full by neighbour: u_full is one of the
+                # march's buffers, whose end values are the walls
+                dru, drl, dflux = (a - b for a, b in zip(coef, held))
+                moved = dru * u_full[..., 2:]
+                moved -= (dru + drl - dflux) * u_full[..., 1:-1]
+                moved += drl * u_full[..., :-2]
+                rhs += moved
+                held = coef
+        # LAPACK solves the (m, k) column-major view of rhs in place: two
+        # unit-bidiagonal sweeps around one division by the pivots, or, after
+        # a pivot, the factors' own solve (arguments by position: uplo, trans,
+        # diag, overwrite_b)
+        columns = rhs.reshape(-1, m).T
+        if len(factors) == 3:
+            dtbtrs(factors[0], columns, "L", "N", "U", 1)
+            rhs /= factors[1]
+            dtbtrs(factors[2], columns, "U", "N", "U", 1)
         else:
-            d, info = dgttrs(*matrix, rhs.reshape(-1, m).T, overwrite_b=1)
-        if info != 0 or not np.isfinite(d).all():
+            dgttrs(*factors, columns, "N", 1)
+        # every product with zero is a signed zero unless its factor is not finite
+        if np.vdot(rhs, zero) != 0.0:
             raise PdeError(f"march of drift {spec.name} left the finite range at t={tv:g}")
         return rhs
 
@@ -256,16 +279,17 @@ def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall
     buffers = (np.empty_like(u), np.empty_like(u))
     for v in buffers:
         v[..., 0], v[..., -1] = 0.0, wall
+    inner, u_in = tuple(v[..., 1:-1] for v in buffers), u[..., 1:-1]
     for step in range(1, grid.n_t):
-        v = buffers[step % 2]
+        v, v_in = buffers[step % 2], inner[step % 2]
         if step <= N_STARTUP:
-            np.add(u[..., 1:-1], solve(w, t[step - 1] + half, u), out=v[..., 1:-1])
-            v[..., 1:-1] += solve(w, t[step], v)
+            np.add(u_in, solve(w, t[step - 1] + half, u), out=v_in)
+            v_in += solve(w, t[step], v)
         else:
             solve(np.add(w, w, out=rhs), t[step], u)
-            np.add(u[..., 1:-1], rhs, out=v[..., 1:-1])
+            np.add(u_in, rhs, out=v_in)
             np.subtract(rhs, w, out=w)
-        u = v
+        u, u_in = v, v_in
         if level is not None:
             level(grid.n_t - 1 - step if backward else step, u)
     return u

@@ -24,7 +24,7 @@ from scipy.stats import norm
 import oracles as orc
 from tailcost import action, checks, pde
 from tailcost.drifts import (
-    linear_drift, logcosh_drift, sin_drift, time_varying_linear, zero_drift,
+    characteristic_F, linear_drift, logcosh_drift, sin_drift, time_varying_linear, zero_drift,
 )
 
 # Frozen from a calibration run at battery resolution.
@@ -310,8 +310,9 @@ def test_limit_sweep_puts_the_probe_on_a_node(monkeypatch: pytest.MonkeyPatch) -
         return 0.02, np.zeros((3, grid.n_y)), zeros, zeros
 
     monkeypatch.setattr(pde, "fan_cost_rows", no_march)
-    monkeypatch.setattr(action, "solve_shooting_many", lambda *args: [
-        SimpleNamespace(q_value=0.0, dq_dy=0.0, dq_dx=0.0)
+    monkeypatch.setattr(action, "solve_shooting_many", lambda spec, x, y, t: [
+        SimpleNamespace(q_value=0.0, dq_dy=0.0, dq_dx=0.0,
+                        diagnostics={"boundary_F": float(characteristic_F(spec, x, t))})
     ])
     spec = logcosh_drift()
     for x, y, t in ((0.0, -1.0, 0.0), (0.25, -0.7, 0.5), (0.3, 0.3, 0.2)):

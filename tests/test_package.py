@@ -74,11 +74,11 @@ def test_compiled_scipy_routines_are_the_public_objects() -> None:
     from tailcost import _scipy, action, bridge, checks, pde
 
     public = {name: getattr(scipy.linalg.lapack, name)
-              for name in ("dgtsv", "dgttrf", "dgttrs", "dpttrf", "dpttrs")}
+              for name in ("dgttrf", "dgttrs", "dpttrf", "dpttrs", "dtbtrs")}
     public.update(log_ndtr=scipy.special.log_ndtr, ndtr=scipy.special.ndtr)
     for name, routine in public.items():
         assert getattr(_scipy, name) is routine, name
-    used = {pde: ("dgtsv", "dgttrf", "dgttrs"), action: ("dpttrf", "dpttrs"),
+    used = {pde: ("dgttrf", "dgttrs", "dtbtrs"), action: ("dpttrf", "dpttrs"),
             bridge: ("ndtr",), checks: ("log_ndtr", "ndtr")}
     for module, names in used.items():
         for name in names:

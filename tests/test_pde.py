@@ -163,9 +163,26 @@ def test_march_refuses_non_finite_data_without_warnings(
             pde._cn_march(spec, data, grid, EPS, 1.0, backward)
 
 
-def test_march_overflow_is_a_pde_error() -> None:
-    # a finite drift so steep that the solved level overflows
-    spec = drifts.DriftSpec(
+def _spy_solves(monkeypatch) -> tuple[dict, list]:
+    """The march's LAPACK solves, counted by routine (dtbtrs unpivoted, dgttrs
+    after a pivot), and the right-hand sides handed to them, in call order."""
+    calls, solved = {"dtbtrs": 0, "dgttrs": 0}, []
+    for name, at in (("dtbtrs", 1), ("dgttrs", 5)):
+        def spy(*args, real=getattr(pde, name), name=name, at=at, **kw):
+            calls[name] += 1
+            solved.append(args[at])
+            return real(*args, **kw)
+        monkeypatch.setattr(pde, name, spy)
+    return calls, solved
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("pivoted", [True, False], ids=["pivoted", "unpivoted"])
+def test_march_overflow_is_a_pde_error(monkeypatch, pivoted: bool, columns: int) -> None:
+    # a finite drift so steep that I - r L pivots and the first solved level
+    # overflows; or a driftless march, which never pivots, of finite data
+    # whose r L u overflows
+    steep = drifts.DriftSpec(
         name="steep",
         b=lambda y, t: 1e200 * y,
         db_dy=lambda y, t: 1e200 + 0.0 * y,
@@ -175,9 +192,15 @@ def test_march_overflow_is_a_pde_error() -> None:
         vanishes_at_origin=True,
         time_homogeneous=True,
     )
+    spec, eps, scale = (steep, EPS, 1.0) if pivoted else (drifts.zero_drift(), 100.0, 1e308)
     grid = pde.Grid1D(-4.0, 4.0, 101, 0.0, 1.0, 21)
-    with pytest.raises(pde.PdeError, match="steep"):
-        pde._cn_march(spec, np.linspace(0.0, 1.0, grid.n_y), grid, EPS, 1.0, backward=True)
+    data = np.tile(scale * np.linspace(0.0, 1.0, grid.n_y), (columns, 1))
+    calls, _ = _spy_solves(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            pde.PdeError, match=spec.name + " left the finite range at t=0.975$"):
+        pde._cn_march(spec, data[0] if columns == 1 else data, grid, eps, 1.0, backward=True)
+    # the check of the path that ran raised at the first half-step
+    assert calls == ({"dtbtrs": 0, "dgttrs": 1} if pivoted else {"dtbtrs": 2, "dgttrs": 0})
 
 
 # ------------------------------------------------------ the carried CN step
@@ -232,32 +255,34 @@ def _march_data(grid, backward, columns):
     if backward:
         return pde._step_data(grid.n_y, np.array([mid] if columns == 1 else [0, mid, grid.n_y - 1]))
     data = np.zeros((columns, grid.n_y))
-    data[range(columns), [mid] if columns == 1 else [mid - 20, mid, mid + 20]] = 1.0 / grid.h_y
+    off = grid.n_y // 12
+    data[range(columns), [mid] if columns == 1 else [mid - off, mid, mid + off]] = 1.0 / grid.h_y
     return data
+
+
+STEP_GRID = pde.Grid1D(-4.0, 4.0, 241, 0.0, 1.0, 121)
 
 
 @pytest.mark.parametrize("columns", [1, 3])
 @pytest.mark.parametrize("backward", [True, False], ids=["backward", "forward"])
-@pytest.mark.parametrize("spec", [
-    drifts.zero_drift(),
-    drifts.logcosh_drift(),
-    drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi),
-], ids=["zero", "logcosh", "linear_tv"])
-def test_carried_step_matches_the_textbook_step(monkeypatch, spec, backward, columns) -> None:
+@pytest.mark.parametrize("spec, grid, pivots", [
+    (drifts.zero_drift(), STEP_GRID, False),
+    (drifts.logcosh_drift(), STEP_GRID, False),
+    (drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi), STEP_GRID, False),
+    # mesh Peclet up to 40 on a coarse lattice: I - r L is not diagonally
+    # dominant near the walls, and dgttrf pivots
+    (drifts.linear_drift(5.0), pde.Grid1D(-4.0, 4.0, 41, 0.0, 1.0, 11), True),
+], ids=["zero", "logcosh", "linear_tv", "linear5-pivoting"])
+def test_carried_step_matches_the_textbook_step(monkeypatch, spec, grid, pivots, backward,
+                                                columns) -> None:
     # every level within 1e-12 max|u| of the two-sided step, and the carried
     # w = r L u of the last level within the same of a fresh product; the
     # first half-step solves w in place, so the first right-hand side handed
-    # to LAPACK (dgttrs for one column, dgtsv for several) is a view of the
-    # march's w buffer
-    grid = pde.Grid1D(-4.0, 4.0, 241, 0.0, 1.0, 121)
+    # to LAPACK (dtbtrs, or dgttrs after a pivot) is a view of the march's w
+    # buffer
     wall = 1.0 if backward else 0.0
     data = _march_data(grid, backward, columns)
-    solved = []
-    for name, at in (("dgttrs", 5), ("dgtsv", 3)):
-        def spy(*args, real=getattr(pde, name), at=at, **kw):
-            solved.append(args[at])
-            return real(*args, **kw)
-        monkeypatch.setattr(pde, name, spy)
+    calls, solved = _spy_solves(monkeypatch)
     carried, textbook = {}, {}
     last = pde._cn_march(spec, data[0] if columns == 1 else data, grid, EPS, wall, backward,
                          level=lambda i, v: carried.__setitem__(i, v.copy()))
@@ -272,6 +297,10 @@ def test_carried_step_matches_the_textbook_step(monkeypatch, spec, backward, col
     t_last = grid.t_start if backward else grid.T
     fresh = _textbook_product(spec, grid, EPS, backward, t_last, last)
     assert np.max(np.abs(w - fresh)) <= scale
+    # one solve per half-step and per CN step: two sweeps each, or one dgttrs
+    solves = grid.n_t - 1 + pde.N_STARTUP
+    assert calls == ({"dtbtrs": 0, "dgttrs": solves} if pivots
+                     else {"dtbtrs": 2 * solves, "dgttrs": 0})
 
 
 @pytest.mark.parametrize("spec, grid", [
