@@ -16,7 +16,8 @@ the minimizer y' - b = -p, so the cost itself is one half the integral
 of p^2, taken by Simpson's rule on the stored momenta: no derivative of
 the path is needed, and 500 RK4 steps give q to about 1e-12.  The same
 rule checks the conserved p e^{int b_y}.  The momentum system, the second
-variation and the characteristic (its p = 0 lane) share one RK4 kernel.
+variation and the characteristic (its p = 0 lane) share one RK4 kernel,
+and each marches every lane of a batch at once.
 
 Two independent routes to the same number are kept deliberately: the
 shooting solver above, and a direct discrete minimization of the action
@@ -38,6 +39,9 @@ REGION_TOL = 1e-9  # scaled by (1 + |x|) when classifying y against F(x, t)
 TERMINAL_MISMATCH_TOL = 1e-9
 NEWTON_STEP_TOL = 1e-13  # relative to 1 + |m|
 NEWTON_MAX_SWEEPS = 64
+N_STEPS = 500  # RK4 steps of every shooting sweep: even, for Simpson's rule
+DIRECT_NODES = 256  # interior path nodes of the direct minimizer
+DIRECT_GRAD_TOL = 1e-8  # gradient max-norm at which the direct minimizer stops
 
 
 class ShootingError(RuntimeError):
@@ -79,20 +83,6 @@ class ClassicalSolution:
     @property
     def binding(self) -> bool:
         return self.q_value > 0.0
-
-
-@dataclass(frozen=True)
-class VariationalSystem:
-    """Solution (phi, psi) of the second-variation system along the path.
-
-    tag records which boundary data produced it: "terminal" for
-    phi(T) = 0, psi(T) = 1 (curvature in the start point), "initial" for
-    phi(t) = 0, psi(t) = 1 (curvature in the threshold).
-    """
-
-    phi: np.ndarray
-    psi: np.ndarray
-    tag: str
 
 
 def _simpson(f: np.ndarray, h: float) -> float:
@@ -206,22 +196,18 @@ def _momenta(
 
 
 def solve_shooting_many(
-    spec: DriftSpec,
-    xs: ArrayLike,
-    ys: ArrayLike,
-    t: float = 0.0,
-    n_steps: int = 500,
+    spec: DriftSpec, xs: ArrayLike, ys: ArrayLike, t: float = 0.0
 ) -> list[ClassicalSolution]:
     """Classical cost and derivatives at a batch of (x, y) pairs, one start time.
 
     xs and ys broadcast against each other; the result holds one
     solution per pair, in order.  Every sweep of the momentum system
-    integrates all pairs at once.  n_steps must be even and at least 2:
+    integrates all pairs at once.  N_STEPS must be even and at least 2:
     the cost is integrated by Simpson's rule over the stored nodes.
     """
-    T = spec.horizon_T
+    T, n_steps = spec.horizon_T, N_STEPS
     if n_steps < 2 or n_steps % 2:
-        raise ValueError(f"Simpson's rule needs an even n_steps of at least 2, got {n_steps}")
+        raise ValueError(f"Simpson's rule needs an even N_STEPS of at least 2, got {n_steps}")
     if not -math.inf < t < T:
         raise ConfigError(f"need a finite t < T, got t={t}")
     xs, ys = (a.ravel() for a in np.broadcast_arrays(
@@ -312,31 +298,28 @@ def solve_shooting(spec: DriftSpec, x: float, y: float) -> ClassicalSolution:
     return solve_shooting_many(spec, x, y)[0]
 
 
-def variational_system(
-    sol: ClassicalSolution, spec: DriftSpec, tag: str
-) -> VariationalSystem:
-    """Second-variation pair (phi, psi) along the stored minimizing path.
+def _variations(spec: DriftSpec, sols: list[ClassicalSolution]) -> tuple[np.ndarray, ...]:
+    """Second-variation pairs (phi, psi) along the stored paths of one time grid.
 
     phi' = b_y phi - psi and psi' = -b_y psi - V phi with V = b_yy * p,
-    run backward from phi(T)=0, psi(T)=1 ("terminal") or forward from
-    phi(t)=0, psi(t)=1 ("initial").  Coefficients at half steps use
-    linear interpolation of the path, consistent with the path's own
-    integration order.
+    run over every lane backward from phi(T)=0, psi(T)=1 ("terminal"
+    data) and forward from phi(t)=0, psi(t)=1 ("initial").  Coefficients
+    at half steps use linear interpolation of the path, consistent with
+    the path's own integration order.  Returns (nodes, lanes) arrays:
+    terminal phi, terminal psi, initial phi, initial psi.
     """
-    if spec.d2b_dy2 is None:
-        raise ValueError(f"drift {spec.name} carries no second derivative")
-    if tag not in ("terminal", "initial"):
-        raise ValueError(f"tag must be 'terminal' or 'initial', got {tag!r}")
-    times, ys, ps = sol.path.times, sol.path.y, sol.momentum_p
-    h = times[1] - times[0]
+    times = sols[0].path.times
+    ys = np.stack([sol.path.y for sol in sols], axis=1)
+    ps = np.stack([sol.momentum_p for sol in sols], axis=1)
+    t0, h = times[0], times[1] - times[0]
 
-    # coefficients at the nodes (even k) and the midpoints (odd k)
-    y_k, s_k, p_k = (np.repeat(u, 2)[:-1] for u in (ys, times, ps))
+    # coefficients at the nodes (even k) and the midpoints (odd k), a row per k
+    y_k, p_k = (np.repeat(u, 2, axis=0)[:-1] for u in (ys, ps))
     y_k[1::2], p_k[1::2] = 0.5 * (ys[:-1] + ys[1:]), 0.5 * (ps[:-1] + ps[1:])
-    s_k[1::2] = times[:-1] + 0.5 * h
-    a = np.asarray(spec.db_dy(y_k, s_k), dtype=float).tolist()
-    v = (np.asarray(spec.d2b_dy2(y_k, s_k), dtype=float) * p_k).tolist()
-    t0 = times[0]
+    s_k = np.repeat(times, 2)[:-1, None]
+    s_k[1::2, 0] = times[:-1] + 0.5 * h
+    a = np.asarray(spec.db_dy(y_k, s_k), dtype=float)
+    v = np.asarray(spec.d2b_dy2(y_k, s_k), dtype=float) * p_k
 
     def rhs(state, s, slope):
         (phi, psi), (kphi, kpsi) = state, slope
@@ -344,43 +327,54 @@ def variational_system(
         kphi[...] = a[k] * phi - psi
         kpsi[...] = -a[k] * psi - v[k] * phi
 
-    phi, psi = np.empty(times.size), np.empty(times.size)
-    if tag == "terminal":
-        _rk4(rhs, (0.0, 1.0), times[::-1], nodes=(phi[::-1], psi[::-1]))
-    else:
-        _rk4(rhs, (0.0, 1.0), times, nodes=(phi, psi))
-    return VariationalSystem(phi=phi, psi=psi, tag=tag)
+    z0 = (np.zeros(len(sols)), np.ones(len(sols)))
+    term, init = np.empty((2, 2, times.size, len(sols)))
+    _rk4(rhs, z0, times[::-1], nodes=tuple(term[:, ::-1]))
+    _rk4(rhs, z0, times, nodes=tuple(init))
+    return (*term, *init)
 
 
-def derivatives_second(sol: ClassicalSolution, spec: DriftSpec) -> ClassicalSolution:
-    """Fill the three second derivatives; only defined where the cost binds."""
-    if not sol.binding:
-        raise ValueError("second derivatives are defined only below the boundary")
-    term = variational_system(sol, spec, "terminal")
-    init = variational_system(sol, spec, "initial")
-    # NaN passes both sign tests below
-    if not all(np.isfinite(u).all() for u in (term.phi, term.psi, init.phi, init.psi)):
-        raise DegenerateVariationError("variation is not finite")
-    # interior zeros of phi mark conjugate points: curvature degenerates
-    if term.phi[0] <= 0.0 or np.min(term.phi[:-1]) <= 0.0:
-        raise DegenerateVariationError("terminal-data variation loses positivity")
-    if init.phi[-1] >= 0.0 or np.max(init.phi[1:]) >= 0.0:
-        raise DegenerateVariationError("initial-data variation loses negativity")
-    return replace(
-        sol,
-        d2q_dy2=float(term.psi[0] / term.phi[0]),
-        d2q_dxdy=float(1.0 / init.phi[-1]),
-        d2q_dx2=float(-init.psi[-1] / init.phi[-1]),
-    )
+def derivatives_second(spec: DriftSpec, sols: list[ClassicalSolution]) -> list[ClassicalSolution]:
+    """Fill the three second derivatives of a batch that shares one time grid.
+
+    A solve_shooting_many result is such a batch.  Second derivatives
+    exist only where the cost binds, so a free lane is refused, as is a
+    lane whose variation is not finite or meets a conjugate point (an
+    interior zero of phi, where the curvature degenerates).  Each refusal
+    names its lane.
+    """
+    if spec.d2b_dy2 is None:
+        raise ValueError(f"drift {spec.name} carries no second derivative")
+    if not sols:
+        return []
+
+    def lane(i: int) -> str:
+        sol = sols[i]
+        return f"lane {i}: (x={sol.x_threshold}, y={sol.path.y[0]}, t={sol.t_start})"
+
+    for i, sol in enumerate(sols):
+        if not sol.binding:
+            raise ValueError(f"second derivatives need a binding cost, not the free {lane(i)}")
+        if not np.array_equal(sol.path.times, sols[0].path.times):
+            raise ValueError(f"the time grid of lane 0 differs from that of {lane(i)}")
+    term_phi, term_psi, init_phi, init_psi = variation = _variations(spec, sols)
+    # NaN passes both sign tests, so finiteness goes first
+    for bad, what in (
+        (~np.isfinite(variation).all(axis=(0, 1)), "variation is not finite"),
+        (term_phi[:-1].min(axis=0) <= 0.0, "terminal-data variation loses positivity"),
+        (init_phi[1:].max(axis=0) >= 0.0, "initial-data variation loses negativity"),
+    ):
+        if bad.any():
+            raise DegenerateVariationError(f"{what} in {lane(int(np.argmax(bad)))}")
+    return [
+        replace(sol, d2q_dy2=float(yy), d2q_dxdy=float(xy), d2q_dx2=float(xx))
+        for sol, yy, xy, xx in zip(sols, term_psi[0] / term_phi[0], 1.0 / init_phi[-1],
+                                   -init_psi[-1] / init_phi[-1])
+    ]
 
 
 def minimize_direct(
-    spec: DriftSpec,
-    x: float,
-    y: float,
-    t: float = 0.0,
-    n_nodes: int = 256,
-    grad_tol: float = 1e-8,
+    spec: DriftSpec, x: float, y: float, t: float = 0.0
 ) -> tuple[float, Path]:
     """Direct discrete action minimum over interior nodes, endpoints pinned.
 
@@ -391,10 +385,11 @@ def minimize_direct(
     a descent direction, stretched while f falls.  A step is halved until
     f passes an Armijo test, or until the gradient max-norm falls when the
     Hessian is positive definite: f stalls at rounding level near the
-    minimum.  Returns at gradient max-norm <= grad_tol with a positive
-    definite Hessian, so never at a saddle; else ConvergenceError after
-    60 steps.
+    minimum.  Returns at gradient max-norm <= DIRECT_GRAD_TOL with a
+    positive definite Hessian, so never at a saddle; else ConvergenceError
+    after 60 steps.
     """
+    n_nodes, grad_tol = DIRECT_NODES, DIRECT_GRAD_TOL
     if n_nodes < 16:
         raise ValueError("need at least 16 interior nodes")
     T = spec.horizon_T

@@ -136,10 +136,7 @@ def threshold_value(query: BridgeQuery, c: float) -> float:
     return c * query.delta * query.y_start / query.T
 
 
-def linear_bridge_moments(
-    stats_pieces: tuple[LinearDriftStats, LinearDriftStats],
-    query: BridgeQuery,
-) -> BridgeEstimate:
+def linear_bridge_moments(spec: DriftSpec, query: BridgeQuery) -> BridgeEstimate:
     """Exact conditional law for a linear drift, pinned at 0 at the horizon.
 
     prob_below is the Gaussian tail below threshold_value(query, DEFAULT_C_BELOW),
@@ -148,7 +145,7 @@ def linear_bridge_moments(
     mean / (delta*y/T), whose bracketing between a small and a large
     constant is the sandwich property the concentration regime asserts.
     """
-    leg1, leg2 = stats_pieces
+    leg1, leg2 = linear_pieces(spec, query)
     y, eps = query.y_start, query.epsilon
     denom = leg2.Lambda**2 * leg1.sigma2 + leg2.sigma2
     mean = leg1.Lambda * y * leg2.sigma2 / denom
@@ -312,7 +309,6 @@ def conditional_prob_green(
     query: BridgeQuery,
     threshold_fraction: float,
     side: str,
-    resources: GreenResources | None = None,
     kernels: tuple[BridgeKernel, ...] | None = None,
 ) -> BridgeEstimate:
     """Conditional tail probability by the two-kernel quadrature ratio.
@@ -320,14 +316,15 @@ def conditional_prob_green(
     The event is {state below/above threshold_value(query, threshold_fraction)}
     at the look-back time; prob_below and prob_above are the complementary
     pair at that single threshold, and side records which one was asked
-    for.  kernels, from bridge_kernels, must hold query's start at its
-    look-back; without them one kernel is built on the start's own lattice.
+    for.  kernels, from bridge_kernels (or bridge_kernel, at other
+    GreenResources), must hold query's start at its look-back; without
+    them one kernel is built on the start's own lattice.
     """
     if side not in ("below", "above"):
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
     theta = threshold_value(query, threshold_fraction)
     if kernels is None:
-        kernels = (bridge_kernel(spec, query, resources, fractions=(threshold_fraction,)),)
+        kernels = (bridge_kernel(spec, query, fractions=(threshold_fraction,)),)
     kern, row = _column(kernels, query)
     return _kernel_estimate(kern, row, theta, threshold_fraction, side)
 
@@ -371,12 +368,12 @@ def concentration_check(
     T: float,
     y_sweep,
     delta_sweep,
-    c_below: float = DEFAULT_C_BELOW,
     kernels: tuple[BridgeKernel, ...] | None = None,
 ) -> ConcentrationReport:
     """Fit the tail exponents of the pinned conditionals across a sweep.
 
-    The above event takes DEFAULT_C_ABOVE; kernels use default GreenResources.
+    The below event takes DEFAULT_C_BELOW, read at call time, and the
+    above event DEFAULT_C_ABOVE; kernels use default GreenResources.
     Scope gates: the drift must vanish along the pin, the product of its
     slope bound and the horizon must stay below AT_GATE, and a sweep cell
     (y, delta) is admissible only when y < -T sqrt(eps/delta), the depth
@@ -404,6 +401,7 @@ def concentration_check(
     if not cells:
         raise EmptySweepError("no (y, delta) cell is deep enough for the regime")
 
+    c_below = DEFAULT_C_BELOW
     rows: list[ConcentrationRow] = []
     fit_pts: dict[str, list[tuple[float, float]]] = {"below": [], "above": []}
     dropped = 0

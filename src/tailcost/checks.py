@@ -739,7 +739,7 @@ def _check_bridge_pair() -> VerificationReport:
     """Closed-form and kernel-quadrature conditionals agreeing; tail fit sane."""
     spec = linear_drift(0.5)
     query = bridge.BridgeQuery(y_start=-1.0, T=1.0, delta=0.25, epsilon=0.1)
-    exact = bridge.linear_bridge_moments(bridge.linear_pieces(spec, query), query)
+    exact = bridge.linear_bridge_moments(spec, query)
     # one kernel on the start's own lattice serves both thresholds
     kernels = bridge.bridge_kernels(spec, query, (query.y_start,))
     below = bridge.conditional_prob_green(
@@ -825,7 +825,7 @@ class RunConfig:
         params = self.drift_params
         if not isinstance(params, dict) or not all(map(_is_finite_number, params.values())):
             raise ConfigError(f"drift_params values must be finite numbers, got {params!r}")
-        self._build_drift()  # the kind and params are checked here: verify never calls drift()
+        spec = self._build_drift()  # checks the kind and params: verify never calls drift()
         if self.n_y < 101 or self.n_t < 51:
             raise ConfigError("grid sizes too small to honor the solver contracts")
         if self.n_paths < 100:
@@ -834,8 +834,9 @@ class RunConfig:
             raise ConfigError("dt must be positive")
         if self.table_format not in ("csv", "json"):
             raise ConfigError(f"unknown table format {self.table_format!r}")
-        if not 0.0 < self.bridge_delta <= 0.5:
-            raise ConfigError("bridge look-back must sit in (0, T/2]")
+        if not 0.0 < self.bridge_delta <= 0.5 * spec.horizon_T:
+            raise ConfigError(f"bridge look-back {self.bridge_delta} must sit in (0, T/2]"
+                              f" for the horizon T={spec.horizon_T}")
 
     def _build_drift(self) -> DriftSpec:
         try:

@@ -222,7 +222,7 @@ def _cmd_bridge(config: checks.RunConfig, out_dir: Path, args: argparse.Namespac
             est.prob_below, est.prob_above,
         ])
     if spec.A_of_s is not None:
-        exact = bridge.linear_bridge_moments(bridge.linear_pieces(spec, query), query)
+        exact = bridge.linear_bridge_moments(spec, query)
         cond_rows.append([
             exact.method, "both", float("nan"), exact.mean, exact.variance,
             exact.prob_below, exact.prob_above,

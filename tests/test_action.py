@@ -119,7 +119,6 @@ _BATCH_DRIFTS = (
 # interact at any step
 _GRID = [(dx, -1.0 + dy) for dx in (-0.5, -0.25, 0.0, 0.25, 0.5)
          for dy in (-1.0, -0.75, -0.5, -0.25, 0.0)]
-_STEPS = 500
 
 
 def _assert_same_solutions(batch, singles) -> None:
@@ -137,18 +136,18 @@ def _assert_same_solutions(batch, singles) -> None:
 @pytest.mark.parametrize("spec", _BATCH_DRIFTS, ids=lambda s: s.name)
 def test_shooting_many_matches_one_point_solves(spec: drifts.DriftSpec) -> None:
     xs, ys = (list(v) for v in zip(*_GRID))
-    singles = [act.solve_shooting_many(spec, x, y, n_steps=_STEPS)[0] for x, y in _GRID]
+    singles = [act.solve_shooting_many(spec, x, y)[0] for x, y in _GRID]
     assert all(sol.binding for sol in singles)
-    _assert_same_solutions(act.solve_shooting_many(spec, xs, ys, n_steps=_STEPS), singles)
+    _assert_same_solutions(act.solve_shooting_many(spec, xs, ys), singles)
 
     # free lanes above the boundary, interleaved with the binding ones
     free = [(x, float(drifts.characteristic_F(spec, x, 0.0)) + 0.5) for x in (-0.5, 0.2)]
-    free_sols = [act.solve_shooting_many(spec, x, y, n_steps=_STEPS)[0] for x, y in free]
+    free_sols = [act.solve_shooting_many(spec, x, y)[0] for x, y in free]
     assert not any(sol.binding for sol in free_sols)
     mixed = [free[0], *_GRID[:12], free[1], *_GRID[12:]]
     mixed_refs = [free_sols[0], *singles[:12], free_sols[1], *singles[12:]]
     xs, ys = (list(v) for v in zip(*mixed))
-    _assert_same_solutions(act.solve_shooting_many(spec, xs, ys, n_steps=_STEPS), mixed_refs)
+    _assert_same_solutions(act.solve_shooting_many(spec, xs, ys), mixed_refs)
 
 
 def test_shooting_many_bare_drift_needs_no_curvature() -> None:
@@ -244,9 +243,10 @@ def test_classical_grid_sweeps_two_rungs_per_lane(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 501])
-def test_shooting_many_needs_an_even_step_count(n_steps: int) -> None:
+def test_shooting_many_needs_an_even_step_count(monkeypatch, n_steps: int) -> None:
+    monkeypatch.setattr(act, "N_STEPS", n_steps)
     with pytest.raises(ValueError, match="Simpson's rule"):
-        act.solve_shooting_many(drifts.zero_drift(), 0.0, -1.0, n_steps=n_steps)
+        act.solve_shooting_many(drifts.zero_drift(), 0.0, -1.0)
 
 
 @pytest.mark.parametrize("spec", _BATCH_DRIFTS[:3], ids=lambda s: s.name)
@@ -260,10 +260,10 @@ def test_shooting_cost_matches_linear_closed_form(spec: drifts.DriftSpec) -> Non
 
 
 @pytest.mark.parametrize("spec", _BATCH_DRIFTS[3:], ids=lambda s: s.name)
-def test_default_step_count_matches_fine_run(spec: drifts.DriftSpec) -> None:
-    (coarse,) = act.solve_shooting_many(spec, 0.0, -1.0)
-    (fine,) = act.solve_shooting_many(spec, 0.0, -1.0, n_steps=8000)
-    coarse, fine = act.derivatives_second(coarse, spec), act.derivatives_second(fine, spec)
+def test_default_step_count_matches_fine_run(monkeypatch, spec: drifts.DriftSpec) -> None:
+    (coarse,) = act.derivatives_second(spec, act.solve_shooting_many(spec, 0.0, -1.0))
+    monkeypatch.setattr(act, "N_STEPS", 8000)
+    (fine,) = act.derivatives_second(spec, act.solve_shooting_many(spec, 0.0, -1.0))
     assert abs(coarse.q_value - fine.q_value) <= 1e-11
     for name in ("d2q_dy2", "d2q_dxdy", "d2q_dx2"):
         assert abs(getattr(coarse, name) - getattr(fine, name)) <= 1e-7, name
@@ -319,14 +319,16 @@ def test_rk4_kernel_matches_a_library_free_rk4_bit_for_bit(spec: drifts.DriftSpe
     back = [orc.rk4_nodes(flow, (x,), np.linspace(spec.horizon_T, t, 501))[-1][0] for x in xs]
     assert np.array_equal(_bits(drifts.characteristic_F(spec, xs, t)), _bits(back))
 
-    for sol in sols[:3]:
+    # the binding lanes' variations, marched together, against each lane alone
+    term_phi, term_psi, init_phi, init_psi = act._variations(spec, sols[:3])
+    for i, sol in enumerate(sols[:3]):
         variation = orc.variation_rhs(spec.db_dy, spec.d2b_dy2, times, sol.path.y, sol.momentum_p)
         # phi = 0, psi = 1 at T ("terminal", run backward) or at t ("initial")
-        for tag, run in (("terminal", slice(None, None, -1)), ("initial", slice(None))):
-            got = act.variational_system(sol, spec, tag)
+        for tag, run, phi, psi in (("terminal", slice(None, None, -1), term_phi, term_psi),
+                                   ("initial", slice(None), init_phi, init_psi)):
             ref = np.array(orc.rk4_nodes(variation, (0.0, 1.0), times[run]))[run]
-            assert np.array_equal(_bits(got.phi), _bits(ref[:, 0])), tag
-            assert np.array_equal(_bits(got.psi), _bits(ref[:, 1])), tag
+            assert np.array_equal(_bits(phi[:, i]), _bits(ref[:, 0])), (tag, i)
+            assert np.array_equal(_bits(psi[:, i]), _bits(ref[:, 1])), (tag, i)
 
 
 def test_conservation_on_the_criterion_grid() -> None:
@@ -388,9 +390,8 @@ def test_slopes_signed_below_boundary() -> None:
 # ------------------------------------------------------- second derivatives
 
 def test_second_derivatives_zero_drift() -> None:
-    sol = act.derivatives_second(
-        act.solve_shooting(drifts.zero_drift(), 0.0, -1.0), drifts.zero_drift()
-    )
+    spec = drifts.zero_drift()
+    (sol,) = act.derivatives_second(spec, [act.solve_shooting(spec, 0.0, -1.0)])
     assert sol.d2q_dy2 == pytest.approx(1.0, abs=1e-9)
     assert sol.d2q_dxdy == pytest.approx(-1.0, abs=1e-9)
     assert sol.d2q_dx2 == pytest.approx(1.0, abs=1e-9)
@@ -398,7 +399,7 @@ def test_second_derivatives_zero_drift() -> None:
 
 def test_second_derivatives_linear_drift_frozen() -> None:
     spec = drifts.linear_drift(0.5)
-    sol = act.derivatives_second(act.solve_shooting(spec, 0.0, -1.0), spec)
+    (sol,) = act.derivatives_second(spec, [act.solve_shooting(spec, 0.0, -1.0)])
     assert sol.d2q_dy2 == pytest.approx(orc.HESS_YY_A05, abs=1e-9)
     assert sol.d2q_dxdy == pytest.approx(orc.HESS_XY_A05, abs=1e-9)
     assert sol.d2q_dx2 == pytest.approx(orc.HESS_XX_A05, abs=1e-9)
@@ -407,7 +408,7 @@ def test_second_derivatives_linear_drift_frozen() -> None:
 def test_second_derivatives_match_finite_differences() -> None:
     """Variational values against centered differences of the slopes."""
     spec = drifts.logcosh_drift()
-    sol = act.derivatives_second(act.solve_shooting(spec, 0.0, -1.0), spec)
+    (sol,) = act.derivatives_second(spec, [act.solve_shooting(spec, 0.0, -1.0)])
     h = 1e-5
     up = act.solve_shooting(spec, 0.0, -1.0 + h)
     dn = act.solve_shooting(spec, 0.0, -1.0 - h)
@@ -424,7 +425,7 @@ def test_second_derivatives_match_finite_differences() -> None:
 
 def test_curvature_matrix_positive_semidefinite() -> None:
     for spec in (drifts.linear_drift(0.5), drifts.logcosh_drift()):
-        sol = act.derivatives_second(act.solve_shooting(spec, 0.0, -1.0), spec)
+        (sol,) = act.derivatives_second(spec, [act.solve_shooting(spec, 0.0, -1.0)])
         assert sol.d2q_dy2 > 0.0
         assert sol.d2q_dx2 > 0.0
         assert sol.d2q_dxdy < 0.0
@@ -444,28 +445,28 @@ def test_second_derivatives_need_curvature_data() -> None:
     )
     sol = act.solve_shooting(bare, 0.0, -1.0)
     with pytest.raises(ValueError):
-        act.derivatives_second(sol, bare)
+        act.derivatives_second(bare, [sol])
 
 
 def test_second_derivatives_rejected_in_free_region() -> None:
     spec = drifts.zero_drift()
     sol = act.solve_shooting(spec, 0.0, 0.5)
     with pytest.raises(ValueError):
-        act.derivatives_second(sol, spec)
+        act.derivatives_second(spec, [sol])
 
 
 def test_degenerate_variation_raises() -> None:
     sol, spec = _focusing_holding_solution()
     with pytest.raises(act.DegenerateVariationError):
-        act.derivatives_second(sol, spec)
+        act.derivatives_second(spec, [sol])
 
 
-def _overflowing_solution() -> tuple[act.ClassicalSolution, drifts.DriftSpec]:
+def _overflowing_batch() -> tuple[drifts.DriftSpec, list[act.ClassicalSolution]]:
     # a steep linear drift: psi grows like e^{2000 (T - s)} backward from T
     # and overflows, so the variation is inf or NaN at the start
     spec = drifts.linear_drift(2000.0)
     sol, _ = _focusing_holding_solution()
-    return replace(sol, path=replace(sol.path, y=np.linspace(-1.0, 0.0, sol.path.y.size))), spec
+    return spec, [replace(sol, path=replace(sol.path, y=np.linspace(-1.0, 0.0, sol.path.y.size)))]
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -485,7 +486,7 @@ def _overflowing_solution() -> tuple[act.ClassicalSolution, drifts.DriftSpec]:
      drifts.ConfigError, "t=-inf"),
     (lambda: act.minimize_direct(drifts.logcosh_drift(), 0.0, -1.0, t=1.0),
      drifts.ConfigError, "t < T"),
-    (lambda: act.derivatives_second(*_overflowing_solution()),
+    (lambda: act.derivatives_second(*_overflowing_batch()),
      act.DegenerateVariationError, "not finite"),
 ], ids=["nan-start", "nan-threshold", "inf-lane", "direct-nan-start",
         "direct-inf-threshold", "inf-start-time", "direct-inf-start-time",
@@ -497,13 +498,40 @@ def test_bad_classical_input_is_refused(call, error, match) -> None:
 
 def test_variational_system_boundary_data() -> None:
     spec = drifts.linear_drift(0.5)
-    sol = act.solve_shooting(spec, 0.0, -1.0)
-    term = act.variational_system(sol, spec, "terminal")
-    init = act.variational_system(sol, spec, "initial")
-    assert term.phi[-1] == 0.0 and term.psi[-1] == 1.0
-    assert init.phi[0] == 0.0 and init.psi[0] == 1.0
-    with pytest.raises(ValueError):
-        act.variational_system(sol, spec, "sideways")
+    sols = act.solve_shooting_many(spec, [0.0, 0.25], -1.0)
+    term_phi, term_psi, init_phi, init_psi = act._variations(spec, sols)
+    assert (term_phi[-1] == 0.0).all() and (term_psi[-1] == 1.0).all()
+    assert (init_phi[0] == 0.0).all() and (init_psi[0] == 1.0).all()
+
+
+def test_second_derivatives_of_a_batch_are_its_lanes_alone() -> None:
+    # each lane of one march against its one-element batch, bit for bit,
+    # on every third point of the grid
+    xs, ys = np.array(_GRID[::3]).T
+    for spec in (_BATCH_DRIFTS[2], _BATCH_DRIFTS[4]):
+        sols = act.solve_shooting_many(spec, xs, ys)
+        for got, sol in zip(act.derivatives_second(spec, sols), sols):
+            (ref,) = act.derivatives_second(spec, [sol])
+            for name in ("d2q_dy2", "d2q_dxdy", "d2q_dx2"):
+                assert _bits(getattr(got, name)) == _bits(getattr(ref, name)), (spec.name, name)
+    assert act.derivatives_second(drifts.zero_drift(), []) == []
+
+
+def test_second_derivatives_name_the_refused_lane(monkeypatch) -> None:
+    spec = drifts.logcosh_drift()
+    bound, free = act.solve_shooting_many(spec, 0.0, [-1.0, 0.5])
+    with pytest.raises(ValueError, match=r"free lane 1: \(x=0\.0, y=0\.5, t=0\.0\)"):
+        act.derivatives_second(spec, [bound, free])
+    (late,) = act.solve_shooting_many(spec, 0.0, -1.0, t=0.3)
+    with pytest.raises(ValueError, match=r"time grid .* lane 1: \(x=0\.0, y=-1\.0, t=0\.3\)"):
+        act.derivatives_second(spec, [bound, late])
+    # a well-posed lane beside the focusing one, on its 2000-step grid
+    degenerate, strong = _focusing_holding_solution()
+    monkeypatch.setattr(act, "N_STEPS", degenerate.path.times.size - 1)
+    (well,) = act.solve_shooting_many(strong, 0.0, -1.0)
+    assert act.derivatives_second(strong, [well])[0].d2q_dy2 > 0.0
+    with pytest.raises(act.DegenerateVariationError, match="in lane 1: "):
+        act.derivatives_second(strong, [well, degenerate])
 
 
 # --------------------------------------------------------- direct minimizer
@@ -526,21 +554,25 @@ def test_minimize_direct_matches_shooting() -> None:
         assert abs(q_direct - q_shoot) < 1e-4
 
 
-def test_minimize_direct_node_doubling_is_settled() -> None:
+def test_minimize_direct_node_doubling_is_settled(monkeypatch) -> None:
     spec = drifts.logcosh_drift()
-    q256, _ = act.minimize_direct(spec, 0.0, -1.0, n_nodes=256)
-    q512, _ = act.minimize_direct(spec, 0.0, -1.0, n_nodes=512)
+    monkeypatch.setattr(act, "DIRECT_NODES", 256)
+    q256, _ = act.minimize_direct(spec, 0.0, -1.0)
+    monkeypatch.setattr(act, "DIRECT_NODES", 512)
+    q512, _ = act.minimize_direct(spec, 0.0, -1.0)
     assert abs(q512 - q256) < 1e-4
 
 
-def test_minimize_direct_node_floor() -> None:
+def test_minimize_direct_node_floor(monkeypatch) -> None:
+    monkeypatch.setattr(act, "DIRECT_NODES", 8)
     with pytest.raises(ValueError):
-        act.minimize_direct(drifts.zero_drift(), 0.0, -1.0, n_nodes=8)
+        act.minimize_direct(drifts.zero_drift(), 0.0, -1.0)
 
 
-def test_minimize_direct_unreachable_tolerance() -> None:
+def test_minimize_direct_unreachable_tolerance(monkeypatch) -> None:
+    monkeypatch.setattr(act, "DIRECT_GRAD_TOL", 1e-16)
     with pytest.raises(act.ConvergenceError):
-        act.minimize_direct(drifts.zero_drift(), 0.0, -1.0, grad_tol=1e-16)
+        act.minimize_direct(drifts.zero_drift(), 0.0, -1.0)
 
 
 @pytest.mark.parametrize("amplitude, x, y, q_min", [

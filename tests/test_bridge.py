@@ -71,7 +71,7 @@ def test_linear_pieces_requires_linear_drift() -> None:
 
 def test_brownian_bridge_exact() -> None:
     spec = drifts.zero_drift()
-    est = bridge.linear_bridge_moments(bridge.linear_pieces(spec, QUERY), QUERY)
+    est = bridge.linear_bridge_moments(spec, QUERY)
     assert est.method == "exact-linear"
     assert est.mean == pytest.approx(orc.BB_MEAN, abs=1e-12)
     assert est.variance == pytest.approx(orc.BB_VAR, abs=1e-12)
@@ -83,7 +83,7 @@ def test_brownian_bridge_exact() -> None:
 def test_growing_drift_mean_is_the_two_leg_minimizer() -> None:
     spec = drifts.linear_drift(0.5)
     pieces = bridge.linear_pieces(spec, QUERY)
-    est = bridge.linear_bridge_moments(pieces, QUERY)
+    est = bridge.linear_bridge_moments(spec, QUERY)
     assert est.mean == pytest.approx(orc.PIN_MEAN_A05, abs=1e-12)
     assert est.variance / EPS == pytest.approx(orc.PIN_VAR_UNIT_EPS_A05, rel=1e-12)
     # independent route: minimize the two-leg zero-noise cost numerically,
@@ -98,7 +98,7 @@ def test_growing_drift_mean_is_the_two_leg_minimizer() -> None:
 def test_mean_ratio_stays_sandwiched() -> None:
     for A in (0.0, 0.25, 0.5):
         spec = drifts.linear_drift(A) if A else drifts.zero_drift()
-        est = bridge.linear_bridge_moments(bridge.linear_pieces(spec, QUERY), QUERY)
+        est = bridge.linear_bridge_moments(spec, QUERY)
         ratio = est.extra["mean_ratio"]
         assert 0.5 < ratio <= 1.0 + 1e-12
 
@@ -111,7 +111,7 @@ def test_mean_decays_with_the_look_back() -> None:
     last = 1.0  # |y|
     for delta in (0.5, 0.125, 1.0 / 64.0):
         q = bridge.BridgeQuery(-1.0, 1.0, delta, EPS)
-        est = bridge.linear_bridge_moments(bridge.linear_pieces(spec, q), q)
+        est = bridge.linear_bridge_moments(spec, q)
         assert abs(est.mean) < last
         last = abs(est.mean)
     assert last < 0.02
@@ -122,7 +122,7 @@ def test_mean_decays_with_the_look_back() -> None:
 def test_green_matches_exact_linear() -> None:
     for A in (0.0, 0.25, 0.5):
         spec = drifts.linear_drift(A) if A else drifts.zero_drift()
-        exact = bridge.linear_bridge_moments(bridge.linear_pieces(spec, QUERY), QUERY)
+        exact = bridge.linear_bridge_moments(spec, QUERY)
         quad = bridge.conditional_prob_green(spec, QUERY, 4.0, "below")
         assert quad.method == "green-quadrature"
         assert quad.mean == pytest.approx(exact.mean, rel=1e-3)
@@ -134,7 +134,7 @@ def test_green_tracks_fast_time_varying_drift() -> None:
     # A(s) takes the same value at s = 0, 1/2 and 1, so both legs must
     # re-evaluate the drift at every time level to follow it
     spec = drifts.time_varying_linear(0.25, 0.25, 4.0 * math.pi)
-    exact = bridge.linear_bridge_moments(bridge.linear_pieces(spec, QUERY), QUERY)
+    exact = bridge.linear_bridge_moments(spec, QUERY)
     quad = bridge.conditional_prob_green(spec, QUERY, 4.0, "below")
     assert quad.mean == pytest.approx(exact.mean, rel=2e-3)
     assert quad.variance == pytest.approx(exact.variance, rel=2e-3)
@@ -220,7 +220,7 @@ def test_every_shared_start_meets_the_closed_form(spec) -> None:
     assert len(kernels) == 1
     for y in SWEEP:
         query = dataclasses.replace(QUERY, y_start=y)
-        exact = bridge.linear_bridge_moments(bridge.linear_pieces(spec, query), query)
+        exact = bridge.linear_bridge_moments(spec, query)
         below, above = (
             bridge.conditional_prob_green(spec, query, c, side, kernels=kernels)
             for c, side in zip(FRACTIONS, ("below", "above"))
@@ -252,9 +252,10 @@ def test_green_mass_matches_transition_kernel() -> None:
 
 def test_green_refinement_audit() -> None:
     # the quadrature at 1201 target nodes against its refinement at 2401
+    spec = drifts.zero_drift()
     coarse, fine = (
-        bridge.conditional_prob_green(drifts.zero_drift(), QUERY, 4.0, "below",
-                                      bridge.GreenResources(n_y=n_y, n_t=601))
+        bridge.conditional_prob_green(spec, QUERY, 4.0, "below", kernels=(bridge.bridge_kernel(
+            spec, QUERY, bridge.GreenResources(n_y=n_y, n_t=601), fractions=(4.0,)),))
         for n_y in (1201, 2401)
     )
     assert abs(fine.prob_below - coarse.prob_below) < 1e-5
@@ -291,20 +292,20 @@ def test_concentration_zero_drift_shallow_sweep() -> None:
         assert all(a < b for a, b in zip(probs, probs[1:]))
 
 
-def test_concentration_zero_drift_deep_sweep() -> None:
+def test_concentration_zero_drift_deep_sweep(monkeypatch) -> None:
+    monkeypatch.setattr(bridge, "DEFAULT_C_BELOW", 1.5)
     rep = bridge.concentration_check(drifts.zero_drift(), EPS, 1.0,
-                                     np.linspace(-3.5, -2.3, 7), [0.25],
-                                     c_below=1.5)
+                                     np.linspace(-3.5, -2.3, 7), [0.25])
     assert rep.passed
     for gamma, c in ((rep.gamma_below, 1.5), (rep.gamma_above, 0.25)):
         loc = orc.local_exponent(c, 1.0, 0.25)
         assert abs(gamma - loc) / loc < 0.15
 
 
-def test_concentration_concave_drift() -> None:
+def test_concentration_concave_drift(monkeypatch) -> None:
+    monkeypatch.setattr(bridge, "DEFAULT_C_BELOW", 2.0)
     rep = bridge.concentration_check(drifts.logcosh_drift(), EPS, 1.0,
-                                     np.linspace(-1.6, -0.8, 5), [0.25],
-                                     c_below=2.0)
+                                     np.linspace(-1.6, -0.8, 5), [0.25])
     assert rep.passed
     assert rep.gamma_below > 0.0 and rep.gamma_above > 0.0
     # fitted envelope dominates every computed tail

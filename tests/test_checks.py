@@ -519,6 +519,13 @@ def test_run_config_validation() -> None:
             checks.RunConfig(**kw)
 
 
+def test_run_config_bridge_look_back_follows_the_horizon() -> None:
+    # the look-back may reach half the configured drift's horizon, not 0.5
+    assert checks.RunConfig(drift_params={"T": 2.0}, bridge_delta=0.8).bridge_delta == 0.8
+    with pytest.raises(checks.ConfigError, match=r"horizon T=0\.5"):
+        checks.RunConfig(drift_params={"T": 0.5}, bridge_delta=0.4)
+
+
 def test_run_config_drift_lookup() -> None:
     assert checks.RunConfig().drift().name == "logcosh(c=0.5)"
     spec = checks.RunConfig(drift_kind="linear", drift_params={"A": 0.25}).drift()

@@ -1,6 +1,6 @@
 """Package-wide layout: one Euler-Maruyama loop, a public surface that resolves,
-no test-only knob among the battery's parameters, and one source of compiled
-scipy code."""
+no test-only knob among the parameters of the battery, the classical action and
+the bridge, and one source of compiled scipy code."""
 
 from __future__ import annotations
 
@@ -40,10 +40,12 @@ def test_one_draw_site_and_a_resolving_public_surface() -> None:
 
 def test_every_check_default_is_set_by_the_package() -> None:
     # a defaulted parameter that no package call sets is a test-only knob;
-    # it belongs in a module constant that tests monkeypatch
+    # it belongs in a module constant that tests monkeypatch.  drifts.py is
+    # not scanned: its factories' T comes in through RunConfig.drift_params
     package = Path(tailcost.__file__).parent
     defaults = {}
-    for node in ast.parse((package / "checks.py").read_text(encoding="utf-8")).body:
+    for node in (node for name in ("checks.py", "action.py", "bridge.py")
+                 for node in ast.parse((package / name).read_text(encoding="utf-8")).body):
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             args = node.args.posonlyargs + node.args.args
             named = args[len(args) - len(node.args.defaults):] + [
