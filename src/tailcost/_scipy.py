@@ -1,16 +1,17 @@
 """The package's one source of compiled scipy code.
 
-The package calls five LAPACK wrappers (the tridiagonal factorization
-and solves dgttrf, dgttrs and dtbtrs, and the symmetric dpttrf and
-dpttrs) and two ufuncs of scipy (log_ndtr and ndtr).  The packages that
-export them, scipy.linalg and scipy.special, import scipy's array-API
-layer, which loads numpy.f2py, numpy.testing, numpy.ma and numpy.random:
-most of the package's start-up.  So the two extension modules that hold
-the seven routines are loaded here from scipy's install directory,
-without running either package's __init__.  Each is registered in
-sys.modules under its own name, so a later import of scipy.linalg or
-scipy.special reuses it and the public names are these same objects.  A
-scipy release that keeps a routine elsewhere gets the public names.
+The package calls four LAPACK wrappers (the tridiagonal factorization
+and solve dgttrf and dgttrs, and the symmetric positive-definite dpttrf
+and dpttrs) and two ufuncs of scipy (log_ndtr and ndtr).  The packages
+that export them, scipy.linalg and scipy.special, import scipy's
+array-API layer, which loads numpy.f2py, numpy.testing, numpy.ma and
+numpy.random: most of the package's start-up.  So the two extension
+modules that hold the six routines are loaded here from scipy's install
+directory, without running either package's __init__.  Each is
+registered in sys.modules under its own name, so a later import of
+scipy.linalg or scipy.special reuses it and the public names are these
+same objects.  A scipy release that keeps a routine elsewhere gets the
+public names.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ def _routines(name: str, public: str, names: tuple[str, ...]) -> list:
     return [getattr(module, n) for n in names]
 
 
-dgttrf, dgttrs, dpttrf, dpttrs, dtbtrs = _routines(
-    "scipy.linalg._flapack", "scipy.linalg.lapack",
-    ("dgttrf", "dgttrs", "dpttrf", "dpttrs", "dtbtrs"),
+dgttrf, dgttrs, dpttrf, dpttrs = _routines(
+    "scipy.linalg._flapack", "scipy.linalg.lapack", ("dgttrf", "dgttrs", "dpttrf", "dpttrs"),
 )
 log_ndtr, ndtr = _routines(
     "scipy.special._special_ufuncs", "scipy.special", ("log_ndtr", "ndtr"),

@@ -17,28 +17,29 @@ both diffusion and drift) with a backward-Euler startup phase that damps
 the ringing the step terminal data would otherwise excite.  One march,
 _cn_march, serves the threshold solve and its fans, the Green fan (one
 column per threshold) and both bridge kernels; the upper wall value is its
-argument.  The implicit matrix I - r L is LU-factored (LAPACK gttrf) once
-per march when the drift declares itself time-homogeneous, and at every
-time level otherwise; the startup half-steps and the CN steps share the
-factors.  A factorization without a row interchange (always, when the
-matrix is diagonally dominant: mesh Peclet numbers up to 1) is kept as
-L D (D^-1 U), two unit-bidiagonal bands and the pivots, and every solve is
-two band sweeps (LAPACK tbtrs) around one division by the pivots, so that
-no division sits inside a row recurrence; after an interchange the
-factors' own solve (gttrs) runs.  One column and many take the same path,
-so a fan member gets the bits of its lone march.  Each step is solved in
-delta form (Beam and Warming): the march carries w = r L u, the explicit
-half of the CN step, from level to level, so a CN step is one solve of
-(I - r L)(v - u) = 2w for the increment and three vector passes, and a
-time-homogeneous march never forms a stencil product.  On a plateau of u
-the increment vanishes, so no rounding piles up there.  Every solved level
-is checked to be finite, so a non-finite datum or an overflow raises
-PdeError at the time level where it appears.  At the mesh Peclet numbers of every shipped
-configuration (|b| h_y / eps <= 1) each step is a monotone map, so the
-discrete solution inherits the maximum principle and monotonicity in y to
-roundoff; solve_u folds every level it makes into running rows of the
-lowest value, the highest value and the steepest downward step to check
-both.  The mesh Peclet and diffusion numbers are recorded, not enforced.
+argument.  The implicit matrix I - r L is factored once per march when the
+drift declares itself time-homogeneous, and at every time level otherwise;
+the startup half-steps and the CN steps share the factors.  Where its
+off-diagonals are negative (mesh Peclet numbers below 1), a diagonal
+scaling S makes S^-1 (I - r L) S symmetric positive definite, and every
+solve is one LAPACK pttrs on its L D L^T factors (pttrf), whose two sweeps
+hold no division in their row recurrences, between a product by 1/s and
+one by s.  Otherwise, or where s would span more than SCALE_FLOOR allows,
+LU factors with row interchanges (gttrf) solve it (gttrs).  One column and
+many take the same path, so a fan member gets the bits of its lone
+march.  Each step is solved in delta form (Beam and Warming): the march
+carries w = r L u, the explicit half of the CN step, from level to level,
+so a CN step is one solve of (I - r L)(v - u) = 2w for the increment and
+four vector passes, and a time-homogeneous march never forms a stencil
+product.  On a plateau of u the increment vanishes, so no rounding piles
+up there.  Every solved level is checked to be finite, so a non-finite
+datum or an overflow raises PdeError at the time level where it
+appears.  At the mesh Peclet numbers of every shipped configuration
+(|b| h_y / eps <= 1) each step is a monotone map, so the discrete solution
+inherits the maximum principle and monotonicity in y to roundoff; solve_u
+folds every level it makes into running rows of the lowest value, the
+highest value and the steepest downward step to check both.  The mesh
+Peclet and diffusion numbers are recorded, not enforced.
 """
 
 from __future__ import annotations
@@ -51,10 +52,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tables
-from ._scipy import dgttrf, dgttrs, dtbtrs
+from ._scipy import dgttrf, dgttrs, dpttrf, dpttrs
 from .drifts import DriftSpec, _trapz
 
 U_FLOOR = 1e-300  # below this, q = -eps log u is flagged, never clamped
+SCALE_FLOOR = 1e-200  # smallest symmetrising scale of I - r L, the largest being 1
 
 MAXPRINCIPLE_TOL = 1e-12
 MONOTONE_TOL = 1e-12
@@ -183,25 +185,23 @@ def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall
     from the data with the walls in place of its end values, as
     r upper (u_+ - u) - r lower (u - u_-), plus the flux diagonal of the
     forward equation.  A half-step solves (I - r L) d = w and sets w = d;
-    a CN step solves (I - r L) d = 2w and sets w = d - w.  When the stencil
+    a CN step solves (I - r L) d = 2w and sets w = d - w.  When the drift
     moved since w was formed (a time-varying drift), r (L_new - L_old) u is
-    added to the right-hand side first, node by node from the level's
-    neighbours.  A solve is a unit-lower band sweep by the multipliers of
-    dgttrf's factors of I - r L, a division by the pivots and a unit-upper
-    band sweep by the superdiagonal over the pivots, or dgttrs on the
-    factors when dgttrf interchanged rows.  Every increment is checked to be
-    finite, so an overflow raises PdeError at the level where it appears.
+    added to the right-hand side first, from the change of r b / 2h alone.
+    Where r lower and r upper are positive, S^-1 (I - r L) S is symmetric
+    for the diagonal S with s_{i+1} / s_i = sqrt(r lower_{i+1} / r upper_i),
+    scaled to max s = 1, so 1/s never underflows a right-hand side.  When
+    that matrix is positive definite (dpttrf) and min s >= SCALE_FLOOR, a
+    solve is the right-hand side times 1/s (2/s for a CN step, 2w times 1/s
+    bit for bit), one dpttrs and a product by s.  Otherwise dgttrf's
+    factors solve it (dgttrs).  Every increment is checked to be finite, so
+    an overflow raises PdeError at the level where it appears.
     """
     y, h, dt = grid.y_nodes(), grid.h_y, grid.h_t
     r = 0.5 * dt  # the startup half-steps and the CN steps share I - r L
     ra, rh = r * (0.5 * epsilon / (h * h)), r / (2.0 * h)  # r alpha and r / 2h
     m = grid.n_y - 2
     diag = np.full(m, 1.0 + 2.0 * ra)
-    unpivoted = np.arange(1, m + 1, dtype=np.int32)
-    # dgttrf's unit-lower factor (the multipliers) and its upper factor over
-    # the pivots as LAPACK bands (row 0 above row 1, unit diagonals unread),
-    # Fortran-ordered so that dtbtrs takes them uncopied
-    lower, upper = np.ones((2, m), order="F"), np.ones((2, m), order="F")
 
     def build(tv: float):
         b = np.asarray(spec.b(y[1:-1] if backward else y, tv), dtype=float)
@@ -212,20 +212,30 @@ def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall
             rl, ru, flux = ra - rb, ra + rb, 0.0
         else:
             rl, ru, flux = ra + rb[:-2], ra - rb[2:], rb[:-2] - rb[2:]
+        s = np.ones(m)
+        with np.errstate(all="ignore"):  # a ratio out of range fails the test below
+            root = np.sqrt(np.divide(rl[1:], ru[:-1], out=s[1:]), out=s[1:])  # s_{i+1} / s_i
+            # sqrt(r lower_{i+1} r upper_i) where both are positive, else NaN, 0 or negative
+            off = ru[:-1] * root
+            np.multiply.accumulate(s, out=s)
+        top = s.max()
+        if off.min() > 0.0 and s.min() >= SCALE_FLOOR * top:
+            s /= top
+            d, e, info = dpttrf(diag, np.negative(off, out=off), 0, 1)  # overwrite_d, overwrite_e
+            if info == 0:
+                down = 1.0 / s
+                return rb, (ru, rl, flux), ((down, down + down), s, functools.partial(dpttrs, d, e))
         # by position: overwrite_dl, overwrite_d, overwrite_du
-        dl, d, du, du2, ipiv, info = dgttrf(-rl[1:], diag, -ru[:-1], 1, 0, 1)
+        *factors, info = dgttrf(-rl[1:], diag, -ru[:-1], 1, 0, 1)
         if info != 0:
             raise PdeError(f"implicit matrix of drift {spec.name} is singular at t={tv:g}")
-        if not (ipiv == unpivoted).all():  # only where I - r L is not diagonally dominant
-            return (ru, rl, flux), (dl, d, du, du2, ipiv)
-        lower[1, :-1] = dl
-        np.divide(du, d[:-1], out=upper[0, 1:])
-        return (ru, rl, flux), (lower, d, upper)
+        return rb, (ru, rl, flux), ((1.0, 2.0), None, functools.partial(dgttrs, *factors))
 
-    # r times the stencil's (upper, lower, flux diagonal) of the interior rows
-    # and the factors of I - r L, kept for the last time level asked for; a
-    # time-homogeneous drift is built once, at t_start.  The bands are
-    # refilled in place, so a level's factors hold until the next build.
+    # r b / 2h, r times the stencil's (upper, lower, flux diagonal) of the
+    # interior rows and the solve of I - r L ((1/s, 2/s), or (1, 2) on the
+    # general path; s or None; LAPACK's solve on the factors), kept for the
+    # last time level asked for; a time-homogeneous drift is built once, at
+    # t_start
     stencil = functools.lru_cache(maxsize=1)(build)
 
     def product(u_full: np.ndarray, ru, rl, flux) -> np.ndarray:
@@ -241,35 +251,31 @@ def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall
     half = -0.5 * dt if backward else 0.5 * dt
     if not np.isfinite(u).all():
         raise PdeError(f"data of the march of drift {spec.name} is not finite at t={t[0]:g}")
-    held, factors = stencil(grid.t_start if spec.time_homogeneous else t[0] + half)
-    w = product(u, *held)  # held: the stencil w is r L u of
+    held, coef, _ = stencil(grid.t_start if spec.time_homogeneous else t[0] + half)
+    w = product(u, *coef)  # held: the r b / 2h w is r L u of
     zero = np.zeros_like(w)
 
-    def solve(rhs: np.ndarray, tv: float, u_full: np.ndarray) -> np.ndarray:
-        # the increment of the step from level u_full to tv, solved in place in rhs
-        nonlocal held, factors
-        if not spec.time_homogeneous:
-            coef, factors = stencil(tv)
-            if coef is not held:
-                # r (L_new - L_old) u_full by neighbour: u_full is one of the
-                # march's buffers, whose end values are the walls
-                dru, drl, dflux = (a - b for a, b in zip(coef, held))
-                moved = dru * u_full[..., 2:]
-                moved -= (dru + drl - dflux) * u_full[..., 1:-1]
-                moved += drl * u_full[..., :-2]
-                rhs += moved
-                held = coef
-        # LAPACK solves the (m, k) column-major view of rhs in place: two
-        # unit-bidiagonal sweeps around one division by the pivots, or, after
-        # a pivot, the factors' own solve (arguments by position: uplo, trans,
-        # diag, overwrite_b)
-        columns = rhs.reshape(-1, m).T
-        if len(factors) == 3:
-            dtbtrs(factors[0], columns, "L", "N", "U", 1)
-            rhs /= factors[1]
-            dtbtrs(factors[2], columns, "U", "N", "U", 1)
-        else:
-            dgttrs(*factors, columns, "N", 1)
+    def solve(rhs: np.ndarray, src: np.ndarray, k: int, tv: float,
+              u_full: np.ndarray) -> np.ndarray:
+        # the increment d of the step from level u_full to tv, (I - r L) d = k src
+        # (k = 1 or 2), solved into rhs, which may be src
+        nonlocal held
+        rb, _, (down, up, lapack) = stencil(grid.t_start if spec.time_homogeneous else tv)
+        np.multiply(src, down[k - 1], out=rhs)
+        if rb is not held:
+            # r (L_new - L_old) u_full from the change of r b / 2h: u_full is
+            # one of the march's buffers, whose end values are the walls
+            moved = rb - held
+            if backward:
+                moved = moved * (u_full[..., 2:] - u_full[..., :-2])
+            else:
+                moved = moved[:-2] * u_full[..., :-2] - moved[2:] * u_full[..., 2:]
+            moved *= down[0]
+            rhs += moved
+            held = rb
+        lapack(rhs.reshape(-1, m).T, overwrite_b=1)  # the (m, k) column-major view, in place
+        if up is not None:
+            rhs *= up
         # every product with zero is a signed zero unless its factor is not finite
         if np.vdot(rhs, zero) != 0.0:
             raise PdeError(f"march of drift {spec.name} left the finite range at t={tv:g}")
@@ -283,10 +289,10 @@ def _cn_march(spec: DriftSpec, u: np.ndarray, grid: Grid1D, epsilon: float, wall
     for step in range(1, grid.n_t):
         v, v_in = buffers[step % 2], inner[step % 2]
         if step <= N_STARTUP:
-            np.add(u_in, solve(w, t[step - 1] + half, u), out=v_in)
-            v_in += solve(w, t[step], v)
+            np.add(u_in, solve(w, w, 1, t[step - 1] + half, u), out=v_in)
+            v_in += solve(w, w, 1, t[step], v)
         else:
-            solve(np.add(w, w, out=rhs), t[step], u)
+            solve(rhs, w, 2, t[step], u)
             np.add(u_in, rhs, out=v_in)
             np.subtract(rhs, w, out=w)
         u, u_in = v, v_in

@@ -76,11 +76,11 @@ def test_compiled_scipy_routines_are_the_public_objects() -> None:
     from tailcost import _scipy, action, bridge, checks, pde
 
     public = {name: getattr(scipy.linalg.lapack, name)
-              for name in ("dgttrf", "dgttrs", "dpttrf", "dpttrs", "dtbtrs")}
+              for name in ("dgttrf", "dgttrs", "dpttrf", "dpttrs")}
     public.update(log_ndtr=scipy.special.log_ndtr, ndtr=scipy.special.ndtr)
     for name, routine in public.items():
         assert getattr(_scipy, name) is routine, name
-    used = {pde: ("dgttrf", "dgttrs", "dtbtrs"), action: ("dpttrf", "dpttrs"),
+    used = {pde: ("dgttrf", "dgttrs", "dpttrf", "dpttrs"), action: ("dpttrf", "dpttrs"),
             bridge: ("ndtr",), checks: ("log_ndtr", "ndtr")}
     for module, names in used.items():
         for name in names:

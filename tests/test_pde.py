@@ -164,10 +164,10 @@ def test_march_refuses_non_finite_data_without_warnings(
 
 
 def _spy_solves(monkeypatch) -> tuple[dict, list]:
-    """The march's LAPACK solves, counted by routine (dtbtrs unpivoted, dgttrs
-    after a pivot), and the right-hand sides handed to them, in call order."""
-    calls, solved = {"dtbtrs": 0, "dgttrs": 0}, []
-    for name, at in (("dtbtrs", 1), ("dgttrs", 5)):
+    """The march's LAPACK solves, counted by routine (dpttrs on the symmetrised
+    matrix, dgttrs otherwise), and the right-hand sides handed to them, in call order."""
+    calls, solved = {"dpttrs": 0, "dgttrs": 0}, []
+    for name, at in (("dpttrs", 2), ("dgttrs", 5)):
         def spy(*args, real=getattr(pde, name), name=name, at=at, **kw):
             calls[name] += 1
             solved.append(args[at])
@@ -200,7 +200,7 @@ def test_march_overflow_is_a_pde_error(monkeypatch, pivoted: bool, columns: int)
             pde.PdeError, match=spec.name + " left the finite range at t=0.975$"):
         pde._cn_march(spec, data[0] if columns == 1 else data, grid, eps, 1.0, backward=True)
     # the check of the path that ran raised at the first half-step
-    assert calls == ({"dtbtrs": 0, "dgttrs": 1} if pivoted else {"dtbtrs": 2, "dgttrs": 0})
+    assert calls == ({"dpttrs": 0, "dgttrs": 1} if pivoted else {"dpttrs": 1, "dgttrs": 0})
 
 
 # ------------------------------------------------------ the carried CN step
@@ -265,27 +265,33 @@ STEP_GRID = pde.Grid1D(-4.0, 4.0, 241, 0.0, 1.0, 121)
 
 @pytest.mark.parametrize("columns", [1, 3])
 @pytest.mark.parametrize("backward", [True, False], ids=["backward", "forward"])
-@pytest.mark.parametrize("spec, grid, pivots", [
+@pytest.mark.parametrize("spec, grid, general", [
     (drifts.zero_drift(), STEP_GRID, False),
     (drifts.logcosh_drift(), STEP_GRID, False),
     (drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi), STEP_GRID, False),
     # mesh Peclet up to 40 on a coarse lattice: I - r L is not diagonally
-    # dominant near the walls, and dgttrf pivots
+    # dominant near the walls, some of its off-diagonals are positive, and
+    # dgttrf pivots
     (drifts.linear_drift(5.0), pde.Grid1D(-4.0, 4.0, 41, 0.0, 1.0, 11), True),
-], ids=["zero", "logcosh", "linear_tv", "linear5-pivoting"])
-def test_carried_step_matches_the_textbook_step(monkeypatch, spec, grid, pivots, backward,
+    # mesh Peclet 0.8, but the symmetrising scale would span about 350
+    # decades, past SCALE_FLOOR
+    (drifts.linear_drift(10.0), pde.Grid1D(-4.0, 4.0, 4001, 0.0, 1.0, 11), True),
+], ids=["zero", "logcosh", "linear_tv", "linear5-pivoting", "linear10-unscaled"])
+def test_carried_step_matches_the_textbook_step(monkeypatch, spec, grid, general, backward,
                                                 columns) -> None:
     # every level within 1e-12 max|u| of the two-sided step, and the carried
     # w = r L u of the last level within the same of a fresh product; the
     # first half-step solves w in place, so the first right-hand side handed
-    # to LAPACK (dtbtrs, or dgttrs after a pivot) is a view of the march's w
-    # buffer
+    # to LAPACK (dpttrs, or dgttrs on the general path) is a view of the
+    # march's w buffer.  Choosing the path raises no numpy warning.
     wall = 1.0 if backward else 0.0
     data = _march_data(grid, backward, columns)
     calls, solved = _spy_solves(monkeypatch)
     carried, textbook = {}, {}
-    last = pde._cn_march(spec, data[0] if columns == 1 else data, grid, EPS, wall, backward,
-                         level=lambda i, v: carried.__setitem__(i, v.copy()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        last = pde._cn_march(spec, data[0] if columns == 1 else data, grid, EPS, wall, backward,
+                             level=lambda i, v: carried.__setitem__(i, v.copy()))
     _textbook_march(spec, data, grid, EPS, wall, backward,
                     level=lambda step, v: textbook.__setitem__(
                         grid.n_t - 1 - step if backward else step, v))
@@ -297,10 +303,10 @@ def test_carried_step_matches_the_textbook_step(monkeypatch, spec, grid, pivots,
     t_last = grid.t_start if backward else grid.T
     fresh = _textbook_product(spec, grid, EPS, backward, t_last, last)
     assert np.max(np.abs(w - fresh)) <= scale
-    # one solve per half-step and per CN step: two sweeps each, or one dgttrs
+    # one LAPACK solve per half-step and per CN step
     solves = grid.n_t - 1 + pde.N_STARTUP
-    assert calls == ({"dtbtrs": 0, "dgttrs": solves} if pivots
-                     else {"dtbtrs": 2 * solves, "dgttrs": 0})
+    assert calls == ({"dpttrs": 0, "dgttrs": solves} if general
+                     else {"dpttrs": solves, "dgttrs": 0})
 
 
 @pytest.mark.parametrize("spec, grid", [
@@ -316,6 +322,26 @@ def test_fine_lattices_keep_both_contracts_to_roundoff(spec, grid) -> None:
     heat = pde.solve_u(spec, 0.0, grid, 0.2, rows=0)
     assert heat.diagnostics["max_principle"] <= 1e-14
     assert heat.diagnostics["monotonicity"] <= 1e-14
+
+
+@pytest.mark.parametrize("spec", [drifts.linear_drift(0.5), drifts.logcosh_drift()],
+                         ids=["linear", "logcosh"])
+def test_symmetrised_solve_keeps_the_tail(monkeypatch, spec) -> None:
+    # the scaling by s costs no accuracy where u is tiny: every level agrees
+    # with the general path's to 1e-12 relative wherever u >= U_FLOOR (the
+    # level-0 tails reach about 4e-221 and 6e-194)
+    eps = 0.025
+    grid = pde.default_grid(spec, 0.0, eps, n_y=2001, n_t=1201)
+    calls, _ = _spy_solves(monkeypatch)
+    scaled = pde.solve_u(spec, 0.0, grid, eps).u
+    assert calls["dgttrs"] == 0
+    monkeypatch.setattr(pde, "SCALE_FLOOR", np.inf)
+    general = pde.solve_u(spec, 0.0, grid, eps).u
+    assert calls["dgttrs"] == calls["dpttrs"]  # every solve of the second march
+    resolved = general >= pde.U_FLOOR
+    assert general[0][resolved[0]].min() < 1e-190
+    gap = np.abs(scaled - general)[resolved] / general[resolved]
+    assert gap.max() <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.25], ids=["nan", "inf", "dip"])
