@@ -5,10 +5,11 @@ generator so runs are reproducible bit for bit from the seed alone.  The
 loop marches one or more runs of one seed as legs (Leg).  A steered leg
 follows the drift b - dq/dy, built level by level in the backward solve's
 own march (ControllerField.from_fields), stops steering a short cutoff
-before the horizon, and accumulates the exact change-of-measure log weight
-so controlled samples can stand in for the original law (importance
-sampling) or be studied in their own right.  A plain leg is the plain-law
-Euler run.
+before the horizon, and reads the exact log weight log dP/dQ off its cost
+C = int excess^2 ds and noise sum N = int excess sqrt(eps) dW as
+-(N + C/2)/eps (the logarithmic transformation), so controlled samples
+can stand in for the original law (importance sampling) or be studied in
+their own right.  A plain leg is the plain-law Euler run.
 
 The cost and slope representations and the importance-sampling estimate
 of the exceedance probability are plain averages over one steered
@@ -129,11 +130,11 @@ def _physical_memory() -> float:
 
 # per-path float vectors of a run at its peak, the end of the loop: a
 # steered leg's own (_LEG_VECTORS: the cutoff and terminal states, the live
-# and escape flags, the weight, the cost, the base and slope integrals), a
-# plain leg's own (_PLAIN_VECTORS: its state and the step it adds) and the
-# step's temporaries, which all legs share (_STEP_VECTORS).  Under
-# tracemalloc at 1e5 paths, one to three steered legs hold 9.3 per leg plus
-# 4.2 (zero drift) or 5.2 (log-cosh) shared; a plain leg holds 3.
+# and escape flags, the four sums, whose noise sum ends as the weight, and
+# two slopes), a plain leg's own (_PLAIN_VECTORS: its state and its step)
+# and the step's temporaries, which all legs share (_STEP_VECTORS).  Under
+# tracemalloc at 1e5 paths and dt 1e-2 (zero and log-cosh drift), one to
+# three steered legs hold 8.3 each plus 3.0 to 4.1 shared; a plain leg 2.
 _LEG_VECTORS = 12
 _PLAIN_VECTORS = 3
 _STEP_VECTORS = 7
@@ -321,11 +322,12 @@ class Leg:
     A steered leg (a controller) drives dY = lambda dt + sqrt(eps) dW from
     y0 on [t, T - cutoff], the cutoff read from config; the final stretch
     runs the plain drift.  Its log_girsanov_weight holds log dP/dQ along
-    each path, so averaging exp(weight) * functional recovers plain-law
-    expectations.  Paths that leave the controller's window freeze in
-    place and are flagged; more than MAX_ESCAPED_FRACTION of them refuses
-    the run.  Every path keeps its cutoff and terminal states; whole rows
-    are kept only for the paths of recorded_ids.
+    each path, read off the noise sum and the cost as -(N + C/2)/eps, so
+    averaging exp(weight) * functional recovers plain-law expectations.
+    Paths that leave the controller's window freeze in place and are
+    flagged; more than MAX_ESCAPED_FRACTION of them refuses the run.
+    Every path keeps its cutoff and terminal states; whole rows are kept
+    only for the paths of recorded_ids.
 
     A plain leg (controller None) is the plain-law Euler run on [t, T] at
     dt from y0, on the uniform grid of ceil((T - t)/dt) steps; it records
@@ -373,15 +375,13 @@ class _Run:
         self.terminal = self.y
         if cutoff is not None:
             self.alive = np.ones(n_paths, dtype=bool)
-            self.logw = np.zeros(n_paths)
-            # the cost and three base integrals of e = excess ds: A = int e,
-            # B = int b_y e and C = int s b_y e, which give the slope integrals
-            self.cost, self.a_int, self.b_int, self.c_int = (np.zeros(n_paths) for _ in range(4))
-            self.sqrt_eps, self.half_inv_eps = math.sqrt(leg.epsilon), 0.5 / leg.epsilon
+            # the noise sum N, the cost C = int excess e and two base integrals
+            # of e = excess ds, B = int b_y e and D = int (1 - s b_y) e
+            self.noise, self.cost, self.b_int, self.d_int = (np.zeros(n_paths) for _ in range(4))
+            self.sqrt_eps = math.sqrt(leg.epsilon)
 
-    def steer(self, k: int, xi: np.ndarray, step: np.ndarray, e: np.ndarray,
-              work: np.ndarray) -> None:
-        """Steered step k on the normals xi; step, e and work are scratch."""
+    def steer(self, k: int, xi: np.ndarray, step: np.ndarray, work: np.ndarray) -> None:
+        """Steered step k on the normals xi; step and work are scratch."""
         spec, times, y = self.spec, self.times, self.y
         s = times[k]
         h = times[k + 1] - times[k]
@@ -403,20 +403,17 @@ class _Run:
         np.copyto(step, 0.0, where=frozen)
         y += step
         self.record[:, k + 1] = y[self.rows]
-        # log dP/dQ gains -e (xi / sqrt(eps h) + excess / (2 eps)), the cost excess e
-        np.multiply(excess, h, out=e)
-        np.multiply(xi, 1.0 / math.sqrt(self.leg.epsilon * h), out=work)
-        np.multiply(excess, self.half_inv_eps, out=step)
-        work += step
-        work *= e
-        self.logw -= work
+        # work is the step's noise; step, spent, becomes e = excess h
+        work *= excess
+        self.noise += work
+        e = np.multiply(excess, h, out=step)
         np.multiply(excess, e, out=work)
         self.cost += work
-        self.a_int += e
         np.multiply(by_now, e, out=work)
         self.b_int += work
         work *= s
-        self.c_int += work
+        self.d_int += e
+        self.d_int -= work
 
     def free(self, k: int, xi: np.ndarray) -> None:
         """Plain-drift step k on the normals xi; escaped paths stay put."""
@@ -435,19 +432,21 @@ class _Run:
                                 terminal=self.terminal, log_girsanov_weight=np.zeros(n_paths),
                                 seed=seed)
         T, t = self.spec.horizon_T, self.leg.t
-        a_int, b_int, c_int = self.a_int, self.b_int, self.c_int
+        b_int, d_int, weight = self.b_int, self.d_int, self.noise
+        weight += 0.5 * self.cost  # the noise sum becomes the weight, -(N + C/2)/eps
+        weight /= -self.leg.epsilon
         return PathEnsemble(
             times=self.times,
             paths=self.record,
             path_ids=self.ids,
             terminal=self.terminal,
-            log_girsanov_weight=self.logw,
+            log_girsanov_weight=weight,
             seed=seed,
             escaped=~self.alive,
             cutoff_index=self.n_ctl,
             cutoff_state=self.y,
-            integrals={"cost": self.cost, "slope_y": a_int + T * b_int - c_int,
-                       "slope_x": a_int + t * b_int - c_int, "slope_sum": b_int},
+            integrals={"cost": self.cost, "slope_y": d_int + T * b_int,
+                       "slope_x": d_int + t * b_int, "slope_sum": b_int},
         )
 
 
@@ -481,12 +480,12 @@ def simulate_legs(spec: DriftSpec, legs: list[Leg]) -> list[PathEnsemble]:
     runs = [_Run(spec, leg, cutoff, range(0) if cutoff is None else ids)
             for leg, cutoff in zip(legs, cutoffs)]
     rng = _generator(seed)
-    xi, step, e, work = (np.empty(n_paths) for _ in range(4))
+    xi, step, work = (np.empty(n_paths) for _ in range(3))
     for k in range(max(run.n_steps for run in runs)):
         rng.standard_normal(out=xi)
         for run in runs:
             if k < run.n_ctl:
-                run.steer(k, xi, step, e, work)
+                run.steer(k, xi, step, work)
             elif k < run.n_steps:
                 run.free(k, xi)
 

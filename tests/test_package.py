@@ -1,6 +1,7 @@
 """Package-wide layout: one Euler-Maruyama loop, a public surface that resolves,
-no test-only knob among the parameters of the battery, the classical action and
-the bridge, and one source of compiled scipy code."""
+no test-only knob among the parameters of the battery, the classical action,
+the bridge, the Crank-Nicolson solves, the legs loop and the table writers,
+and one source of compiled scipy code."""
 
 from __future__ import annotations
 
@@ -44,7 +45,8 @@ def test_every_check_default_is_set_by_the_package() -> None:
     # not scanned: its factories' T comes in through RunConfig.drift_params
     package = Path(tailcost.__file__).parent
     defaults = {}
-    for node in (node for name in ("checks.py", "action.py", "bridge.py")
+    for node in (node for name in ("checks.py", "action.py", "bridge.py", "pde.py",
+                                   "simulate.py", "tables.py")
                  for node in ast.parse((package / name).read_text(encoding="utf-8")).body):
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             args = node.args.posonlyargs + node.args.args

@@ -767,6 +767,32 @@ def test_weight_mean_is_one_for_mild_shift() -> None:
     assert abs(w.mean() - 1.0) <= 3.0 * w.std(ddof=1) / math.sqrt(w.size)
 
 
+def test_constant_tilt_matches_its_closed_form_path_by_path() -> None:
+    # A constant control kappa on the zero drift steers by excess = kappa, so
+    # over the steered span tau every path has log w = -kappa (Y_c - y0)/eps
+    # + kappa^2 tau/(2 eps), cost kappa^2 tau, both slopes kappa tau and no
+    # slope sum: the weight's decomposition pinned to a closed form, not to
+    # another loop
+    kappa, spec = 0.5, drifts.zero_drift()
+    ens = _steer(spec, _constant_field(kappa), PROBE_Y, EPS,
+                 sim.SimConfig(n_paths=2000, dt=1e-3, seed=3))
+    n = ens.cutoff_index
+    tau = ens.times[n] - ens.times[0]
+    shift, drag = kappa * (ens.cutoff_state - PROBE_Y) / EPS, kappa**2 * tau / (2.0 * EPS)
+    # each step rounds the state and every running sum; the roundings of the
+    # weight scale with the state, not with Y_c - y0
+    ulps = ROUNDING_ULPS_PER_STEP * n * np.finfo(float).eps
+    scale = kappa * np.max(np.abs(ens.cutoff_state) + abs(PROBE_Y)) / EPS + drag
+    assert not ens.escaped.any()
+    gap = np.max(np.abs(ens.log_girsanov_weight - (drag - shift)))
+    assert gap <= ulps * scale, f"log weight: {gap:.3g}"
+    for key, want in (("cost", kappa**2 * tau), ("slope_y", kappa * tau),
+                      ("slope_x", kappa * tau)):
+        gap = np.max(np.abs(ens.integrals[key] - want))
+        assert gap <= ulps * want, f"{key}: {gap:.3g}"
+    assert not ens.integrals["slope_sum"].any()
+
+
 def test_steered_estimate_agrees_with_naive() -> None:
     # eps large enough that the plain estimator still resolves the event
     eps = 0.2
