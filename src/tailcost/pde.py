@@ -9,8 +9,9 @@ in reverse time.  The exponential transform q = -eps log u is the tail
 cost; its y-derivative feeds the controller, its threshold-derivative
 gives the transition density (Green function).  solve_u keeps only the
 time levels its caller reads, and the cost transform, _cost_rows, runs on
-them: the controller takes each level's slope as the march hands it over,
-fan_cost_rows differences a fan x - dx, x, x + dx at the levels a check reads.
+them: the controller transforms the levels it copied out of the march in
+blocks, fan_cost_rows differences a fan x - dx, x, x + dx at the levels a
+check reads.
 
 Numerical scheme: full-operator Crank-Nicolson (central differences for
 both diffusion and drift) with a backward-Euler startup phase that damps
@@ -391,17 +392,26 @@ def solve_u(
 def _cost_rows(u: np.ndarray, epsilon: float, h_y: float) -> tuple[np.ndarray, ...]:
     """(q, dq_dy, underflow mask) of the levels u (..., n_y) on y nodes h_y apart, shaped as u.
 
-    The one Hopf-Cole kernel, for the controller build (a level at a time)
-    and the exporter and checks (the levels they read).  The y-differences
-    never cross levels, so any set of levels gives the full transform's bits.
+    The one Hopf-Cole kernel, for the controller build (a block of levels
+    at a time) and the exporter and checks (the levels they read).  The
+    y-differences never cross levels, so any set of levels gives the full
+    transform's bits.  q and dq_dy are formed in place, so the transform
+    holds two arrays shaped as u beside its mask.
     """
     mask = u < U_FLOOR
-    with np.errstate(divide="ignore"):
-        q = np.where(mask, np.inf, -epsilon * np.log(np.maximum(u, U_FLOOR)))
+    q = np.maximum(u, U_FLOOR)
+    np.log(q, out=q)
+    q *= -epsilon
+    np.copyto(q, np.inf, where=mask)
 
     dq_dy = np.empty_like(q)
+    # q and dq_dy are fresh C-order arrays: their flat views difference all
+    # levels in one contiguous pass (no strided buffering); the entries that
+    # straddle two levels are the boundary nodes, overwritten below
+    flat_q, flat_dq = q.reshape(-1), dq_dy.reshape(-1)
     with np.errstate(invalid="ignore"):  # inf - inf across masked nodes
-        dq_dy[..., 1:-1] = (q[..., 2:] - q[..., :-2]) / (2.0 * h_y)
+        inner = np.subtract(flat_q[2:], flat_q[:-2], out=flat_dq[1:-1])
+        inner /= 2.0 * h_y
         # one-sided second-order differences at the two boundary nodes
         dq_dy[..., 0] = (-3.0 * q[..., 0] + 4.0 * q[..., 1] - q[..., 2]) / (2.0 * h_y)
         dq_dy[..., -1] = (3.0 * q[..., -1] - 4.0 * q[..., -2] + q[..., -3]) / (2.0 * h_y)

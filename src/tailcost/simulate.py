@@ -3,13 +3,16 @@
 Euler-Maruyama in one loop, simulate_legs, with a Philox counter-based
 generator so runs are reproducible bit for bit from the seed alone.  The
 loop marches one or more runs of one seed as legs (Leg).  A steered leg
-follows the drift b - dq/dy, built level by level in the backward solve's
-own march (ControllerField.from_fields), stops steering a short cutoff
-before the horizon, and reads the exact log weight log dP/dQ off its cost
+follows the drift b - dq/dy, which ControllerField.from_fields copies out
+of the backward solve's march level by level and transforms in blocks of
+levels once the march is done.  It stops steering a short cutoff before
+the horizon, and reads the exact log weight log dP/dQ off its cost
 C = int excess^2 ds and noise sum N = int excess sqrt(eps) dW as
 -(N + C/2)/eps (the logarithmic transformation), so controlled samples
 can stand in for the original law (importance sampling) or be studied in
-their own right.  A plain leg is the plain-law Euler run.
+their own right.  A path that leaves the controller's window freezes;
+until the first does, a step skips the masks that hold frozen paths in
+place.  A plain leg is the plain-law Euler run.
 
 The cost and slope representations and the importance-sampling estimate
 of the exceedance probability are plain averages over one steered
@@ -134,7 +137,8 @@ def _physical_memory() -> float:
 # two slopes), a plain leg's own (_PLAIN_VECTORS: its state and its step)
 # and the step's temporaries, which all legs share (_STEP_VECTORS).  Under
 # tracemalloc at 1e5 paths and dt 1e-2 (zero and log-cosh drift), one to
-# three steered legs hold 8.3 each plus 3.0 to 4.1 shared; a plain leg 2.
+# three steered legs hold 8.3 each plus 3.0 to 4.0 shared; a plain leg,
+# stepped in one buffer, 2.0 to 2.1.
 _LEG_VECTORS = 12
 _PLAIN_VECTORS = 3
 _STEP_VECTORS = 7
@@ -194,6 +198,15 @@ class ControllerError(SimulationError):
     pass
 
 
+# levels that ControllerField.from_fields transforms at once, read at call
+# time.  More rows spread numpy's per-call cost over more levels; a block's
+# transform holds about two rows of temporaries per level, plus numpy's
+# buffers for its broadcast passes.  At 8 the build's tracemalloc peak is
+# 25-26 rows of n_y floats beside the lattice (zero drift on 801 x 1001,
+# log-cosh on 1201 x 1201), two above the march's own; at 16 it is 41-43.
+BUILD_BLOCK_ROWS = 8
+
+
 @dataclass(frozen=True)
 class ControllerField:
     """Steered drift b - dq/dy, bilinear over the solved (t, y) lattice.
@@ -235,39 +248,62 @@ class ControllerField:
     ) -> tuple["ControllerField", pde.HeatField]:
         """(controller, level-0 field) of the backward solve with step data at x on grid.
 
-        solve_u hands each level, top down, to a row step that transforms it
-        (pde._cost_rows) and steers over the finite run of its slope around
-        the threshold node, so the build holds the control lattice and a few
-        rows.  The terminal level (the step data) never participates.  The
-        lowest level whose threshold slope is not finite ends the usable
-        rows: every row above it is blank and last_row is the level below it.
+        solve_u hands each level, top down, to a hook that copies it into
+        its row of the control lattice.  After the march the lattice is
+        transformed in place, BUILD_BLOCK_ROWS levels at a time from level 0
+        up (pde._cost_rows), and each row steers over the finite run of its
+        slope around the threshold node, so the build holds the control
+        lattice and a few blocks of rows.  The terminal level (the step
+        data) never participates.  The lowest level whose threshold slope
+        is not finite ends the usable rows: every row above it is blank and
+        last_row is the level below it.
         """
         t_nodes, y_nodes, seed = grid.t_nodes(), grid.y_nodes(), grid.nearest_node(x)
-        control = np.full((grid.n_t, grid.n_y), np.nan)
-        window_lo, window_hi = np.full(grid.n_t, np.inf), np.full(grid.n_t, -np.inf)
-        last_row = grid.n_t - 2
+        n_t, n_y = grid.n_t, grid.n_y
+        control = np.empty((n_t, n_y))
 
-        def step(i: int, u: np.ndarray) -> None:
-            nonlocal last_row
-            if i > last_row:
-                return
-            dq_dy = pde._cost_rows(u, epsilon, grid.h_y)[1]
+        def copy(i: int, u: np.ndarray) -> None:
+            if i < n_t - 1:
+                control[i] = u
+
+        start = pde.solve_u(spec, x, grid, epsilon, rows=0, level=copy)
+        cols = np.arange(n_y)
+
+        def transform(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+            """Turn the levels a..b-1 into the steered drift in place, up to
+            the first whose seed slope is not finite, and return the windows
+            (j_lo, j_hi) of the rows written.  A function, so that a block's
+            temporaries are gone before the next block's are made."""
+            dq_dy = pde._cost_rows(control[a:b], epsilon, grid.h_y)[1]
             finite = np.isfinite(dq_dy)
-            if not finite[seed]:
-                above = slice(i + 1, last_row + 1)  # the rows written so far
-                control[above], window_lo[above], window_hi[above] = np.nan, np.inf, -np.inf
-                last_row = i - 1
-                return
-            holes_below = np.flatnonzero(~finite[:seed])
-            holes_above = np.flatnonzero(~finite[seed:])
-            j_lo = int(holes_below[-1]) + 1 if holes_below.size else 0
-            j_hi = seed + int(holes_above[0]) - 1 if holes_above.size else grid.n_y - 1
-            drift_row = np.asarray(spec.b(y_nodes[j_lo : j_hi + 1], t_nodes[i]))
+            seeds = finite[:, seed]
+            n = seeds.size if seeds.all() else int(np.argmin(seeds))
+            dq_dy, finite, rows = dq_dy[:n], finite[:n], control[a : a + n]
+            # a window starts past the row's last hole below the seed and
+            # stops short of its first hole above it
+            j_lo = np.where(finite[:, :seed], -1, cols[:seed]).max(axis=1, initial=-1) + 1
+            j_hi = np.where(finite[:, seed:], n_y, cols[seed:]).min(axis=1, initial=n_y) - 1
+            drift = np.asarray(spec.b(y_nodes, t_nodes[a : a + n, None]))
             # steering never pushes below the plain drift
-            control[i, j_lo : j_hi + 1] = np.maximum(drift_row - dq_dy[j_lo : j_hi + 1], drift_row)
-            window_lo[i], window_hi[i] = y_nodes[j_lo], y_nodes[j_hi]
+            np.maximum(np.subtract(drift, dq_dy, out=dq_dy), drift, out=rows)
+            # row by row: a (rows, n_y) mask and numpy's buffers for its
+            # broadcast passes would hold more than the block itself
+            for row, lo, hi in zip(rows, j_lo.tolist(), j_hi.tolist()):
+                row[:lo] = np.nan
+                row[hi + 1 :] = np.nan
+            return j_lo, j_hi
 
-        start = pde.solve_u(spec, x, grid, epsilon, rows=0, level=step)
+        window_lo, window_hi = np.full(n_t, np.inf), np.full(n_t, -np.inf)
+        last_row = n_t - 2
+        for a in range(0, n_t - 1, BUILD_BLOCK_ROWS):
+            b = min(a + BUILD_BLOCK_ROWS, n_t - 1)
+            j_lo, j_hi = transform(a, b)
+            usable = a + j_lo.size
+            window_lo[a:usable], window_hi[a:usable] = y_nodes[j_lo], y_nodes[j_hi]
+            if usable < b:
+                last_row = usable - 1
+                break
+        control[last_row + 1 :] = np.nan
         if last_row < 1:
             raise ControllerError("the solve has no usable interior rows")
         return cls(y_nodes=y_nodes, t_nodes=t_nodes, control=control, window_lo=window_lo,
@@ -277,13 +313,12 @@ class ControllerField:
         """(control values, validity mask) at positions y and time s."""
         if s < self.t_nodes[0] - 1e-12 or s > self.t_valid_max + 1e-12:
             raise ControllerError(f"time {s} outside the controller's range")
-        i = int(np.searchsorted(self.t_nodes, s, side="right")) - 1
+        i = int(self.t_nodes.searchsorted(s, side="right")) - 1
         i = min(max(i, 0), self.last_row - 1)
         w = (s - self.t_nodes[i]) / (self.t_nodes[i + 1] - self.t_nodes[i])
         w = min(max(w, 0.0), 1.0)
         lo = max(self.window_lo[i], self.window_lo[i + 1])
         hi = min(self.window_hi[i], self.window_hi[i + 1])
-        row = (1.0 - w) * self.control[i] + w * self.control[i + 1]
         y_first, y_last = self.y_nodes[0], self.y_nodes[-1]
         # np.clip's Python wrapper costs more than these two passes
         pos = np.maximum(y, lo)
@@ -293,8 +328,13 @@ class ControllerField:
         pos *= (self.y_nodes.size - 1) / (y_last - y_first)
         # pos at a node can truncate one cell low, onto the NaN outside the
         # window: keep every cell between the nodes at lo and hi
-        j_lo = int(np.searchsorted(self.y_nodes, lo, side="right")) - 1
-        j_hi = int(np.searchsorted(self.y_nodes, hi, side="left"))
+        j_lo = int(self.y_nodes.searchsorted(lo, side="right")) - 1
+        j_hi = int(self.y_nodes.searchsorted(hi, side="left"))
+        # the two rows blended over the nodes j_lo..j_hi alone, the only
+        # nodes read below; row and its differences keep the lattice's indices
+        row, window = np.empty(self.y_nodes.size), slice(j_lo, j_hi + 1)
+        np.multiply(self.control[i, window], 1.0 - w, out=row[window])
+        row[window] += w * self.control[i + 1, window]
         if j_hi == j_lo:  # a one-node window has no cell to interpolate in
             return np.full(np.shape(y), row[j_lo]), valid
         # a NaN y truncates to INT_MIN; the clamp makes it a valid index
@@ -302,9 +342,11 @@ class ControllerField:
         np.maximum(j, j_lo, out=j)
         np.minimum(j, j_hi - 1, out=j)
         # row[j] + (pos - j) * (row[j + 1] - row[j]), the differences taken
-        # once over the row
+        # once over the window
+        slope = np.empty(row.size - 1)
+        np.subtract(row[j_lo + 1 : j_hi + 1], row[j_lo:j_hi], out=slope[j_lo:j_hi])
         pos -= j
-        pos *= np.diff(row).take(j)
+        pos *= slope.take(j)
         pos += row.take(j)
         return pos, valid
 
@@ -374,7 +416,7 @@ class _Run:
         self.y = np.full(n_paths, float(leg.y0))
         self.terminal = self.y
         if cutoff is not None:
-            self.alive = np.ones(n_paths, dtype=bool)
+            self.alive, self.masked = np.ones(n_paths, dtype=bool), False
             # the noise sum N, the cost C = int excess e and two base integrals
             # of e = excess ds, B = int b_y e and D = int (1 - s b_y) e
             self.noise, self.cost, self.b_int, self.d_int = (np.zeros(n_paths) for _ in range(4))
@@ -386,21 +428,27 @@ class _Run:
         s = times[k]
         h = times[k + 1] - times[k]
         lam, valid = self.leg.controller.evaluate(y, s)
-        self.alive &= valid
-        frozen = ~self.alive
+        # until the first invalid lookup no path is frozen and the masks
+        # below would change nothing
+        self.masked = self.masked or not valid.all()
+        if self.masked:
+            self.alive &= valid
+            frozen = ~self.alive
         b_now = np.asarray(spec.b(y, s), dtype=float)
         by_now = np.asarray(spec.db_dy(y, s), dtype=float)
         excess = np.subtract(lam, b_now, out=lam)
         # escaped paths get excess and step exactly 0.0; a lookup off the
         # window can be NaN, so mask rather than multiply by alive
-        np.copyto(excess, 0.0, where=frozen)
+        if self.masked:
+            np.copyto(excess, 0.0, where=frozen)
         # step = (b + excess) h + sqrt(eps) (sqrt(h) xi), in this order of roundings
         np.multiply(xi, math.sqrt(h), out=work)
         work *= self.sqrt_eps
         np.add(b_now, excess, out=step)
         step *= h
         step += work
-        np.copyto(step, 0.0, where=frozen)
+        if self.masked:
+            np.copyto(step, 0.0, where=frozen)
         y += step
         self.record[:, k + 1] = y[self.rows]
         # work is the step's noise; step, spent, becomes e = excess h
@@ -415,13 +463,19 @@ class _Run:
         self.d_int += e
         self.d_int -= work
 
-    def free(self, k: int, xi: np.ndarray) -> None:
-        """Plain-drift step k on the normals xi; escaped paths stay put."""
+    def free(self, k: int, xi: np.ndarray, work: np.ndarray) -> None:
+        """Plain-drift step k on the normals xi; escaped paths stay put; work
+        is scratch."""
         y, s, h = self.terminal, self.times[k], self.times[k + 1] - self.times[k]
-        # one Euler-Maruyama step of dY = b(Y, s) ds + sqrt(eps) dW
-        stepped = y + np.asarray(self.spec.b(y, s)) * h + math.sqrt(self.leg.epsilon * h) * xi
+        # one Euler-Maruyama step of dY = b(Y, s) ds + sqrt(eps) dW, formed in
+        # one buffer: b h + y rounds as y + b h, so the bits are those of
+        # y + b h + sqrt(eps h) xi
+        stepped = np.multiply(self.spec.b(y, s), h)
+        stepped += y
+        stepped += np.multiply(xi, math.sqrt(self.leg.epsilon * h), out=work)
         if self.leg.controller is not None:
-            stepped = np.where(self.alive, stepped, y)
+            if self.masked:
+                np.copyto(stepped, y, where=~self.alive)
             self.record[:, k + 1] = stepped[self.rows]
         self.terminal = stepped
 
@@ -487,7 +541,7 @@ def simulate_legs(spec: DriftSpec, legs: list[Leg]) -> list[PathEnsemble]:
             if k < run.n_ctl:
                 run.steer(k, xi, step, work)
             elif k < run.n_steps:
-                run.free(k, xi)
+                run.free(k, xi, work)
 
     for run in runs:
         if run.leg.controller is None:

@@ -12,7 +12,7 @@ from scipy.linalg import solve_banded
 from scipy.special import ndtr
 
 import oracles as orc
-from tailcost import bridge, cli, drifts, pde, tables
+from tailcost import bridge, cli, drifts, pde, simulate as sim, tables
 
 EPS = 0.1
 
@@ -704,3 +704,20 @@ def test_costfield_rows_memory_stays_at_a_few_rows() -> None:
         tracemalloc.stop()
     assert n_rows == 182 * 182
     assert peak < u.nbytes // 4
+
+
+def test_controller_build_memory_stays_at_a_few_rows() -> None:
+    # the build transforms the control lattice in place, a block of levels
+    # at a time after the march: the march's working set, or one block's
+    # transform, takes about 25 rows of n_y floats beside the lattice, where
+    # transforming the whole lattice at once would take two lattices more
+    spec = drifts.logcosh_drift()
+    grid = pde._fan_grid(spec, 0.0, 0.1, 1201, 1201)
+    tracemalloc.start()
+    try:
+        ctl, _ = sim.ControllerField.from_fields(spec, 0.0, grid, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row_bytes = ctl.control.nbytes // grid.n_t
+    assert peak < ctl.control.nbytes + 48 * row_bytes

@@ -291,7 +291,11 @@ def _loop_windows(grid, dq_dy, spec):
     return control, window_lo, window_hi, last_row
 
 
-def test_from_fields_window_scan_matches_loop(monkeypatch) -> None:
+@pytest.mark.parametrize("block", [1, 4, sim.BUILD_BLOCK_ROWS], ids=["1", "4", "default"])
+def test_from_fields_window_scan_matches_loop(block, monkeypatch) -> None:
+    # blocks of 1 and 4 levels put block edges across the window holes and
+    # across the row that ends the usable rows
+    monkeypatch.setattr(sim, "BUILD_BLOCK_ROWS", block)
     spec = drifts.logcosh_drift()
     grid = pde.Grid1D(-3.0, 3.0, 61, 0.0, 1.0, 12)
     ys, ts = np.meshgrid(grid.y_nodes(), grid.t_nodes())
@@ -299,7 +303,7 @@ def test_from_fields_window_scan_matches_loop(monkeypatch) -> None:
     # column 30 (x = 0, the seed) is the best covered; rows 0-4 have holes
     # on both sides of it (row 2 leaves it alone, rows 3-4 reach the lattice
     # edge) and row 5 is NaN there, which ends the usable rows: the rows
-    # 6-10 written before it arrived are blanked again
+    # 6-10 above it stay blank
     dq_dy[8:, np.arange(61) != 30] = np.nan
     dq_dy[0, [25, 41]] = np.nan
     dq_dy[1, :10] = np.nan
@@ -310,7 +314,8 @@ def test_from_fields_window_scan_matches_loop(monkeypatch) -> None:
     dq_dy[7, [3, 57]] = np.nan
 
     # a stand-in solve hands the lattice's rows over in the march's order,
-    # top down, and a stand-in transform passes each on as its slope row
+    # top down, and a stand-in transform passes each block of them on as
+    # their slope rows
     def solve_u(spec, x, grid, epsilon, rows, level):
         for i in range(grid.n_t - 1, -1, -1):
             level(i, dq_dy[i])
@@ -515,6 +520,9 @@ def test_fused_step_matches_the_loop_it_replaced(kind, narrow, monkeypatch) -> N
     paths, terminal, cutoff_state, escaped, logw, accum = _loop_steered(
         spec, ctl, PROBE_Y, 0.0, EPS, cfg, ens.times, ens.cutoff_index)
     assert (0 < escaped.sum() < 2000) if narrow else not escaped.any()
+    # every path starts inside the window, so an escaping run takes the
+    # unmasked step first and the masked step after its first escape
+    assert ctl.evaluate(np.array([PROBE_Y]), ens.times[0])[1].all()
     assert np.array_equal(ens.paths, paths)
     assert np.array_equal(ens.terminal, terminal)
     assert np.array_equal(ens.cutoff_state, cutoff_state)
