@@ -5,7 +5,8 @@ package (closed forms, the lattice solver, the shooting solver, the
 samplers) and returns a VerificationReport with a pass/fail/skipped
 status, the observed numbers, and a short statement of what was
 expected.  run_all executes the whole battery for a RunConfig and is
-the engine behind the ``verify`` subcommand.
+the engine behind the ``verify`` subcommand; a lattice two checks read
+(LimitSweep, ProbeFan) is their argument, built once per drift.
 
 Checks that depend on constants the theory leaves unquantified (the
 short-time window constants, the steep-slope calibration) report fitted
@@ -183,33 +184,63 @@ def check_green_bound(spec: DriftSpec) -> VerificationReport:
     )
 
 
+# ---------------------------------------------------------------- probe fan
+
+FAN_N_Y = 1201  # lattice of the three-threshold fan
+FAN_N_T = 601
+FAN_DX = 0.02  # threshold spacing of the fan
+SLOPE_T_FRACS = (0.0, 0.25, 0.5, 0.75)  # each check's levels, as fractions of the span
+CONVEX_T_FRACS = (0.0, 0.3, 0.6)
+
+
+@dataclass(frozen=True)
+class ProbeFan:
+    """A drift's pde.fan_cost_rows at times t: the levels of SLOPE_T_FRACS, then CONVEX_T_FRACS."""
+
+    spec: DriftSpec
+    grid: pde.Grid1D
+    epsilon: float
+    t: np.ndarray
+    dx: float
+    q: np.ndarray
+    dq_dy: np.ndarray
+    dq_dx: np.ndarray
+
+
+def probe_fan(spec: DriftSpec) -> ProbeFan:
+    """The one fan march that slope-bound and convexity read, at eps = 0.1."""
+    epsilon = 0.1
+    grid = pde._fan_grid(spec, 0.0, epsilon, FAN_N_Y, FAN_N_T, dx=FAN_DX)
+    levels = [min(int(round(f * (grid.n_t - 1))), grid.n_t - 2)
+              for f in SLOPE_T_FRACS + CONVEX_T_FRACS]
+    return ProbeFan(spec, grid, epsilon, grid.t_nodes()[levels],
+                    *pde.fan_cost_rows(spec, 0.0, grid, epsilon, FAN_DX, levels))
+
+
 # -------------------------------------------------------------- slope bound
 
 SLOPE_SLACK = 1e-3  # relative excess of a slope over its bound forgiven
 SLOPE_NOISE_FLOOR = 1e-6  # slopes and bounds below this compare as zero
 
 
-def check_gradient_bounds(spec: DriftSpec) -> VerificationReport:
+def check_gradient_bounds(fan: ProbeFan) -> VerificationReport:
     """Both cost slopes bounded by the square-root of the cost itself.
 
-    On the fan of thresholds 0 and about +-0.02 at eps = 0.1, |dq/dx| and
-    |dq/dy| must stay below (1 + tau A) sqrt(2 q / tau) at 20 probes about
-    the threshold, on four time levels, up to the relative SLOPE_SLACK.
-    Where both sides sit under the noise floor (deep above the free
-    boundary) the probe passes as a zero-zero comparison.
+    On the fan's levels of SLOPE_T_FRACS, |dq/dx| and |dq/dy| must stay
+    below (1 + tau A) sqrt(2 q / tau) at 20 probes about the threshold, on
+    four time levels, up to the relative SLOPE_SLACK.  Where both sides sit
+    under the noise floor (deep above the free boundary) the probe passes
+    as a zero-zero comparison.
     """
-    epsilon = 0.1
+    spec, grid, epsilon = fan.spec, fan.grid, fan.epsilon
     A = spec.lipschitz_A
-    grid = pde._fan_grid(spec, 0.0, epsilon, 1201, 601)
     T = grid.T
-    t_nodes = grid.t_nodes()
     y_nodes = grid.y_nodes()
     span = T - grid.t_start
     sigma = math.sqrt(epsilon * span)
-    levels = [round(f * (grid.n_t - 1)) for f in (0.0, 0.25, 0.5, 0.75)]
-    _, q, dq_dy, dq_dx = pde.fan_cost_rows(spec, 0.0, grid, epsilon, 0.02, levels)
+    q, dq_dy, dq_dx = fan.q, fan.dq_dy, fan.dq_dx  # the slope levels come first
     probes = [
-        (lev, k * sigma) for lev in range(len(levels)) for k in (-3.0, -2.0, -1.0, 0.5, 1.5)
+        (lev, k * sigma) for lev in range(len(SLOPE_T_FRACS)) for k in (-3.0, -2.0, -1.0, 0.5, 1.5)
     ]
 
     rows = []
@@ -221,7 +252,7 @@ def check_gradient_bounds(spec: DriftSpec) -> VerificationReport:
         if not math.isfinite(q_val):  # the centre's underflow mask
             n_skipped += 1
             continue
-        tau = T - float(t_nodes[levels[lev]])
+        tau = T - float(fan.t[lev])
         rhs = (1.0 + tau * A) * math.sqrt(max(2.0 * q_val, 0.0) / tau)
         entries = {"slope_y": abs(float(dq_dy[lev, iy]))}
         dqdx = float(dq_dx[lev, iy])
@@ -231,7 +262,7 @@ def check_gradient_bounds(spec: DriftSpec) -> VerificationReport:
         worst_lhs = max(entries.values())
         rows.append({
             "y": float(y_nodes[iy]),
-            "t": float(t_nodes[levels[lev]]),
+            "t": float(fan.t[lev]),
             "q": q_val,
             "bound": rhs,
             **entries,
@@ -510,40 +541,32 @@ def check_short_time(spec: DriftSpec) -> VerificationReport:
 
 # -------------------------------------------------------------- convexity
 
-CONVEX_N_Y = 1201  # lattice of the three-threshold fan
-CONVEX_N_T = 601
-CONVEX_DX = 0.02  # threshold spacing of the fan
-CONVEX_T_FRACS = (0.0, 0.3, 0.6)  # checked levels, as fractions of the span
 PSD_TOL = 1e-5  # the eigenvalue floor, relative to the curvature scale
 
 
-def check_convexity_suite(spec: DriftSpec, mixed_only: bool = False) -> VerificationReport:
+def check_convexity_suite(fan: ProbeFan) -> VerificationReport:
     """Convexity of the cost in both endpoints on a fan of three thresholds.
 
-    Checks, about x = 0 at eps = 0.1 on the CONVEX_* lattice, second
-    differences in the start point, the sign of the mixed threshold-start
-    difference, and the smaller eigenvalue of the 2x2 second-difference
-    matrix.  The eigenvalue floor is PSD_TOL times the curvature scale plus
-    an explicit stencil-truncation envelope (dx^2 + h^2) / 8 times the
-    largest fourth difference: the matrix is rank-deficient wherever the
-    cost depends on the endpoints through their difference alone, and
-    there the truncation mismatch between the three difference operators
-    is the entire eigenvalue signal.  A genuinely indefinite field lands
-    orders of magnitude below the envelope.  The curvature and mixed-sign
-    gates take PSD_TOL of the scale as their slack.  mixed_only restricts
-    to the sign check, which holds without concavity of the drift.
+    Checks, on the fan's levels of CONVEX_T_FRACS, second differences in
+    the start point, the sign of the mixed threshold-start difference, and
+    the smaller eigenvalue of the 2x2 second-difference matrix.  The
+    eigenvalue floor is PSD_TOL times the curvature scale plus an explicit
+    stencil-truncation envelope (dx^2 + h^2) / 8 times the largest fourth
+    difference: the matrix is rank-deficient wherever the cost depends on
+    the endpoints through their difference alone, and there the truncation
+    mismatch between the three difference operators is the entire
+    eigenvalue signal.  A genuinely indefinite field lands orders of
+    magnitude below the envelope.  The curvature and mixed-sign gates take
+    PSD_TOL of the scale as their slack.  A drift not declared concave
+    gets the sign check alone (mixed-sign), which holds without concavity.
     """
-    epsilon = 0.1
-    grid = pde._fan_grid(spec, 0.0, epsilon, CONVEX_N_Y, CONVEX_N_T, dx=CONVEX_DX)
-    levels = [
-        min(int(round(frac * (grid.n_t - 1))), grid.n_t - 2) for frac in CONVEX_T_FRACS
-    ]
-    ddx, q, _, _ = pde.fan_cost_rows(spec, 0.0, grid, epsilon, CONVEX_DX, levels)
+    spec, grid, epsilon, ddx = fan.spec, fan.grid, fan.epsilon, fan.dx
+    times, q = fan.t[len(SLOPE_T_FRACS) :], fan.q[:, len(SLOPE_T_FRACS) :]
     h = grid.h_y
     q_cap = -epsilon * math.log(1e-12)  # beyond this the tail is lattice noise
 
     rows = []
-    for k, (q_lo, q_c, q_hi) in zip(levels, q.transpose(1, 0, 2)):
+    for t, (q_lo, q_c, q_hi) in zip(times, q.transpose(1, 0, 2)):
         usable = (
             np.isfinite(q_lo) & np.isfinite(q_c) & np.isfinite(q_hi) & (q_c <= q_cap)
         )
@@ -565,7 +588,7 @@ def check_convexity_suite(spec: DriftSpec, mixed_only: bool = False) -> Verifica
         ) / h**4
         trunc = (ddx**2 + h**2) / 8.0 * float(np.max(np.abs(d4)))
         rows.append({
-            "t": float(grid.t_nodes()[k]),
+            "t": float(t),
             "n_nodes": int(j.size),
             "min_second_diff_y": float(np.min(d2y)),
             "max_mixed": float(np.max(mixed)),
@@ -579,7 +602,7 @@ def check_convexity_suite(spec: DriftSpec, mixed_only: bool = False) -> Verifica
             ),
         })
 
-    if mixed_only:
+    if not spec.is_concave:
         ok = all(r["mixed_ok"] for r in rows)
         name = f"mixed-sign:{spec.name}"
         anchor = "threshold-start-mixed-sign"
@@ -633,7 +656,7 @@ def _check_kernel_mass() -> VerificationReport:
     """Kernel rows integrating to one away from the walls."""
     spec = logcosh_drift()
     grid = pde.default_grid(spec, 0.0, 0.1, n_y=801, n_t=201)
-    kernel = pde.green_function(spec, grid, 0.1, max_solves=101)
+    kernel = pde.green_function(spec, grid, 0.1, grid.y_nodes()[::(grid.n_y - 1) // 100])
     sums = pde.green_row_sums(kernel)
     y = grid.y_nodes()
     window = np.abs(y) <= 1.0
@@ -861,15 +884,16 @@ def _battery(config: RunConfig) -> dict:
     lin = linear_drift(0.5)
     lcosh = logcosh_drift()
     probe = (config.probe_x, config.probe_y, config.probe_t)
-    # each drift's sweep is built by the first of its views to run, once
+    # each drift's sweep and fan are built by the first of their views to run, once
     sweep = functools.cache(lambda spec: limit_sweep(spec, probe, config.eps_list))
+    fan = functools.cache(probe_fan)
 
     return {
         "cdf-bound": check_cdf_inequality,
         "kernel-bound:zero": lambda: check_green_bound(zero),
         "kernel-bound:logcosh": lambda: check_green_bound(lcosh),
-        "slope-bound:zero": lambda: check_gradient_bounds(zero),
-        "slope-bound:logcosh": lambda: check_gradient_bounds(lcosh),
+        "slope-bound:zero": lambda: check_gradient_bounds(fan(zero)),
+        "slope-bound:logcosh": lambda: check_gradient_bounds(fan(lcosh)),
         "rate-limit:zero": lambda: check_rate_zero_noise(sweep(zero)),
         "rate-limit:linear": lambda: check_rate_zero_noise(sweep(lin)),
         "rate-limit:logcosh": lambda: check_rate_zero_noise(sweep(lcosh)),
@@ -877,9 +901,9 @@ def _battery(config: RunConfig) -> dict:
         "derivative-limit:logcosh": lambda: check_derivative_convergence(sweep(lcosh)),
         "short-time:zero": lambda: check_short_time(zero),
         "short-time:linear": lambda: check_short_time(lin),
-        "convexity:zero": lambda: check_convexity_suite(zero),
-        "convexity:logcosh": lambda: check_convexity_suite(lcosh),
-        "mixed-sign:sin": lambda: check_convexity_suite(sin_drift(), mixed_only=True),
+        "convexity:zero": lambda: check_convexity_suite(fan(zero)),
+        "convexity:logcosh": lambda: check_convexity_suite(fan(lcosh)),
+        "mixed-sign:sin": lambda: check_convexity_suite(fan(sin_drift())),
         "invariant:dual-route": _check_dual_route,
         "invariant:kernel-mass": _check_kernel_mass,
         "invariant:pde-domain": _check_domain_rule,

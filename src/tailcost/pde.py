@@ -9,7 +9,7 @@ in reverse time.  The exponential transform q = -eps log u is the tail
 cost; its y-derivative feeds the controller, its threshold-derivative
 gives the transition density (Green function).  solve_u keeps only the
 time levels its caller reads, and the cost transform, _cost_rows, runs on
-them: the controller transforms the levels it copied out of the march in
+them: the controller keeps every level and transforms them in place in
 blocks, fan_cost_rows differences a fan x - dx, x, x + dx at the levels a
 check reads.
 
@@ -315,19 +315,18 @@ def solve_u(
     grid: Grid1D,
     epsilon: float,
     rows: int | slice | list[int] = slice(None),
-    level: Callable | None = None,
 ) -> HeatField:
     """Solve the backward equation on the grid with step data at x_threshold.
 
     Each threshold is snapped to the nearest grid node (the node itself takes
-    the value 0.5) and only the time levels rows are kept.  A sequence of
+    the value 0.5) and only the time levels rows are kept, each copied into
+    its row of u as the march makes it; keeping every level (the default)
+    returns that lattice itself, with no further copy.  A sequence of
     thresholds is a fan, one column each of one march, on u's leading axis.
-    level(i, u) gets each level after the contract fold, in march order: the
-    step data first, at n_t - 1, then n_t - 2 down to 0; u is the march's own
-    buffer, valid only during the call.  Raises GridExtentError when the grid
-    violates the domain rule around any member, PdeError when the drift is
-    not finite on the grid or any level of any member, kept or not, violates
-    the maximum principle or monotonicity contracts.
+    Raises GridExtentError when the grid violates the domain rule around any
+    member, PdeError when the drift is not finite on the grid or any level of
+    any member, kept or not, violates the maximum principle or monotonicity
+    contracts.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
@@ -341,12 +340,10 @@ def solve_u(
     nodes = np.vectorize(grid.nearest_node, otypes=[int])(x_threshold)
 
     levels = np.arange(grid.n_t)[rows]
-    # the sorted distinct levels; np.unique would load numpy.ma
     is_kept = np.zeros(grid.n_t, dtype=bool)
     is_kept[levels] = True
-    kept = np.flatnonzero(is_kept)
-    held = np.empty((*nodes.shape, kept.size, grid.n_y))
-    keeps = dict(zip(kept.tolist(), np.moveaxis(held, -2, 0)))  # kept level -> its row of held
+    slot = np.cumsum(is_kept) - 1  # kept level -> its row of held, the kept levels in order
+    held = np.empty((*nodes.shape, slot[-1] + 1, grid.n_y))
     # running rows of the contracts, seeded with their bounds (0 <= u <= 1,
     # no downward step) so that the reductions below need no clamp
     lo, hi = np.zeros((*nodes.shape, grid.n_y)), np.ones((*nodes.shape, grid.n_y))
@@ -357,10 +354,8 @@ def solve_u(
         np.minimum(lo, u, out=lo)
         np.maximum(hi, u, out=hi)
         np.minimum(drop, np.subtract(u[..., 1:], u[..., :-1], out=step), out=drop)
-        if i in keeps:
-            keeps[i][...] = u
-        if level is not None:
-            level(i, u)
+        if is_kept[i]:
+            held[..., slot[i], :] = u
 
     data = _step_data(grid.n_y, nodes)
     fold(grid.n_t - 1, data)
@@ -370,8 +365,8 @@ def solve_u(
              "monotonicity": 0.0 - float(drop.min())}
     if not (worst["max_principle"] <= MAXPRINCIPLE_TOL and worst["monotonicity"] <= MONOTONE_TOL):
         raise PdeError(f"scheme broke field contracts: {worst}")
-    pick = np.searchsorted(kept, levels)  # a caller's repeats and order
-    u = held if np.array_equal(pick, np.arange(kept.size)) else held[..., pick, :]
+    pick = slot[levels]  # a caller's repeats and order
+    u = held if np.array_equal(pick, np.arange(held.shape[-2])) else held[..., pick, :]
 
     y_int = grid.y_nodes()[1:-1]
     b_max = max(
@@ -399,15 +394,16 @@ def _cost_rows(u: np.ndarray, epsilon: float, h_y: float) -> tuple[np.ndarray, .
     holds two arrays shaped as u beside its mask.
     """
     mask = u < U_FLOOR
-    q = np.maximum(u, U_FLOOR)
+    q = np.maximum(u, U_FLOOR, order="C")
     np.log(q, out=q)
     q *= -epsilon
     np.copyto(q, np.inf, where=mask)
 
     dq_dy = np.empty_like(q)
-    # q and dq_dy are fresh C-order arrays: their flat views difference all
-    # levels in one contiguous pass (no strided buffering); the entries that
-    # straddle two levels are the boundary nodes, overwritten below
+    # q and dq_dy are fresh C-order arrays whatever u's layout (a fan's
+    # picked levels are not): their flat views difference all levels in one
+    # contiguous pass (no strided buffering); the entries that straddle two
+    # levels are the boundary nodes, overwritten below
     flat_q, flat_dq = q.reshape(-1), dq_dy.reshape(-1)
     with np.errstate(invalid="ignore"):  # inf - inf across masked nodes
         inner = np.subtract(flat_q[2:], flat_q[:-2], out=flat_dq[1:-1])
@@ -456,23 +452,19 @@ def green_function(
     spec: DriftSpec,
     grid: Grid1D,
     epsilon: float,
-    thresholds: np.ndarray | None = None,
-    max_solves: int = 201,
+    thresholds: np.ndarray,
 ) -> GreenFunction:
     """Transition density g(y, x') = -du/dx' from grid.t_start to grid.T.
 
-    Thresholds default to a node sub-lattice spanning the grid (at most
-    max_solves columns); a caller interested in a window passes explicit
-    threshold values, which are snapped to nodes.  Rows integrate to ~1
-    (trapezoid over the threshold columns) for y away from the boundary.
+    The columns sit on the thresholds, two or more values snapped to
+    strictly increasing nodes (ValueError otherwise); a spanning fan passes
+    a node sub-lattice such as grid.y_nodes()[::stride].  Rows integrate to
+    ~1 (trapezoid over the threshold columns) for y away from the boundary.
     """
-    if thresholds is None:
-        stride = max(1, (grid.n_y - 1) // (max_solves - 1))
-        nodes = np.arange(0, grid.n_y, stride)
-    else:
-        nodes = np.array([grid.nearest_node(float(x)) for x in thresholds])
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("thresholds must snap to strictly increasing nodes")
+    nodes = np.array([grid.nearest_node(float(x)) for x in thresholds], dtype=int)
+    if nodes.size < 2 or np.any(np.diff(nodes) <= 0):
+        raise ValueError(f"need at least two thresholds on strictly increasing nodes, got "
+                         f"{nodes.size} on nodes {nodes.tolist()}")
     thresholds = grid.y_nodes()[nodes]
 
     # one march carries every threshold column; no domain-rule enforcement

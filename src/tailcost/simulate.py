@@ -3,10 +3,10 @@
 Euler-Maruyama in one loop, simulate_legs, with a Philox counter-based
 generator so runs are reproducible bit for bit from the seed alone.  The
 loop marches one or more runs of one seed as legs (Leg).  A steered leg
-follows the drift b - dq/dy, which ControllerField.from_fields copies out
-of the backward solve's march level by level and transforms in blocks of
-levels once the march is done.  It stops steering a short cutoff before
-the horizon, and reads the exact log weight log dP/dQ off its cost
+follows the drift b - dq/dy, which ControllerField.from_fields makes in
+place of the backward solve's lattice of levels, a block of levels at a
+time once the march is done.  It stops steering a short cutoff before the
+horizon, and reads the exact log weight log dP/dQ off its cost
 C = int excess^2 ds and noise sum N = int excess sqrt(eps) dW as
 -(N + C/2)/eps (the logarithmic transformation), so controlled samples
 can stand in for the original law (importance sampling) or be studied in
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -202,8 +202,8 @@ class ControllerError(SimulationError):
 # time.  More rows spread numpy's per-call cost over more levels; a block's
 # transform holds about two rows of temporaries per level, plus numpy's
 # buffers for its broadcast passes.  At 8 the build's tracemalloc peak is
-# 25-26 rows of n_y floats beside the lattice (zero drift on 801 x 1001,
-# log-cosh on 1201 x 1201), two above the march's own; at 16 it is 41-43.
+# the march's own, 26-28 rows of n_y floats beside the lattice (log-cosh
+# on 1201 x 1201, zero drift on 801 x 1001); at 16 it is 42-44.
 BUILD_BLOCK_ROWS = 8
 
 
@@ -248,8 +248,8 @@ class ControllerField:
     ) -> tuple["ControllerField", pde.HeatField]:
         """(controller, level-0 field) of the backward solve with step data at x on grid.
 
-        solve_u hands each level, top down, to a hook that copies it into
-        its row of the control lattice.  After the march the lattice is
+        solve_u keeps every level, and its lattice becomes the control
+        lattice: after level 0 is copied out as the start field, it is
         transformed in place, BUILD_BLOCK_ROWS levels at a time from level 0
         up (pde._cost_rows), and each row steers over the finite run of its
         slope around the threshold node, so the build holds the control
@@ -260,13 +260,9 @@ class ControllerField:
         """
         t_nodes, y_nodes, seed = grid.t_nodes(), grid.y_nodes(), grid.nearest_node(x)
         n_t, n_y = grid.n_t, grid.n_y
-        control = np.empty((n_t, n_y))
-
-        def copy(i: int, u: np.ndarray) -> None:
-            if i < n_t - 1:
-                control[i] = u
-
-        start = pde.solve_u(spec, x, grid, epsilon, rows=0, level=copy)
+        heat = pde.solve_u(spec, x, grid, epsilon)
+        control = heat.u
+        start = replace(heat, u=control[0].copy(), levels=heat.levels[0])
         cols = np.arange(n_y)
 
         def transform(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -510,15 +506,17 @@ def simulate_legs(spec: DriftSpec, legs: list[Leg]) -> list[PathEnsemble]:
     The package's one Euler-Maruyama loop.  Step k of every leg reads step
     k's normals, drawn once, the normals a one-leg run of the same seed
     reads too (common random numbers), so each leg's ensemble is its
-    one-leg run bit for bit.  The legs must agree on n_paths, dt, seed and
-    t (ConfigError otherwise).  The loop runs as long as the longest leg's
-    grid, and each leg stops at the end of its own.  The run is refused
-    when a steered leg's escaped share exceeds MAX_ESCAPED_FRACTION, read
-    at call time.
+    one-leg run bit for bit.  There must be a leg, and the legs must agree
+    on n_paths, dt, seed and t (ConfigError otherwise).  The loop runs as
+    long as the longest leg's grid, and each leg stops at the end of its
+    own.  The run is refused when a steered leg's escaped share exceeds
+    MAX_ESCAPED_FRACTION, read at call time.
     """
     def shared(leg: Leg) -> tuple:
         return leg.config.n_paths, leg.config.dt, leg.config.seed, leg.t
 
+    if not legs:
+        raise ConfigError("need at least one leg")
     if any(shared(leg) != shared(legs[0]) for leg in legs):
         raise ConfigError("the legs must agree on n_paths, dt, seed and t")
     n_paths, dt, seed, t = shared(legs[0])

@@ -282,7 +282,7 @@ def test_criterion_07_inequality_suite_zero_violations() -> None:
         assert kernel.status == "pass", f"{spec.name}: {kernel.observed}"
         assert kernel.observed["n_skipped"] == 0
         assert kernel.observed["worst_ratio"] <= 1.0 + 1e-3
-        slope = checks.check_gradient_bounds(spec)
+        slope = checks.check_gradient_bounds(checks.probe_fan(spec))
         assert slope.status == "pass", f"{spec.name}: {slope.observed}"
         assert slope.observed["worst_ratio"] <= 1.0 + 1e-3
 
@@ -297,12 +297,12 @@ def test_criterion_08_joint_convexity_of_the_cost(monkeypatch: pytest.MonkeyPatc
     its truncation sits under the floor; the mixed-sign check must also
     pass on a drift with no concavity.
     """
-    monkeypatch.setattr(checks, "CONVEX_N_Y", 3001)
-    monkeypatch.setattr(checks, "CONVEX_N_T", 601)
-    monkeypatch.setattr(checks, "CONVEX_DX", 0.003)
+    monkeypatch.setattr(checks, "FAN_N_Y", 3001)
+    monkeypatch.setattr(checks, "FAN_N_T", 601)
+    monkeypatch.setattr(checks, "FAN_DX", 0.003)
     monkeypatch.setattr(checks, "CONVEX_T_FRACS", (0.0, 0.3))
     for spec in (zero_drift(), logcosh_drift()):
-        rep = checks.check_convexity_suite(spec)
+        rep = checks.check_convexity_suite(checks.probe_fan(spec))
         assert rep.status == "pass", f"{spec.name}: {rep.observed}"
         for row in rep.observed["rows"]:
             scale = row["scale"]
@@ -313,7 +313,7 @@ def test_criterion_08_joint_convexity_of_the_cost(monkeypatch: pytest.MonkeyPatc
             )
 
     monkeypatch.undo()  # the mixed-sign check runs on the battery's own lattice
-    mixed = checks.check_convexity_suite(sin_drift(), mixed_only=True)
+    mixed = checks.check_convexity_suite(checks.probe_fan(sin_drift()))
     assert mixed.status == "pass", f"sin: {mixed.observed}"
 
 

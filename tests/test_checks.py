@@ -53,7 +53,7 @@ def _green_zero() -> checks.VerificationReport:
 
 @lru_cache(maxsize=None)
 def _slope_zero() -> checks.VerificationReport:
-    return checks.check_gradient_bounds(zero_drift())
+    return checks.check_gradient_bounds(checks.probe_fan(zero_drift()))
 
 
 def _only(name: str) -> checks.VerificationReport:
@@ -168,11 +168,11 @@ def test_gradient_bounds_on_threshold_bundle() -> None:
 
 
 def test_gradient_bounds_hold_one_lattice_at_a_time() -> None:
-    # the fan reads four levels of each 1201 x 601 lattice (5.8 MB) before
-    # solving the next; three lattices held at once would take 17 MB
+    # the fan keeps seven levels of its members' 1201 x 601 lattices (5.8 MB
+    # each); the three lattices held at once would take 17 MB
     tracemalloc.start()
     try:
-        rep = checks.check_gradient_bounds(zero_drift())
+        rep = checks.check_gradient_bounds(checks.probe_fan(zero_drift()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -181,7 +181,7 @@ def test_gradient_bounds_hold_one_lattice_at_a_time() -> None:
 
 
 def test_gradient_bounds_trip_under_negative_slope_allowance() -> None:
-    rep = checks.check_gradient_bounds(replace(zero_drift(), lipschitz_A=-0.5))
+    rep = checks.check_gradient_bounds(checks.probe_fan(replace(zero_drift(), lipschitz_A=-0.5)))
     assert rep.status == "fail"
     assert rep.observed["worst_ratio"] == pytest.approx(SLOPE_INJECTED, rel=REL)
 
@@ -405,7 +405,7 @@ def test_short_time_refuses_a_drift_that_changes_sign(monkeypatch: pytest.Monkey
 # ---------------------------------------------------------------- convexity
 
 def test_convexity_zero_drift_rows_sit_inside_envelope() -> None:
-    rep = checks.check_convexity_suite(zero_drift())
+    rep = checks.check_convexity_suite(checks.probe_fan(zero_drift()))
     assert rep.status == "pass"
     rows = rep.observed["rows"]
     assert len(rows) == 3
@@ -418,7 +418,7 @@ def test_convexity_zero_drift_rows_sit_inside_envelope() -> None:
 
 
 def test_convexity_logcosh_gate() -> None:
-    rep = checks.check_convexity_suite(logcosh_drift())
+    rep = checks.check_convexity_suite(checks.probe_fan(logcosh_drift()))
     assert rep.status == "pass"
     assert all(r["convex_ok"] and r["mixed_ok"] for r in rep.observed["rows"])
 
@@ -426,7 +426,7 @@ def test_convexity_logcosh_gate() -> None:
 def test_convexity_trips_on_nonconcave_drift() -> None:
     # the eigenvalue lands orders of magnitude below the envelope, which
     # is the separation the envelope gate relies on
-    rep = checks.check_convexity_suite(sin_drift())
+    rep = checks.check_convexity_suite(checks.probe_fan(replace(sin_drift(), is_concave=True)))
     assert rep.status == "fail"
     for row in rep.observed["rows"]:
         assert not row["convex_ok"]
@@ -434,10 +434,28 @@ def test_convexity_trips_on_nonconcave_drift() -> None:
 
 
 def test_mixed_sign_holds_without_concavity() -> None:
-    rep = checks.check_convexity_suite(sin_drift(), mixed_only=True)
+    rep = checks.check_convexity_suite(checks.probe_fan(sin_drift()))
     assert rep.status == "pass"
     assert rep.check_name == "mixed-sign:sin(a=0.3)"
     assert all(r["mixed_ok"] for r in rep.observed["rows"])
+
+
+def test_fan_checks_share_one_fan_per_drift(monkeypatch: pytest.MonkeyPatch) -> None:
+    # five views, three drifts: slope-bound and convexity (mixed-sign on
+    # the non-concave sin) read one probe fan per drift
+    marched = []
+    fan = pde.fan_cost_rows
+
+    def counted_fan(spec, *args, **kwargs):
+        marched.append(spec.name)
+        return fan(spec, *args, **kwargs)
+
+    monkeypatch.setattr(pde, "fan_cost_rows", counted_fan)
+    thunks = checks._battery(checks.RunConfig())
+    views = [n for n in thunks if n.startswith(("slope-bound:", "convexity:", "mixed-sign:"))]
+    reports = [thunks[name]() for name in views]
+    assert len(reports) == 5 and all(r.status == "pass" for r in reports)
+    assert sorted(marched) == ["logcosh(c=0.5)", "sin(a=0.3)", "zero"]
 
 
 # ----------------------------------------------------------- cross invariants

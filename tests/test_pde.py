@@ -126,7 +126,8 @@ def test_factored_and_per_step_marches_agree_bitwise(spec) -> None:
     grid = _grid(spec, n=201)
     a, b = (pde.solve_u(s, 0.0, grid, EPS).u for s in (spec, per_step))
     assert np.array_equal(a, b)
-    a, b = (pde.green_function(s, grid, EPS, max_solves=21).g for s in (spec, per_step))
+    thr = grid.y_nodes()[::(grid.n_y - 1) // 20]
+    a, b = (pde.green_function(s, grid, EPS, thr).g for s in (spec, per_step))
     assert np.array_equal(a, b, equal_nan=True)
     query = bridge.BridgeQuery(y_start=-1.0, T=1.0, delta=0.25, epsilon=EPS)
     res = bridge.GreenResources(n_y=401, n_t=101)
@@ -418,24 +419,6 @@ def test_streamed_solve_keeps_one_level_in_a_row_of_memory(spec) -> None:
 
 
 @pytest.mark.parametrize("spec", [
-    drifts.zero_drift(),
-    drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi),
-], ids=["zero", "linear_tv"])
-def test_level_hook_gets_every_level_once_in_march_order(spec) -> None:
-    # the step data first, then n_t - 2 down to 0, each bit-equal to the
-    # full solve's row; the hook's u is the march's buffer, so it is copied
-    grid = _grid(spec, n=201)
-    full = pde.solve_u(spec, 0.0, grid, EPS)
-    seen = []
-    start = pde.solve_u(spec, 0.0, grid, EPS, rows=0,
-                        level=lambda i, u: seen.append((i, u.copy())))
-    assert [i for i, _ in seen] == list(range(grid.n_t - 1, -1, -1))
-    for i, u in seen:
-        assert u.tobytes() == full.u[i].tobytes()
-    assert start.u.tobytes() == full.u[0].tobytes()
-
-
-@pytest.mark.parametrize("spec", [
     drifts.logcosh_drift(),
     drifts.time_varying_linear(0.25, 0.25, 2.0 * math.pi),
 ], ids=["logcosh", "linear_tv"])
@@ -539,10 +522,12 @@ def test_bundle_positive_dq_dx_interior() -> None:
 
 @pytest.mark.parametrize("spec", [drifts.zero_drift(), drifts.logcosh_drift()],
                          ids=["zero", "logcosh"])
-@pytest.mark.parametrize("rows", [slice(20, 60), 0], ids=["block", "row"])
+@pytest.mark.parametrize("rows", [slice(20, 60), 0, [40, 20, 20, 100]],
+                         ids=["block", "row", "picked"])
 def test_fan_rows_match_the_full_transform(spec, rows) -> None:
-    # the fan reads each member at the given levels only; q and dq_dy must
-    # be the full Hopf-Cole transform's bits there, and dq_dx the centred
+    # the fan reads each member at the given levels only (picked levels,
+    # repeated and out of order, leave the fan's u out of C order); q and
+    # dq_dy must be the full Hopf-Cole transform's bits there, and dq_dx the centred
     # difference across the fan, NaN exactly where a neighbour underflowed
     # (at eps = 0.005 the two neighbours' underflow regions differ)
     eps = 0.005
@@ -568,7 +553,7 @@ def test_fan_rows_match_the_full_transform(spec, rows) -> None:
 def test_green_zero_drift_peak_and_rows() -> None:
     spec = drifts.zero_drift()
     grid = _grid(spec, n=801)
-    green = pde.green_function(spec, grid, EPS, max_solves=121)
+    green = pde.green_function(spec, grid, EPS, grid.y_nodes()[::(grid.n_y - 1) // 120])
     assert green.g.min() >= -1e-10
     sums = pde.green_row_sums(green)
     y = grid.y_nodes()
@@ -627,6 +612,9 @@ def test_green_guards() -> None:
     with pytest.raises(ValueError):
         # both values snap to the same node
         pde.green_function(spec, grid, EPS, thresholds=np.array([0.0, 1e-9, 0.5]))
+    for thr in (np.array([0.0]), np.array([])):
+        with pytest.raises(ValueError, match=f"at least two thresholds .*, got {thr.size} on"):
+            pde.green_function(spec, grid, EPS, thr)
 
 
 # ------------------------------------------------------------------ the audit

@@ -313,12 +313,10 @@ def test_from_fields_window_scan_matches_loop(block, monkeypatch) -> None:
     dq_dy[5, 30] = np.nan
     dq_dy[7, [3, 57]] = np.nan
 
-    # a stand-in solve hands the lattice's rows over in the march's order,
-    # top down, and a stand-in transform passes each block of them on as
-    # their slope rows
-    def solve_u(spec, x, grid, epsilon, rows, level):
-        for i in range(grid.n_t - 1, -1, -1):
-            level(i, dq_dy[i])
+    # a stand-in solve keeps the slope lattice as its every level, and a
+    # stand-in transform passes each block of them on as their slope rows
+    def solve_u(spec, x, grid, epsilon):
+        return pde.HeatField(grid, epsilon, dq_dy.copy(), np.arange(grid.n_t))
 
     monkeypatch.setattr(pde, "solve_u", solve_u)
     monkeypatch.setattr(pde, "_cost_rows", lambda u, epsilon, h_y: (None, u, None))
@@ -643,6 +641,11 @@ def test_legs_must_share_paths_step_seed_and_start(monkeypatch) -> None:
     monkeypatch.setattr(sim, "MAX_ESCAPED_FRACTION", 1.0)
     sim.simulate_legs(spec, [lead, replace(lead, y0=0.0, epsilon=0.2,
                                            config=replace(cfg, terminal_cutoff=0.3))])
+
+
+def test_legs_need_at_least_one_leg() -> None:
+    with pytest.raises(drifts.ConfigError, match="need at least one leg"):
+        sim.simulate_legs(drifts.zero_drift(), [])
 
 
 def test_memory_guard_counts_every_leg(monkeypatch) -> None:
