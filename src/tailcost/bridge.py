@@ -16,7 +16,9 @@ and the pin are placed exactly on grid nodes so neither kernel carries
 placement bias.  The backward leg depends only on the node lattice, so
 starts that share a lattice share it, and their point masses march
 forward together as the columns of one march: `tailcost bridge` builds
-one lattice for its two conditionals and three sweep starts.
+one lattice for its two conditionals and three sweep starts.  The
+estimators (conditional_prob_green, concentration_check) read the kernels
+their caller built and build none of their own.
 """
 
 from __future__ import annotations
@@ -254,8 +256,9 @@ def bridge_kernel(spec: DriftSpec, query: BridgeQuery,
 
 
 def bridge_kernels(spec: DriftSpec, query: BridgeQuery, starts: tuple[float, ...],
-                   fractions=(DEFAULT_C_BELOW, DEFAULT_C_ABOVE)) -> tuple[BridgeKernel, ...]:
-    """Kernels of every start at query's look-back and noise, one per _lattices entry."""
+                   fractions: tuple[float, ...]) -> tuple[BridgeKernel, ...]:
+    """Kernels of every start at query's look-back and noise, one per _lattices entry,
+    each lattice covering the threshold fractions."""
     res = GreenResources()
     return tuple(bridge_kernel(spec, replace(query, y_start=group[0]), res, group, fractions)
                  for group, _ in _lattices(spec, query, res, tuple(starts), fractions))
@@ -305,28 +308,24 @@ def _kernel_estimate(kern: BridgeKernel, i: int, theta: float, c: float,
 
 
 def conditional_prob_green(
-    spec: DriftSpec,
+    kernels: tuple[BridgeKernel, ...],
     query: BridgeQuery,
     threshold_fraction: float,
     side: str,
-    kernels: tuple[BridgeKernel, ...] | None = None,
 ) -> BridgeEstimate:
     """Conditional tail probability by the two-kernel quadrature ratio.
 
     The event is {state below/above threshold_value(query, threshold_fraction)}
     at the look-back time; prob_below and prob_above are the complementary
     pair at that single threshold, and side records which one was asked
-    for.  kernels, from bridge_kernels (or bridge_kernel, at other
-    GreenResources), must hold query's start at its look-back; without
-    them one kernel is built on the start's own lattice.
+    for.  kernels, from bridge_kernels or bridge_kernel, must hold query's
+    start at its look-back and noise.
     """
     if side not in ("below", "above"):
         raise ValueError(f"side must be 'below' or 'above', got {side!r}")
-    theta = threshold_value(query, threshold_fraction)
-    if kernels is None:
-        kernels = (bridge_kernel(spec, query, fractions=(threshold_fraction,)),)
     kern, row = _column(kernels, query)
-    return _kernel_estimate(kern, row, theta, threshold_fraction, side)
+    return _kernel_estimate(kern, row, threshold_value(query, threshold_fraction),
+                            threshold_fraction, side)
 
 
 # ------------------------------------------------------- concentration fits
@@ -362,28 +361,21 @@ def fit_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
-def concentration_check(
-    spec: DriftSpec,
-    epsilon: float,
-    T: float,
-    y_sweep,
-    delta_sweep,
-    kernels: tuple[BridgeKernel, ...] | None = None,
-) -> ConcentrationReport:
-    """Fit the tail exponents of the pinned conditionals across a sweep.
+def concentration_check(spec: DriftSpec, kernels: tuple[BridgeKernel, ...]) -> ConcentrationReport:
+    """Fit the tail exponents of the pinned conditionals over the kernels' starts.
 
     The below event takes DEFAULT_C_BELOW, read at call time, and the
-    above event DEFAULT_C_ABOVE; kernels use default GreenResources.
-    Scope gates: the drift must vanish along the pin, the product of its
-    slope bound and the horizon must stay below AT_GATE, and a sweep cell
-    (y, delta) is admissible only when y < -T sqrt(eps/delta), the depth
-    at which the bridge mean dominates the noise scale.  For every
-    admissible cell both event probabilities are computed on the quadrature
-    route; log-probabilities are then fit against delta*y^2/(eps*T^2), one
-    line per event.  The report passes when both fitted slopes are negative
-    with R^2 at or above 0.9.  Each delta's starts share a lattice where
-    they can (bridge_kernels); kernels, when given, must hold every cell.
+    above event DEFAULT_C_ABOVE.  Scope gates: the drift must vanish along
+    the pin, the product of its slope bound and the horizon T must stay
+    below AT_GATE, and a start y of a kernel at look-back delta and noise
+    eps is admissible only when y < -T sqrt(eps/delta), the depth at which
+    the bridge mean dominates the noise scale.  For every admissible start
+    both event probabilities are read off its kernel row; log-probabilities
+    are then fit against delta*y^2/(eps*T^2), one line per event.  The
+    report passes when both fitted slopes are negative with R^2 at or
+    above 0.9.
     """
+    T = spec.horizon_T
     for tv in np.linspace(0.0, T, 9):
         if abs(float(spec.b(0.0, tv))) > 1e-10:
             raise ConfigError(f"drift must vanish at the pin; b(0,{tv:g}) != 0")
@@ -393,36 +385,29 @@ def concentration_check(
         )
 
     cells = [
-        (float(y), float(d))
-        for d in np.atleast_1d(delta_sweep)
-        for y in np.atleast_1d(y_sweep)
-        if float(y) < -T * math.sqrt(epsilon / float(d))
+        (kern, row, y)
+        for kern in kernels
+        for row, y in enumerate(kern.starts)
+        if y < -T * math.sqrt(kern.query.epsilon / kern.query.delta)
     ]
     if not cells:
         raise EmptySweepError("no (y, delta) cell is deep enough for the regime")
 
-    c_below = DEFAULT_C_BELOW
+    fractions = {"below": DEFAULT_C_BELOW, "above": DEFAULT_C_ABOVE}
     rows: list[ConcentrationRow] = []
     fit_pts: dict[str, list[tuple[float, float]]] = {"below": [], "above": []}
     dropped = 0
-    for d in dict.fromkeys(dc for _, dc in cells):
-        starts = [y for y, dc in cells if dc == d]
-        kerns = kernels or bridge_kernels(spec, BridgeQuery(starts[0], T, d, epsilon),
-                                          starts, (c_below, DEFAULT_C_ABOVE))
-        for y in starts:
-            query = BridgeQuery(y_start=y, T=T, delta=d, epsilon=epsilon)
-            kern, row = _column(kerns, query)
-            theta_b = threshold_value(query, c_below)
-            theta_a = threshold_value(query, DEFAULT_C_ABOVE)
-            xbar = d * y * y / (epsilon * T * T)
-            p_below = _kernel_estimate(kern, row, theta_b, c_below, "below").prob_below
-            p_above = _kernel_estimate(kern, row, theta_a, DEFAULT_C_ABOVE, "above").prob_above
-            for event, p in (("below", p_below), ("above", p_above)):
-                rows.append(ConcentrationRow(y, d, event, p, math.nan, xbar))
-                if p > 0.0:
-                    fit_pts[event].append((xbar, math.log(p)))
-                else:
-                    dropped += 1
+    for kern, row, y in cells:
+        query = replace(kern.query, y_start=y)
+        xbar = query.delta * y * y / (query.epsilon * T * T)
+        for event, c in fractions.items():
+            est = _kernel_estimate(kern, row, threshold_value(query, c), c, event)
+            p = est.prob_below if event == "below" else est.prob_above
+            rows.append(ConcentrationRow(y, query.delta, event, p, math.nan, xbar))
+            if p > 0.0:
+                fit_pts[event].append((xbar, math.log(p)))
+            else:
+                dropped += 1
 
     if len(fit_pts["below"]) < 2 or len(fit_pts["above"]) < 2:
         raise EmptySweepError("too few resolvable probabilities to fit")
@@ -446,8 +431,8 @@ def concentration_check(
         extra={
             "n_cells": len(cells),
             "dropped": dropped,
-            "c_below": c_below,
-            "c_above": DEFAULT_C_ABOVE,
+            "c_below": fractions["below"],
+            "c_above": fractions["above"],
         },
     )
 

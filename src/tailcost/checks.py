@@ -764,11 +764,10 @@ def _check_bridge_pair() -> VerificationReport:
     query = bridge.BridgeQuery(y_start=-1.0, T=1.0, delta=0.25, epsilon=0.1)
     exact = bridge.linear_bridge_moments(spec, query)
     # one kernel on the start's own lattice serves both thresholds
-    kernels = bridge.bridge_kernels(spec, query, (query.y_start,))
-    below = bridge.conditional_prob_green(
-        spec, query, bridge.DEFAULT_C_BELOW, "below", kernels=kernels)
-    above = bridge.conditional_prob_green(
-        spec, query, bridge.DEFAULT_C_ABOVE, "above", kernels=kernels)
+    fractions = (bridge.DEFAULT_C_BELOW, bridge.DEFAULT_C_ABOVE)
+    kernels = bridge.bridge_kernels(spec, query, (query.y_start,), fractions)
+    below = bridge.conditional_prob_green(kernels, query, fractions[0], "below")
+    above = bridge.conditional_prob_green(kernels, query, fractions[1], "above")
     mean_err = abs(below.mean - exact.mean) / abs(exact.mean)
     var_err = abs(below.variance - exact.variance) / exact.variance
     prob_err = max(
@@ -776,10 +775,10 @@ def _check_bridge_pair() -> VerificationReport:
         abs(above.prob_above - exact.prob_above),
     )
 
+    # the zero-drift sweep's starts share kernels the way `tailcost bridge`'s do
+    zero = zero_drift()
     sweep = bridge.concentration_check(
-        zero_drift(), epsilon=0.1, T=1.0,
-        y_sweep=(-1.0, -1.2, -1.4), delta_sweep=(0.25,),
-    )
+        zero, bridge.bridge_kernels(zero, query, (-1.0, -1.2, -1.4), fractions))
     ok = (
         mean_err <= 2e-3 and var_err <= 2e-3 and prob_err <= 1e-3
         and sweep.passed

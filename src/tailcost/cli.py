@@ -193,7 +193,7 @@ def _cmd_simulate(config: checks.RunConfig, out_dir: Path, args: argparse.Namesp
     ts = _stride(ensemble.times.size)
     table = _write_table(
         out_dir / "ensemble", ["path_id", "s", "y"],
-        simulate.ensemble_blocks(ensemble, path_stride=1, time_stride=ts),
+        simulate.ensemble_blocks(ensemble, time_stride=ts),
         config.table_format,
     )
     header = simulate.ensemble_header(ensemble, epsilon)
@@ -213,10 +213,12 @@ def _cmd_bridge(config: checks.RunConfig, out_dir: Path, args: argparse.Namespac
         delta=config.bridge_delta, epsilon=epsilon,
     )
     starts = (config.probe_y, config.probe_y - 0.2, config.probe_y - 0.4)
-    kernels = bridge.bridge_kernels(spec, query, starts)  # shared by conditionals and sweep
+    fractions = (bridge.DEFAULT_C_BELOW, bridge.DEFAULT_C_ABOVE)
+    # one set of kernels serves the conditionals and the sweep
+    kernels = bridge.bridge_kernels(spec, query, starts, fractions)
     cond_rows = []
-    for fraction, side in ((bridge.DEFAULT_C_BELOW, "below"), (bridge.DEFAULT_C_ABOVE, "above")):
-        est = bridge.conditional_prob_green(spec, query, fraction, side, kernels=kernels)
+    for fraction, side in zip(fractions, ("below", "above")):
+        est = bridge.conditional_prob_green(kernels, query, fraction, side)
         cond_rows.append([
             est.method, side, fraction, est.mean, est.variance,
             est.prob_below, est.prob_above,
@@ -228,10 +230,7 @@ def _cmd_bridge(config: checks.RunConfig, out_dir: Path, args: argparse.Namespac
             exact.prob_below, exact.prob_above,
         ])
     # the sweep may refuse the configuration: nothing is written before it runs
-    sweep = bridge.concentration_check(
-        spec, epsilon, spec.horizon_T, y_sweep=starts,
-        delta_sweep=(config.bridge_delta,), kernels=kernels,
-    )
+    sweep = bridge.concentration_check(spec, kernels)
     cond_table = _write_table(
         out_dir / "conditionals",
         ["method", "side", "threshold_fraction", "mean", "variance",

@@ -634,13 +634,11 @@ def importance_sampling(ensemble: PathEnsemble, x: float) -> EstimatorResult:
 
 # ------------------------------------------------------------------ export
 
-def ensemble_blocks(ensemble: PathEnsemble, path_stride: int, time_stride: int):
-    """One tables.Block (path_id, s, y) per recorded row whose path id is a
-    multiple of path_stride, all sharing one s list."""
+def ensemble_blocks(ensemble: PathEnsemble, time_stride: int):
+    """One tables.Block (path_id, s, y) per recorded row, all sharing one s list."""
     s = ensemble.times[::time_stride].tolist()
     for row, pid in enumerate(ensemble.path_ids):
-        if pid % path_stride == 0:
-            yield tables.Block((pid, s, ensemble.paths[row, ::time_stride].tolist()))
+        yield tables.Block((pid, s, ensemble.paths[row, ::time_stride].tolist()))
 
 
 def ensemble_header(ensemble: PathEnsemble, epsilon: float) -> dict:

@@ -326,11 +326,10 @@ def test_criterion_09_bridge_conditionals_and_tail_fit() -> None:
     negative with R^2 at least 0.9 on the admissible sweep.
     """
     query = bridge.BridgeQuery(y_start=-1.0, T=1.0, delta=0.25, epsilon=EPS)
-    below = bridge.conditional_prob_green(
-        zero_drift(), query, bridge.DEFAULT_C_BELOW, "below"
-    )
-    above = bridge.conditional_prob_green(
-        zero_drift(), query, bridge.DEFAULT_C_ABOVE, "above"
+    below, above = (
+        bridge.conditional_prob_green(
+            (bridge.bridge_kernel(zero_drift(), query, fractions=(c,)),), query, c, side)
+        for c, side in ((bridge.DEFAULT_C_BELOW, "below"), (bridge.DEFAULT_C_ABOVE, "above"))
     )
     assert abs(below.prob_below - orc.BB_PROB_BELOW_C4) <= 1e-3
     assert abs(above.prob_above - orc.BB_PROB_ABOVE_C025) <= 1e-3
@@ -338,16 +337,15 @@ def test_criterion_09_bridge_conditionals_and_tail_fit() -> None:
     assert abs(below.variance - orc.BB_VAR) <= 1e-3
 
     pinned = bridge.conditional_prob_green(
-        linear_drift(0.5), query, bridge.DEFAULT_C_BELOW, "below"
+        (bridge.bridge_kernel(linear_drift(0.5), query, fractions=(bridge.DEFAULT_C_BELOW,)),),
+        query, bridge.DEFAULT_C_BELOW, "below",
     )
     minimizer = orc.two_leg_minimizer(-1.0, 1.0, 0.25, A=0.5)
     assert minimizer == pytest.approx(orc.PIN_MEAN_A05, abs=1e-12)
     assert abs(pinned.mean - minimizer) <= 1e-4
 
-    sweep = bridge.concentration_check(
-        zero_drift(), epsilon=EPS, T=1.0,
-        y_sweep=(-1.0, -1.2, -1.4), delta_sweep=(0.25,),
-    )
+    sweep = bridge.concentration_check(zero_drift(), bridge.bridge_kernels(
+        zero_drift(), query, (-1.0, -1.2, -1.4), (bridge.DEFAULT_C_BELOW, bridge.DEFAULT_C_ABOVE)))
     assert sweep.passed
     # gamma is the negated fitted slope: positive decay means the
     # log-probabilities fall strictly in the depth variable

@@ -16,6 +16,18 @@ EPS = 0.1
 QUERY = bridge.BridgeQuery(y_start=-1.0, T=1.0, delta=0.25, epsilon=EPS)
 
 
+def _own(spec: DriftSpec, query: bridge.BridgeQuery, c: float) -> tuple[bridge.BridgeKernel]:
+    """The kernel on query's own lattice covering threshold fraction c."""
+    return (bridge.bridge_kernel(spec, query, fractions=(c,)),)
+
+
+def _sweep(spec: DriftSpec, starts, delta: float = 0.25) -> tuple[bridge.BridgeKernel, ...]:
+    """Sweep kernels over starts, covering the default fractions as they read now."""
+    query = bridge.BridgeQuery(starts[0], 1.0, delta, EPS)
+    return bridge.bridge_kernels(spec, query, tuple(starts),
+                                 (bridge.DEFAULT_C_BELOW, bridge.DEFAULT_C_ABOVE))
+
+
 def _offset_drift() -> DriftSpec:
     # does not vanish at the pin, so the concentration scope must refuse it
     return DriftSpec(
@@ -123,7 +135,7 @@ def test_green_matches_exact_linear() -> None:
     for A in (0.0, 0.25, 0.5):
         spec = drifts.linear_drift(A) if A else drifts.zero_drift()
         exact = bridge.linear_bridge_moments(spec, QUERY)
-        quad = bridge.conditional_prob_green(spec, QUERY, 4.0, "below")
+        quad = bridge.conditional_prob_green(_own(spec, QUERY, 4.0), QUERY, 4.0, "below")
         assert quad.method == "green-quadrature"
         assert quad.mean == pytest.approx(exact.mean, rel=1e-3)
         assert quad.variance == pytest.approx(exact.variance, rel=1e-3)
@@ -135,7 +147,7 @@ def test_green_tracks_fast_time_varying_drift() -> None:
     # re-evaluate the drift at every time level to follow it
     spec = drifts.time_varying_linear(0.25, 0.25, 4.0 * math.pi)
     exact = bridge.linear_bridge_moments(spec, QUERY)
-    quad = bridge.conditional_prob_green(spec, QUERY, 4.0, "below")
+    quad = bridge.conditional_prob_green(_own(spec, QUERY, 4.0), QUERY, 4.0, "below")
     assert quad.mean == pytest.approx(exact.mean, rel=2e-3)
     assert quad.variance == pytest.approx(exact.variance, rel=2e-3)
 
@@ -222,7 +234,7 @@ def test_every_shared_start_meets_the_closed_form(spec) -> None:
         query = dataclasses.replace(QUERY, y_start=y)
         exact = bridge.linear_bridge_moments(spec, query)
         below, above = (
-            bridge.conditional_prob_green(spec, query, c, side, kernels=kernels)
+            bridge.conditional_prob_green(kernels, query, c, side)
             for c, side in zip(FRACTIONS, ("below", "above"))
         )
         assert abs(below.mean - exact.mean) <= 2e-3 * abs(exact.mean)
@@ -234,18 +246,19 @@ def test_every_shared_start_meets_the_closed_form(spec) -> None:
 def test_green_normalization() -> None:
     spec = drifts.zero_drift()
     # threshold far to the right of all mass: c*delta*y/T = -100
-    full = bridge.conditional_prob_green(spec, QUERY, -400.0, "below")
+    full = bridge.conditional_prob_green(_own(spec, QUERY, -400.0), QUERY, -400.0, "below")
     assert full.extra["theta"] == pytest.approx(100.0)
     assert abs(full.prob_below - 1.0) <= 1e-4
     # complementary pair from two independent evaluations
-    below = bridge.conditional_prob_green(spec, QUERY, 1.7, "below")
-    above = bridge.conditional_prob_green(spec, QUERY, 1.7, "above")
+    kernels = _own(spec, QUERY, 1.7)
+    below = bridge.conditional_prob_green(kernels, QUERY, 1.7, "below")
+    above = bridge.conditional_prob_green(kernels, QUERY, 1.7, "above")
     assert abs(below.prob_below + above.prob_above - 1.0) <= 1e-4
 
 
 def test_green_mass_matches_transition_kernel() -> None:
     spec = drifts.zero_drift()
-    quad = bridge.conditional_prob_green(spec, QUERY, 4.0, "below")
+    quad = bridge.conditional_prob_green(_own(spec, QUERY, 4.0), QUERY, 4.0, "below")
     assert quad.extra["mass"] == pytest.approx(orc.green_kernel(-1.0, 0.0, EPS), rel=2e-3)
     assert quad.extra["fan_mass"] == pytest.approx(1.0, abs=1e-6)
 
@@ -254,8 +267,9 @@ def test_green_refinement_audit() -> None:
     # the quadrature at 1201 target nodes against its refinement at 2401
     spec = drifts.zero_drift()
     coarse, fine = (
-        bridge.conditional_prob_green(spec, QUERY, 4.0, "below", kernels=(bridge.bridge_kernel(
-            spec, QUERY, bridge.GreenResources(n_y=n_y, n_t=601), fractions=(4.0,)),))
+        bridge.conditional_prob_green((bridge.bridge_kernel(
+            spec, QUERY, bridge.GreenResources(n_y=n_y, n_t=601), fractions=(4.0,)),),
+            QUERY, 4.0, "below")
         for n_y in (1201, 2401)
     )
     assert abs(fine.prob_below - coarse.prob_below) < 1e-5
@@ -263,24 +277,29 @@ def test_green_refinement_audit() -> None:
 
 
 def test_green_input_guards() -> None:
-    with pytest.raises(ValueError):
-        bridge.conditional_prob_green(drifts.zero_drift(), QUERY, 4.0, "sideways")
+    kernels = _own(drifts.zero_drift(), QUERY, 4.0)
+    with pytest.raises(ValueError, match="side"):
+        bridge.conditional_prob_green(kernels, QUERY, 4.0, "sideways")
+    # a query the kernels do not hold is refused, not answered from another look-back
+    with pytest.raises(ValueError, match="no kernel holds"):
+        bridge.conditional_prob_green(kernels, dataclasses.replace(QUERY, delta=0.125), 4.0,
+                                      "below")
     mismatched = bridge.BridgeQuery(-1.0, 2.0, 0.5, EPS)
-    with pytest.raises(ValueError):
-        bridge.conditional_prob_green(drifts.zero_drift(), mismatched, 4.0, "below")
+    with pytest.raises(ValueError, match="horizon"):
+        _own(drifts.zero_drift(), mismatched, 4.0)
 
 
 def test_unresolvable_bridge_raises() -> None:
     deep = bridge.BridgeQuery(-14.0, 1.0, 0.25, 0.05)
     with pytest.raises(bridge.IllConditionedBridgeError):
-        bridge.conditional_prob_green(drifts.zero_drift(), deep, 4.0, "below")
+        _own(drifts.zero_drift(), deep, 4.0)
 
 
 # ------------------------------------------------------- concentration fits
 
 def test_concentration_zero_drift_shallow_sweep() -> None:
-    rep = bridge.concentration_check(drifts.zero_drift(), EPS, 1.0,
-                                     np.linspace(-1.35, -0.75, 7), [0.25])
+    spec = drifts.zero_drift()
+    rep = bridge.concentration_check(spec, _sweep(spec, np.linspace(-1.35, -0.75, 7).tolist()))
     assert rep.passed
     assert rep.r2_below >= 0.99 and rep.r2_above >= 0.99
     # the deep event tracks the quadratic tail exponent
@@ -294,8 +313,8 @@ def test_concentration_zero_drift_shallow_sweep() -> None:
 
 def test_concentration_zero_drift_deep_sweep(monkeypatch) -> None:
     monkeypatch.setattr(bridge, "DEFAULT_C_BELOW", 1.5)
-    rep = bridge.concentration_check(drifts.zero_drift(), EPS, 1.0,
-                                     np.linspace(-3.5, -2.3, 7), [0.25])
+    spec = drifts.zero_drift()
+    rep = bridge.concentration_check(spec, _sweep(spec, np.linspace(-3.5, -2.3, 7).tolist()))
     assert rep.passed
     for gamma, c in ((rep.gamma_below, 1.5), (rep.gamma_above, 0.25)):
         loc = orc.local_exponent(c, 1.0, 0.25)
@@ -304,8 +323,8 @@ def test_concentration_zero_drift_deep_sweep(monkeypatch) -> None:
 
 def test_concentration_concave_drift(monkeypatch) -> None:
     monkeypatch.setattr(bridge, "DEFAULT_C_BELOW", 2.0)
-    rep = bridge.concentration_check(drifts.logcosh_drift(), EPS, 1.0,
-                                     np.linspace(-1.6, -0.8, 5), [0.25])
+    spec = drifts.logcosh_drift()
+    rep = bridge.concentration_check(spec, _sweep(spec, np.linspace(-1.6, -0.8, 5).tolist()))
     assert rep.passed
     assert rep.gamma_below > 0.0 and rep.gamma_above > 0.0
     # fitted envelope dominates every computed tail
@@ -315,17 +334,19 @@ def test_concentration_concave_drift(monkeypatch) -> None:
 
 
 def test_concentration_scope_gates() -> None:
+    spec = drifts.zero_drift()
     with pytest.raises(bridge.EmptySweepError):
-        bridge.concentration_check(drifts.zero_drift(), EPS, 1.0, [-0.3], [0.25])
+        bridge.concentration_check(spec, _sweep(spec, [-0.3]))
+    # the drift gates refuse before any kernel is read
     with pytest.raises(ValueError):
-        bridge.concentration_check(drifts.linear_drift(0.8), EPS, 1.0, [-2.0], [0.25])
+        bridge.concentration_check(drifts.linear_drift(0.8), ())
     with pytest.raises(ValueError):
-        bridge.concentration_check(_offset_drift(), EPS, 1.0, [-2.0], [0.25])
+        bridge.concentration_check(_offset_drift(), ())
 
 
 def test_concentration_rows_and_summary() -> None:
-    rep = bridge.concentration_check(drifts.zero_drift(), EPS, 1.0,
-                                     [-1.2, -1.0], [0.25])
+    spec = drifts.zero_drift()
+    rep = bridge.concentration_check(spec, _sweep(spec, [-1.2, -1.0]))
     rows = list(bridge.concentration_rows(rep))
     assert len(rows) == 4
     for y, delta, event, prob, rhs in rows:
@@ -335,3 +356,22 @@ def test_concentration_rows_and_summary() -> None:
     assert set(summary) >= {"gamma_below", "gamma_above", "r2_below",
                             "r2_above", "passed", "n_rows"}
     assert summary["n_rows"] == 4
+
+
+def test_concentration_over_two_look_backs() -> None:
+    # a sweep over kernels at two look-backs reads each start at its own
+    # kernel's delta: its rows are the two one-kernel sweeps' rows in turn
+    spec = drifts.zero_drift()
+    kernels = [_sweep(spec, SWEEP, delta) for delta in (0.25, 0.125)]
+    assert [len(k) for k in kernels] == [1, 1]
+    both = bridge.concentration_check(spec, kernels[0] + kernels[1])
+    lone = [bridge.concentration_check(spec, k) for k in kernels]
+
+    def fields(rows):
+        return [(r.y, r.delta, r.event, r.probability, r.abscissa) for r in rows]
+
+    assert fields(both.rows) == fields(lone[0].rows) + fields(lone[1].rows)
+    assert [r.delta for r in both.rows] == [0.25] * 6 + [0.125] * 6
+    for row in both.rows:
+        assert row.abscissa == row.delta * row.y * row.y / EPS
+    assert both.extra["n_cells"] == 6

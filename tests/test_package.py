@@ -1,7 +1,7 @@
 """Package-wide layout: one Euler-Maruyama loop, a public surface that resolves,
 no test-only knob among the parameters of the battery, the classical action,
 the bridge, the Crank-Nicolson solves, the legs loop and the table writers,
-and one source of compiled scipy code."""
+no default frozen from a package name, and one source of compiled scipy code."""
 
 from __future__ import annotations
 
@@ -69,6 +69,39 @@ def test_every_check_default_is_set_by_the_package() -> None:
         f"{name}({arg})" for name, (_, named) in defaults.items() for arg in named - passed[name]
     )
     assert unset == []
+
+
+def _package_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level by assignment, def, class or an
+    import from the package itself (third-party imports are not the package's)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.ImportFrom) and node.level > 0:
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_no_default_is_built_from_a_package_name() -> None:
+    # a default is evaluated once, at import: built from a module constant
+    # it freezes the value, and a monkeypatched constant never reaches the
+    # function.  Builtins such as slice(None) are not the package's names
+    frozen = []
+    for path in sorted(Path(tailcost.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _package_names(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            for default in node.args.defaults + [d for d in node.args.kw_defaults if d]:
+                frozen += [f"{path.name}:{getattr(node, 'name', '<lambda>')}({n.id})"
+                           for n in ast.walk(default)
+                           if isinstance(n, ast.Name) and n.id in names]
+    assert frozen == []
 
 
 def test_compiled_scipy_routines_are_the_public_objects() -> None:

@@ -854,11 +854,12 @@ def test_ensemble_rows_and_header() -> None:
     # a zero control on the zero drift: the plain law, every path recorded
     ens = _steer(spec, _constant_field(0.0), -1.0, EPS,
                  sim.SimConfig(n_paths=3, dt=0.05, seed=5))
-    rows = list(tables.rows(sim.ensemble_blocks(ens, 1, 1)))
+    rows = list(tables.rows(sim.ensemble_blocks(ens, 1)))
     assert len(rows) == 3 * ens.times.size
     assert rows[0] == (0, 0.0, -1.0)
-    strided = list(tables.rows(sim.ensemble_blocks(ens, 2, 4)))
-    assert {pid for pid, _, _ in strided} == {0, 2}
+    strided = list(tables.rows(sim.ensemble_blocks(ens, 4)))
+    assert len(strided) == 3 * ens.times[::4].size
+    assert [s for _, s, _ in strided[:ens.times[::4].size]] == ens.times[::4].tolist()
     hdr = sim.ensemble_header(ens, EPS)
     assert hdr["seed"] == 5 and hdr["n_paths"] == 3
     assert hdr["t_start"] == 0.0 and hdr["t_end"] == 1.0
