@@ -19,6 +19,13 @@ rule checks the conserved p e^{int b_y}.  The momentum system, the second
 variation and the characteristic (its p = 0 lane) share one RK4 kernel,
 and each marches every lane of a batch at once.
 
+The start momentum is found by Newton sweeps on the terminal value.  A
+lane stops at the first sweep whose Newton step falls below
+NEWTON_STEP_TOL * (1 + |m|) and keeps the momentum that sweep marched,
+so its error stays within about that last step; the sweep records every
+lane's nodes, and a settled lane's path is the one it recorded.  Only the
+lanes with no such path (free, flow or unsettled) are marched once more.
+
 Two independent routes to the same number are kept deliberately: the
 shooting solver above, and a direct discrete minimization of the action
 over interior path nodes.  They share no discretization.
@@ -123,7 +130,7 @@ def shoot_terminal(
 
 def _momenta(
     spec: DriftSpec, xs: np.ndarray, ys: np.ndarray, t: float, n_steps: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray] | None]]:
     """Search m = -p(t) > 0 with y(T; m) = x for every lane at once.
 
     A geometric ladder of candidates (m = 0, then base * 2^j) brackets
@@ -132,12 +139,20 @@ def _momenta(
     rest.  Safeguarded Newton steps follow, with the slope dy(T)/dm
     taken from a twin lane at m + delta in the same sweep (so no
     curvature data is needed); a step that leaves the bracket or is not
-    finite falls back to the bracket midpoint.  A lane stops once its
-    step is below NEWTON_STEP_TOL * (1 + |m|).
+    finite falls back to the bracket midpoint.
+
+    A lane settles in the Newton sweep whose step falls below
+    NEWTON_STEP_TOL * (1 + |m|).  It keeps the m that sweep marched, not
+    m plus that last step, so |m - m*| stays within about the last step,
+    and that sweep's nodes are its path.  Returns m and, per lane, the
+    (y, p) node arrays of the sweep that settled it; a flow lane (m = 0)
+    and a lane still moving after NEWTON_MAX_SWEEPS get None.
     """
 
-    def overshoot(y0: np.ndarray, x: np.ndarray, m: np.ndarray) -> np.ndarray:
-        term = shoot_terminal(spec, y0[:, None], t, -m, n_steps)
+    def overshoot(
+        y0: np.ndarray, x: np.ndarray, m: np.ndarray, nodes: tuple | None
+    ) -> np.ndarray:
+        term = shoot_terminal(spec, y0[:, None], t, -m, n_steps, nodes)
         # an upward blow-up exceeds every threshold
         return np.where(np.isnan(term), np.inf, term - x[:, None])
 
@@ -148,10 +163,10 @@ def _momenta(
     # a rung left unswept reads as a miss; it lies above a lane's first
     # reaching rung, so the bracket below reads swept rungs only
     g = np.full_like(ladder, -np.inf)
-    g[:, :2] = overshoot(ys, xs, ladder[:, :2])
+    g[:, :2] = overshoot(ys, xs, ladder[:, :2], None)
     short = np.flatnonzero((g[:, :2] < 0.0).all(axis=1))
     if short.size:
-        g[short, 2:] = overshoot(ys[short], xs[short], ladder[short, 2:])
+        g[short, 2:] = overshoot(ys[short], xs[short], ladder[short, 2:], None)
     reached = g >= 0.0
     missed = np.flatnonzero(~reached.any(axis=1))
     if missed.size:
@@ -170,13 +185,20 @@ def _momenta(
     m = np.where(np.isfinite(m) & (m > lo) & (m < hi), m, 0.5 * (lo + hi))
     m[flow] = 0.0
 
+    paths: list[tuple[np.ndarray, np.ndarray] | None] = [None] * xs.size
     active = np.flatnonzero(~flow)
+    # one node buffer for the batch, y and p of each lane and its twin,
+    # sized by the first Newton sweep; later sweeps record into its front
+    per_lane = 4 * (n_steps + 1)
+    record = np.empty(per_lane * active.size)
     for _ in range(NEWTON_MAX_SWEEPS):
         if active.size == 0:
             break
         ma = m[active]
         delta = 1e-7 * np.maximum(ma, 1e-3)
-        g2 = overshoot(ys[active], xs[active], np.stack((ma, ma + delta), axis=1))
+        node_y, node_p = record[: per_lane * active.size].reshape(2, n_steps + 1, active.size, 2)
+        g2 = overshoot(ys[active], xs[active], np.stack((ma, ma + delta), axis=1),
+                       (node_y, node_p))
         g0 = g2[:, 0]
         above = g0 >= 0.0
         hi[active] = np.where(above, ma, hi[active])
@@ -189,10 +211,12 @@ def _momenta(
             & (m_new >= lo[active]) & (m_new <= hi[active])
         )
         m_new = np.where(safe, m_new, 0.5 * (lo[active] + hi[active]))
-        m[active] = m_new
         moving = np.abs(m_new - ma) > NEWTON_STEP_TOL * (1.0 + np.abs(ma))
+        m[active[moving]] = m_new[moving]
+        for j in np.flatnonzero(~moving):
+            paths[active[j]] = (node_y[:, j, 0].copy(), node_p[:, j, 0].copy())
         active = active[moving]
-    return m
+    return m, paths
 
 
 def solve_shooting_many(
@@ -202,8 +226,12 @@ def solve_shooting_many(
 
     xs and ys broadcast against each other; the result holds one
     solution per pair, in order.  Every sweep of the momentum system
-    integrates all pairs at once.  N_STEPS must be even and at least 2:
-    the cost is integrated by Simpson's rule over the stored nodes.
+    integrates all pairs at once.  A binding lane that settles takes its
+    path and momenta from the Newton sweep that settled it (see
+    _momenta); the lanes with none, free lanes at p = 0, flow lanes and
+    lanes unsettled after NEWTON_MAX_SWEEPS, are marched together once
+    more, and only if there are any.  N_STEPS must be even and at least
+    2: the cost is integrated by Simpson's rule over the stored nodes.
     """
     T, n_steps = spec.horizon_T, N_STEPS
     if n_steps < 2 or n_steps % 2:
@@ -219,17 +247,26 @@ def solve_shooting_many(
     boundary = characteristic_F(spec, xs, t)
     binding = ys < boundary - REGION_TOL * (1.0 + np.abs(xs))
     p0 = np.zeros(xs.size)
+    paths: list[tuple[np.ndarray, np.ndarray] | None] = [None] * xs.size
     if binding.any():
-        p0[binding] = -_momenta(spec, xs[binding], ys[binding], t, n_steps)
+        lanes = np.flatnonzero(binding)
+        m, settled = _momenta(spec, xs[lanes], ys[lanes], t, n_steps)
+        p0[lanes] = -m
+        for i, path in zip(lanes, settled):
+            paths[i] = path
 
-    node_y = np.empty((n_steps + 1, xs.size))
-    node_p = np.empty((n_steps + 1, xs.size))
-    shoot_terminal(spec, ys, t, p0, n_steps, nodes=(node_y, node_p))
+    rest = [i for i, path in enumerate(paths) if path is None]
+    if rest:
+        node_y = np.empty((n_steps + 1, len(rest)))
+        node_p = np.empty((n_steps + 1, len(rest)))
+        shoot_terminal(spec, ys[rest], t, p0[rest], n_steps, nodes=(node_y, node_p))
+        for j, i in enumerate(rest):
+            paths[i] = (node_y[:, j].copy(), node_p[:, j].copy())
     times = np.linspace(t, T, n_steps + 1)
     return [
-        _solution(spec, float(x), float(y), t, Path(times=times.copy(), y=node_y[:, i].copy()),
-                  node_p[:, i].copy(), float(f), bool(bind))
-        for i, (x, y, f, bind) in enumerate(zip(xs, ys, boundary, binding))
+        _solution(spec, float(x), float(y), t, Path(times=times.copy(), y=path_y),
+                  path_p, float(f), bool(bind))
+        for x, y, f, bind, (path_y, path_p) in zip(xs, ys, boundary, binding, paths)
     ]
 
 

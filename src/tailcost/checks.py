@@ -847,7 +847,14 @@ class RunConfig:
         params = self.drift_params
         if not isinstance(params, dict) or not all(map(_is_finite_number, params.values())):
             raise ConfigError(f"drift_params values must be finite numbers, got {params!r}")
-        spec = self._build_drift()  # checks the kind and params: verify never calls drift()
+        try:
+            spec = drift_by_name(self.drift_kind, **self.drift_params)
+            spot_check(spec)
+        except Exception as exc:
+            raise ConfigError(str(exc)) from exc
+        # built and spot-checked once for drift() to hand out; not a field,
+        # so dataclasses.asdict (report.json's config) leaves it out
+        object.__setattr__(self, "_spec", spec)
         if self.n_y < 101 or self.n_t < 51:
             raise ConfigError("grid sizes too small to honor the solver contracts")
         if self.n_paths < 100:
@@ -860,16 +867,8 @@ class RunConfig:
             raise ConfigError(f"bridge look-back {self.bridge_delta} must sit in (0, T/2]"
                               f" for the horizon T={spec.horizon_T}")
 
-    def _build_drift(self) -> DriftSpec:
-        try:
-            spec = drift_by_name(self.drift_kind, **self.drift_params)
-            spot_check(spec)
-        except Exception as exc:
-            raise ConfigError(str(exc)) from exc
-        return spec
-
     def drift(self) -> DriftSpec:
-        spec = self._build_drift()
+        spec = self._spec
         if not self.probe_t < spec.horizon_T:
             raise ConfigError(
                 f"probe time {self.probe_t} is not before the horizon {spec.horizon_T}"

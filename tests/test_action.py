@@ -224,8 +224,8 @@ def test_momenta_leaves_a_flow_lane_at_zero() -> None:
     # brackets on that rung alone and keeps m = 0 beside a binding lane
     spec = drifts.linear_drift(2.0)
     free_y = float(drifts.characteristic_F(spec, 0.0, 0.0)) + 0.5
-    m = act._momenta(spec, np.array([0.0, 0.0]), np.array([free_y, -1.0]), 0.0, 500)
-    (alone,) = act._momenta(spec, np.array([0.0]), np.array([-1.0]), 0.0, 500)
+    m, _ = act._momenta(spec, np.array([0.0, 0.0]), np.array([free_y, -1.0]), 0.0, 500)
+    (alone,), _ = act._momenta(spec, np.array([0.0]), np.array([-1.0]), 0.0, 500)
     assert m[0] == 0.0
     assert m[1] == alone
 
@@ -233,13 +233,77 @@ def test_momenta_leaves_a_flow_lane_at_zero() -> None:
 def test_classical_grid_sweeps_two_rungs_per_lane(monkeypatch) -> None:
     # a work count, not a timing: every lane of the sin grid reaches x on
     # rung 1, so the ladder sweep holds 25 x 2 lanes and nothing sweeps
-    # the other 21 rungs (one 23-rung sweep made it 375,000 lane-steps)
+    # the other 21 rungs (one 23-rung sweep made it 375,000 lane-steps);
+    # the three Newton sweeps record the paths, so no fifth sweep re-marches
+    # them (one did, at 112,500 lane-steps)
     sweeps = _record_sweeps(monkeypatch)
     xs, ys = zip(*((dx, -1.0 + dy) for dx in cli._CLASSICAL_DX for dy in cli._CLASSICAL_DY))
-    act.solve_shooting_many(drifts.sin_drift(), xs, ys)
+    spec = drifts.sin_drift()
+    act.solve_shooting_many(spec, xs, ys)
     assert sweeps[0] == (50, 500)
-    assert len(sweeps) == 5
-    assert sum(lanes * n_steps for lanes, n_steps in sweeps) == 112_500
+    assert len(sweeps) == 4
+    assert sum(lanes * n_steps for lanes, n_steps in sweeps) == 100_000
+
+    # free lanes have no Newton sweep; one extra march holds them alone
+    free = [(x, float(drifts.characteristic_F(spec, x, 0.0)) + 0.5) for x in (-0.5, 0.2, 0.4)]
+    sweeps.clear()
+    act.solve_shooting_many(spec, (*xs[:10], *(x for x, _ in free), *xs[10:]),
+                            (*ys[:10], *(y for _, y in free), *ys[10:]))
+    assert sweeps == [(50, 500)] * 4 + [(3, 500)]
+
+
+def _assert_paths_are_fresh_marches(spec: drifts.DriftSpec, sols) -> None:
+    """Each lane's path and momenta are a march of its own dq_dy, bit for bit."""
+    for sol in sols:
+        node_y, node_p = np.empty((2, act.N_STEPS + 1, 1))
+        act.shoot_terminal(spec, sol.path.y[0], sol.t_start, np.array([sol.dq_dy]),
+                           act.N_STEPS, nodes=(node_y, node_p))
+        where = (sol.x_threshold, float(sol.path.y[0]))
+        assert np.array_equal(sol.path.y, node_y[:, 0]), where
+        assert np.array_equal(sol.momentum_p, node_p[:, 0]), where
+
+
+@pytest.mark.parametrize(
+    "spec, pairs, newton",
+    [
+        # one lane settles in the third Newton sweep, four in the fourth
+        (drifts.sin_drift(1.0), [(0.0, -1.0), (0.5, -0.1), (0.0, -3.0), (1.0, -0.05),
+                                 (2.0, -4.0)], [10, 10, 10, 8]),
+        # (0, -1) first reaches x on rung 3; y(T; m) is linear in m, so
+        # both lanes settle in the first Newton sweep
+        (drifts.linear_drift(2.0), [(0.0, -1.0), (0.5, -0.1)], [4]),
+    ],
+    ids=lambda v: v.name if isinstance(v, drifts.DriftSpec) else None,
+)
+def test_paths_come_from_the_sweep_that_settles_each_lane(monkeypatch, spec, pairs, newton) -> None:
+    free = [(x, float(drifts.characteristic_F(spec, x, 0.0)) + 0.25) for x in (-0.5, 0.3)]
+    mixed = [free[0], *pairs, free[1]]
+    sweeps = _record_sweeps(monkeypatch)
+    sols = act.solve_shooting_many(spec, *zip(*mixed))
+    assert [sol.binding for sol in sols] == [False, *[True] * len(pairs), False]
+    # the Newton sweeps march m and its twin; the last sweep holds the free lanes
+    assert [lanes for lanes, _ in sweeps[-1 - len(newton):-1]] == newton
+    assert sweeps[-1] == (2, act.N_STEPS)
+    _assert_paths_are_fresh_marches(spec, sols)
+    for sol in sols[1:-1]:
+        assert sol.diagnostics["terminal_mismatch"] <= 1e-12 * (1.0 + abs(sol.x_threshold))
+
+
+def test_lanes_unsettled_after_the_last_newton_sweep_march_at_its_momentum(monkeypatch) -> None:
+    # after one Newton sweep a sin(a=1) lane still moves: it takes the
+    # sweep's last step and is marched again at that momentum, which for
+    # (0, -1) already meets x and for (0.5, -0.1) does not
+    spec = drifts.sin_drift(1.0)
+    monkeypatch.setattr(act, "NEWTON_MAX_SWEEPS", 1)
+    m, paths = act._momenta(spec, np.array([0.0, 0.5]), np.array([-1.0, -0.1]), 0.0, act.N_STEPS)
+    assert paths == [None, None]
+    (sol,) = act.solve_shooting_many(spec, 0.0, -1.0)
+    assert sol.dq_dy == -m[0]
+    _assert_paths_are_fresh_marches(spec, [sol])
+    # the q and the mismatch that marching every lane again gave these lanes
+    assert sol.q_value == pytest.approx(1.0901024934413428, rel=1e-15, abs=0.0)
+    with pytest.raises(act.ShootingError, match=r"mismatch 6\.096e-06 at \(x=0\.5, y=-0\.1,"):
+        act.solve_shooting_many(spec, [0.0, 0.5], [-1.0, -0.1])
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 501])

@@ -182,8 +182,8 @@ def test_block_tables_match_the_row_writers(
 def test_classical_shoots_the_grid_in_a_few_batched_sweeps(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    # one ladder sweep, a few Newton sweeps and one node record for all 25
-    # grid points; the probe's own solution is the grid's zero-offset point
+    # one ladder sweep and a few Newton sweeps, which record the paths, for
+    # all 25 grid points; the probe's own solution is the grid's zero-offset point
     calls = []
     shoot = action.shoot_terminal
 
@@ -196,6 +196,26 @@ def test_classical_shoots_the_grid_in_a_few_batched_sweeps(
     rc = cli.main(["classical", "--config", config, "--out", str(tmp_path / "o")])
     assert rc == 0
     assert len(calls) <= 8
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve"], ["classical"], ["simulate"], ["bridge"], ["verify", "--only", "cdf"]],
+    ids=lambda argv: argv[0],
+)
+def test_each_command_spot_checks_its_drift_once(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, argv: list
+) -> None:
+    # the config builds and checks its drift once; drift() hands that spec out
+    calls = []
+    spot_check = checks.spot_check
+
+    def counted(spec):
+        calls.append(spec.name)
+        return spot_check(spec)
+
+    monkeypatch.setattr(checks, "spot_check", counted)
+    assert cli.main([*argv, "--config", _cfg(tmp_path), "--out", str(tmp_path / "o")]) == 0
+    assert calls == ["zero"]
 
 
 def test_direct_minimizer_factors_a_few_times_per_point(monkeypatch: pytest.MonkeyPatch) -> None:
